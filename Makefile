@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
 
 all: tier1
 
@@ -92,18 +92,30 @@ batch-smoke:
 # race detector over the concurrent packages, the chaos suite, the
 # solver-service smoke, the multi-RHS coalescing smoke, the inter-daemon
 # cluster chaos run, the differential audit sweep, the timeline export
-# smoke, the distributed-tracing smoke, and the hot-path kernel perf smoke.
-tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf
+# smoke, the distributed-tracing smoke, the hot-path kernel perf smoke, and
+# the nested benchmark module's own vet + tests.
+tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf bench-check
 
+# The repository's performance ledger (BENCHMARK.json): six workloads ×
+# {untraced, traced}, ~3.5 min. Pass one workload with
+# `bash benchmark/run.sh --workload solve_vector --seed 1 --seconds 12 --trace 0`.
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	bash benchmark/run.sh
 
-# Hot-path kernel perf smoke: the stencil-vs-CSR SPMV pair and the fused
-# powers-block step, run short (100 iterations, 3 samples) so tier1 catches
-# a kernel that stops compiling or collapses, without turning the gate into
-# a benchmark farm. cmd/perfreport produces the committed BENCH_pr6.json.
+# benchmark/ is its own module (replace repro => ../), so the root
+# `go test ./...` never compiles it: a refactor that moves a surface
+# benchmark/adapter.go calls would break the benchmark unseen.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Hot-path kernel perf smoke: the stencil-vs-CSR SPMV pair, the fused
+# powers-block step and the fused s-step vector sweep, run short (100
+# iterations, 3 samples) so tier1 catches a kernel that stops compiling or
+# collapses, without turning the gate into a benchmark farm. cmd/perfreport
+# produces the committed BENCH_pr6.json.
 perf:
 	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep' -benchtime=100x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec
 
 # Kernel-layer scaling benches: SPMV, Gram/dot, and the solver-level run at
 # 1 worker versus all cores.

@@ -165,7 +165,7 @@ func stencilKernels(rep *Report) {
 		func() { a2.MulVec(y2, x2) },
 		func() { op2.MulVec(y2, x2) }))
 
-	// One powers-block step: y = A·x/σ plus the two moment dots packDots
+	// One powers-block step: y = A·x/σ plus the two moment dots the payload
 	// needs from it — three separate sweeps versus the fused kernel.
 	const scale = 1 / 1.25
 	dots := make([]float64, 2)
@@ -200,7 +200,7 @@ func gramKernels(rep *Report) {
 		},
 		func() { vec.GramLocal(c, cols, pows) }))
 
-	// The 2s+2 moment/norm dots of packDots: per-entry sweeps vs DotPairs.
+	// The 2s+2 moment/norm dots of the payload: per-entry sweeps vs DotPairs.
 	var xs, ys [][]float64
 	for m := 0; m < 2*s; m++ {
 		xs = append(xs, cols[m/2%s])

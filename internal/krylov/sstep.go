@@ -40,13 +40,15 @@ type sstepState struct {
 	// powU[j] = (M⁻¹A)^j u and powR[j] = (AM⁻¹)^j r = M·powU[j]; for the
 	// unpreconditioned methods powR aliases powU (M = I).
 	powU, powR [][]float64
-	// Direction blocks and their operator images: AQmU[k] = (M⁻¹A)^{k+1}·Qu
-	// in u-space, AQmR[k] = M·AQmU[k] in r-space. Blocking variants carry
-	// only k=0; the pipelined variants carry k=0..s (the paper's AQm/AQ2m
-	// "matrix of matrices").
-	qU, qR, pU, pR vec.Multi
-	aqU, aqR       []vec.Multi // current direction images
-	apU, apR       []vec.Multi // previous direction images
+	// Direction block and its operator images: aqU[k] = (M⁻¹A)^{k+1}·Q in
+	// u-space, aqR[k] = M·aqU[k] in r-space (aliasing aqU when M = I).
+	// Blocking variants carry only k=0; the pipelined variants carry k=0..s
+	// (the paper's AQm/AQ2m "matrix of matrices"). Each block is updated in
+	// place every outer iteration — between iterations it holds the previous
+	// directions, the paper's P — so there is no even/odd double buffer. The
+	// r-space image of Q itself is never read and is not carried.
+	qU       vec.Multi
+	aqU, aqR []vec.Multi
 
 	pay scalarwork.Payload
 	buf []float64
@@ -64,16 +66,18 @@ type sstepState struct {
 	sigma float64
 
 	// Fused-dot side channel: computePowers with fuse set folds moment
-	// entries into the SPMV sweep (engine.FusedSpMV); packDots consumes the
-	// muVal entries flagged by muMask and clears the mask.
+	// entries into the SPMV sweep (engine.FusedSpMV); the next dot sweep
+	// consumes the muVal entries flagged by muMask and clears the mask.
 	muVal  []float64
 	muMask []bool
 	fws    [][]float64 // ws scratch for the fused kernel (≤ 2 entries)
 	fdots  []float64
-	// packDots pair-sweep scratch: operands, payload indices, results.
-	pairX, pairY [][]float64
-	pairI        []int
-	pairD        []float64
+
+	// sweep is the fused LC + dot pass over the solve's vectors: queueLCs
+	// and queueDots fill its lists, runSweep executes and clears them.
+	// xAlpha = α/σ and negAlpha = −α are the iteration's LC coefficients.
+	sweep            vec.Sweep
+	xAlpha, negAlpha []float64
 }
 
 func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
@@ -87,35 +91,28 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 		nPow = 2*s + 1
 		nBlocks = s + 1
 	}
-	alloc := func() [][]float64 {
+	allocPow := func() [][]float64 {
 		v := make([][]float64, nPow)
 		for j := range v {
 			v[j] = make([]float64, n)
 		}
 		return v
 	}
-	st.powU = alloc()
+	allocBlocks := func() []vec.Multi {
+		v := make([]vec.Multi, nBlocks)
+		for k := range v {
+			v[k] = vec.NewMulti(n, s)
+		}
+		return v
+	}
+	st.powU = allocPow()
 	st.powR = st.powU
 	st.qU = vec.NewMulti(n, s)
-	st.pU = vec.NewMulti(n, s)
-	st.qR, st.pR = st.qU, st.pU
-	st.aqU = make([]vec.Multi, nBlocks)
-	st.apU = make([]vec.Multi, nBlocks)
-	for k := range st.aqU {
-		st.aqU[k] = vec.NewMulti(n, s)
-		st.apU[k] = vec.NewMulti(n, s)
-	}
-	st.aqR, st.apR = st.aqU, st.apU
+	st.aqU = allocBlocks()
+	st.aqR = st.aqU
 	if cfg.precond {
-		st.powR = alloc()
-		st.qR = vec.NewMulti(n, s)
-		st.pR = vec.NewMulti(n, s)
-		st.aqR = make([]vec.Multi, nBlocks)
-		st.apR = make([]vec.Multi, nBlocks)
-		for k := range st.aqR {
-			st.aqR[k] = vec.NewMulti(n, s)
-			st.apR[k] = vec.NewMulti(n, s)
-		}
+		st.powR = allocPow()
+		st.aqR = allocBlocks()
 	}
 
 	st.pay = scalarwork.Payload{S: s, Extras: 2}
@@ -126,10 +123,9 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 	st.muMask = make([]bool, 2*s)
 	st.fws = make([][]float64, 0, 2)
 	st.fdots = make([]float64, 2)
-	st.pairX = make([][]float64, 0, 2*s+2)
-	st.pairY = make([][]float64, 0, 2*s+2)
-	st.pairI = make([]int, 0, 2*s)
-	st.pairD = make([]float64, 2*s+2)
+
+	st.xAlpha = make([]float64, s)
+	st.negAlpha = make([]float64, s)
 	return st
 }
 
@@ -141,19 +137,15 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 // the SPMV's own source and product — mu[2j-1] = ⟨powU[j-1], powR[j]⟩
 // always, plus the self-dot mu[2j] = ⟨powR[j], powR[j]⟩ when the basis is
 // unpreconditioned (powU aliases powR) — fold into the same pass, dotting
-// each chunk of the product while it is cache-hot; packDots consumes them
-// through the muVal/muMask side channel. Fuse is only set on ranges that
-// feed the next packDots (powers 1..s); the pipelined overlap range
-// s+1..2s computes powers the current payload never dots.
+// each chunk of the product while it is cache-hot; the next dot sweep
+// consumes them through the muVal/muMask side channel. Fuse is only set on
+// ranges that feed the next dot sweep (powers 1..s); the pipelined overlap
+// range s+1..2s computes powers the current payload never dots.
 func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 	if st.mpk != nil && hi > lo {
 		// Matrix powers kernel: the whole contiguous range in one deep
 		// exchange, then undo the basis scaling per level.
-		dst := make([][]float64, hi-lo+1)
-		for j := lo; j <= hi; j++ {
-			dst[j-lo] = st.powR[j]
-		}
-		st.mpk.SpMVPowers(dst, st.powU[lo-1])
+		st.mpk.SpMVPowers(st.powR[lo:hi+1], st.powU[lo-1])
 		if st.sigma != 1 {
 			scale := 1.0
 			for j := lo; j <= hi; j++ {
@@ -253,56 +245,6 @@ func (st *sstepState) estimateSigma(b []float64) {
 	}
 }
 
-// packDots computes the fused reduction payload from the current powers and
-// direction blocks: moments, cross-Gram, Pᵀr, and the two norm terms. The
-// entries are blocked into shared sweeps — one DotPairs pass over the
-// moment/norm pairs, one GramLocal for the s×s cross-Gram, one DotsAgainst
-// for Pᵀr — each entry bit-identical to its separate vec.Dot (same chunk
-// geometry, same fold order) while reading the operand vectors once per
-// block instead of once per entry. Moment entries already produced inside a
-// fused SPMV (muMask) are consumed, not recomputed.
-func (st *sstepState) packDots() {
-	sp := st.ph.begin(obs.PhaseGram)
-	defer st.ph.end(sp)
-	s, n := st.s, st.n
-	mu := st.pay.Mu(st.buf)
-	ex := st.pay.Extra(st.buf)
-
-	nFused := 0
-	xs, ys, idx := st.pairX[:0], st.pairY[:0], st.pairI[:0]
-	for m := 0; m < 2*s; m++ {
-		if st.muMask[m] {
-			mu[m] = st.muVal[m]
-			st.muMask[m] = false
-			nFused++
-			continue
-		}
-		a := m / 2
-		xs = append(xs, st.powU[a])
-		ys = append(ys, st.powR[m-a])
-		idx = append(idx, m)
-	}
-	xs = append(xs, st.powU[0], st.powR[0])
-	ys = append(ys, st.powU[0], st.powR[0])
-	dots := st.pairD[:len(xs)]
-	vec.DotPairs(dots, xs, ys)
-	for k, m := range idx {
-		mu[m] = dots[k]
-	}
-	ex[0] = dots[len(idx)]
-	ex[1] = dots[len(idx)+1]
-
-	vec.GramLocal(st.pay.C(st.buf), st.aqR[0], vec.Multi(st.powU[:s]))
-	vec.DotsAgainst(st.pay.GP(st.buf), st.powR[0], st.qU)
-
-	chargeDots(st.e, n, 2*s+s*s+s+2-nFused)
-	if nFused > 0 {
-		// The fused dots' multiply-adds; the SPMV pass absorbed the product
-		// vector's read, leaving one operand stream per dot.
-		st.e.Charge(2*float64(n*nFused), 8*float64(n*nFused))
-	}
-}
-
 // norm2 selects the squared residual norm from the reduced payload.
 func (st *sstepState) norm2(mode NormMode) float64 {
 	ex := st.pay.Extra(st.buf)
@@ -316,44 +258,181 @@ func (st *sstepState) norm2(mode NormMode) float64 {
 	}
 }
 
-// buildDirections forms Q = K + P·B and AQm[k] = (M⁻¹A)^{k+1}K + APm[k]·B
-// with the fused init+LC kernel (one pass per column).
-func (st *sstepState) buildDirections(b []float64) {
-	sp := st.ph.begin(obs.PhaseRecurrenceLC)
-	defer st.ph.end(sp)
-	s := st.s
-	vec.InitAddScaledBlock(st.qU, st.powU[:s], st.pU, b)
-	if st.cfg.precond {
-		vec.InitAddScaledBlock(st.qR, st.powR[:s], st.pR, b)
-	}
+// queueLCs adds one outer iteration's recurrence LCs to the pending sweep:
+// Q = K + P·B and AQm[k] = (M⁻¹A)^{k+1}K + APm[k]·B on the in-place blocks,
+// x += Q·(α/σ), and — with advance set — the residual-power recurrences
+// pow[k] −= AQm[k]·(σ·α_true) for every maintained image block (k = 0 for
+// Alg. 4; k = 0..s for the pipelined Alg. 5/6). σ·α_true is exactly the
+// solved coeffs.Alpha, so negAlpha needs no extra scaling. Each image block
+// reads powers k+1..k+s, all of which the sweep advances only after every
+// block of the same rows is formed.
+func (st *sstepState) queueLCs(b []float64, advance bool) {
+	s, sw := st.s, &st.sweep
+	sw.Blocks = append(sw.Blocks, vec.BlockLC{Dst: st.qU, Base: st.powU[:s], B: b})
+	sw.Updates = append(sw.Updates, vec.ColumnLC{Y: st.x, Cols: st.qU, Coef: st.xAlpha})
 	for k := range st.aqU {
-		vec.InitAddScaledBlock(st.aqU[k], st.powU[k+1:k+1+s], st.apU[k], b)
+		sw.Blocks = append(sw.Blocks, vec.BlockLC{Dst: st.aqU[k], Base: st.powU[k+1 : k+1+s], B: b})
+		if advance {
+			sw.Updates = append(sw.Updates, vec.ColumnLC{Y: st.powU[k], Cols: st.aqU[k], Coef: st.negAlpha})
+		}
 		if st.cfg.precond {
-			vec.InitAddScaledBlock(st.aqR[k], st.powR[k+1:k+1+s], st.apR[k], b)
+			sw.Blocks = append(sw.Blocks, vec.BlockLC{Dst: st.aqR[k], Base: st.powR[k+1 : k+1+s], B: b})
+			if advance {
+				sw.Updates = append(sw.Updates, vec.ColumnLC{Y: st.powR[k], Cols: st.aqR[k], Coef: st.negAlpha})
+			}
 		}
 	}
-	spaces := 1
-	if st.cfg.precond {
-		spaces = 2
-	}
-	// Each fused block costs one copy sweep plus s² axpys sharing the
-	// destination traffic; charge the axpys and one read of the base.
-	blocks := spaces * (1 + len(st.aqU))
-	st.e.Charge(2*float64(st.n*blocks*s*s), float64(st.n*blocks)*(8*float64(s)+16*float64(s*s)))
 }
 
-// swapBlocks rotates current direction blocks into the "previous" slots —
-// the paper's even/odd P/Q alternation.
-func (st *sstepState) swapBlocks() {
-	st.qU, st.pU = st.pU, st.qU
-	st.aqU, st.apU = st.apU, st.aqU
-	if st.cfg.precond {
-		st.qR, st.pR = st.pR, st.qR
-		st.aqR, st.apR = st.apR, st.aqR
-	} else {
-		st.qR, st.pR = st.qU, st.pU
-		st.aqR, st.apR = st.aqU, st.apU
+// queueDots adds the fused reduction payload to the pending sweep: moments,
+// cross-Gram, Pᵀr, and the two norm terms, each entry bit-identical to its
+// separate vec.Dot (same chunk geometry, same fold order) on the vectors as
+// the sweep's LCs leave them. Moment entries already produced inside a fused
+// SPMV (muMask) are consumed by runSweep, not recomputed.
+func (st *sstepState) queueDots() {
+	s, sw := st.s, &st.sweep
+	for m := 0; m < 2*s; m++ {
+		if st.muMask[m] {
+			continue
+		}
+		a := m / 2
+		sw.Dots = append(sw.Dots, vec.DotPair{X: st.powU[a], Y: st.powR[m-a], Out: m})
 	}
+	cOff, gpOff, exOff := st.pay.OffC(), st.pay.OffGP(), st.pay.OffExtra()
+	for k := 0; k < s; k++ {
+		for j := 0; j < s; j++ {
+			sw.Dots = append(sw.Dots, vec.DotPair{X: st.aqR[0][k], Y: st.powU[j], Out: cOff + k*s + j})
+		}
+	}
+	for j := 0; j < s; j++ {
+		sw.Dots = append(sw.Dots, vec.DotPair{X: st.powR[0], Y: st.qU[j], Out: gpOff + j})
+	}
+	sw.Dots = append(sw.Dots,
+		vec.DotPair{X: st.powU[0], Y: st.powU[0], Out: exOff},
+		vec.DotPair{X: st.powR[0], Y: st.powR[0], Out: exOff + 1})
+}
+
+// runSweep executes the queued LCs and dots as one pass — one parallel
+// region — charges their work, and clears the queue. A sweep that carries
+// LCs is traced as recurrence_lc, a dots-only sweep as gram. When both ride
+// one pass the dots' wall time falls inside the recurrence_lc span; the span
+// closes after the pass and a short gram span covers finishing the payload
+// and its charge, so every outer iteration of every variant still shows that
+// the rank formed its dot products.
+func (st *sstepState) runSweep() {
+	s, n, sw := st.s, st.n, &st.sweep
+	blocks, dots := len(sw.Blocks), len(sw.Dots)
+	phase := obs.PhaseGram
+	if blocks > 0 {
+		phase = obs.PhaseRecurrenceLC
+	}
+	sp := st.ph.begin(phase)
+	if blocks > 0 {
+		// Each block costs one copy sweep plus s² axpys sharing the
+		// destination traffic: charge the axpys and one read of the base.
+		// Then x += Q·α, and s axpys per advanced residual power.
+		st.e.Charge(2*float64(n*blocks*s*s), float64(n*blocks)*(8*float64(s)+16*float64(s*s)))
+		chargeAxpys(st.e, n, s)
+		if adv := len(sw.Updates) - 1; adv > 0 {
+			chargeAxpys(st.e, n, adv*s)
+		}
+	}
+	if dots == 0 {
+		sw.Run(n, nil)
+	} else {
+		sw.Run(n, st.buf)
+		if blocks > 0 {
+			st.ph.end(sp)
+			sp = st.ph.begin(obs.PhaseGram)
+		}
+		mu := st.pay.Mu(st.buf)
+		nFused := 0
+		for m, fused := range st.muMask {
+			if fused {
+				mu[m] = st.muVal[m]
+				st.muMask[m] = false
+				nFused++
+			}
+		}
+		chargeDots(st.e, n, dots)
+		if nFused > 0 {
+			// The fused dots' multiply-adds; the SPMV pass absorbed the
+			// product vector's read, leaving one operand stream per dot.
+			st.e.Charge(2*float64(n*nFused), 8*float64(n*nFused))
+		}
+	}
+	sw.Blocks, sw.Updates, sw.Dots = sw.Blocks[:0], sw.Updates[:0], sw.Dots[:0]
+	st.ph.end(sp)
+}
+
+// recomputeResidual sets r = b − A·x and u = M⁻¹r (powers 0) from the
+// current iterate.
+func (st *sstepState) recomputeResidual(b []float64) {
+	st.e.SpMV(st.powR[0], st.x)
+	sp := st.ph.begin(obs.PhaseRecurrenceLC)
+	vec.Sub(st.powR[0], b, st.powR[0])
+	chargeAxpys(st.e, st.n, 1)
+	st.ph.end(sp)
+	if st.cfg.precond {
+		st.e.ApplyPC(st.powU[0], st.powR[0])
+	}
+}
+
+// reduce sends the packed payload: blocking, or — pipelined — posted and
+// overlapped with the s SPMVs (+ s PCs) that build powers s+1..2s, which
+// only the next iteration's recurrences need.
+func (st *sstepState) reduce() engine.Request {
+	if !st.cfg.pipelined {
+		st.e.AllreduceSum(st.buf)
+		return nil
+	}
+	req := st.e.IallreduceSum(st.buf)
+	st.computePowers(st.s+1, 2*st.s, false)
+	return req
+}
+
+// bootstrap seeds the basis from the current iterate: r0 = b − A·x0,
+// u0 = M⁻¹r0, powers 1..s, dots, first reduction. The same sequence re-seeds
+// the solve after a basis breakdown.
+func (st *sstepState) bootstrap(b []float64) engine.Request {
+	st.recomputeResidual(b)
+	st.computePowers(1, st.s, true)
+	st.queueDots()
+	st.runSweep()
+	return st.reduce()
+}
+
+// advance runs the vector work of one outer iteration for the solved
+// coefficients and returns the reduction it posted (nil when blocking).
+// recompute replaces the recurrence residual by r = b − A·x (the extra SPMV
+// of Alg. 2/3, or a residual replacement).
+func (st *sstepState) advance(b []float64, co scalarwork.Coeffs, recompute bool) engine.Request {
+	// The payload's moment and cross-Gram entries carry a uniform 1/σ
+	// relative to the scaled-basis Grams (each operator application
+	// contributes one 1/σ), so the solved step is σ·α. Dividing once here
+	// restores the true basis coefficients for x; the residual-power
+	// recurrence uses σ·α_true = co.Alpha directly.
+	for l, a := range co.Alpha {
+		st.xAlpha[l] = a / st.sigma
+		st.negAlpha[l] = -a
+	}
+	st.queueLCs(co.B, !recompute)
+	if recompute || !st.cfg.pipelined {
+		// The powers 1..s the dots need are rebuilt with SPMVs (+PCs) from
+		// the advanced (Alg. 4) or recomputed residual, so the LCs and the
+		// dots cannot share a sweep.
+		st.runSweep()
+		if recompute {
+			st.recomputeResidual(b)
+		}
+		st.computePowers(1, st.s, true)
+	}
+	st.queueDots()
+	st.runSweep()
+	if st.cfg.extraBytesPerOuter > 0 {
+		st.e.Charge(0, st.cfg.extraBytesPerOuter)
+	}
+	return st.reduce()
 }
 
 // solveSStep is the shared skeleton of the s-step family.
@@ -373,29 +452,8 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	res := &Result{Method: cfg.name, X: st.x}
 	st.estimateSigma(b)
 
-	// Bootstrap: r0 = b - A·x0, u0 = M⁻¹r0, powers 1..s; dots; first
-	// reduction. The pipelined variants overlap powers s+1..2s with it.
-	// The same sequence re-seeds the solve after a basis breakdown.
-	bootstrap := func() engine.Request {
-		e.SpMV(st.powR[0], st.x)
-		sp := st.ph.begin(obs.PhaseRecurrenceLC)
-		vec.Sub(st.powR[0], b, st.powR[0])
-		chargeAxpys(e, st.n, 1)
-		st.ph.end(sp)
-		if cfg.precond {
-			e.ApplyPC(st.powU[0], st.powR[0])
-		}
-		st.computePowers(1, s, true)
-		st.packDots()
-		if cfg.pipelined {
-			req := e.IallreduceSum(st.buf)
-			st.computePowers(s+1, 2*s, false)
-			return req
-		}
-		e.AllreduceSum(st.buf)
-		return nil
-	}
-	req := bootstrap()
+	// The pipelined variants overlap powers s+1..2s with the reduction.
+	req := st.bootstrap(b)
 
 	// restart re-seeds the Krylov basis from the current iterate after a
 	// singular Gram matrix (loss of block independence). Progress since
@@ -411,14 +469,13 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	reseed := func() {
 		sp := st.ph.begin(obs.PhaseRecovery)
 		st.sw.Reset()
-		st.pU.Zero()
-		st.pR.Zero()
-		for k := range st.apU {
-			st.apU[k].Zero()
-			st.apR[k].Zero()
+		st.qU.Zero()
+		for k := range st.aqU {
+			st.aqU[k].Zero()
+			st.aqR[k].Zero()
 		}
 		st.ph.end(sp)
-		req = bootstrap()
+		req = st.bootstrap(b)
 	}
 
 	// Recovery policy (Options.Recover): how many times the guards may
@@ -441,7 +498,6 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	bestX := make([]float64, st.n)
 	bestRel := math.Inf(1)
 
-	alpha := make([]float64, s)
 	for res.Iterations < opt.MaxIter {
 		if cfg.pipelined {
 			if err := waitReduce(req, opt.WaitDeadline); err != nil {
@@ -511,27 +567,8 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 			}
 			return res, err
 		}
-		// The payload's moment and cross-Gram entries carry a uniform 1/σ
-		// relative to the scaled-basis Grams (each operator application
-		// contributes one 1/σ), so the solved step is σ·α. Dividing once
-		// here restores the true basis coefficients; the residual-power
-		// recurrence then uses σ·α_true = coeffs.Alpha directly.
-		copy(alpha, coeffs.Alpha)
-		xAlpha := make([]float64, s)
-		for l := range xAlpha {
-			xAlpha[l] = alpha[l] / st.sigma
-		}
-
-		st.buildDirections(coeffs.B)
-
-		// x += Q·(α/σ).
-		sp := st.ph.begin(obs.PhaseRecurrenceLC)
-		vec.AccumulateColumns(st.x, st.qU, xAlpha)
-		chargeAxpys(e, st.n, s)
-		st.ph.end(sp)
-
-		// Advance the residual powers. Periodic residual replacement
-		// forces the classical recompute path for this outer iteration.
+		// Periodic residual replacement forces the classical recompute path
+		// for this outer iteration.
 		replacePeriod := 0
 		if opt.ReplaceEvery > 0 {
 			replacePeriod = (opt.ReplaceEvery + s - 1) / s
@@ -544,57 +581,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 				e.Counters().ResidualReplacements++
 			}
 		}
-		if cfg.classical || replace {
-			// r = b - A·x (the extra SPMV of Alg. 2/3), u = M⁻¹r, then
-			// rebuild powers 1..s with SPMVs (+PCs when preconditioned).
-			tmp := st.powR[0]
-			e.SpMV(tmp, st.x)
-			sp = st.ph.begin(obs.PhaseRecurrenceLC)
-			vec.Sub(st.powR[0], b, tmp)
-			chargeAxpys(e, st.n, 1)
-			st.ph.end(sp)
-			if cfg.precond {
-				e.ApplyPC(st.powU[0], st.powR[0])
-			}
-			st.computePowers(1, s, true)
-		} else {
-			// Recurrence residual update: pow[j] -= AQm[j]·(σ·α_true) for
-			// every maintained image block (j = 0 for Alg. 4; j = 0..s for
-			// the pipelined Alg. 5/6). σ·α_true is exactly the solved
-			// coeffs.Alpha (see above), so no extra scaling is needed.
-			sp = st.ph.begin(obs.PhaseRecurrenceLC)
-			for k := range st.aqU {
-				vec.SubtractColumns(st.powU[k], st.aqU[k], alpha)
-				if cfg.precond {
-					vec.SubtractColumns(st.powR[k], st.aqR[k], alpha)
-				}
-			}
-			spaces := 1
-			if cfg.precond {
-				spaces = 2
-			}
-			chargeAxpys(e, st.n, spaces*len(st.aqU)*s)
-			st.ph.end(sp)
-			if !cfg.pipelined {
-				// Alg. 4: only r was advanced; powers 1..s need s SPMVs.
-				st.computePowers(1, s, true)
-			}
-		}
-
-		st.packDots()
-		if cfg.extraBytesPerOuter > 0 {
-			e.Charge(0, cfg.extraBytesPerOuter)
-		}
-		if cfg.pipelined {
-			req = e.IallreduceSum(st.buf)
-			// The s overlapped SPMVs (+ s PCs): powers s+1..2s of the new
-			// residual — needed only by the next iteration's recurrences.
-			st.computePowers(s+1, 2*s, false)
-		} else {
-			e.AllreduceSum(st.buf)
-		}
-
-		st.swapBlocks()
+		req = st.advance(b, coeffs, cfg.classical || replace)
 		res.Iterations += s
 		res.Outer++
 	}

@@ -100,6 +100,12 @@ type Pool struct {
 	next    atomic.Int64
 
 	scratch []float64 // reduction partials, reused across regions
+
+	// The reduction in flight: reduceFn is reduceChunk bound once, so a
+	// RangeReduce region allocates nothing of its own.
+	redBody           func(chunk, lo, hi int, out []float64)
+	redN, redNC, redW int
+	reduceFn          func(chunk int)
 }
 
 // NewPool starts a pool with w workers (w < 1 means one). Worker 0 is the
@@ -114,6 +120,7 @@ func NewPool(w int) *Pool {
 		done: make(chan struct{}, w),
 		quit: make(chan struct{}),
 	}
+	p.reduceFn = p.reduceChunk
 	for i := 1; i < w; i++ {
 		go p.worker()
 	}
@@ -224,26 +231,28 @@ func (p *Pool) Range(n int, body func(lo, hi int)) {
 }
 
 // RangeReduce computes a fixed-order parallel reduction over [0, n). dst
-// (length = the reduction stride) is zeroed, then body is run once per chunk
-// with a zeroed stride-long slot into which it must accumulate (+=) its
-// chunk's contribution, and the slots are folded into dst in ascending chunk
-// order. Because chunk geometry depends only on n and the fold order is
-// fixed, the result is bit-identical across worker counts and runs. The
-// serial path (single chunk, or a one-worker pool) executes chunks in the
-// same order with dst itself as the slot, so it produces the same bits.
-func (p *Pool) RangeReduce(dst []float64, n int, body func(lo, hi int, out []float64)) {
+// (length = the reduction stride, possibly 0) is zeroed, then body is run
+// once per chunk with the chunk's index and bounds and a zeroed stride-long
+// slot into which it must accumulate (+=) its chunk's contribution, and the
+// slots are folded into dst in ascending chunk order. Because chunk geometry
+// depends only on n and the fold order is fixed, the result is bit-identical
+// across worker counts and runs. The serial path (single chunk, or a
+// one-worker pool) executes chunks in the same order with dst itself as the
+// slot, so it produces the same bits. The chunk index lets a body own
+// per-chunk scratch.
+func (p *Pool) RangeReduce(dst []float64, n int, body func(chunk, lo, hi int, out []float64)) {
 	for i := range dst {
 		dst[i] = 0
 	}
 	stride := len(dst)
 	nc := NumChunks(n)
-	if nc == 0 || stride == 0 {
+	if nc == 0 {
 		return
 	}
 	if nc == 1 || p.w == 1 {
 		for c := 0; c < nc; c++ {
 			lo, hi := ChunkBounds(n, nc, c)
-			body(lo, hi, dst)
+			body(c, lo, hi, dst)
 		}
 		return
 	}
@@ -252,21 +261,26 @@ func (p *Pool) RangeReduce(dst []float64, n int, body func(lo, hi int, out []flo
 	if cap(p.scratch) < need {
 		p.scratch = make([]float64, need)
 	}
-	scratch := p.scratch[:need]
-	for i := range scratch {
-		scratch[i] = 0
+	p.scratch = p.scratch[:need]
+	for i := range p.scratch {
+		p.scratch[i] = 0
 	}
-	p.forChunksLocked(nc, func(c int) {
-		lo, hi := ChunkBounds(n, nc, c)
-		body(lo, hi, scratch[c*stride:(c+1)*stride])
-	})
+	p.redBody, p.redN, p.redNC, p.redW = body, n, nc, stride
+	p.forChunksLocked(nc, p.reduceFn)
+	p.redBody = nil
 	for c := 0; c < nc; c++ {
-		slot := scratch[c*stride : (c+1)*stride]
-		for i := 0; i < stride; i++ {
-			dst[i] += slot[i]
+		slot := p.scratch[c*stride : (c+1)*stride]
+		for i, v := range slot {
+			dst[i] += v
 		}
 	}
 	p.mu.Unlock()
+}
+
+// reduceChunk runs the in-flight reduction's body on chunk c.
+func (p *Pool) reduceChunk(c int) {
+	lo, hi := ChunkBounds(p.redN, p.redNC, c)
+	p.redBody(c, lo, hi, p.scratch[c*p.redW:(c+1)*p.redW])
 }
 
 // Default pool: one per process, sized from GOMAXPROCS, shared by every

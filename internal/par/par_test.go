@@ -84,6 +84,34 @@ func TestForChunksMoreChunksThanWorkers(t *testing.T) {
 	}
 }
 
+// TestRangeReduceChunkIndexAndEmptyDst: the body is told which chunk it
+// runs (its index matches its bounds, each chunk once), and a reduction with
+// nothing to reduce still runs the body over every chunk — vec.Sweep relies
+// on both for its per-chunk scratch and its LC-only passes.
+func TestRangeReduceChunkIndexAndEmptyDst(t *testing.T) {
+	defer SetGrain(0)
+	SetGrain(10)
+	n := 1234
+	nc := NumChunks(n)
+	for _, w := range []int{1, 4} {
+		p := NewPool(w)
+		seen := make([]atomic.Int64, nc)
+		p.RangeReduce(nil, n, func(c, lo, hi int, out []float64) {
+			wlo, whi := ChunkBounds(n, nc, c)
+			if lo != wlo || hi != whi || len(out) != 0 {
+				t.Errorf("workers=%d chunk %d: got [%d,%d) len(out)=%d, want [%d,%d) and 0", w, c, lo, hi, len(out), wlo, whi)
+			}
+			seen[c].Add(1)
+		})
+		for c := range seen {
+			if seen[c].Load() != 1 {
+				t.Errorf("workers=%d: chunk %d ran %d times", w, c, seen[c].Load())
+			}
+		}
+		p.Stop()
+	}
+}
+
 func TestRangeReduceMatchesSerialSum(t *testing.T) {
 	defer SetGrain(0)
 	SetGrain(100)
@@ -96,7 +124,7 @@ func TestRangeReduceMatchesSerialSum(t *testing.T) {
 	p := NewPool(4)
 	defer p.Stop()
 	var got [1]float64
-	p.RangeReduce(got[:], n, func(lo, hi int, out []float64) {
+	p.RangeReduce(got[:], n, func(_, lo, hi int, out []float64) {
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += x[i]
@@ -133,7 +161,7 @@ func TestRangeReduceDeterministicAcrossWorkers(t *testing.T) {
 	}
 	dot := func(p *Pool) float64 {
 		var out [1]float64
-		p.RangeReduce(out[:], n, func(lo, hi int, out []float64) {
+		p.RangeReduce(out[:], n, func(_, lo, hi int, out []float64) {
 			var s float64
 			for i := lo; i < hi; i++ {
 				s += x[i] * y[i]
@@ -177,7 +205,7 @@ func TestConcurrentRegions(t *testing.T) {
 			}
 			for rep := 0; rep < 20; rep++ {
 				var out [1]float64
-				p.RangeReduce(out[:], n, func(lo, hi int, o []float64) {
+				p.RangeReduce(out[:], n, func(_, lo, hi int, o []float64) {
 					var s float64
 					for i := lo; i < hi; i++ {
 						s += x[i]
@@ -204,7 +232,7 @@ func TestStoppedPoolDegradesToSerial(t *testing.T) {
 	p := NewPool(4)
 	p.Stop()
 	var out [1]float64
-	p.RangeReduce(out[:], 1000, func(lo, hi int, o []float64) {
+	p.RangeReduce(out[:], 1000, func(_, lo, hi int, o []float64) {
 		o[0] += float64(hi - lo)
 	})
 	if out[0] != 1000 {
@@ -240,7 +268,7 @@ func TestEmptyRegions(t *testing.T) {
 	p.Range(0, func(lo, hi int) { t.Fatal("body ran for empty range") })
 	p.ForChunks(0, func(c int) { t.Fatal("body ran for zero chunks") })
 	var out []float64
-	p.RangeReduce(out, 100, func(lo, hi int, o []float64) {})
+	p.RangeReduce(out, 100, func(_, lo, hi int, o []float64) {})
 }
 
 func BenchmarkRangeOverhead(b *testing.B) {

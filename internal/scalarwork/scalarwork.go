@@ -61,21 +61,23 @@ type Payload struct {
 func (p Payload) Len() int { return 2*p.S + p.S*p.S + p.S + p.Extras }
 
 // Mu returns the moment slice of buf.
-func (p Payload) Mu(buf []float64) []float64 { return buf[:2*p.S] }
+func (p Payload) Mu(buf []float64) []float64 { return buf[:p.OffC()] }
 
 // C returns the cross-Gram slice of buf (row-major s×s, C[l*s+j]).
-func (p Payload) C(buf []float64) []float64 { return buf[2*p.S : 2*p.S+p.S*p.S] }
+func (p Payload) C(buf []float64) []float64 { return buf[p.OffC():p.OffGP()] }
 
 // GP returns the Pᵀr slice of buf.
-func (p Payload) GP(buf []float64) []float64 {
-	o := 2*p.S + p.S*p.S
-	return buf[o : o+p.S]
-}
+func (p Payload) GP(buf []float64) []float64 { return buf[p.OffGP():p.OffExtra()] }
 
 // Extra returns the trailing extras slice of buf.
-func (p Payload) Extra(buf []float64) []float64 {
-	return buf[2*p.S+p.S*p.S+p.S:]
-}
+func (p Payload) Extra(buf []float64) []float64 { return buf[p.OffExtra():] }
+
+// OffC, OffGP and OffExtra are the buffer offsets of the C, GP and Extra
+// sections (the moments start at 0), for kernels that write payload entries
+// by index.
+func (p Payload) OffC() int     { return 2 * p.S }
+func (p Payload) OffGP() int    { return 2*p.S + p.S*p.S }
+func (p Payload) OffExtra() int { return 2*p.S + p.S*p.S + p.S }
 
 // Coeffs is the result of one scalar-work step.
 type Coeffs struct {

@@ -13,11 +13,12 @@
 // per-chunk partials in ascending chunk order, and the inner loops are 4-way
 // unrolled with a fixed re-association. Results are therefore bit-identical
 // across runs and across worker counts (including the serial fast path,
-// which walks the same chunks in the same order). The recurrence LCs are
-// single-sweep fused loops: each destination column is produced in one
-// read+write pass (dst = base + Σ_k coef_k·col_k per element) instead of one
-// copy plus s axpy sweeps. Callers' Charge() accounting is unchanged — the
-// pool alters wall-clock time, not counted work.
+// which walks the same chunks in the same order). The s-step methods' whole
+// per-iteration vector work — direction-block recurrences, x and residual
+// updates, and the reduction payload's dots — runs as one Sweep (sweep.go):
+// a single parallel region that reads every vector once. Callers' Charge()
+// accounting is unchanged — the pool alters wall-clock time, not counted
+// work.
 package vec
 
 import (
@@ -69,7 +70,7 @@ func DotRange(x, y []float64, lo, hi int) float64 {
 // Dot returns Σ x[i]·y[i], chunk-parallel with a fixed-order reduction.
 func Dot(x, y []float64) float64 {
 	var out [1]float64
-	par.Default().RangeReduce(out[:], len(x), func(lo, hi int, o []float64) {
+	par.Default().RangeReduce(out[:], len(x), func(_, lo, hi int, o []float64) {
 		o[0] += dotRange(x, y, lo, hi)
 	})
 	return out[0]
@@ -86,11 +87,11 @@ func DotPairs(dst []float64, xs, ys [][]float64) {
 	if len(dst) == 0 {
 		return
 	}
-	par.Default().RangeReduce(dst, len(xs[0]), func(lo, hi int, out []float64) {
-		for k := range xs {
-			out[k] += dotRange(xs[k], ys[k], lo, hi)
-		}
-	})
+	dots := make([]DotPair, len(dst))
+	for k := range dots {
+		dots[k] = DotPair{X: xs[k], Y: ys[k], Out: k}
+	}
+	runDots(len(xs[0]), dst, dots)
 }
 
 // Norm2 returns the Euclidean norm of x.
@@ -270,19 +271,6 @@ type lcPlan struct {
 	coef []float64
 }
 
-// planColumn compacts column j of the s×s row-major coefficient matrix b
-// against the source block p.
-func planColumn(p Multi, b []float64, j, s int) lcPlan {
-	var pl lcPlan
-	for k := 0; k < s; k++ {
-		if beta := b[k*s+j]; beta != 0 {
-			pl.cols = append(pl.cols, p[k])
-			pl.coef = append(pl.coef, beta)
-		}
-	}
-	return pl
-}
-
 // planVector compacts the coefficient vector a (scaled by sign) against the
 // columns of q.
 func planVector(q Multi, a []float64, sign float64) lcPlan {
@@ -305,68 +293,6 @@ func runColumnLCs(dst, src [][]float64, plans []lcPlan, n int) {
 			lcRange(dst[j], src[j], plans[j].cols, plans[j].coef, lo, hi)
 		}
 	})
-}
-
-// AddScaledBlock computes Q[j] += Σ_k P[k]·B[k*s+j] for all j — the
-// recurrence LC "Q = Q + P·B" with B an s×s row-major matrix, fused to a
-// single read+write sweep per column. The flop count is 2·n·s² (paper §V
-// counts these LCs as series of VMAs).
-func AddScaledBlock(q, p Multi, b []float64) {
-	s := len(q)
-	if len(p) != s || len(b) != s*s {
-		panic("vec: AddScaledBlock shape mismatch")
-	}
-	if s == 0 {
-		return
-	}
-	plans := make([]lcPlan, s)
-	for j := 0; j < s; j++ {
-		plans[j] = planColumn(p, b, j, s)
-	}
-	runColumnLCs(q, q, plans, q.N())
-}
-
-// AccumulateColumns computes y += Q·a, i.e. y += Σ_j a[j]·Q[j], in one fused
-// sweep over y. Used for x_{i+1} = x_i + Q·α. Flops: 2·n·s.
-func AccumulateColumns(y []float64, q Multi, a []float64) {
-	if len(a) != len(q) {
-		panic("vec: AccumulateColumns shape mismatch")
-	}
-	pl := planVector(q, a, 1)
-	par.Default().Range(q.N(), func(lo, hi int) {
-		lcRange(y, y, pl.cols, pl.coef, lo, hi)
-	})
-}
-
-// SubtractColumns computes y -= Q·a, used for r_{i+1} = r_i - AQ·α.
-func SubtractColumns(y []float64, q Multi, a []float64) {
-	if len(a) != len(q) {
-		panic("vec: SubtractColumns shape mismatch")
-	}
-	pl := planVector(q, a, -1)
-	par.Default().Range(q.N(), func(lo, hi int) {
-		lcRange(y, y, pl.cols, pl.coef, lo, hi)
-	})
-}
-
-// InitAddScaledBlock computes dst[j] = base[j] + Σ_k p[k]·b[k*s+j] in one
-// pass per column — the fused form of "copy the Krylov block, then apply the
-// recurrence LC" that the s-step methods execute every outer iteration.
-// Fusing saves a full read+write sweep over the block compared to
-// CopyFrom + AddScaledBlock.
-func InitAddScaledBlock(dst Multi, base [][]float64, p Multi, b []float64) {
-	s := len(dst)
-	if len(base) < s || len(p) != s || len(b) != s*s {
-		panic("vec: InitAddScaledBlock shape mismatch")
-	}
-	if s == 0 {
-		return
-	}
-	plans := make([]lcPlan, s)
-	for j := 0; j < s; j++ {
-		plans[j] = planColumn(p, b, j, s)
-	}
-	runColumnLCs(dst, base, plans, dst.N())
 }
 
 // PipelinedUpdate computes dst[j] = src[j] - m[j]·a for each column j, where
@@ -411,19 +337,17 @@ func GramLocal(dst []float64, p, q Multi) {
 			}
 		}
 	}
-	n := len(p[0])
-	par.Default().RangeReduce(dst, n, func(lo, hi int, out []float64) {
-		for k := 0; k < s1; k++ {
-			j0 := 0
-			if sym {
-				j0 = k
-			}
-			pk := p[k]
-			for j := j0; j < s2; j++ {
-				out[k*s2+j] += dotRange(pk, q[j], lo, hi)
-			}
+	dots := make([]DotPair, 0, s1*s2)
+	for k := 0; k < s1; k++ {
+		j0 := 0
+		if sym {
+			j0 = k
 		}
-	})
+		for j := j0; j < s2; j++ {
+			dots = append(dots, DotPair{X: p[k], Y: q[j], Out: k*s2 + j})
+		}
+	}
+	runDots(len(p[0]), dst, dots)
 	if sym {
 		for k := 1; k < s1; k++ {
 			for j := 0; j < k; j++ {
@@ -442,11 +366,11 @@ func DotsAgainst(dst []float64, x []float64, q Multi) {
 	if len(q) == 0 {
 		return
 	}
-	par.Default().RangeReduce(dst, len(x), func(lo, hi int, out []float64) {
-		for j, col := range q {
-			out[j] += dotRange(x, col, lo, hi)
-		}
-	})
+	dots := make([]DotPair, len(q))
+	for j, col := range q {
+		dots[j] = DotPair{X: x, Y: col, Out: j}
+	}
+	runDots(len(x), dst, dots)
 }
 
 // Pack copies the columns into dst back to back, in slice order, and returns

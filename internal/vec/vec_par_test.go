@@ -124,34 +124,6 @@ func TestDotsAgainstDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFusedLCsDeterministicAcrossWorkers: the single-sweep LCs write each
-// element independently with a fixed term order, so they too must be
-// bit-stable across worker counts.
-func TestFusedLCsDeterministicAcrossWorkers(t *testing.T) {
-	defer par.SetWorkers(0)
-	rng := rand.New(rand.NewSource(7))
-	n, s := 50000, 3
-	p := randMulti(rng, n, s)
-	base := randMulti(rng, n, s)
-	b := randVec(rng, s*s)
-	b[2] = 0 // exercise the zero-coefficient compaction
-	par.SetWorkers(1)
-	ref := NewMulti(n, s)
-	InitAddScaledBlock(ref, base, p, b)
-	got := NewMulti(n, s)
-	for _, w := range []int{2, 4} {
-		par.SetWorkers(w)
-		InitAddScaledBlock(got, base, p, b)
-		for j := 0; j < s; j++ {
-			for i := 0; i < n; i++ {
-				if got[j][i] != ref[j][i] {
-					t.Fatalf("w=%d (%d,%d): %x != %x", w, i, j, got[j][i], ref[j][i])
-				}
-			}
-		}
-	}
-}
-
 // TestAxpyLongVector exercises the parallel axpy path (beyond one grain).
 func TestAxpyLongVector(t *testing.T) {
 	n := 3*par.Grain() + 17

@@ -88,52 +88,6 @@ func TestMultiBasics(t *testing.T) {
 	}
 }
 
-func TestAddScaledBlockMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n, s := 17, 3
-	q := NewMulti(n, s)
-	p := NewMulti(n, s)
-	b := make([]float64, s*s)
-	for j := 0; j < s; j++ {
-		for i := 0; i < n; i++ {
-			q[j][i] = rng.NormFloat64()
-			p[j][i] = rng.NormFloat64()
-		}
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want := q.Clone()
-	for j := 0; j < s; j++ {
-		for i := 0; i < n; i++ {
-			for k := 0; k < s; k++ {
-				want[j][i] += p[k][i] * b[k*s+j]
-			}
-		}
-	}
-	AddScaledBlock(q, p, b)
-	for j := 0; j < s; j++ {
-		for i := 0; i < n; i++ {
-			if !almostEq(q[j][i], want[j][i], 1e-12) {
-				t.Fatalf("mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestAccumulateSubtractColumns(t *testing.T) {
-	q := Multi{{1, 0}, {0, 2}}
-	y := []float64{10, 10}
-	AccumulateColumns(y, q, []float64{2, 3})
-	if y[0] != 12 || y[1] != 16 {
-		t.Fatalf("accumulate: %v", y)
-	}
-	SubtractColumns(y, q, []float64{2, 3})
-	if y[0] != 10 || y[1] != 10 {
-		t.Fatalf("subtract: %v", y)
-	}
-}
-
 func TestPipelinedUpdate(t *testing.T) {
 	n, s := 5, 2
 	rng := rand.New(rand.NewSource(2))
@@ -185,9 +139,6 @@ func TestGramLocalAndDotsAgainst(t *testing.T) {
 
 func TestShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { AddScaledBlock(NewMulti(2, 2), NewMulti(2, 1), make([]float64, 4)) },
-		func() { AccumulateColumns(make([]float64, 2), NewMulti(2, 2), make([]float64, 1)) },
-		func() { SubtractColumns(make([]float64, 2), NewMulti(2, 2), make([]float64, 1)) },
 		func() { GramLocal(make([]float64, 3), NewMulti(2, 2), NewMulti(2, 2)) },
 		func() { DotsAgainst(make([]float64, 1), make([]float64, 2), NewMulti(2, 2)) },
 		func() { PipelinedUpdate(NewMulti(2, 2), NewMulti(2, 1), nil, nil) },
@@ -230,40 +181,6 @@ func TestQuickDotBilinear(t *testing.T) {
 	}
 }
 
-// Property: AccumulateColumns then SubtractColumns with the same coefficients
-// restores the vector.
-func TestQuickAccumulateInverse(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, s := 1+rng.Intn(20), 1+rng.Intn(4)
-		q := NewMulti(n, s)
-		a := make([]float64, s)
-		for j := 0; j < s; j++ {
-			a[j] = rng.NormFloat64()
-			for i := 0; i < n; i++ {
-				q[j][i] = rng.NormFloat64()
-			}
-		}
-		y := make([]float64, n)
-		orig := make([]float64, n)
-		for i := range y {
-			y[i] = rng.NormFloat64()
-			orig[i] = y[i]
-		}
-		AccumulateColumns(y, q, a)
-		SubtractColumns(y, q, a)
-		for i := range y {
-			if !almostEq(y[i], orig[i], 1e-9*(1+math.Abs(orig[i]))) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkAxpy(b *testing.B) {
 	n := 1 << 16
 	x := make([]float64, n)
@@ -291,70 +208,6 @@ func BenchmarkDot(b *testing.B) {
 		sink += Dot(x, y)
 	}
 	_ = sink
-}
-
-func TestInitAddScaledBlockMatchesTwoStep(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n, s := 23, 3
-	base := make([][]float64, s)
-	p := NewMulti(n, s)
-	b := make([]float64, s*s)
-	for j := 0; j < s; j++ {
-		base[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			base[j][i] = rng.NormFloat64()
-			p[j][i] = rng.NormFloat64()
-		}
-	}
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	fused := NewMulti(n, s)
-	InitAddScaledBlock(fused, base, p, b)
-	twoStep := NewMulti(n, s)
-	for j := 0; j < s; j++ {
-		copy(twoStep[j], base[j])
-	}
-	AddScaledBlock(twoStep, p, b)
-	for j := 0; j < s; j++ {
-		for i := 0; i < n; i++ {
-			if !almostEq(fused[j][i], twoStep[j][i], 1e-13) {
-				t.Fatalf("fused differs at (%d,%d)", i, j)
-			}
-		}
-	}
-}
-
-func TestInitAddScaledBlockShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	InitAddScaledBlock(NewMulti(2, 2), make([][]float64, 1), NewMulti(2, 2), make([]float64, 4))
-}
-
-func BenchmarkInitAddScaledBlock(b *testing.B) {
-	n, s := 1<<14, 3
-	dst := NewMulti(n, s)
-	p := NewMulti(n, s)
-	base := make([][]float64, s)
-	coef := make([]float64, s*s)
-	for j := 0; j < s; j++ {
-		base[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			base[j][i] = float64(i % 9)
-			p[j][i] = float64(i % 7)
-		}
-	}
-	for i := range coef {
-		coef[i] = 0.01 * float64(i+1)
-	}
-	b.SetBytes(int64(8 * n * s * (s + 2)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		InitAddScaledBlock(dst, base, p, coef)
-	}
 }
 
 func TestPackUnpackRoundTrip(t *testing.T) {
