@@ -109,13 +109,17 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Hot-path kernel perf smoke: the stencil-vs-CSR SPMV pair, the fused
-# powers-block step and the fused s-step vector sweep, run short (100
-# iterations, 3 samples) so tier1 catches a kernel that stops compiling or
-# collapses, without turning the gate into a benchmark farm. cmd/perfreport
-# produces the committed BENCH_pr6.json.
+# powers-block step, the fused s-step vector sweep, the comm collectives
+# (blocking and posted, 8 and 16 ranks), the matrix powers block (depth 3,
+# hop 0 and 200 µs) and its plan build, run short (100 iterations, 3
+# samples) so tier1 catches a kernel that stops compiling or collapses,
+# without turning the gate into a benchmark farm. cmd/perfreport produces
+# the committed BENCH_pr6.json.
 perf:
 	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep' -benchtime=100x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec
+	$(GO) test -bench '[Aa]llreduce(8|16)|PowersExchange' -benchtime=100x -count=3 -run xxx ./internal/comm
+	$(GO) test -bench 'BuildPowersPlans' -benchtime=100x -count=3 -run xxx ./internal/partition
 
 # Kernel-layer scaling benches: SPMV, Gram/dot, and the solver-level run at
 # 1 worker versus all cores.

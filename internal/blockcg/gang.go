@@ -17,7 +17,6 @@ const (
 	opNone opKind = iota
 	opSpMV
 	opFused
-	opPowers
 	opPC
 	opAllreduce
 	opIallreduce
@@ -223,20 +222,6 @@ func (g *gang) executeOne(ce *colEngine) {
 		before := c.SpMVFlops
 		engine.SpMVFusedOn(g.base, ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
 		ce.flopsDelta = c.SpMVFlops - before
-	case opPowers:
-		before := c.SpMVFlops
-		if pk, ok := g.base.(engine.PowersKernel); ok {
-			pk.SpMVPowers(ce.pows, ce.src)
-			ce.powersHalos = 1
-		} else {
-			cur := ce.src
-			for j := range ce.pows {
-				g.base.SpMV(ce.pows[j], cur)
-				cur = ce.pows[j]
-			}
-			ce.powersHalos = len(ce.pows)
-		}
-		ce.flopsDelta = c.SpMVFlops - before
 	case opPC:
 		before := c.PCFlops
 		g.base.ApplyPC(ce.dst, ce.src)
@@ -320,24 +305,21 @@ type colEngine struct {
 
 	// pending op slots, written by the column's goroutine before
 	// rendezvous and read by the executor under the gang mutex.
-	pending     bool
-	kind        opKind
-	dst, src    []float64
-	scale       float64
-	ws          [][]float64
-	dots        []float64
-	buf         []float64
-	pows        [][]float64
-	req         engine.Request
-	flopsDelta  float64
-	powersHalos int
+	pending    bool
+	kind       opKind
+	dst, src   []float64
+	scale      float64
+	ws         [][]float64
+	dots       []float64
+	buf        []float64
+	req        engine.Request
+	flopsDelta float64
 }
 
 var (
-	_ engine.Engine       = (*colEngine)(nil)
-	_ engine.FusedSpMV    = (*colEngine)(nil)
-	_ engine.PowersKernel = (*colEngine)(nil)
-	_ obs.PhaseTracker    = (*colEngine)(nil)
+	_ engine.Engine    = (*colEngine)(nil)
+	_ engine.FusedSpMV = (*colEngine)(nil)
+	_ obs.PhaseTracker = (*colEngine)(nil)
 )
 
 func (ce *colEngine) NLocal() int  { return ce.g.base.NLocal() }
@@ -364,15 +346,6 @@ func (ce *colEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]flo
 	ce.dst, ce.src, ce.ws, ce.dots = nil, nil, nil, nil
 	ce.c.SpMV++
 	ce.c.HaloExchanges++
-	ce.c.SpMVFlops += ce.flopsDelta
-}
-
-func (ce *colEngine) SpMVPowers(dst [][]float64, src []float64) {
-	ce.kind, ce.pows, ce.src = opPowers, dst, src
-	ce.g.rendezvous(ce)
-	ce.pows, ce.src = nil, nil
-	ce.c.SpMV += len(dst)
-	ce.c.HaloExchanges += ce.powersHalos
 	ce.c.SpMVFlops += ce.flopsDelta
 }
 

@@ -16,8 +16,8 @@ import (
 // on every rank.
 //
 // Block exchanges keep their own send buffers rather than reusing the
-// scalar sendBufs: the scalar path sends its buffer whole, so growing it to
-// k× length would leak stale tail words into scalar payloads.
+// scalar exchange's: the scalar path sends its buffer whole, so growing it
+// to k× length would leak stale tail words into scalar payloads.
 
 // blockState is the lazily grown scratch the block path owns.
 type blockState struct {

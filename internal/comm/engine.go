@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/engine"
@@ -17,7 +18,7 @@ import (
 type Engine struct {
 	f    *Fabric
 	rank int
-	a    *sparse.CSR // shared, read-only: partition/halo structure + cost accounting
+	a    *sparse.CSR     // shared, read-only: partition/halo structure + cost accounting
 	op   engine.Operator // shared, read-only: the operator the numerics apply
 	pt   partition.Partition
 	halo partition.Halo
@@ -27,13 +28,9 @@ type Engine struct {
 	scratch []float64 // full-length source buffer for SpMV
 	c       trace.Counters
 
-	// sendBufs double-buffers the per-neighbor halo payloads (indexed by
-	// haloSeq parity) so SpMV allocates nothing in steady state. Alternating
-	// buffers is safe because a rank cannot start halo exchange seq+2 before
-	// its neighbor has consumed exchange seq: completing seq+1 requires the
-	// neighbor's seq+1 payload, which the neighbor only sends after its own
-	// seq receives finished.
-	sendBufs map[int]*[2][]float64
+	// shallow is the SpMV's ghost exchange, built from halo (which the block
+	// path still reads); see ghostExchange for the send-buffer discipline.
+	shallow ghostExchange
 
 	collSeq int // collective sequence counter, advanced identically on all ranks
 	haloSeq int
@@ -42,9 +39,10 @@ type Engine struct {
 	// Nil means no tracing; every instrumentation site is nil-safe.
 	tr *obs.Tracer
 
-	// matrix powers kernel state (EnablePowersKernel / SpMVPowers)
-	powers        *partition.PowersPlan
-	powersScratch [2][]float64
+	// matrix powers kernel state — see powers.go.
+	pcf    PCFactory
+	powers *powersPlans          // shared by the fabric's engines
+	deep   map[int]*deepExchange // this rank's exchange state, by depth
 
 	// block (multi-RHS) SPMV scratch — see block.go.
 	block blockState
@@ -76,17 +74,20 @@ func NewEnginesOp(f *Fabric, a *sparse.CSR, op engine.Operator, pt partition.Par
 		op = a
 	}
 	halos := partition.BuildHalos(a, pt)
+	powers := &powersPlans{a: a, pt: pt, rowLocal: true}
 	engines := make([]*Engine, pt.P)
 	for r := range engines {
 		e := &Engine{
 			f: f, rank: r, a: a, op: op, pt: pt, halo: halos[r],
 			lo: pt.Lo(r), hi: pt.Hi(r),
-			scratch:  make([]float64, a.Cols),
-			sendBufs: map[int]*[2][]float64{},
+			scratch: make([]float64, a.Cols),
+			shallow: newGhostExchange(halos[r].Send, halos[r].Recv),
+			pcf:     pcf, powers: powers,
 		}
 		if pcf != nil {
 			e.pc = pcf(a, e.lo, e.hi)
 		}
+		powers.rowLocal = powers.rowLocal && rowLocal(e.pc)
 		engines[r] = e
 	}
 	return engines
@@ -114,35 +115,69 @@ func (e *Engine) NLocal() int { return e.hi - e.lo }
 // NGlobal implements engine.Engine.
 func (e *Engine) NGlobal() int { return e.a.Rows }
 
-// exchangeHalo stages src into the global-indexed scratch buffer and swaps
-// ghost values with neighbor ranks (one halo_wait span).
-func (e *Engine) exchangeHalo(src []float64) {
+// ghostPeer is one neighbor of a ghost exchange: the owned rows to ship
+// (with their two send buffers) or the ghost columns to fill.
+type ghostPeer struct {
+	rank int
+	idx  []int
+	bufs [2][]float64
+}
+
+// ghostExchange is one rank's side of a recurring ghost exchange — the
+// SpMV's shallow halo, or a matrix powers plan's deep one: peers in
+// ascending rank order and the count of rounds done. Send buffers alternate
+// by that count, so a round allocates nothing: a rank cannot start round
+// n+2 of an exchange before a neighbor has consumed its payload of round n,
+// because completing n+1 needs that neighbor's n+1 payload, which the
+// neighbor only sends after its own receives of n finished. (That needs
+// every neighbor sent to to be received from as well: true of a halo over a
+// structurally symmetric matrix, checked for deep plans by worthwhile.)
+type ghostExchange struct {
+	send, recv []ghostPeer
+	count      int
+}
+
+func newGhostExchange(send, recv map[int][]int) ghostExchange {
+	var x ghostExchange
+	for nbr, rows := range send {
+		x.send = append(x.send, ghostPeer{rank: nbr, idx: rows,
+			bufs: [2][]float64{make([]float64, len(rows)), make([]float64, len(rows))}})
+	}
+	for nbr, cols := range recv {
+		x.recv = append(x.recv, ghostPeer{rank: nbr, idx: cols})
+	}
+	sort.Slice(x.send, func(i, j int) bool { return x.send[i].rank < x.send[j].rank })
+	sort.Slice(x.recv, func(i, j int) bool { return x.recv[i].rank < x.recv[j].rank })
+	return x
+}
+
+// exchangeGhosts stages src into the global-indexed scratch buffer and swaps
+// ghost values with the exchange's neighbors in one message round (one
+// halo_wait span).
+func (e *Engine) exchangeGhosts(x *ghostExchange, src []float64) {
 	copy(e.scratch[e.lo:e.hi], src)
 
 	halo := e.tr.Begin(obs.PhaseHaloWait)
 	seq := e.haloSeq
 	e.haloSeq++
-	// Send owned values each neighbor needs, reusing the parity buffer.
-	for nbr, rows := range e.halo.Send {
-		bufs, ok := e.sendBufs[nbr]
-		if !ok {
-			bufs = &[2][]float64{make([]float64, len(rows)), make([]float64, len(rows))}
-			e.sendBufs[nbr] = bufs
+	parity := x.count & 1
+	x.count++
+	for i := range x.send {
+		p := &x.send[i]
+		out := p.bufs[parity]
+		for k, row := range p.idx {
+			out[k] = src[row-e.lo]
 		}
-		out := bufs[seq&1]
-		for i, row := range rows {
-			out[i] = src[row-e.lo]
-		}
-		e.f.send(e.rank, nbr, kindHalo, seq, out)
+		e.f.send(e.rank, p.rank, kindHalo, seq, out)
 	}
-	// Receive ghost values.
-	for nbr, cols := range e.halo.Recv {
-		in, err := e.f.recv(e.rank, nbr, kindHalo, seq)
+	for i := range x.recv {
+		p := &x.recv[i]
+		in, err := e.f.recv(e.rank, p.rank, kindHalo, seq)
 		if err != nil {
 			panic(commPanic{err})
 		}
-		for i, col := range cols {
-			e.scratch[col] = in[i]
+		for k, col := range p.idx {
+			e.scratch[col] = in[k]
 		}
 	}
 	e.tr.End(halo)
@@ -159,7 +194,7 @@ func (e *Engine) countSpMV() {
 // SpMV implements engine.Engine: exchanges halo values with neighbors, then
 // applies the local rows.
 func (e *Engine) SpMV(dst, src []float64) {
-	e.exchangeHalo(src)
+	e.exchangeGhosts(&e.shallow, src)
 
 	// Local rows through the shared parallel kernel layer. All ranks of this
 	// process share one worker pool (see internal/par), so R ranks never
@@ -175,7 +210,7 @@ func (e *Engine) SpMV(dst, src []float64) {
 // over the owned rows. The caller reduces the dot partials and charges the
 // scale/dot payload.
 func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
-	e.exchangeHalo(src)
+	e.exchangeGhosts(&e.shallow, src)
 
 	sp := e.tr.Begin(obs.PhaseSpMV)
 	engine.FusedApply(e.op, dst, e.scratch, e.lo, e.hi, e.lo, scale, ws, dots)

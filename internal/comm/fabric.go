@@ -1,8 +1,16 @@
 // Package comm implements the distributed-memory runtime the paper assumes
-// from MPI, using goroutines as ranks: point-to-point message delivery,
-// blocking tree allreduce (MPI_Allreduce), a genuinely asynchronous
-// non-blocking allreduce (MPI_Iallreduce with progression, the primitive
-// PIPE-sCG pipelines against), and halo exchange for the distributed SPMV.
+// from MPI, using goroutines as ranks: point-to-point message delivery, a
+// blocking allreduce (MPI_Allreduce), a genuinely asynchronous non-blocking
+// allreduce (MPI_Iallreduce with progression, the primitive PIPE-sCG
+// pipelines against), halo exchange for the distributed SPMV and the
+// single deep exchange of the matrix powers kernel.
+//
+// The allreduce is recursive doubling — ⌈log₂P⌉ symmetric exchange rounds —
+// when P is a power of two, and a binomial reduce to rank 0 plus broadcast
+// (twice the hops) otherwise. Both add the partial sums of adjacent aligned
+// rank blocks as lower + upper, so for a power-of-two P every rank computes
+// the bits the tree computes on rank 0: which one runs is invisible in the
+// numerics (see allreduceDoubling).
 //
 // An optional injected per-hop latency emulates interconnect latency, so the
 // benefit of overlapping communication with computation is observable on a
@@ -258,7 +266,7 @@ func (f *Fabric) TotalStats() FaultStats {
 // send delivers data to rank `to` after the injected hop latency plus any
 // fault-model delay. The data slice is owned by the receiver after the call;
 // senders may reuse it only under the halo double-buffer discipline (see
-// Engine.SpMV). Under fault tracking a pristine copy is parked in the
+// ghostExchange). Under fault tracking a pristine copy is parked in the
 // retransmit store until the receiver acks, so drops and corruption are
 // recoverable.
 func (f *Fabric) send(from, to, kind, seq int, data []float64) {
@@ -539,12 +547,73 @@ func joinLimited(items []string, max int) string {
 	return joinLimited(items[:max], max) + fmt.Sprintf("; … and %d more", len(items)-max)
 }
 
-// allreduceSum performs a binomial-tree reduce to rank 0 followed by a
-// binomial-tree broadcast, summing buf element-wise across ranks. All ranks
-// must call it with the same seq and equal-length buffers. The summation
-// order is deterministic for a given P. On an imperfect fabric it returns a
-// typed *FaultError when a contribution can neither arrive nor be recovered.
+// allreduceSum sums buf element-wise across ranks: every rank ends with the
+// same bits. All ranks must call it with the same seq and equal-length
+// buffers. On an imperfect fabric it returns a typed *FaultError when a
+// contribution can neither arrive nor be recovered.
+//
+// The collective is chosen here, from P alone. A power-of-two P runs
+// recursive doubling — ⌈log₂P⌉ hops, the G(P,m) the sim model prices, and
+// every rank leaves the collective at the same time. Any other P runs the
+// binomial reduce + broadcast (2·⌈log₂P⌉ hops): doubling would need an extra
+// fold-in round there, and that round would change the summation order.
 func (f *Fabric) allreduceSum(rank, seq int, buf []float64) error {
+	if f.doubling() {
+		return f.allreduceDoubling(rank, seq, buf, false)
+	}
+	return f.allreduceTree(rank, seq, buf)
+}
+
+// doubling is the collective choice: recursive doubling iff P is a power of
+// two.
+func (f *Fabric) doubling() bool { return f.p&(f.p-1) == 0 }
+
+// allreduceDoubling is recursive doubling for power-of-two P: at round k
+// every rank swaps its partial with rank^2^k and both add the two. Before
+// round k a rank holds the sum of its aligned block of 2^k ranks; the
+// partner holds the adjacent block's, and both compute lower block + upper
+// block, operands in that order. That is the addition the binomial tree
+// performs at the block's root in its round k, so by induction every rank
+// ends with exactly the bits allreduceTree leaves on rank 0 and broadcasts.
+// The rounds share kindReduce and seq: the partner differs every round, so
+// (from, kind, seq) stays unique. posted means the caller already sent the
+// first round's payload (sendPartial).
+func (f *Fabric) allreduceDoubling(rank, seq int, buf []float64, posted bool) error {
+	for mask := 1; mask < f.p; mask <<= 1 {
+		partner := rank ^ mask
+		if !posted {
+			f.sendPartial(rank, partner, seq, buf)
+		}
+		posted = false
+		in, err := f.recv(rank, partner, kindReduce, seq)
+		if err != nil {
+			return err
+		}
+		if rank&mask == 0 {
+			for i, v := range in {
+				buf[i] += v
+			}
+		} else {
+			for i, v := range in {
+				buf[i] = v + buf[i]
+			}
+		}
+	}
+	return nil
+}
+
+// sendPartial ships a copy of the running partial sum: buf keeps changing,
+// the payload belongs to the receiver.
+func (f *Fabric) sendPartial(from, to, seq int, buf []float64) {
+	out := make([]float64, len(buf))
+	copy(out, buf)
+	f.send(from, to, kindReduce, seq, out)
+}
+
+// allreduceTree performs a binomial-tree reduce to rank 0 followed by a
+// binomial-tree broadcast. The summation order is deterministic for a given
+// P.
+func (f *Fabric) allreduceTree(rank, seq int, buf []float64) error {
 	p := f.p
 	if p == 1 {
 		return nil
@@ -625,14 +694,27 @@ func (r *Request) WaitTimeout(d time.Duration) error {
 	}
 }
 
-// iallreduceSum starts the same tree reduction on a background goroutine —
-// the asynchronous progress a pipelined method overlaps compute with. The
-// caller must not touch buf until Wait returns.
+// iallreduceSum starts the same reduction on a background goroutine — the
+// asynchronous progress a pipelined method overlaps compute with. Under
+// doubling the first round's payload leaves here, on the caller, as
+// MPI_Iallreduce initiates its first message inside the post: the peer's
+// wait then starts one hop from the post, not from whenever the scheduler
+// first runs the progress goroutine (a caller that never blocks before its
+// compute would otherwise hold its own contribution back). The caller must
+// not touch buf until Wait returns.
 func (f *Fabric) iallreduceSum(rank, seq int, buf []float64) *Request {
 	req := &Request{done: make(chan struct{})}
+	doubling := f.doubling()
+	if doubling && f.p > 1 {
+		f.sendPartial(rank, rank^1, seq, buf)
+	}
 	go func() {
 		defer close(req.done)
-		req.err = f.allreduceSum(rank, seq, buf)
+		if doubling {
+			req.err = f.allreduceDoubling(rank, seq, buf, true)
+		} else {
+			req.err = f.allreduceTree(rank, seq, buf)
+		}
 	}()
 	return req
 }

@@ -82,41 +82,60 @@ func TestCloseCancelsDelayedSends(t *testing.T) {
 	}
 }
 
+// collectiveUnderFault runs ten allreduces of order-sensitive payloads on a
+// faulty fabric and checks every rank's bits against the fault-free tree.
+func collectiveUnderFault(t *testing.T, p int, fc *FaultConfig) FaultStats {
+	t.Helper()
+	f := NewFabric(p, 0).WithFault(fc).WithRecvTimeout(2*time.Millisecond, 50)
+	const rounds = 10
+	got := make([][][]float64, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	wg.Add(p)
+	for r := 0; r < p; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for seq := 0; seq < rounds && errs[r] == nil; seq++ {
+				buf := append([]float64(nil), payloads(int64(seq), p, 5)[r]...)
+				errs[r] = f.allreduceSum(r, seq, buf)
+				got[r] = append(got[r], buf)
+			}
+		}(r)
+	}
+	wg.Wait()
+	for seq := 0; seq < rounds; seq++ {
+		want, _ := collect(p, payloads(int64(seq), p, 5), func(f *Fabric, r int, buf []float64) {
+			f.allreduceTree(r, 0, buf)
+		})
+		for r := 0; r < p; r++ {
+			if errs[r] != nil {
+				t.Fatalf("p=%d rank %d: %v", p, r, errs[r])
+			}
+			if !sameWords(got[r][seq], want[0]) {
+				t.Fatalf("p=%d rank %d seq %d: %v want %v", p, r, seq, got[r][seq], want[0])
+			}
+		}
+	}
+	st := f.TotalStats()
+	if err := f.Close(); err != nil {
+		t.Fatalf("p=%d: close after full recovery: %v", p, err)
+	}
+	return st
+}
+
+// collectivePs: a doubling round (P=4) and the reduce+broadcast tree (P=6)
+// must recover from every fault class alike.
+var collectivePs = []int{4, 6}
+
 // TestRecvTimeoutResend: with every message dropped, the deadline-aware
 // receive path must recover each payload from the retransmit store and the
 // allreduce must still produce exact sums.
 func TestRecvTimeoutResend(t *testing.T) {
-	const p = 4
-	f := NewFabric(p, 0).
-		WithFault(&FaultConfig{Seed: 3, DropRate: 1.0}).
-		WithRecvTimeout(2*time.Millisecond, 50)
-	sums := make([]float64, p)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	errs := make([]error, p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			buf := []float64{float64(r + 1)}
-			errs[r] = f.allreduceSum(r, 0, buf)
-			sums[r] = buf[0]
-		}(r)
-	}
-	wg.Wait()
-	for r := 0; r < p; r++ {
-		if errs[r] != nil {
-			t.Fatalf("rank %d: %v", r, errs[r])
+	for _, p := range collectivePs {
+		st := collectiveUnderFault(t, p, &FaultConfig{Seed: 3, DropRate: 1.0})
+		if st.DropsInjected == 0 || st.Resends == 0 {
+			t.Fatalf("p=%d: expected drops and resends, got %s", p, st)
 		}
-		if sums[r] != p*(p+1)/2 {
-			t.Fatalf("rank %d sum %g want %d", r, sums[r], p*(p+1)/2)
-		}
-	}
-	st := f.TotalStats()
-	if st.DropsInjected == 0 || st.Resends == 0 {
-		t.Fatalf("expected drops and resends, got %s", st)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close after full recovery: %v", err)
 	}
 }
 
@@ -124,37 +143,54 @@ func TestRecvTimeoutResend(t *testing.T) {
 // every corruption must be detected and repaired from the pristine copy —
 // the reduced sums stay exact.
 func TestChecksumRepairsCorruption(t *testing.T) {
-	const p = 8
-	f := NewFabric(p, 0).
-		WithFault(&FaultConfig{Seed: 5, CorruptRate: 0.5, Checksum: true}).
-		WithRecvTimeout(5*time.Millisecond, 50)
-	// Small integers sum exactly in any reduction-tree order, so a single
-	// surviving bit flip is guaranteed to show up in the result.
-	const want = float64(p * (p + 1) / 2)
-	var wg sync.WaitGroup
-	wg.Add(p)
-	bad := make([]bool, p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			for seq := 0; seq < 10; seq++ {
-				buf := []float64{float64(r + 1)}
-				if err := f.allreduceSum(r, seq, buf); err != nil || buf[0] != want {
-					bad[r] = true
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, b := range bad {
-		if b {
-			t.Fatalf("rank %d saw a wrong or failed sum", r)
+	for _, p := range collectivePs {
+		st := collectiveUnderFault(t, p, &FaultConfig{Seed: 5, CorruptRate: 0.5, Checksum: true})
+		if st.FlipsInjected == 0 || st.ChecksumFailures == 0 {
+			t.Fatalf("p=%d: expected corruption detected and counted, got %s", p, st)
 		}
 	}
-	st := f.TotalStats()
-	if st.FlipsInjected == 0 || st.ChecksumFailures == 0 {
-		t.Fatalf("expected corruption detected and counted, got %s", st)
+}
+
+// TestDuplicateFaultDiscarded: with every message delivered twice, the
+// second copy must be discarded — exact sums, and nothing left in a mailbox.
+func TestDuplicateFaultDiscarded(t *testing.T) {
+	for _, p := range collectivePs {
+		st := collectiveUnderFault(t, p, &FaultConfig{Seed: 9, DupRate: 1.0})
+		if st.DupsInjected == 0 {
+			t.Fatalf("p=%d: expected duplicates, got %s", p, st)
+		}
+	}
+}
+
+// TestCollectiveTimeoutTyped: a rank that never joins must cost the others a
+// typed *FaultError after the deadline — in a doubling round and in the tree
+// — never a hang.
+func TestCollectiveTimeoutTyped(t *testing.T) {
+	for _, p := range collectivePs {
+		f := NewFabric(p, 0).WithRecvTimeout(time.Millisecond, 3)
+		errs := make([]error, p)
+		var wg sync.WaitGroup
+		for r := 0; r < p-1; r++ { // the last rank deserts
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				errs[r] = f.allreduceSum(r, 0, []float64{1})
+			}(r)
+		}
+		wg.Wait()
+		typed := 0
+		for r := 0; r < p-1; r++ {
+			var fe *FaultError
+			if errors.As(errs[r], &fe) && (fe.Kind == FaultTimeout || fe.Kind == FaultMismatch) {
+				typed++
+			} else if errs[r] != nil {
+				t.Fatalf("p=%d rank %d: untyped failure %v", p, r, errs[r])
+			}
+		}
+		if typed == 0 {
+			t.Fatalf("p=%d: nobody noticed the deserter: %v", p, errs)
+		}
+		f.Close()
 	}
 }
 
@@ -310,6 +346,63 @@ func TestSpMVSendBufferReuse(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+}
+
+// TestFaultsInDeepExchange: the matrix powers kernel's single deep exchange
+// rides the same send/recv as the shallow halo, so drops, duplicates and
+// checksummed corruption must be recovered with the block's bits intact —
+// over enough blocks that both parity send buffers are resent from — and a
+// deserting neighbor must surface as a typed error from RunErr.
+func TestFaultsInDeepExchange(t *testing.T) {
+	a := thinGrid()
+	const p, depth, blocks = 3, 3, 5
+	pt := partition.RowBlock(a.Rows, p)
+	xs := Scatter(pt, sinVector(a.Rows))
+	wantR, wantU := powersBlock(t, NewEngines(NewFabric(p, 0), a, pt, jacobiPC), xs, depth, true, 0.37, false)
+
+	faults := map[string]*FaultConfig{
+		"drop":    {Seed: 3, DropRate: 1.0},
+		"dup":     {Seed: 9, DupRate: 1.0},
+		"corrupt": {Seed: 5, CorruptRate: 0.5, Checksum: true},
+	}
+	for name, fc := range faults {
+		f := NewFabric(p, 0).WithFault(fc).WithRecvTimeout(2*time.Millisecond, 50)
+		engines := NewEngines(f, a, pt, jacobiPC)
+		for k := 0; k < blocks; k++ {
+			gotR, gotU := powersBlock(t, engines, xs, depth, true, 0.37, true)
+			sameLevels(t, name+" r", gotR, wantR)
+			sameLevels(t, name+" u", gotU, wantU)
+		}
+		st := f.TotalStats()
+		if st.DropsInjected+st.DupsInjected+st.FlipsInjected == 0 ||
+			(name == "drop" && st.Resends == 0) || (name == "corrupt" && st.ChecksumFailures == 0) {
+			t.Fatalf("%s: faults not injected or not recovered: %s", name, st)
+		}
+		if c := engines[1].Counters(); name == "drop" && c.CommResends == 0 {
+			t.Fatalf("drop: resends must reach the engine counters: %+v", c)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatalf("%s: close after full recovery: %v", name, err)
+		}
+	}
+
+	f := NewFabric(p, 0).WithRecvTimeout(time.Millisecond, 2)
+	engines := NewEngines(f, a, pt, jacobiPC)
+	errs := RunErr(engines, func(r int, e *Engine) error {
+		if r == 1 {
+			return nil // the middle rank deserts the exchange
+		}
+		dst := allocLevels(depth, e.NLocal())
+		e.SpMVPowers(dst, nil, xs[r], 1)
+		return nil
+	})
+	for _, r := range []int{0, 2} {
+		var fe *FaultError
+		if !errors.As(errs[r], &fe) || fe.Kind != FaultTimeout {
+			t.Fatalf("rank %d should get a typed timeout, got %v", r, errs[r])
+		}
+	}
+	f.Close()
 }
 
 // TestRunErrRecoversFaultPanic: a fabric failure inside an engine kernel must

@@ -1,73 +1,210 @@
 package comm
 
 import (
+	"sync"
+
+	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/sparse"
 )
 
-// EnablePowersKernel precomputes the depth-k matrix powers plan for this
-// rank, enabling SpMVPowers. Every rank of the fabric must call it with the
-// same depth before any rank calls SpMVPowers.
-func (e *Engine) EnablePowersKernel(depth int) {
-	plans := partition.BuildPowersPlansCSR(e.a.RowPtr, e.a.Col, e.pt, depth)
-	e.powers = &plans[e.rank]
-	e.powersScratch = [2][]float64{make([]float64, e.a.Cols), make([]float64, e.a.Cols)}
+// The matrix powers kernel (engine.PowersKernel; Hoemmen's CA-SPMV, the
+// paper's §II): a powers block of k products costs ONE message round — a
+// depth-k ghost exchange — instead of k, and the rank recomputes the
+// ghost-zone rows of the intermediate levels itself, preconditioner
+// included. Every recomputed row goes through the row kernels and the
+// preconditioner its owner uses, so the block is bit-identical to the
+// per-product sequence and the solver never needs to know which one ran.
+
+// powersPlans is the kernel's fabric-wide state, shared by the engines of
+// one NewEnginesOp call: the depth-k plans of every rank and, with them, the
+// decision to engage, made once per depth by whichever rank asks first. The
+// decision has to be the same on every rank — ranks that disagreed would
+// wait for messages nobody sends — so it lives here and not in an engine.
+type powersPlans struct {
+	a        *sparse.CSR
+	pt       partition.Partition
+	rowLocal bool // every rank's preconditioner is row-local (or absent)
+
+	mu      sync.Mutex
+	byDepth map[int][]partition.PowersPlan // nil plans = refused
 }
 
-// SpMVPowers computes dst[j] = A^{j+1}·src over the local rows for
-// j = 0..depth-1 with a single ghost exchange (Hoemmen's matrix powers
-// kernel): the depth-k ghost region of src arrives once, and ghost-zone
-// rows of the intermediate products are recomputed redundantly.
-func (e *Engine) SpMVPowers(dst [][]float64, src []float64) {
-	plan := e.powers
-	if plan == nil {
-		panic("comm: EnablePowersKernel was not called")
-	}
-	if len(dst) > plan.Depth {
-		panic("comm: SpMVPowers deeper than the plan")
-	}
-	depth := len(dst)
+// rowLocal reports whether a rank can apply pc to ghost rows it recomputes:
+// no preconditioner at all, or one that declares itself row-local.
+func rowLocal(pc engine.Preconditioner) bool {
+	rl, ok := pc.(engine.RowLocalPC)
+	return pc == nil || ok && rl.RowLocal()
+}
 
-	// Single exchange: ship owned values, receive the deep ghost region.
-	seq := e.haloSeq
-	e.haloSeq++
-	for nbr, rows := range plan.Send {
-		out := make([]float64, len(rows))
-		for i, row := range rows {
-			out[i] = src[row-e.lo]
-		}
-		e.f.send(e.rank, nbr, kindHalo, seq, out)
+// plansFor returns every rank's depth-k plan, or nil when the kernel must
+// not engage. It engages iff there is an exchange to save (P ≥ 2, k ≥ 2),
+// ghost rows can be preconditioned where they are recomputed (row-local
+// PC), and the plans are worthwhile — a pure function of the preconditioner,
+// the partition and the matrix structure, never of an option.
+func (ps *powersPlans) plansFor(depth int) []partition.PowersPlan {
+	if ps.pt.P < 2 || depth < 2 || !ps.rowLocal {
+		return nil
 	}
-	cur := e.powersScratch[0]
-	copy(cur[e.lo:e.hi], src)
-	for nbr, cols := range plan.GhostFrom {
-		in, err := e.f.recv(e.rank, nbr, kindHalo, seq)
-		if err != nil {
-			panic(commPanic{err})
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	plans, ok := ps.byDepth[depth]
+	if !ok {
+		plans = partition.BuildPowersPlansCSR(ps.a.RowPtr, ps.a.Col, ps.pt, depth)
+		if !worthwhile(plans, ps.pt) {
+			plans = nil
 		}
-		for i, col := range cols {
-			cur[col] = in[i]
+		if ps.byDepth == nil {
+			ps.byDepth = map[int][]partition.PowersPlan{}
 		}
+		ps.byDepth[depth] = plans
 	}
+	return plans
+}
 
-	e.c.HaloExchanges++
-	next := e.powersScratch[1]
-	a := e.a
-	for j := 0; j < depth; j++ {
-		// Local rows through the shared parallel kernel.
-		e.op.MulVecRange(next, cur, e.lo, e.hi)
-		copy(dst[j], next[e.lo:e.hi])
-		// Redundant ghost-zone rows needed by later steps. They go through
-		// the same row kernel so the recomputed values are bit-identical to
-		// what the owning rank produces.
-		if j < depth-1 {
-			for _, i := range plan.Extra[j] {
-				e.op.MulVecRange(next, cur, i, i+1)
-				e.c.SpMVFlops += 2 * float64(a.RowPtr[i+1]-a.RowPtr[i])
+// worthwhile is the profitability rule: on every rank the ghost rows it
+// would recompute (the widest level; later levels recompute a subset) number
+// at most a quarter of its own row-products, depth × rows — in slab terms a
+// subdomain has to be about six ghost shells deep, so thin subdomains, whose
+// shells rival the block itself, keep the per-product path. It also demands
+// that every rank hears from exactly the ranks it sends to, which the send
+// double-buffering of a ghostExchange relies on.
+func worthwhile(plans []partition.PowersPlan, pt partition.Partition) bool {
+	for r := range plans {
+		p := &plans[r]
+		if 4*partition.RunRows(p.Extra[0]) > p.Depth*pt.Rows(r) || len(p.Send) != len(p.GhostFrom) {
+			return false
+		}
+		for nbr := range p.Send {
+			if _, ok := p.GhostFrom[nbr]; !ok {
+				return false
 			}
 		}
-		cur, next = next, cur
-		localNNZ := a.RowPtr[e.hi] - a.RowPtr[e.lo]
-		e.c.SpMV++
-		e.c.SpMVFlops += 2 * float64(localNNZ)
 	}
+	return true
+}
+
+// ghostRun is one contiguous run of off-rank rows recomputed at some level,
+// with the preconditioner the engine's PCFactory builds over it (nil =
+// identity).
+type ghostRun struct {
+	partition.Run
+	pc engine.Preconditioner
+}
+
+// ghostLevel is what one level of a block recomputes off-rank.
+type ghostLevel struct {
+	runs  []ghostRun
+	flops float64 // the runs' SPMV flops
+}
+
+// deepExchange is one rank's state for one depth: the single exchange, the
+// ghost runs of every level but the last (which feeds no later one), and the
+// scratch their products land in before M⁻¹ moves them into the source
+// buffer.
+type deepExchange struct {
+	ghostExchange
+	levels []ghostLevel // levels[j]: ghost rows of product j+1
+	ghostR []float64    // len = rows of levels[0], the widest level
+}
+
+// deepFor returns this rank's exchange state for the depth, building it on
+// first use; nil means the kernel does not engage at this depth.
+func (e *Engine) deepFor(depth int) *deepExchange {
+	dx, ok := e.deep[depth]
+	if ok {
+		return dx
+	}
+	if plans := e.powers.plansFor(depth); plans != nil {
+		dx = e.newDeepExchange(&plans[e.rank])
+	}
+	if e.deep == nil {
+		e.deep = map[int]*deepExchange{}
+	}
+	e.deep[depth] = dx
+	return dx
+}
+
+func (e *Engine) newDeepExchange(plan *partition.PowersPlan) *deepExchange {
+	dx := &deepExchange{
+		ghostExchange: newGhostExchange(plan.Send, plan.GhostFrom),
+		ghostR:        make([]float64, partition.RunRows(plan.Extra[0])),
+	}
+	for _, runs := range plan.Extra[:plan.Depth-1] {
+		level := ghostLevel{runs: make([]ghostRun, len(runs))}
+		for i, run := range runs {
+			level.runs[i].Run = run
+			if e.pcf != nil {
+				level.runs[i].pc = e.pcf(e.a, run.Lo, run.Hi)
+			}
+			level.flops += 2 * float64(e.a.RowPtr[run.Hi]-e.a.RowPtr[run.Lo])
+		}
+		dx.levels = append(dx.levels, level)
+	}
+	return dx
+}
+
+// mulRows writes y[i-lo] = scale·(A·scratch)[i] for rows [lo, hi) through
+// the row kernels SpMV (scale 1) and SpMVFusedDots use.
+func (e *Engine) mulRows(y []float64, lo, hi int, scale float64) {
+	if scale == 1 {
+		e.op.MulVecRangeInto(y, e.scratch, lo, hi)
+		return
+	}
+	engine.FusedApply(e.op, y, e.scratch, lo, hi, lo, scale, nil, nil)
+}
+
+// SpMVPowers implements engine.PowersKernel. After the single deep exchange
+// the scratch buffer holds u on the local rows and on every ghost row a
+// later level reads; each level applies the local rows straight into the
+// caller's vectors and the level's ghost runs into ghostR, and only then —
+// all reads of the old u done — overwrites u in place with M⁻¹ of both.
+func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	depth := len(dstR)
+	dx := e.deepFor(depth)
+	if dx == nil {
+		return false
+	}
+	e.exchangeGhosts(&dx.ghostExchange, src)
+	e.c.HaloExchanges++
+
+	localFlops := 2 * float64(e.a.RowPtr[e.hi]-e.a.RowPtr[e.lo])
+	for j := 0; j < depth; j++ {
+		var ghosts ghostLevel // the last level recomputes nothing
+		if j < depth-1 {
+			ghosts = dx.levels[j]
+		}
+		sp := e.tr.Begin(obs.PhaseSpMV)
+		e.mulRows(dstR[j], e.lo, e.hi, scale)
+		off := 0
+		for _, g := range ghosts.runs {
+			e.mulRows(dx.ghostR[off:], g.Lo, g.Hi, scale)
+			off += g.Hi - g.Lo
+		}
+		e.tr.End(sp)
+		e.c.SpMV++
+		e.c.SpMVFlops += localFlops + ghosts.flops
+
+		u := dstR[j]
+		if dstU != nil {
+			u = dstU[j]
+			e.ApplyPC(u, dstR[j])
+		}
+		if j == depth-1 {
+			break
+		}
+		copy(e.scratch[e.lo:e.hi], u)
+		off = 0
+		for _, g := range ghosts.runs {
+			r := dx.ghostR[off : off+g.Hi-g.Lo]
+			if dstU != nil && g.pc != nil {
+				g.pc.Apply(e.scratch[g.Lo:g.Hi], r)
+			} else {
+				copy(e.scratch[g.Lo:g.Hi], r)
+			}
+			off += len(r)
+		}
+	}
+	return true
 }

@@ -52,14 +52,27 @@ type Preconditioner interface {
 	WorkPerApply() (flops, bytes float64, p2pRounds, allreduces int)
 }
 
-// PowersKernel is an optional Engine capability: the matrix powers kernel
-// (Hoemmen), computing dst[j] = A^{j+1}·src for j = 0..len(dst)-1 with a
-// single communication phase instead of one halo exchange per product. The
-// paper's §II discusses why PIPE-sCG does not require it (it hides the
-// allreduce, not the SPMV's neighbor traffic) but can compose with it for
-// unpreconditioned solves.
+// RowLocalPC is an optional Preconditioner marker. RowLocal reports that
+// row i of M⁻¹·src depends on src[i] and on row i of the matrix alone
+// (diagonal scalings, the identity), so an instance built over any row range
+// reproduces, bit for bit, the rows another instance produces there — what
+// lets a rank apply M⁻¹ to ghost rows it recomputes (PowersKernel).
+type RowLocalPC interface {
+	RowLocal() bool
+}
+
+// PowersKernel is an optional Engine capability: the s-step powers block in
+// one communication phase (Hoemmen's matrix powers kernel, the paper's §II)
+// instead of one halo exchange per product. Starting from u = src, level j
+// computes dstR[j] = scale·A·u and then u = dstU[j] = M⁻¹·dstR[j]; a nil
+// dstU means the basis is unpreconditioned (u = dstR[j], no PC applied or
+// counted). Values and every counter except HaloExchanges and the redundant
+// rows' SpMVFlops equal the per-product sequence SpMV (scale in the
+// write-back), ApplyPC. The engine answers for itself: false means "not
+// here" — nothing was computed, sent or counted — and the caller runs its
+// per-product loop.
 type PowersKernel interface {
-	SpMVPowers(dst [][]float64, src []float64)
+	SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool
 }
 
 // Engine is the runtime a solver executes on.
@@ -203,21 +216,6 @@ func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, d
 	e.C.SpMV++
 	e.C.HaloExchanges++
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
-}
-
-// SpMVPowers implements PowersKernel (trivially, with one rank there is no
-// communication to save).
-func (e *Seq) SpMVPowers(dst [][]float64, src []float64) {
-	sp := e.Tr.Begin(obs.PhaseSpMV)
-	cur := src
-	for j := range dst {
-		e.A.MulVec(dst[j], cur)
-		cur = dst[j]
-		e.C.SpMV++
-		e.C.SpMVFlops += 2 * float64(e.A.NNZ())
-	}
-	e.Tr.End(sp)
-	e.C.HaloExchanges++
 }
 
 // ApplyPC implements Engine.

@@ -85,14 +85,6 @@ type Options struct {
 	// StagnationWindow checks. Zero values disable detection.
 	StagnationWindow int
 	StagnationFactor float64
-	// MatrixPowers asks the unpreconditioned s-step methods to compute
-	// their Krylov powers with the engine's matrix powers kernel (one
-	// deep ghost exchange per s products instead of s shallow ones),
-	// when the engine provides one — the communication-avoiding SPMV of
-	// Hoemmen's CA-CG the paper's §II contrasts with. Ignored by
-	// preconditioned methods (the paper's stated reason CA kernels and
-	// general preconditioners conflict).
-	MatrixPowers bool
 	// ReplaceEvery enables periodic residual replacement in the pipelined
 	// methods: every ReplaceEvery iterations the recurrence residual (and
 	// its derived quantities) is recomputed from r = b - A·x, arresting

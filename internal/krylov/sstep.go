@@ -54,9 +54,8 @@ type sstepState struct {
 	buf []float64
 	sw  *scalarwork.State
 
-	// mpk, when non-nil, computes Krylov power ranges with the engine's
-	// matrix powers kernel (Options.MatrixPowers on an unpreconditioned
-	// method).
+	// mpk is the engine's matrix powers capability (nil when it has none):
+	// computePowers offers it every un-fused range and the engine decides.
 	mpk engine.PowersKernel
 
 	// sigma scales the monomial Krylov basis: powU[j] holds (M⁻¹A/σ)^j·u,
@@ -83,6 +82,7 @@ type sstepState struct {
 func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 	s, n := opt.S, e.NLocal()
 	st := &sstepState{e: e, ph: phasesOf(e), s: s, n: n, cfg: cfg, sigma: 1}
+	st.mpk, _ = e.(engine.PowersKernel)
 	st.x = zerosLike(n, opt.X0)
 
 	nPow := s + 1
@@ -140,25 +140,25 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 // each chunk of the product while it is cache-hot; the next dot sweep
 // consumes them through the muVal/muMask side channel. Fuse is only set on
 // ranges that feed the next dot sweep (powers 1..s); the pipelined overlap
-// range s+1..2s computes powers the current payload never dots.
+// range s+1..2s computes powers the current payload never dots, and that
+// range is offered whole to the engine's matrix powers kernel, which either
+// produces the same bits in one message round or declines.
 func (st *sstepState) computePowers(lo, hi int, fuse bool) {
-	if st.mpk != nil && hi > lo {
-		// Matrix powers kernel: the whole contiguous range in one deep
-		// exchange, then undo the basis scaling per level.
-		st.mpk.SpMVPowers(st.powR[lo:hi+1], st.powU[lo-1])
-		if st.sigma != 1 {
-			scale := 1.0
-			for j := lo; j <= hi; j++ {
-				scale /= st.sigma
-				vec.Scale(st.powR[j], scale)
-				st.e.Charge(float64(st.n), 16*float64(st.n))
-			}
-		}
-		return
-	}
 	scale := 1.0
 	if st.sigma != 1 {
 		scale = 1 / st.sigma
+	}
+	if !fuse && st.mpk != nil {
+		var dstU [][]float64
+		if st.cfg.precond {
+			dstU = st.powU[lo : hi+1]
+		}
+		if st.mpk.SpMVPowers(st.powR[lo:hi+1], dstU, st.powU[lo-1], scale) {
+			if scale != 1 {
+				st.e.Charge(float64(st.n*(hi-lo+1)), 0) // the scales' flops
+			}
+			return
+		}
 	}
 	for j := lo; j <= hi; j++ {
 		ws := st.fws[:0]
@@ -442,11 +442,6 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	}
 	s := opt.S
 	st := newSStepState(e, opt, cfg)
-	if opt.MatrixPowers && !cfg.precond {
-		if pk, ok := e.(engine.PowersKernel); ok {
-			st.mpk = pk
-		}
-	}
 	mon := newMonitor(e, b, opt)
 	mon.x = st.x
 	res := &Result{Method: cfg.name, X: st.x}

@@ -2,6 +2,9 @@ package partition
 
 import "sort"
 
+// Run is a contiguous range of global rows [Lo, Hi).
+type Run struct{ Lo, Hi int }
+
 // PowersPlan is one rank's plan for the matrix powers kernel (Hoemmen's
 // communication-avoiding SPMV, the paper's §II discussion of CA-CG): with a
 // single exchange of a depth-k ghost region, the rank computes
@@ -15,93 +18,114 @@ type PowersPlan struct {
 	// GhostFrom groups Ghost by owner rank.
 	GhostFrom map[int][]int
 	// Send lists, per destination rank, the locally owned indices this
-	// rank must ship (mirror of the destinations' GhostFrom).
+	// rank must ship (the destinations' GhostFrom slices, shared read-only).
 	Send map[int][]int
-	// Extra[j] lists the off-rank rows whose value of A^{j+1}·v this rank
-	// computes redundantly (needed by later steps), sorted ascending.
-	// Extra[Depth-1] is always empty — the last step only needs local rows.
-	Extra [][]int
+	// Extra[j] covers the off-rank rows whose value of A^{j+1}·v this rank
+	// computes redundantly (needed by later steps) as sorted, disjoint,
+	// maximal runs, so they go through the range kernels run by run.
+	// Extra[j] ⊇ Extra[j+1], and Extra[Depth-1] is always empty — the last
+	// step only needs local rows.
+	Extra [][]Run
 }
 
 // RedundantRows returns the total number of redundantly computed rows across
 // all steps (the MPK's extra work).
 func (p *PowersPlan) RedundantRows() int {
 	total := 0
-	for _, rows := range p.Extra {
-		total += len(rows)
+	for _, runs := range p.Extra {
+		total += RunRows(runs)
 	}
 	return total
 }
 
-// reachExpand returns, for a set of rows, the set of column indices their
-// matrix rows reference (including themselves).
-func reachExpand(rowPtr, col []int, rows map[int]struct{}) map[int]struct{} {
-	out := make(map[int]struct{}, len(rows)*2)
-	for i := range rows {
-		out[i] = struct{}{}
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			out[col[k]] = struct{}{}
-		}
+// RunRows returns the number of rows the runs cover.
+func RunRows(runs []Run) int {
+	total := 0
+	for _, r := range runs {
+		total += r.Hi - r.Lo
 	}
-	return out
+	return total
 }
 
 // BuildPowersPlansCSR computes the depth-k matrix powers plans for a CSR
-// matrix given by its rowPtr/col structure under partition pt.
+// matrix given by its rowPtr/col structure under partition pt: per rank, a
+// frontier BFS outward from its row block over one marker slice shared by
+// all ranks (dist[i] = row→column hops from the block to off-rank row i,
+// reset over the visited set only), so the cost is one pass over the
+// matrix plus the ghost shells, not a map of every row.
 func BuildPowersPlansCSR(rowPtr, col []int, pt Partition, depth int) []PowersPlan {
 	if depth < 1 {
 		panic("partition: powers depth must be ≥ 1")
 	}
 	plans := make([]PowersPlan, pt.P)
-	for r := 0; r < pt.P; r++ {
+	dist := make([]int32, pt.N)
+	for r := range plans {
 		lo, hi := pt.Lo(r), pt.Hi(r)
-		isLocal := func(i int) bool { return i >= lo && i < hi }
-
-		// reach[j] = rows whose A^{j}·v value this rank must hold.
-		// reach[depth] = local rows; expand backwards.
-		reach := make([]map[int]struct{}, depth+1)
-		reach[depth] = make(map[int]struct{}, hi-lo)
-		for i := lo; i < hi; i++ {
-			reach[depth][i] = struct{}{}
-		}
-		for j := depth; j >= 1; j-- {
-			reach[j-1] = reachExpand(rowPtr, col, reach[j])
-		}
-
-		plan := PowersPlan{Depth: depth, GhostFrom: map[int][]int{}, Send: map[int][]int{}}
-		// Ghost values of v (step 0).
-		for i := range reach[0] {
-			if !isLocal(i) {
-				plan.Ghost = append(plan.Ghost, i)
-			}
-		}
-		sort.Ints(plan.Ghost)
-		for _, g := range plan.Ghost {
-			owner := pt.Owner(g)
-			plan.GhostFrom[owner] = append(plan.GhostFrom[owner], g)
-		}
-		// Redundant rows per step: rows in reach[j] that are off-rank
-		// (step j computes A^{j}·v for j = 1..depth; redundant rows only
-		// matter for j < depth).
-		plan.Extra = make([][]int, depth)
-		for j := 1; j < depth; j++ {
-			var extra []int
-			for i := range reach[j] {
-				if !isLocal(i) {
-					extra = append(extra, i)
+		var ghost []int
+		// scan marks the unvisited off-rank columns of rows [from, to) at
+		// distance d and appends them to the frontier.
+		scan := func(from, to int, d int32) {
+			for k := rowPtr[from]; k < rowPtr[to]; k++ {
+				if c := col[k]; (c < lo || c >= hi) && dist[c] == 0 {
+					dist[c] = d
+					ghost = append(ghost, c)
 				}
 			}
-			sort.Ints(extra)
-			plan.Extra[j-1] = extra
 		}
-		plan.Extra[depth-1] = nil
+		scan(lo, hi, 1)
+		for d, start := 2, 0; d <= depth; d++ {
+			end := len(ghost)
+			for _, i := range ghost[start:end] {
+				scan(i, i+1, int32(d))
+			}
+			start = end
+		}
+		sort.Ints(ghost)
+
+		plan := PowersPlan{Depth: depth, Ghost: ghost, GhostFrom: map[int][]int{},
+			Send: map[int][]int{}, Extra: make([][]Run, depth)}
+		// ghost is sorted, so each owner's share is one contiguous slice.
+		for i := 0; i < len(ghost); {
+			owner := pt.Owner(ghost[i])
+			j := i
+			for j < len(ghost) && ghost[j] < pt.Hi(owner) {
+				j++
+			}
+			plan.GhostFrom[owner] = ghost[i:j:j]
+			i = j
+		}
+		// Step j (1-based) needs A^j·v on every off-rank row within depth-j
+		// hops; the last step needs none.
+		for j := 1; j < depth; j++ {
+			plan.Extra[j-1] = runsWithin(ghost, dist, int32(depth-j))
+		}
+		for _, g := range ghost {
+			dist[g] = 0
+		}
 		plans[r] = plan
 	}
 	// Mirror receive sets into send sets.
 	for r := range plans {
 		for owner, ghosts := range plans[r].GhostFrom {
-			plans[owner].Send[r] = append([]int(nil), ghosts...)
+			plans[owner].Send[r] = ghosts
 		}
 	}
 	return plans
+}
+
+// runsWithin coalesces the entries of the sorted index list whose distance
+// is at most d into maximal contiguous runs.
+func runsWithin(sorted []int, dist []int32, d int32) []Run {
+	var runs []Run
+	for _, i := range sorted {
+		if dist[i] > d {
+			continue
+		}
+		if n := len(runs); n > 0 && runs[n-1].Hi == i {
+			runs[n-1].Hi++
+		} else {
+			runs = append(runs, Run{i, i + 1})
+		}
+	}
+	return runs
 }

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -86,6 +88,63 @@ func TestBuildPowersPlansGhostGrowsWithDepth(t *testing.T) {
 	}
 	if g3.RedundantRows() == 0 {
 		t.Fatal("depth-3 must recompute some rows")
+	}
+}
+
+// TestBuildPowersPlansMatchReference: the marker-slice BFS must produce the
+// plans of the map-based builder it replaced, entry for entry.
+func TestBuildPowersPlansMatchReference(t *testing.T) {
+	grids := map[string]grid.Grid{
+		"star5":  grid.NewSquare(14, grid.Star5),
+		"star7":  grid.NewCube(7, grid.Star7),
+		"box125": grid.NewCube(6, grid.Box125),
+	}
+	for name, g := range grids {
+		a := g.Laplacian()
+		for _, p := range []int{2, 3, 5, 8} {
+			pt := RowBlockByNNZ(a, p)
+			for depth := 1; depth <= 5; depth++ {
+				got := BuildPowersPlansCSR(a.RowPtr, a.Col, pt, depth)
+				want := buildPowersPlansRef(a.RowPtr, a.Col, pt, depth)
+				for r := range want {
+					id := fmt.Sprintf("%s p=%d depth=%d rank %d", name, p, depth, r)
+					if !reflect.DeepEqual(got[r].Ghost, want[r].Ghost) {
+						t.Fatalf("%s: ghost sets differ", id)
+					}
+					if !reflect.DeepEqual(got[r].GhostFrom, want[r].GhostFrom) {
+						t.Fatalf("%s: GhostFrom differs", id)
+					}
+					if !reflect.DeepEqual(got[r].Send, want[r].Send) {
+						t.Fatalf("%s: Send differs", id)
+					}
+					for j, runs := range got[r].Extra {
+						var rows []int
+						for k, run := range runs {
+							if run.Lo >= run.Hi || (k > 0 && run.Lo <= runs[k-1].Hi) {
+								t.Fatalf("%s: step %d runs not sorted, disjoint and maximal: %v", id, j, runs)
+							}
+							for i := run.Lo; i < run.Hi; i++ {
+								rows = append(rows, i)
+							}
+						}
+						if !reflect.DeepEqual(rows, want[r].Extra[j]) {
+							t.Fatalf("%s: step %d redundant rows differ", id, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBuildPowersPlans builds both ranks' depth-3 plans for the 32³
+// 7-point Poisson matrix (the solve_latency operator).
+func BenchmarkBuildPowersPlans(b *testing.B) {
+	a := grid.NewCube(32, grid.Star7).Laplacian()
+	pt := RowBlockByNNZ(a, 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildPowersPlansCSR(a.RowPtr, a.Col, pt, 3)
 	}
 }
 

@@ -29,6 +29,9 @@ func (Identity) Name() string { return "none" }
 // WorkPerApply implements engine.Preconditioner.
 func (Identity) WorkPerApply() (float64, float64, int, int) { return 0, 0, 0, 0 }
 
+// RowLocal implements engine.RowLocalPC.
+func (Identity) RowLocal() bool { return true }
+
 // Jacobi is diagonal scaling: M = diag(A).
 type Jacobi struct {
 	invDiag []float64
@@ -55,6 +58,9 @@ func (j *Jacobi) Apply(dst, src []float64) {
 
 // Name implements engine.Preconditioner.
 func (j *Jacobi) Name() string { return "jacobi" }
+
+// RowLocal implements engine.RowLocalPC: row i is src[i]/a(i,i).
+func (j *Jacobi) RowLocal() bool { return true }
 
 // WorkPerApply implements engine.Preconditioner.
 func (j *Jacobi) WorkPerApply() (float64, float64, int, int) {

@@ -59,6 +59,12 @@ type Engine struct {
 	// realistic distribution for structured stencil problems.
 	Decomp *partition.GridSpec
 
+	// MatrixPowers makes the engine accept powers blocks (SpMVPowers) and
+	// price each as one deep exchange plus redundant ghost-zone work — the
+	// paper's §II ablation. Off by default: the modeled machine runs one
+	// halo exchange per product, as the paper's experiments do.
+	MatrixPowers bool
+
 	c      trace.Counters
 	events []event
 	nextID int
@@ -157,22 +163,32 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
 }
 
-// SpMVPowers implements engine.PowersKernel: the numerics are plain chained
-// products; the cost model prices one deep exchange plus the redundant
-// ghost-zone work (Evaluate, case evMPK).
-func (e *Engine) SpMVPowers(dst [][]float64, src []float64) {
-	cur := src
+// SpMVPowers implements engine.PowersKernel for the MatrixPowers ablation:
+// the numerics are the per-product chain (same kernels, same bits); the cost
+// model prices one deep exchange plus the redundant ghost-zone work
+// (Evaluate, case evMPK) and the preconditioner applications as usual.
+func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	if !e.MatrixPowers {
+		return false
+	}
+	op := e.op()
+	rows, _ := op.Dims()
 	nnz := float64(e.A.NNZ())
-	for j := range dst {
-		e.op().MulVec(dst[j], cur)
-		cur = dst[j]
+	depth := float64(len(dstR))
+	e.c.HaloExchanges++
+	e.events = append(e.events, event{kind: evMPK, depth: len(dstR),
+		flops: 2 * nnz * depth, bytes: (12*nnz + 16*float64(e.A.Rows)) * depth})
+	for j := range dstR {
+		engine.FusedApply(op, dstR[j], src, 0, rows, 0, scale, nil, nil)
 		e.c.SpMV++
 		e.c.SpMVFlops += 2 * nnz
+		src = dstR[j]
+		if dstU != nil {
+			e.ApplyPC(dstU[j], dstR[j])
+			src = dstU[j]
+		}
 	}
-	e.c.HaloExchanges++
-	e.events = append(e.events, event{kind: evMPK, depth: len(dst),
-		flops: 2 * nnz * float64(len(dst)),
-		bytes: (12*nnz + 16*float64(e.A.Rows)) * float64(len(dst))})
+	return true
 }
 
 // AllreduceSum implements engine.Engine (data is already global).

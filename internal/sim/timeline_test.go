@@ -61,7 +61,13 @@ func TestSpMVPowersSimNumericsAndEvent(t *testing.T) {
 		src[i] = float64(i%5) - 2
 	}
 	dst := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
-	e.SpMVPowers(dst, src)
+	if e.SpMVPowers(dst, nil, src, 1) || e.Events() != 0 {
+		t.Fatal("the powers ablation must be off by default and leave no event")
+	}
+	e.MatrixPowers = true
+	if !e.SpMVPowers(dst, nil, src, 1) {
+		t.Fatal("MatrixPowers set: the engine must take the block")
+	}
 
 	want1 := make([]float64, a.Rows)
 	want2 := make([]float64, a.Rows)
