@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet fmt-check loc bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
 
 all: tier1
 
@@ -24,6 +24,22 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+fmt-check:
+	test -z "$$(gofmt -l cmd internal examples benchmark bench_test.go)"
+
+# Go line counts, non-test and test, per top-level package and in total: run
+# it on the parent commit and on the change to state a PR's LoC delta.
+loc:
+	@printf '%-22s %8s %8s\n' package non-test test; \
+	for d in cmd examples benchmark internal/*; do \
+		printf '%-22s %8d %8d\n' $$d \
+			$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) \
+			$$(find $$d -name '*_test.go' | xargs cat | wc -l); \
+	done; \
+	printf '%-22s %8d %8d\n' total \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './.*' | xargs cat | wc -l) \
+		$$(find . -name '*_test.go' ! -path './.*' | xargs cat | wc -l)
 
 # Seeded fault-injection suite under the race detector: the injector, the
 # deadline/ack-resend/checksum machinery, the mailbox leak check, and the
@@ -88,13 +104,13 @@ trace-smoke:
 batch-smoke:
 	$(GO) test -race -run TestBatchSmoke -v -count=1 ./internal/serve
 
-# tier1 is the gate every change must pass: build, vet, full tests, the
+# tier1 is the gate every change must pass: build, vet, gofmt, full tests, the
 # race detector over the concurrent packages, the chaos suite, the
 # solver-service smoke, the multi-RHS coalescing smoke, the inter-daemon
 # cluster chaos run, the differential audit sweep, the timeline export
 # smoke, the distributed-tracing smoke, the hot-path kernel perf smoke, and
 # the nested benchmark module's own vet + tests.
-tier1: build vet test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf bench-check
+tier1: build vet fmt-check test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf bench-check
 
 # The repository's performance ledger (BENCHMARK.json): six workloads ×
 # {untraced, traced}, ~3.5 min. Pass one workload with

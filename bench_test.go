@@ -48,11 +48,15 @@ func BenchmarkTableICounters(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		for meth, w := range want {
-			solve, _ := bench.Solver(meth)
+			m, err := krylov.MethodByName(meth)
+			if err != nil {
+				b.Fatal(err)
+			}
+			solve := m.Solve
 			opt := bench.DefaultOptions(pr)
 			opt.RelTol, opt.AbsTol, opt.MaxIter = 0, 0, 24
 			var pc engine.Preconditioner
-			if !bench.Unpreconditioned(meth) {
+			if !m.Unpreconditioned {
 				pc = precond.NewJacobi(pr.A, 0, pr.A.Rows)
 			}
 			long := engine.NewSeq(pr.A, pc)

@@ -68,10 +68,11 @@ func main() {
 	opt := krylov.Defaults()
 	opt.RelTol, opt.S, opt.MaxIter = *rtol, *s, *maxIter
 
-	solve, err := pickSolver(*method)
+	meth, err := krylov.MethodByName(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
+	solve := meth.Solve
 
 	fc := &comm.FaultConfig{
 		Seed: *seed, DropRate: *drop, DupRate: *dup,
@@ -153,15 +154,6 @@ func main() {
 	} else {
 		fmt.Println("fabric close: clean (no leaked mailbox entries)")
 	}
-}
-
-// pickSolver resolves a method name, adding the resilience ladder to the
-// standard registry.
-func pickSolver(name string) (krylov.Solver, error) {
-	if name == "ladder" {
-		return krylov.SolveLadder, nil
-	}
-	return bench.Solver(name)
 }
 
 // trueResidual recomputes ‖b − A·x‖/‖b‖ from scratch — the ground truth no

@@ -45,7 +45,7 @@ func main() {
 
 	headers = []string{"method", "#allr/s-iter", "#spmv/s-iter", "#pc/s-iter", "flops(xN)/s-iter"}
 	rows = rows[:0]
-	for _, meth := range []string{"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati", "scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg"} {
+	for _, meth := range measuredMethods {
 		// Stay within the convergent phase: running past machine accuracy
 		// triggers restarts/deflation that would contaminate the counts.
 		long := measured(pr, meth, opt, 8**s)
@@ -68,15 +68,18 @@ func main() {
 	fmt.Println(" documented in DESIGN.md §2 and EXPERIMENTS.md.)")
 }
 
+// measuredMethods are the rows of the measured validation table.
+var measuredMethods = []string{"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati", "scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg"}
+
 // measured runs a method for maxIter iterations on a sequential engine and
 // returns a copy of its kernel counters.
 func measured(pr bench.Problem, meth string, opt krylov.Options, maxIter int) trace.Counters {
-	solve, err := bench.Solver(meth)
+	m, err := krylov.MethodByName(meth)
 	if err != nil {
 		log.Fatal(err)
 	}
 	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(meth) {
+	if !m.Unpreconditioned {
 		pc, err = bench.MakePC("jacobi", pr)
 		if err != nil {
 			log.Fatal(err)
@@ -84,7 +87,7 @@ func measured(pr bench.Problem, meth string, opt krylov.Options, maxIter int) tr
 	}
 	e := engine.NewSeq(pr.A, pc)
 	opt.MaxIter = maxIter
-	if _, err := solve(e, pr.B, opt); err != nil {
+	if _, err := m.Solve(e, pr.B, opt); err != nil {
 		log.Fatalf("%s: %v", meth, err)
 	}
 	return *e.Counters()

@@ -23,6 +23,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/engine"
+	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/precond"
@@ -66,10 +67,11 @@ func main() {
 		hidden[hi] = map[string]obs.OverlapStats{}
 		fmt.Printf("%-12s", hop)
 		for _, meth := range methodList {
-			solve, err := bench.Solver(meth)
+			m, err := krylov.MethodByName(meth)
 			if err != nil {
 				log.Fatal(err)
 			}
+			solve := m.Solve
 			best := time.Duration(0)
 			for rep := 0; rep < *reps; rep++ {
 				f := comm.NewFabric(*ranks, hop)

@@ -32,6 +32,7 @@ import (
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -242,10 +243,6 @@ func rcmReport(rep *Report) {
 // solvePhases runs one full solve on the seq engine with a tracer and
 // returns the phase-span totals the runtime reports.
 func solvePhases(pr bench.Problem, op engine.Operator, backend string, s int) (SolvePhases, error) {
-	solver, err := bench.Solver("pipe-pscg")
-	if err != nil {
-		return SolvePhases{}, err
-	}
 	pc, err := bench.MakePC("jacobi", pr)
 	if err != nil {
 		return SolvePhases{}, err
@@ -254,7 +251,7 @@ func solvePhases(pr bench.Problem, op engine.Operator, backend string, s int) (S
 	e.Tr = obs.New(0)
 	opt := bench.DefaultOptions(pr)
 	opt.S = s
-	res, err := solver(e, pr.B, opt)
+	res, err := krylov.PIPEPSCG(e, pr.B, opt)
 	if err != nil {
 		return SolvePhases{}, err
 	}
@@ -324,10 +321,6 @@ func blockReport() *BlockReport {
 		Problem:    pr.Name, N: pr.A.Rows, NNZ: pr.A.NNZ(),
 		Method: "pcg", PC: "jacobi",
 	}
-	solver, err := bench.Solver("pcg")
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	widths := []int{1, 4, 8, 16}
 	for _, k := range widths {
@@ -364,7 +357,7 @@ func blockReport() *BlockReport {
 			for j := range cols {
 				cols[j] = blockcg.Column{B: bs[j], Opt: bench.DefaultOptions(pr)}
 			}
-			out := blockcg.Solve(e, solver, cols)
+			out := blockcg.Solve(e, krylov.PCG, cols)
 			for j := range out {
 				if out[j].Err != nil || out[j].Res == nil || !out[j].Res.Converged {
 					log.Fatalf("block solve k=%d column %d did not converge: %v", k, j, out[j].Err)

@@ -76,16 +76,17 @@ func main() {
 		log.Fatalf("unknown norm %q", *norm)
 	}
 
-	solve, err := bench.Solver(*method)
+	meth, err := krylov.MethodByName(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
+	solve := meth.Solve
 	fmt.Printf("%s: N=%d nnz=%d method=%s pc=%s s=%d rtol=%.0e norm=%s runtime=%s\n",
 		pr.Name, pr.A.Rows, pr.A.NNZ(), *method, *pc, *s, opt.RelTol, opt.Norm, *runtime)
 
 	switch *runtime {
 	case "seq":
-		pcInst, err := makePC(*method, *pc, pr)
+		pcInst, err := makePC(meth, *pc, pr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func main() {
 		}
 
 	case "comm":
-		if bench.Unpreconditioned(*method) {
+		if meth.Unpreconditioned {
 			*pc = "none"
 		}
 		pt := partition.RowBlockByNNZ(pr.A, *ranks)
@@ -175,8 +176,8 @@ func loadProblem(matrixPath, name string, n, scale int) (bench.Problem, error) {
 	return bench.Problem{Name: matrixPath, A: a, B: grid.OnesRHS(a), RelTol: 1e-5}, nil
 }
 
-func makePC(method, pcName string, pr bench.Problem) (engine.Preconditioner, error) {
-	if bench.Unpreconditioned(method) {
+func makePC(meth krylov.Method, pcName string, pr bench.Problem) (engine.Preconditioner, error) {
+	if meth.Unpreconditioned {
 		return nil, nil
 	}
 	return bench.MakePC(pcName, pr)

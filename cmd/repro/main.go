@@ -19,14 +19,21 @@ import (
 	"repro/internal/sim"
 )
 
-// fig1Methods is the method list of Fig. 1, by name: the 1-step baselines
-// the paper compares against and the whole s-step family up to the headline
-// PIPE-PsCG. (A positional slice of bench.MethodNames silently lost the last
-// three when names were inserted ahead of them.)
-var fig1Methods = []string{
-	"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati",
-	"scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg",
-}
+// The method list of each figure and table, by name — selections from
+// krylov.Methods, not slices of it: a positional slice silently lost the last
+// three names when others were inserted ahead of them. Fig. 1 plots the
+// 1-step baselines the paper compares against and the whole s-step family up
+// to the headline PIPE-PsCG.
+var (
+	fig1Methods = []string{
+		"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati",
+		"scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg",
+	}
+	fig2Methods   = []string{"pcg", "pipecg", "pipecg3", "pipecg-oati", "pscg", "pipe-pscg"}
+	table2Methods = []string{"pcg", "pipecg", "pipecg-oati", "hybrid"}
+	fig4Methods   = []string{"pcg", "pipecg", "pipecg-oati", "pscg", "pipe-pscg"}
+	fig5Methods   = fig2Methods
+)
 
 func main() {
 	log.SetFlags(0)
@@ -72,7 +79,7 @@ func main() {
 
 	// Figure 2.
 	eco := bench.Ecology2(scale)
-	series, err = bench.StrongScaling(eco, []string{"pcg", "pipecg", "pipecg3", "pipecg-oati", "pscg", "pipe-pscg"}, "jacobi", m, nodes, bench.DefaultOptions(eco))
+	series, err = bench.StrongScaling(eco, fig2Methods, "jacobi", m, nodes, bench.DefaultOptions(eco))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +90,7 @@ func main() {
 	for i := range mats {
 		mats[i].RelTol = 1e-5
 	}
-	rows, err := bench.TableII(mats, []string{"pcg", "pipecg", "pipecg-oati", "hybrid"}, "jacobi", m, 120)
+	rows, err := bench.TableII(mats, table2Methods, "jacobi", m, 120)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func main() {
 	}
 	pr4 := bench.Poisson125(n4)
 	bars, err := bench.PrecondComparison(pr4, []string{"jacobi", "sor", "mg", "gamg"},
-		[]string{"pcg", "pipecg", "pipecg-oati", "pscg", "pipe-pscg"}, m, 120, bench.DefaultOptions(pr4))
+		fig4Methods, m, 120, bench.DefaultOptions(pr4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,7 +127,7 @@ func main() {
 	write("results_fig4.txt", "Fig. 4 — preconditioner comparison @120 nodes\n"+t4)
 
 	// Figure 5.
-	trs, err := bench.Accuracy(pr, []string{"pcg", "pipecg", "pipecg3", "pipecg-oati", "pscg", "pipe-pscg"}, "jacobi", m, 80, bench.DefaultOptions(pr))
+	trs, err := bench.Accuracy(pr, fig5Methods, "jacobi", m, 80, bench.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}

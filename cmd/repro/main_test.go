@@ -3,17 +3,26 @@ package main
 import (
 	"testing"
 
-	"repro/internal/bench"
+	"repro/internal/krylov"
 )
 
+// TestMethodListsKnown: every name in every figure's method list resolves in
+// the registry.
+func TestMethodListsKnown(t *testing.T) {
+	for _, list := range [][]string{fig1Methods, fig2Methods, table2Methods, fig4Methods, fig5Methods} {
+		for _, name := range list {
+			if _, err := krylov.MethodByName(name); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 // TestFig1MethodsIncludeHeadline: Fig. 1 must plot the paper's headline
-// method and its two s-step predecessors, and every name must resolve.
+// method and its two s-step predecessors.
 func TestFig1MethodsIncludeHeadline(t *testing.T) {
 	have := map[string]bool{}
 	for _, name := range fig1Methods {
-		if _, err := bench.Solver(name); err != nil {
-			t.Errorf("fig1 method %q: %v", name, err)
-		}
 		have[name] = true
 	}
 	for _, want := range []string{"scg-s", "pipe-scg", "pipe-pscg"} {

@@ -37,17 +37,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("solverouter: ")
 	var (
-		addr      = flag.String("addr", "127.0.0.1:8080", "listen address")
-		shards    = flag.String("shards", "", "shard set as name=http://host:port,...")
-		discover  = flag.String("discover", "", "bootstrap membership from one shard's GET /v1/cluster (needs solverd -shard/-peers)")
-		vnodes    = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the hash ring")
-		replicas  = flag.Int("replicas", 2, "replication factor for uploads and solve failover")
-		retries   = flag.Int("retries", 3, "total submit attempts across replicas")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff step")
-		retryCap  = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
-		brkN      = flag.Int("breaker-threshold", 3, "consecutive failures that open a shard's breaker")
-		brkOpen   = flag.Duration("breaker-open", 2*time.Second, "open interval before a breaker half-opens")
-		probe     = flag.Duration("probe", 500*time.Millisecond, "health probe interval per shard")
+		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
+		shards     = flag.String("shards", "", "shard set as name=http://host:port,...")
+		discover   = flag.String("discover", "", "bootstrap membership from one shard's GET /v1/cluster (needs solverd -shard/-peers)")
+		vnodes     = flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per shard on the hash ring")
+		replicas   = flag.Int("replicas", 2, "replication factor for uploads and solve failover")
+		retries    = flag.Int("retries", 3, "total submit attempts across replicas")
+		retryBase  = flag.Duration("retry-base", 50*time.Millisecond, "first retry backoff step")
+		retryCap   = flag.Duration("retry-cap", 2*time.Second, "retry backoff ceiling")
+		brkN       = flag.Int("breaker-threshold", 3, "consecutive failures that open a shard's breaker")
+		brkOpen    = flag.Duration("breaker-open", 2*time.Second, "open interval before a breaker half-opens")
+		probe      = flag.Duration("probe", 500*time.Millisecond, "health probe interval per shard")
 		flightDump = flag.String("flight-dump", "",
 			"write the router flight recorder's JSON dump to this file on shutdown")
 		traceSeed = flag.Uint64("trace-seed", 0,

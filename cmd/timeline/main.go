@@ -73,13 +73,13 @@ func main() {
 	}
 
 	pr := bench.Poisson7(*n)
-	solve, err := bench.Solver(*method)
+	meth, err := krylov.MethodByName(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	opt := bench.DefaultOptions(pr)
-	sums, res, err := tracedSolve(pr, *ranks, *hop, solve, opt)
+	sums, res, err := tracedSolve(pr, *ranks, *hop, meth.Solve, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

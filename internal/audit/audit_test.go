@@ -40,10 +40,14 @@ func TestGenerateDeterministic(t *testing.T) {
 	// Every generated config is well-formed: unpreconditioned methods carry
 	// pc=none, one-step methods carry s=1.
 	for _, cfg := range a {
-		if unpreconditioned(cfg.Method) && cfg.PC != "none" {
+		m, err := krylov.MethodByName(cfg.Method)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg, err)
+		}
+		if m.Unpreconditioned && cfg.PC != "none" {
 			t.Fatalf("%s: unpreconditioned method with pc=%s", cfg, cfg.PC)
 		}
-		if !sStepMethods[cfg.Method] && cfg.S != 1 {
+		if !m.SStep && cfg.S != 1 {
 			t.Fatalf("%s: one-step method with s=%d", cfg, cfg.S)
 		}
 	}
@@ -107,10 +111,11 @@ func TestAuditBlockAxis(t *testing.T) {
 
 	for _, method := range []string{"pcg", "scg", "pipe-pscg"} {
 		cfg := Config{Problem: "poisson7", N: 6, Method: method, PC: "jacobi", S: 2, K: 3, Seed: 7}
-		if unpreconditioned(method) {
+		m, _ := krylov.MethodByName(method)
+		if m.Unpreconditioned {
 			cfg.PC = "none"
 		}
-		if !sStepMethods[method] {
+		if !m.SStep {
 			cfg.S = 1
 		}
 		vs, runs := AuditBlock(cfg, DefaultParams())
@@ -189,10 +194,11 @@ func TestAuditBitIdentityMatrix(t *testing.T) {
 	}{{"poisson7", 6}, {"poisson125", 4}} {
 		for _, method := range methodPool {
 			cfg := Config{Problem: problem.name, N: problem.n, Method: method, S: 1, PC: "none"}
-			if sStepMethods[method] {
+			m, _ := krylov.MethodByName(method)
+			if m.SStep {
 				cfg.S = 3
 			}
-			if !unpreconditioned(method) {
+			if !m.Unpreconditioned {
 				cfg.PC = "jacobi"
 			}
 			t.Run(cfg.Problem+"/"+cfg.Method, func(t *testing.T) {
@@ -496,5 +502,22 @@ func TestLedgerDiffUsesAllFields(t *testing.T) {
 	a.CommCorruptions = 1 // the LAST declared field — proves full coverage
 	if d := ledgerDiff(&a, &b); d == "" {
 		t.Fatal("ledgerDiff missed a trailing counter field")
+	}
+}
+
+// TestMethodListsKnown: the sweep's method axes are selections from the
+// registry — every name resolves, and the rr family is part of the pool.
+func TestMethodListsKnown(t *testing.T) {
+	pool := map[string]bool{}
+	for _, name := range methodPool {
+		pool[name] = true
+		if _, err := krylov.MethodByName(name); err != nil {
+			t.Error(err)
+		}
+	}
+	for name := range rrMethods {
+		if !pool[name] {
+			t.Errorf("rr method %q is not in methodPool", name)
+		}
 	}
 }

@@ -45,10 +45,11 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 	if err != nil {
 		return fail("error", "%v", err), 0
 	}
-	solver, err := bench.Solver(cfg.Method)
+	meth, err := krylov.MethodByName(cfg.Method)
 	if err != nil {
 		return fail("error", "%v", err), 0
 	}
+	solver := meth.Solve
 	opt := bench.DefaultOptions(pr)
 	opt.S = cfg.S
 	opt.MaxIter = ap.MaxIter

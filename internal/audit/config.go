@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/krylov"
 )
 
 // Config is one point of the differential sweep: a problem instance, a
@@ -15,7 +17,7 @@ import (
 type Config struct {
 	Problem string // bench problem name (poisson7, poisson125, ecology2, ...)
 	N       int    // grid edge for structured problems, reduction scale for synth ones
-	Method  string // solver name from the bench registry
+	Method  string // solver name from the krylov registry
 	PC      string // preconditioner name (none, jacobi, sor)
 	S       int    // s-step block size (1 for the one-step methods)
 	// Op selects the operator backend: "" (the problem's default), "csr"
@@ -44,11 +46,6 @@ type Config struct {
 // synthProblems are the problems whose N field is a reduction scale rather
 // than a grid edge (they serialize as scale= instead of n=).
 var synthProblems = map[string]bool{"ecology2": true, "thermal2": true, "serena": true}
-
-// sStepMethods are the methods that consume Options.S.
-var sStepMethods = map[string]bool{
-	"scg": true, "pscg": true, "scg-s": true, "pipe-scg": true, "pipe-pscg": true,
-}
 
 // String renders the config in the canonical repro form:
 //
@@ -225,14 +222,15 @@ func configFromDraw(draw uint64) Config {
 	c.N = p.dims[int(draw%uint64(len(p.dims)))]
 	draw >>= 8
 	c.Method = methodPool[int(draw%uint64(len(methodPool)))]
+	meth, _ := krylov.MethodByName(c.Method) // pool names resolve: TestMethodListsKnown
 	draw >>= 8
-	if sStepMethods[c.Method] {
+	if meth.SStep {
 		c.S = 1 + int(draw%4) // s ∈ 1..4: past 3 engages the σ basis rescale
 	} else {
 		c.S = 1
 	}
 	draw >>= 8
-	if unpreconditioned(c.Method) {
+	if meth.Unpreconditioned {
 		c.PC = "none"
 	} else {
 		c.PC = pcPool[int(draw%uint64(len(pcPool)))]
@@ -273,16 +271,6 @@ func configFromDraw(draw uint64) Config {
 		}
 	}
 	return c
-}
-
-// unpreconditioned mirrors bench.Unpreconditioned for the methods in the
-// sweep (kept local so config generation has no bench dependency).
-func unpreconditioned(method string) bool {
-	switch method {
-	case "scg", "scg-s", "pipe-scg":
-		return true
-	}
-	return false
 }
 
 // minDim returns the smallest legal size for a problem — the shrinker's

@@ -141,10 +141,11 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
 	opt.ReplaceEvery = cfg.RR
-	solver, err := bench.Solver(cfg.Method)
+	meth, err := krylov.MethodByName(cfg.Method)
 	if err != nil {
 		return nil, err
 	}
+	solver := meth.Solve
 
 	// The worker pool is process-global; pin it for the duration of this run
 	// and restore afterwards so specs never leak into each other.
@@ -268,7 +269,7 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 // effectivePC collapses the preconditioner for methods that ignore it, so a
 // config carrying a stale pc field still runs the solve it describes.
 func effectivePC(cfg Config) string {
-	if unpreconditioned(cfg.Method) {
+	if m, _ := krylov.MethodByName(cfg.Method); m.Unpreconditioned {
 		return "none"
 	}
 	return cfg.PC

@@ -31,20 +31,6 @@ func TestProblemBuilders(t *testing.T) {
 	}
 }
 
-func TestSolverRegistry(t *testing.T) {
-	for _, name := range MethodNames {
-		if _, err := Solver(name); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if _, err := Solver("nope"); err == nil {
-		t.Fatal("unknown method must error")
-	}
-	if !Unpreconditioned("scg") || Unpreconditioned("pcg") {
-		t.Fatal("Unpreconditioned classification wrong")
-	}
-}
-
 func TestMakePC(t *testing.T) {
 	pr := smallPoisson(t)
 	for _, name := range []string{"none", "jacobi", "sor", "bjacobi", "chebyshev", "mg", "gamg"} {

@@ -59,10 +59,6 @@ func BenchmarkBlockSpMV(b *testing.B) {
 // grows for the batching to pay.
 func BenchmarkBlockSolve(b *testing.B) {
 	pr := Poisson125(32)
-	solver, err := Solver("pcg")
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, k := range []int{1, 4, 16} {
 		bs := blockRHS(pr, k)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -77,7 +73,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 					opt := DefaultOptions(pr)
 					cols[j] = blockcg.Column{B: bs[j], Opt: opt}
 				}
-				out := blockcg.Solve(e, krylov.Solver(solver), cols)
+				out := blockcg.Solve(e, krylov.PCG, cols)
 				for j := range out {
 					if out[j].Err != nil || out[j].Res == nil || !out[j].Res.Converged {
 						b.Fatalf("column %d did not converge: %v", j, out[j].Err)

@@ -20,7 +20,7 @@ type Run struct {
 // RunSim executes one method on the problem under the named preconditioner
 // and returns the recording.
 func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error) {
-	solve, err := Solver(method)
+	m, err := krylov.MethodByName(method)
 	if err != nil {
 		return nil, err
 	}
@@ -28,13 +28,13 @@ func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error)
 	if err != nil {
 		return nil, err
 	}
-	if Unpreconditioned(method) {
+	if m.Unpreconditioned {
 		pc = nil
 	}
 	eng := sim.NewEngine(pr.A, pc)
 	eng.Op = pr.Op
 	eng.Decomp = pr.Decomp
-	res, err := solve(eng, pr.B, opt)
+	res, err := m.Solve(eng, pr.B, opt)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s on %s: %w", method, pr.Name, err)
 	}

@@ -15,12 +15,13 @@ import (
 // solveSeq runs one method on the sequential engine over the given operator.
 func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *krylov.Result {
 	t.Helper()
-	solve, err := Solver(method)
+	m, err := krylov.MethodByName(method)
 	if err != nil {
 		t.Fatal(err)
 	}
+	solve := m.Solve
 	var pc engine.Preconditioner
-	if !Unpreconditioned(method) {
+	if !m.Unpreconditioned {
 		pc, err = MakePC("jacobi", pr)
 		if err != nil {
 			t.Fatal(err)
@@ -39,12 +40,13 @@ func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *kryl
 // operator and returns the assembled iterate.
 func solveComm(t *testing.T, pr Problem, op engine.Operator, method string, ranks int) *krylov.Result {
 	t.Helper()
-	solve, err := Solver(method)
+	m, err := krylov.MethodByName(method)
 	if err != nil {
 		t.Fatal(err)
 	}
+	solve := m.Solve
 	var factory comm.PCFactory
-	if !Unpreconditioned(method) {
+	if !m.Unpreconditioned {
 		factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
 			return precond.NewJacobi(a, lo, hi)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/grid"
-	"repro/internal/krylov"
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -160,55 +159,4 @@ func MakePC(name string, pr Problem) (engine.Preconditioner, error) {
 		return precond.NewAMG(a, precond.AMGOptions{})
 	}
 	return nil, fmt.Errorf("bench: unknown preconditioner %q", name)
-}
-
-// MethodNames lists every implemented solver in presentation order.
-var MethodNames = []string{
-	"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "pipecg-oati",
-	"pipe-pr-cg", "pipe-m-cg-rr",
-	"scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg", "hybrid",
-}
-
-// Solver returns the solver function for a method name.
-func Solver(name string) (krylov.Solver, error) {
-	switch name {
-	case "pcg":
-		return krylov.PCG, nil
-	case "cg-cg":
-		return krylov.CGCG, nil
-	case "groppcg":
-		return krylov.GROPPCG, nil
-	case "pipecg":
-		return krylov.PIPECG, nil
-	case "pipecg3":
-		return krylov.PIPECG3, nil
-	case "pipecg-oati":
-		return krylov.PIPECGOATI, nil
-	case "pipe-pr-cg":
-		return krylov.PIPEPRCG, nil
-	case "pipe-m-cg-rr":
-		return krylov.PIPEMCGRR, nil
-	case "scg":
-		return krylov.SCG, nil
-	case "pscg":
-		return krylov.PSCG, nil
-	case "scg-s":
-		return krylov.SCGS, nil
-	case "pipe-scg":
-		return krylov.PIPESCG, nil
-	case "pipe-pscg":
-		return krylov.PIPEPSCG, nil
-	case "hybrid":
-		return krylov.Hybrid, nil
-	}
-	return nil, fmt.Errorf("bench: unknown method %q", name)
-}
-
-// Unpreconditioned reports whether the method ignores the preconditioner.
-func Unpreconditioned(name string) bool {
-	switch name {
-	case "scg", "scg-s", "pipe-scg":
-		return true
-	}
-	return false
 }

@@ -70,8 +70,8 @@ type Column struct {
 	Opt krylov.Options
 	// Wrap, when non-nil, wraps the column's engine view before the solver
 	// runs on it — the hook the serving layer uses to install its per-job
-	// cancellation wrapper. The wrapper must forward every call to the
-	// wrapped engine (capabilities included).
+	// cancellation wrapper. A wrapper that embeds the engine.Engine it is
+	// given forwards every call and overrides only what it intercepts.
 	Wrap func(engine.Engine) engine.Engine
 	// Recover, when non-nil, translates a panic unwinding this column's
 	// solver into an error (e.g. the serving layer's cancellation panic).

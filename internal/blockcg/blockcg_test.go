@@ -3,6 +3,7 @@ package blockcg_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -33,12 +35,18 @@ func distinctRHS(pr bench.Problem, k int, seed int64) [][]float64 {
 	return cols
 }
 
-func soloSeq(t *testing.T, pr bench.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
+func solverOf(t *testing.T, method string) krylov.Solver {
 	t.Helper()
-	solver, err := bench.Solver(method)
+	m, err := krylov.MethodByName(method)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m.Solve
+}
+
+func soloSeq(t *testing.T, pr bench.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
+	t.Helper()
+	solver := solverOf(t, method)
 	pc, err := bench.MakePC("jacobi", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -105,10 +113,7 @@ func TestGangBitIdenticalSeq(t *testing.T) {
 				solos[j], soloCs[j] = soloSeq(t, pr, method, rhs[j], opt)
 			}
 
-			solver, err := bench.Solver(method)
-			if err != nil {
-				t.Fatal(err)
-			}
+			solver := solverOf(t, method)
 			pc, err := bench.MakePC("jacobi", pr)
 			if err != nil {
 				t.Fatal(err)
@@ -142,10 +147,7 @@ func TestGangBitIdenticalComm(t *testing.T) {
 	pr := bench.Poisson7(8)
 	const k = 3
 	method := "pipe-pscg"
-	solver, err := bench.Solver(method)
-	if err != nil {
-		t.Fatal(err)
-	}
+	solver := solverOf(t, method)
 	opt := bench.DefaultOptions(pr)
 	opt.S = 3
 	rhs := distinctRHS(pr, k, 7)
@@ -223,10 +225,7 @@ func TestGangBitIdenticalComm(t *testing.T) {
 func TestGangTracingBitIdentity(t *testing.T) {
 	pr := bench.Poisson125(6)
 	const k = 4
-	solver, err := bench.Solver("pcg")
-	if err != nil {
-		t.Fatal(err)
-	}
+	solver := krylov.PCG
 	opt := bench.DefaultOptions(pr)
 	rhs := distinctRHS(pr, k, 3)
 
@@ -270,9 +269,10 @@ func TestGangTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// cancelWrap is a serve-style engine wrapper: it forwards everything and
-// panics a typed value once its column has performed enough SPMVs —
-// modeling a per-job cancellation firing mid-gang.
+// cancelWrap is a serve-style engine wrapper: it embeds the engine it is
+// given, so everything is forwarded, and overrides SpMV to panic a typed
+// value once its column has performed enough SPMVs — modeling a per-job
+// cancellation firing mid-gang.
 type cancelWrap struct {
 	engine.Engine
 	after int
@@ -289,49 +289,66 @@ func (c *cancelWrap) SpMV(dst, src []float64) {
 	c.Engine.SpMV(dst, src)
 }
 
-// TestGangColumnCancel: one column is canceled mid-solve via a Wrap panic;
-// its Recover hook translates the panic to an error, and the surviving
-// columns still finish bit-identical to their solo solves.
+// TestGangColumnCancel: every column runs under the wrapper, as every service
+// job does; one is canceled mid-solve via the wrapper's panic, its Recover
+// hook translates the panic to an error, and the surviving columns still
+// finish bit-identical to their solo solves. The pipe-pscg case runs on a
+// problem larger than one par grain, where a wrapper that lost the fused
+// SPMV on the way through would fold its dots over other chunks and drift.
 func TestGangColumnCancel(t *testing.T) {
-	pr := bench.Poisson7(8)
-	const k = 3
-	method := "pcg"
-	opt := bench.DefaultOptions(pr)
-	rhs := distinctRHS(pr, k, 99)
+	for _, tc := range []struct {
+		method string
+		pr     bench.Problem
+	}{
+		{"pcg", bench.Poisson7(8)},
+		{"pipe-pscg", bench.Poisson7(20)},
+	} {
+		t.Run(tc.method, func(t *testing.T) {
+			pr, method := tc.pr, tc.method
+			if method == "pipe-pscg" && len(pr.B) <= par.Grain() {
+				t.Fatalf("%d rows against a par grain of %d", len(pr.B), par.Grain())
+			}
+			const k = 3
+			opt := bench.DefaultOptions(pr)
+			opt.S = 3
+			rhs := distinctRHS(pr, k, 99)
 
-	solos := make([]*krylov.Result, k)
-	soloCs := make([]trace.Counters, k)
-	for j := 0; j < k; j++ {
-		solos[j], soloCs[j] = soloSeq(t, pr, method, rhs[j], opt)
-	}
+			solos := make([]*krylov.Result, k)
+			soloCs := make([]trace.Counters, k)
+			for j := 0; j < k; j++ {
+				solos[j], soloCs[j] = soloSeq(t, pr, method, rhs[j], opt)
+			}
 
-	solver, err := bench.Solver(method)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := bench.MakePC("jacobi", pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := engine.NewSeq(pr.Operator(), pc)
-	errCanceled := errors.New("canceled")
-	cols := make([]blockcg.Column, k)
-	for j := range cols {
-		cols[j] = blockcg.Column{B: rhs[j], Opt: opt}
-	}
-	cols[1].Wrap = func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: 5} }
-	cols[1].Recover = func(p any) error {
-		if _, ok := p.(testCancel); ok {
-			return errCanceled
-		}
-		return nil
-	}
-	results := blockcg.Solve(base, solver, cols)
-	if !errors.Is(results[1].Err, errCanceled) {
-		t.Fatalf("col 1: err = %v, want canceled", results[1].Err)
-	}
-	for _, j := range []int{0, 2} {
-		compareColumn(t, fmt.Sprintf("survivor col %d", j), results[j], solos[j], soloCs[j])
+			solver := solverOf(t, method)
+			pc, err := bench.MakePC("jacobi", pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := engine.NewSeq(pr.Operator(), pc)
+			errCanceled := errors.New("canceled")
+			cols := make([]blockcg.Column, k)
+			for j := range cols {
+				after := math.MaxInt
+				if j == 1 {
+					after = 5
+				}
+				cols[j] = blockcg.Column{B: rhs[j], Opt: opt,
+					Wrap: func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: after} },
+					Recover: func(p any) error {
+						if _, ok := p.(testCancel); ok {
+							return errCanceled
+						}
+						return nil
+					}}
+			}
+			results := blockcg.Solve(base, solver, cols)
+			if !errors.Is(results[1].Err, errCanceled) {
+				t.Fatalf("col 1: err = %v, want canceled", results[1].Err)
+			}
+			for _, j := range []int{0, 2} {
+				compareColumn(t, fmt.Sprintf("survivor col %d", j), results[j], solos[j], soloCs[j])
+			}
+		})
 	}
 }
 
@@ -340,7 +357,7 @@ func TestGangWidthOne(t *testing.T) {
 	pr := bench.Poisson125(5)
 	opt := bench.DefaultOptions(pr)
 	solo, soloC := soloSeq(t, pr, "pscg", pr.B, opt)
-	solver, _ := bench.Solver("pscg")
+	solver := krylov.PSCG
 	pc, _ := bench.MakePC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	res := blockcg.Solve(base, solver, []blockcg.Column{{B: pr.B, Opt: opt}})
@@ -350,7 +367,7 @@ func TestGangWidthOne(t *testing.T) {
 // TestGangEmpty: zero columns is a no-op.
 func TestGangEmpty(t *testing.T) {
 	pr := bench.Poisson125(4)
-	solver, _ := bench.Solver("pcg")
+	solver := krylov.PCG
 	pc, _ := bench.MakePC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	if got := blockcg.Solve(base, solver, nil); len(got) != 0 {

@@ -30,7 +30,6 @@ const (
 type gang struct {
 	base engine.Engine
 	blk  engine.BlockSpMV // base's optional block-SPMV capability (nil if absent)
-	pt   obs.PhaseTracker // base's optional phase capability (nil if absent)
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -50,7 +49,6 @@ func newGang(base engine.Engine, k int) *gang {
 	g := &gang{base: base, active: k}
 	g.cond = sync.NewCond(&g.mu)
 	g.blk, _ = base.(engine.BlockSpMV)
-	g.pt, _ = base.(obs.PhaseTracker)
 	g.cols = make([]*colEngine, k)
 	for i := range g.cols {
 		g.cols[i] = &colEngine{g: g, idx: i}
@@ -180,12 +178,12 @@ func (g *gang) executeBlockAllreduce(batch []*colEngine) {
 		bufs[i] = ce.buf
 		total += len(ce.buf)
 	}
-	sp := g.beginPhase(obs.PhaseBlockGram)
+	sp := g.base.BeginPhase(obs.PhaseBlockGram)
 	concat := make([]float64, total)
 	vec.Pack(concat, bufs)
 	g.base.AllreduceSum(concat)
 	vec.Unpack(bufs, concat)
-	g.endPhase(sp)
+	g.base.EndPhase(sp)
 }
 
 // executeBlockIallreduce posts ONE non-blocking reduction for the whole
@@ -198,11 +196,11 @@ func (g *gang) executeBlockIallreduce(batch []*colEngine) {
 		bufs[i] = ce.buf
 		total += len(ce.buf)
 	}
-	sp := g.beginPhase(obs.PhaseBlockGram)
+	sp := g.base.BeginPhase(obs.PhaseBlockGram)
 	concat := make([]float64, total)
 	vec.Pack(concat, bufs)
 	req := g.base.IallreduceSum(concat)
-	g.endPhase(sp)
+	g.base.EndPhase(sp)
 	sr := &sharedReq{req: req, concat: concat, parts: bufs}
 	for _, ce := range batch {
 		ce.req = sr
@@ -220,7 +218,7 @@ func (g *gang) executeOne(ce *colEngine) {
 		ce.flopsDelta = c.SpMVFlops - before
 	case opFused:
 		before := c.SpMVFlops
-		engine.SpMVFusedOn(g.base, ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
+		g.base.SpMVFusedDots(ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
 		ce.flopsDelta = c.SpMVFlops - before
 	case opPC:
 		before := c.PCFlops
@@ -230,19 +228,6 @@ func (g *gang) executeOne(ce *colEngine) {
 		g.base.AllreduceSum(ce.buf)
 	case opIallreduce:
 		ce.req = g.base.IallreduceSum(ce.buf)
-	}
-}
-
-func (g *gang) beginPhase(p obs.Phase) obs.Span {
-	if g.pt == nil {
-		return obs.Span{}
-	}
-	return g.pt.BeginPhase(p)
-}
-
-func (g *gang) endPhase(sp obs.Span) {
-	if g.pt != nil {
-		g.pt.EndPhase(sp)
 	}
 }
 
@@ -270,23 +255,18 @@ func (r *sharedReq) Wait() {
 	r.done = true
 }
 
-// WaitTimeout forwards the deadline to the base request when it has the
-// capability. A timeout settles the shared request: every column sees the
-// same error, mirroring how k solo solves would each see their own
-// reduction time out.
+// WaitTimeout forwards the deadline to the base request. A timeout settles
+// the shared request: every column sees the same error, mirroring how k solo
+// solves would each see their own reduction time out.
 func (r *sharedReq) WaitTimeout(d time.Duration) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
 		return r.err
 	}
-	if dr, ok := r.req.(engine.DeadlineRequest); ok {
-		if err := dr.WaitTimeout(d); err != nil {
-			r.done, r.err = true, err
-			return err
-		}
-	} else {
-		r.req.Wait()
+	if err := r.req.WaitTimeout(d); err != nil {
+		r.done, r.err = true, err
+		return err
 	}
 	vec.Unpack(r.parts, r.concat)
 	r.done = true
@@ -316,11 +296,7 @@ type colEngine struct {
 	flopsDelta float64
 }
 
-var (
-	_ engine.Engine    = (*colEngine)(nil)
-	_ engine.FusedSpMV = (*colEngine)(nil)
-	_ obs.PhaseTracker = (*colEngine)(nil)
-)
+var _ engine.Engine = (*colEngine)(nil)
 
 func (ce *colEngine) NLocal() int  { return ce.g.base.NLocal() }
 func (ce *colEngine) NGlobal() int { return ce.g.base.NGlobal() }
@@ -347,6 +323,13 @@ func (ce *colEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]flo
 	ce.c.SpMV++
 	ce.c.HaloExchanges++
 	ce.c.SpMVFlops += ce.flopsDelta
+}
+
+// SpMVPowers declines: a powers block is one column's dependent chain, and
+// the per-product fallback already shares one halo round per rendezvous
+// across the gang.
+func (ce *colEngine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	return false
 }
 
 func (ce *colEngine) ApplyPC(dst, src []float64) {
@@ -380,5 +363,5 @@ func (ce *colEngine) IallreduceSum(buf []float64) engine.Request {
 // recurrence_lc...) to the base tracer, which is mutex-protected and safe
 // under concurrent column goroutines. Spans never touch numerics, so
 // tracing on or off leaves the gang's results bit-identical.
-func (ce *colEngine) BeginPhase(p obs.Phase) obs.Span { return ce.g.beginPhase(p) }
-func (ce *colEngine) EndPhase(sp obs.Span)            { ce.g.endPhase(sp) }
+func (ce *colEngine) BeginPhase(p obs.Phase) obs.Span { return ce.g.base.BeginPhase(p) }
+func (ce *colEngine) EndPhase(sp obs.Span)            { ce.g.base.EndPhase(sp) }

@@ -9,9 +9,9 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"sort"
 	"strings"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"

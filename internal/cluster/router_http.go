@@ -71,9 +71,9 @@ func (rt *Router) handleFlight(w http.ResponseWriter, r *http.Request) {
 // invisibly. The attempt count is echoed in X-Cluster-Attempts and the
 // serving shard in X-Cluster-Shard.
 func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPath string) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxSolveBodyBytes))
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "read body: %v", err)
+		apiError(w, serve.BodyErrorStatus(err), "read body: %v", err)
 		return
 	}
 	var req serve.SolveRequest

@@ -95,6 +95,23 @@ func TestRouterRoutesToPrimaryAndDedups(t *testing.T) {
 	}
 }
 
+// TestRouterOversizedBody413: the router answers a body past the shared cap
+// with 413, as the shards do.
+func TestRouterOversizedBody413(t *testing.T) {
+	_, url := startShard(t, "s0")
+	rt, err := NewRouter(RouterConfig{Shards: []ShardConfig{{Name: "s0", URL: url}}, ProbeInterval: -1, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	body := append([]byte(`{"problem":"`), bytes.Repeat([]byte("a"), serve.MaxSolveBodyBytes+1<<20)...)
+	w := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d for a 17 MiB body, want 413", w.Code)
+	}
+}
+
 // TestRouterBackpressurePropagation: a 429 from the owning shard reaches the
 // client with its Retry-After intact and is NOT failed over — queue pressure
 // is the client's signal, and moving it to a replica would just migrate the
@@ -258,7 +275,9 @@ func TestRouterJobByID(t *testing.T) {
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("async submit: status %d: %s", w.Code, w.Body.String())
 	}
-	var acc struct{ ID string `json:"id"` }
+	var acc struct {
+		ID string `json:"id"`
+	}
 	json.Unmarshal(w.Body.Bytes(), &acc)
 	owner := w.Header().Get("X-Cluster-Shard")
 	if !strings.HasPrefix(acc.ID, owner+"-job-") {

@@ -48,6 +48,8 @@ type Engine struct {
 	block blockState
 }
 
+var _ engine.Engine = (*Engine)(nil)
+
 // PCFactory builds a rank-local preconditioner for rows [lo, hi) of a.
 // A nil factory (or a factory returning nil) means identity.
 type PCFactory func(a *sparse.CSR, lo, hi int) engine.Preconditioner
@@ -103,10 +105,10 @@ func (e *Engine) SetTracer(tr *obs.Tracer) { e.tr = tr }
 // Tracer returns the attached tracer (nil when tracing is off).
 func (e *Engine) Tracer() *obs.Tracer { return e.tr }
 
-// BeginPhase implements obs.PhaseTracker.
+// BeginPhase implements engine.Engine.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span { return e.tr.Begin(p) }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements engine.Engine.
 func (e *Engine) EndPhase(sp obs.Span) { e.tr.End(sp) }
 
 // NLocal implements engine.Engine.
@@ -205,7 +207,7 @@ func (e *Engine) SpMV(dst, src []float64) {
 	e.countSpMV()
 }
 
-// SpMVFusedDots implements engine.FusedSpMV: the same halo exchange as SpMV,
+// SpMVFusedDots implements engine.Engine: the same halo exchange as SpMV,
 // then the fused local product + scale + rank-local dot partials in one pass
 // over the owned rows. The caller reduces the dot partials and charges the
 // scale/dot payload.

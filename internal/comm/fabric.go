@@ -681,7 +681,7 @@ func (r *Request) Wait() {
 
 // WaitTimeout is the deadline variant of Wait: it returns a *FaultError of
 // kind FaultTimeout when the reduction has not completed within d, or the
-// fabric failure that ended it. It implements engine.DeadlineRequest.
+// fabric failure that ended it.
 func (r *Request) WaitTimeout(d time.Duration) error {
 	timer := time.NewTimer(d)
 	defer timer.Stop()

@@ -122,12 +122,12 @@ func checksum(data []float64) uint64 {
 // FaultStats counts injected faults (sender side) and detected/recovered
 // faults (receiver side) for one rank.
 type FaultStats struct {
-	DropsInjected   int
-	DupsInjected    int
-	DelaysInjected  int
-	FlipsInjected   int
-	Timeouts        int // recv deadline expiries
-	Resends         int // payloads recovered from the retransmit store
+	DropsInjected    int
+	DupsInjected     int
+	DelaysInjected   int
+	FlipsInjected    int
+	Timeouts         int // recv deadline expiries
+	Resends          int // payloads recovered from the retransmit store
 	ChecksumFailures int // corrupted payloads detected (repaired when possible)
 }
 
@@ -214,8 +214,8 @@ func kindName(kind int) string {
 // rankStatus is what a rank reports it is currently blocked on, the raw
 // material of the deadlock diagnostic.
 type rankStatus struct {
-	waiting          bool
-	from, kind, seq  int
+	waiting         bool
+	from, kind, seq int
 }
 
 // formatStatuses renders the per-rank wait table for a deadlock diagnostic.

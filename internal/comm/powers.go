@@ -9,7 +9,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// The matrix powers kernel (engine.PowersKernel; Hoemmen's CA-SPMV, the
+// The matrix powers kernel (engine.Engine.SpMVPowers; Hoemmen's CA-SPMV, the
 // paper's §II): a powers block of k products costs ONE message round — a
 // depth-k ghost exchange — instead of k, and the rank recomputes the
 // ghost-zone rows of the intermediate levels itself, preconditioner
@@ -155,7 +155,7 @@ func (e *Engine) mulRows(y []float64, lo, hi int, scale float64) {
 	engine.FusedApply(e.op, y, e.scratch, lo, hi, lo, scale, nil, nil)
 }
 
-// SpMVPowers implements engine.PowersKernel. After the single deep exchange
+// SpMVPowers implements engine.Engine. After the single deep exchange
 // the scratch buffer holds u on the local rows and on every ghost row a
 // later level reads; each level applies the local rows straight into the
 // caller's vectors and the level's ghost runs into ghostR, and only then —

@@ -55,7 +55,9 @@ func ApplyBlock(op Operator, ys, xs [][]float64, lo, hi int) {
 // dsts[j] = A·srcs[j] over the engine's local rows for a whole batch,
 // sharing one pass over the operator — and, on distributed backends, one
 // halo-exchange round — across the batch. Engines without it still work
-// under a gang; the batch just degrades to per-column SpMV calls.
+// under a gang; the batch just degrades to per-column SpMV calls. It stays
+// outside Engine because only the gang reads it, on its base engine and
+// never through a wrapper.
 type BlockSpMV interface {
 	SpMVBlock(dsts, srcs [][]float64)
 }

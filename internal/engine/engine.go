@@ -22,19 +22,17 @@ import (
 	"repro/internal/trace"
 )
 
-// Request is a pending non-blocking reduction. Wait blocks until the reduced
-// values are available in the buffer passed to IallreduceSum.
+// Request is a pending non-blocking reduction.
 type Request interface {
+	// Wait blocks until the reduced values are available in the buffer
+	// passed to IallreduceSum.
 	Wait()
-}
-
-// DeadlineRequest is an optional Request capability: WaitTimeout bounds the
-// wait and returns an error (typed by the backend, e.g. *comm.FaultError)
-// when the reduction has not completed within d — the solver-side belt over
-// the fabric's own receive deadlines. After a nil return the buffer holds
-// the global sums, exactly as after Wait.
-type DeadlineRequest interface {
-	Request
+	// WaitTimeout bounds the wait and returns an error (typed by the
+	// backend, e.g. *comm.FaultError) when the reduction has not completed
+	// within d — the solver-side belt over the fabric's own receive
+	// deadlines. After a nil return the buffer holds the global sums,
+	// exactly as after Wait. Backends whose reductions complete at the post
+	// (seq, sim) return nil.
 	WaitTimeout(d time.Duration) error
 }
 
@@ -56,26 +54,15 @@ type Preconditioner interface {
 // row i of M⁻¹·src depends on src[i] and on row i of the matrix alone
 // (diagonal scalings, the identity), so an instance built over any row range
 // reproduces, bit for bit, the rows another instance produces there — what
-// lets a rank apply M⁻¹ to ghost rows it recomputes (PowersKernel).
+// lets a rank apply M⁻¹ to ghost rows it recomputes (Engine.SpMVPowers).
 type RowLocalPC interface {
 	RowLocal() bool
 }
 
-// PowersKernel is an optional Engine capability: the s-step powers block in
-// one communication phase (Hoemmen's matrix powers kernel, the paper's §II)
-// instead of one halo exchange per product. Starting from u = src, level j
-// computes dstR[j] = scale·A·u and then u = dstU[j] = M⁻¹·dstR[j]; a nil
-// dstU means the basis is unpreconditioned (u = dstR[j], no PC applied or
-// counted). Values and every counter except HaloExchanges and the redundant
-// rows' SpMVFlops equal the per-product sequence SpMV (scale in the
-// write-back), ApplyPC. The engine answers for itself: false means "not
-// here" — nothing was computed, sent or counted — and the caller runs its
-// per-product loop.
-type PowersKernel interface {
-	SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool
-}
-
-// Engine is the runtime a solver executes on.
+// Engine is the runtime a solver executes on. Everything a solver may ask of
+// its runtime is a method here, so a wrapper that embeds an Engine forwards
+// all of it and intercepts by overriding the calls it cares about; an
+// implementer that does not embed must state its answer to each.
 type Engine interface {
 	// NLocal returns the number of rows this rank owns.
 	NLocal() int
@@ -85,6 +72,27 @@ type Engine interface {
 	// SpMV computes dst = A·src over the local rows, performing whatever
 	// halo communication the backend needs. dst and src must not alias.
 	SpMV(dst, src []float64)
+
+	// SpMVFusedDots computes dst = scale·(A·src) over the local rows plus
+	// the rank-local dot products dots[k] = ws[k]·dst (nil ws[k] means
+	// dst·dst), fused into the SPMV's pass over the rows. ws entries share
+	// dst's local indexing. The caller accounts the scale/dot work via
+	// Charge — uniformly across engines — so backends only count the SPMV
+	// itself.
+	SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64)
+
+	// SpMVPowers offers the engine an s-step powers block to run in one
+	// communication phase (Hoemmen's matrix powers kernel, the paper's §II)
+	// instead of one halo exchange per product. Starting from u = src,
+	// level j computes dstR[j] = scale·A·u and then u = dstU[j] =
+	// M⁻¹·dstR[j]; a nil dstU means the basis is unpreconditioned
+	// (u = dstR[j], no PC applied or counted). Values and every counter
+	// except HaloExchanges and the redundant rows' SpMVFlops equal the
+	// per-product sequence SpMVFusedDots (scale in the write-back),
+	// ApplyPC. The engine answers for itself: false means "not here" —
+	// nothing was computed, sent or counted — and the caller runs its
+	// per-product loop.
+	SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool
 
 	// ApplyPC computes dst = M⁻¹·src over the local rows.
 	ApplyPC(dst, src []float64)
@@ -105,16 +113,22 @@ type Engine interface {
 
 	// Counters exposes the kernel counters of this rank.
 	Counters() *trace.Counters
+
+	// BeginPhase and EndPhase bracket a solver-side hot section (dot
+	// batches, Gram assembly, recurrence updates, recovery bookkeeping) in
+	// a phase span: seq and comm delegate to their attached tracer, nil
+	// when tracing is off; sim tags its recorded cost events instead. The
+	// engine kernels span themselves, so solver-side spans never nest
+	// inside them.
+	BeginPhase(p obs.Phase) obs.Span
+	EndPhase(sp obs.Span)
 }
 
 // TraceRequest wraps a pending reduction so its wait is measured against the
 // tracer's overlap ledger: BeginWait when the solver blocks, EndWait when the
 // reduction delivers, AbortWait when the wait fails (deadline, fabric fault)
 // so a reduction that never completed cannot pollute the hidden-fraction
-// statistics. With a nil tracer the request is returned unwrapped. The
-// wrapper always satisfies DeadlineRequest; when the underlying request does
-// not, WaitTimeout degrades to an unbounded Wait — exactly what waitReduce
-// did for such requests before wrapping.
+// statistics. With a nil tracer the request is returned unwrapped.
 func TraceRequest(req Request, tr *obs.Tracer, h int) Request {
 	if tr == nil {
 		return req
@@ -149,14 +163,8 @@ func (r tracedRequest) WaitTimeout(d time.Duration) error {
 			r.tr.AbortWait(r.h)
 		}
 	}()
-	if dr, isDeadline := r.req.(DeadlineRequest); isDeadline {
-		if err := dr.WaitTimeout(d); err != nil {
-			ok = true // not a panic: AbortWait explicitly, then report
-			r.tr.AbortWait(r.h)
-			return err
-		}
-	} else {
-		r.req.Wait()
+	if err := r.req.WaitTimeout(d); err != nil {
+		return err // the deferred AbortWait drops the wait from the ledger
 	}
 	ok = true
 	r.tr.EndWait(r.h)
@@ -175,6 +183,8 @@ type Seq struct {
 	Tr *obs.Tracer
 }
 
+var _ Engine = (*Seq)(nil)
+
 // NewSeq returns a sequential engine for the operator a with the given
 // preconditioner (nil means identity — the unpreconditioned methods).
 func NewSeq(a Operator, pc Preconditioner) *Seq {
@@ -187,10 +197,10 @@ func (e *Seq) NLocal() int { rows, _ := e.A.Dims(); return rows }
 // NGlobal implements Engine.
 func (e *Seq) NGlobal() int { return e.NLocal() }
 
-// BeginPhase implements obs.PhaseTracker.
+// BeginPhase implements Engine.
 func (e *Seq) BeginPhase(p obs.Phase) obs.Span { return e.Tr.Begin(p) }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements Engine.
 func (e *Seq) EndPhase(sp obs.Span) { e.Tr.End(sp) }
 
 // SpMV implements Engine. The product runs on the shared worker pool (see
@@ -205,7 +215,7 @@ func (e *Seq) SpMV(dst, src []float64) {
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
 }
 
-// SpMVFusedDots implements FusedSpMV: one traced SPMV span covering the
+// SpMVFusedDots implements Engine: one traced SPMV span covering the
 // fused product, scale and local dots. Counted as a single SPMV; the caller
 // charges the scale/dot payload.
 func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
@@ -217,6 +227,9 @@ func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, d
 	e.C.HaloExchanges++
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
 }
+
+// SpMVPowers implements Engine: one rank has no exchange to save.
+func (e *Seq) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool { return false }
 
 // ApplyPC implements Engine.
 func (e *Seq) ApplyPC(dst, src []float64) {
@@ -246,6 +259,8 @@ func (e *Seq) AllreduceSum(buf []float64) {
 type seqRequest struct{}
 
 func (seqRequest) Wait() {}
+
+func (seqRequest) WaitTimeout(time.Duration) error { return nil }
 
 // IallreduceSum implements Engine.
 func (e *Seq) IallreduceSum(buf []float64) Request {

@@ -50,15 +50,6 @@ type FusedOperator interface {
 	MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64)
 }
 
-// FusedSpMV is an optional Engine capability: dst = scale·(A·src) over the
-// local rows plus the rank-local dot products dots[k] = ws[k]·dst (nil ws[k]
-// means dst·dst), fused into the SPMV's pass over the rows. ws entries share
-// dst's local indexing. The caller accounts the scale/dot work via Charge —
-// uniformly across engines — so backends only count the SPMV itself.
-type FusedSpMV interface {
-	SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64)
-}
-
 // FusedApply routes the fused product through the operator's fused kernel
 // when it has one, and otherwise emulates it with the basic kernels:
 // product, element-wise scale, then one vec.Dot per ws entry. The emulation
@@ -87,27 +78,6 @@ func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, ws
 			src = w[lo-yoff : hi-yoff]
 		}
 		dots[k] = vec.Dot(src, local)
-	}
-}
-
-// SpMVFusedOn invokes the engine's fused SPMV capability when present, and
-// otherwise emulates it with the basic Engine kernels (same values via
-// vec.Dot's geometry, two extra sweeps). No work is charged here — the
-// caller charges the scale and dot payload identically on both paths.
-func SpMVFusedOn(e Engine, dst, src []float64, scale float64, ws [][]float64, dots []float64) {
-	if f, ok := e.(FusedSpMV); ok {
-		f.SpMVFusedDots(dst, src, scale, ws, dots)
-		return
-	}
-	e.SpMV(dst, src)
-	if scale != 1 {
-		vec.Scale(dst, scale)
-	}
-	for k, w := range ws {
-		if w == nil {
-			w = dst
-		}
-		dots[k] = vec.Dot(w, dst)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // variants attack.
 func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -26,16 +25,16 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 	// r0 = b - A·x0; u0 = M⁻¹·r0.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 
-	sp = ph.begin(obs.PhaseLocalDots)
+	sp = e.BeginPhase(obs.PhaseLocalDots)
 	gammaBuf := []float64{vec.Dot(u, r)}
 	chargeDots(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.AllreduceSum(gammaBuf)
 	gamma := gammaBuf[0]
 
@@ -43,10 +42,10 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	var alpha, gammaPrev float64
 	for i := 0; i < opt.MaxIter; i++ {
 		// Norm check (its own allreduce, as in Alg. 1 line 17 / Table I).
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		normBuf := []float64{normTermPCG(opt.Norm, u, r, gamma)}
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(normBuf)
 		if stop, conv := mon.check(math.Sqrt(math.Abs(normBuf[0])), i); stop {
 			res.Converged = conv
@@ -58,31 +57,31 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 			beta = gamma / gammaPrev
 		}
 		// p = u + β·p.
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(p, 1, u, beta)
 		chargeAxpys(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		e.SpMV(s, p)
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		deltaBuf := []float64{vec.Dot(s, p)}
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(deltaBuf)
 		alpha = gamma / deltaBuf[0]
 
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpy(x, alpha, p)
 		vec.Axpy(r, -alpha, s)
 		chargeAxpys(e, n, 2)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.ApplyPC(u, r)
 
 		gammaPrev = gamma
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		gammaBuf[0] = vec.Dot(u, r)
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(gammaBuf)
 		gamma = gammaBuf[0]
 
@@ -114,7 +113,6 @@ func normTermPCG(mode NormMode, u, r []float64, gamma float64) float64 {
 // flops per iteration vs PCG's 12·N — Table I).
 func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -131,10 +129,10 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 	// r0 = b - A·x0; u0 = M⁻¹r0; w0 = A·u0.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 	e.SpMV(w, u)
 
@@ -142,12 +140,12 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	var alpha, gamma, gammaPrev float64
 	buf := make([]float64, 3)
 	for i := 0; i < opt.MaxIter; i++ {
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		buf[0] = vec.Dot(r, u) // γ
 		buf[1] = vec.Dot(w, u) // δ
 		buf[2] = normTermPCG(opt.Norm, u, r, buf[0])
 		chargeDots(e, n, 3)
-		ph.end(sp)
+		e.EndPhase(sp)
 		req := e.IallreduceSum(buf)
 
 		// Overlapped PC + SPMV.
@@ -176,7 +174,7 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		}
 
 		// Recurrence updates (8 VMAs).
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(z, 1, nn, beta)
 		vec.Axpby(q, 1, m, beta)
 		vec.Axpby(s, 1, w, beta)
@@ -186,16 +184,16 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		vec.Axpy(u, -alpha, q)
 		vec.Axpy(w, -alpha, z)
 		chargeAxpys(e, n, 8)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		// Periodic residual replacement: recompute r, u, w from x to
 		// arrest recurrence rounding drift.
 		if opt.ReplaceEvery > 0 && (i+1)%opt.ReplaceEvery == 0 {
 			e.SpMV(r, x)
-			sp = ph.begin(obs.PhaseRecurrenceLC)
+			sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 			vec.Sub(r, b, r)
 			chargeAxpys(e, n, 1)
-			ph.end(sp)
+			e.EndPhase(sp)
 			e.ApplyPC(u, r)
 			e.SpMV(w, u)
 		}

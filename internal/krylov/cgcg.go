@@ -16,7 +16,6 @@ import (
 // hiding) midpoint between PCG and PIPECG.
 func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -29,10 +28,10 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 	// r0 = b - A·x0; u0 = M⁻¹r0; w0 = A·u0.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 	e.SpMV(w, u)
 
@@ -41,12 +40,12 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	buf := make([]float64, 3)
 	for i := 0; i < opt.MaxIter; i++ {
 		// One fused reduction: γ = (r,u), δ = (w,u), norm term.
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		buf[0] = vec.Dot(r, u)
 		buf[1] = vec.Dot(w, u)
 		buf[2] = normTermPCG(opt.Norm, u, r, buf[0])
 		chargeDots(e, n, 3)
-		ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(buf)
 		gamma = buf[0]
 		delta := buf[1]
@@ -66,13 +65,13 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		}
 
 		// p = u + β·p; s = w + β·s; x += α·p; r -= α·s.
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(p, 1, u, beta)
 		vec.Axpby(s, 1, w, beta)
 		vec.Axpy(x, alpha, p)
 		vec.Axpy(r, -alpha, s)
 		chargeAxpys(e, n, 4)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		// u = M⁻¹·r; w = A·u — the PC and SPMV are on the critical path
 		// (no overlap; that is PIPECG's contribution).

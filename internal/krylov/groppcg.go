@@ -17,7 +17,6 @@ import (
 // as an additional baseline beyond the paper's Table I.
 func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -31,10 +30,10 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 	// r0 = b - A·x0; u0 = M⁻¹r0; p0 = u0; s0 = A·p0; γ0 = (r0, u0).
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(u, r)
 	copy(p, u)
 	e.SpMV(s, p)
@@ -42,13 +41,13 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	// no extra collective) so the monitor sees the residual of x0 at
 	// iteration 0 — the same initial check every other method records. An x0
 	// already inside the tolerance converges without running an iteration.
-	sp = ph.begin(obs.PhaseLocalDots)
+	sp = e.BeginPhase(obs.PhaseLocalDots)
 	gBuf := []float64{vec.Dot(r, u), normTermPCG(opt.Norm, u, r, 0)}
 	if opt.Norm == NormNatural {
 		gBuf[1] = gBuf[0]
 	}
 	chargeDots(e, n, 2)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.AllreduceSum(gBuf)
 	gamma := gBuf[0]
 
@@ -63,10 +62,10 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	buf := make([]float64, 2)
 	for i := 0; i < opt.MaxIter; i++ {
 		// δ = (p, s), hidden behind q = M⁻¹·s.
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		buf[0] = vec.Dot(p, s)
 		chargeDots(e, n, 1)
-		ph.end(sp)
+		e.EndPhase(sp)
 		req := e.IallreduceSum(buf[:1])
 		e.ApplyPC(q, s)
 		if err := waitReduce(req, opt.WaitDeadline); err != nil {
@@ -77,19 +76,19 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		delta := buf[0]
 
 		alpha := gamma / delta
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpy(x, alpha, p)
 		vec.Axpy(r, -alpha, s)
 		vec.Axpy(u, -alpha, q)
 		chargeAxpys(e, n, 3)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		// γ' = (r, u) and the norm term, hidden behind w = A·u.
-		sp = ph.begin(obs.PhaseLocalDots)
+		sp = e.BeginPhase(obs.PhaseLocalDots)
 		buf[0] = vec.Dot(r, u)
 		buf[1] = normTermPCG(opt.Norm, u, r, buf[0])
 		chargeDots(e, n, 2)
-		ph.end(sp)
+		e.EndPhase(sp)
 		req = e.IallreduceSum(buf)
 		e.SpMV(w, u)
 		if err := waitReduce(req, opt.WaitDeadline); err != nil {
@@ -108,11 +107,11 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 		beta := gammaNew / gamma
 		gamma = gammaNew
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(p, 1, u, beta)
 		vec.Axpby(s, 1, w, beta)
 		chargeAxpys(e, n, 2)
-		ph.end(sp)
+		e.EndPhase(sp)
 	}
 	res.Outer = res.Iterations
 	res.History = mon.hist

@@ -24,13 +24,12 @@
 //
 // Solvers are also pure with respect to the engine seam: every kernel,
 // every piece of cross-rank communication, and every globally visible side
-// effect flows through the Engine interface (plus its optional capability
-// interfaces) — no package-level state, no out-of-band channels. Two
-// consumers depend on this contract: the audit harness, which swaps
-// backends under a solver and compares bits; and internal/blockcg, which
-// interposes a multiplexing engine view to run k right-hand sides in
-// lockstep against one shared engine. Changes that route data around the
-// Engine interface break both.
+// effect flows through the Engine interface — no package-level state, no
+// out-of-band channels. Two consumers depend on this contract: the audit
+// harness, which swaps backends under a solver and compares bits; and
+// internal/blockcg, which interposes a multiplexing engine view to run k
+// right-hand sides in lockstep against one shared engine. Changes that route
+// data around the Engine interface break both.
 package krylov
 
 import (
@@ -112,10 +111,10 @@ type Options struct {
 	// is set). A recovery is only retried while the best relative residual
 	// keeps improving, so a hard accuracy floor still terminates the run.
 	MaxRecoveries int
-	// WaitDeadline bounds each non-blocking reduction wait on backends that
-	// support deadline waits (engine.DeadlineRequest): instead of blocking
-	// forever on a lost collective, the solver returns the backend's typed
-	// error. 0 means wait indefinitely.
+	// WaitDeadline bounds each non-blocking reduction wait
+	// (engine.Request.WaitTimeout): instead of blocking forever on a lost
+	// collective, the solver returns the backend's typed error. 0 means
+	// wait indefinitely.
 	WaitDeadline time.Duration
 	// Progress, when non-nil, is invoked after every convergence check with
 	// the history point just recorded — the live-streaming hook a serving
@@ -197,11 +196,10 @@ const divergeFactor = 1e4
 
 // newMonitor computes ‖b‖ (one setup allreduce) and returns the monitor.
 func newMonitor(e engine.Engine, b []float64, opt Options) *monitor {
-	ph := phasesOf(e)
-	sp := ph.begin(obs.PhaseLocalDots)
+	sp := e.BeginPhase(obs.PhaseLocalDots)
 	buf := []float64{vec.Dot(b, b)}
 	chargeDots(e, len(b), 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.AllreduceSum(buf)
 	return &monitor{
 		e:    e,
@@ -300,45 +298,14 @@ func (m *monitor) rearm(rel float64) {
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // waitReduce completes a non-blocking reduction, honoring the configured
-// deadline on backends that support it (engine.DeadlineRequest). On a
-// deadline the backend's typed error is returned and the reduction buffer
-// must be considered unusable.
+// deadline. On a deadline the backend's typed error is returned and the
+// reduction buffer must be considered unusable.
 func waitReduce(req engine.Request, deadline time.Duration) error {
 	if deadline > 0 {
-		if dr, ok := req.(engine.DeadlineRequest); ok {
-			return dr.WaitTimeout(deadline)
-		}
+		return req.WaitTimeout(deadline)
 	}
 	req.Wait()
 	return nil
-}
-
-// phases is the solver-side handle on the engine's optional
-// obs.PhaseTracker capability. Solvers bracket their local hot sections
-// (dot batches, Gram assembly, recurrence updates, recovery bookkeeping)
-// with begin/end; on engines without a tracker — or with tracing off — the
-// calls degrade to a nil check. The engine kernels (SpMV, ApplyPC, the
-// reductions) span themselves, so solver-side spans never nest inside them.
-type phases struct{ pt obs.PhaseTracker }
-
-// phasesOf captures the engine's phase-tracking capability once per solve
-// (one type assertion, not one per span).
-func phasesOf(e engine.Engine) phases {
-	pt, _ := e.(obs.PhaseTracker)
-	return phases{pt}
-}
-
-func (p phases) begin(ph obs.Phase) obs.Span {
-	if p.pt == nil {
-		return obs.Span{}
-	}
-	return p.pt.BeginPhase(ph)
-}
-
-func (p phases) end(sp obs.Span) {
-	if p.pt != nil {
-		p.pt.EndPhase(sp)
-	}
 }
 
 // chargeAxpys accounts k axpy-like updates of length n: 2 flops and 24 bytes

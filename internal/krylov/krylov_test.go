@@ -11,21 +11,6 @@ import (
 	"repro/internal/vec"
 )
 
-var allSolvers = map[string]Solver{
-	"pcg":          PCG,
-	"pipecg":       PIPECG,
-	"pipecg3":      PIPECG3,
-	"pipecg-oati":  PIPECGOATI,
-	"pipe-pr-cg":   PIPEPRCG,
-	"pipe-m-cg-rr": PIPEMCGRR,
-	"scg":          SCG,
-	"pscg":         PSCG,
-	"scg-s":        SCGS,
-	"pipe-scg":     PIPESCG,
-	"pipe-pscg":    PIPEPSCG,
-	"hybrid":       Hybrid,
-}
-
 func testProblem(t *testing.T) (*sparse.CSR, []float64) {
 	t.Helper()
 	g := grid.NewSquare(14, grid.Star5)
@@ -45,12 +30,12 @@ func residualNorm(a *sparse.CSR, x, b []float64) float64 {
 
 func TestAllSolversConvergeJacobi(t *testing.T) {
 	a, b := testProblem(t)
-	for name, solve := range allSolvers {
-		t.Run(name, func(t *testing.T) {
+	for _, m := range Methods {
+		t.Run(m.Name, func(t *testing.T) {
 			e := engine.NewSeq(a, precond.NewJacobi(a, 0, a.Rows))
 			opt := Defaults()
 			opt.RelTol = 1e-8
-			res, err := solve(e, b, opt)
+			res, err := m.Solve(e, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,21 +60,24 @@ func TestAllSolversConvergeJacobi(t *testing.T) {
 
 func TestUnpreconditionedSolvers(t *testing.T) {
 	a, b := testProblem(t)
-	for _, name := range []string{"scg", "scg-s", "pipe-scg"} {
-		t.Run(name, func(t *testing.T) {
+	for _, m := range Methods {
+		if !m.Unpreconditioned {
+			continue
+		}
+		t.Run(m.Name, func(t *testing.T) {
 			e := engine.NewSeq(a, nil)
 			opt := Defaults()
 			opt.RelTol = 1e-8
 			opt.Norm = NormUnpreconditioned
-			res, err := allSolvers[name](e, b, opt)
+			res, err := m.Solve(e, b, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Converged {
-				t.Fatalf("%s did not converge (relres %g)", name, res.RelRes)
+				t.Fatalf("%s did not converge (relres %g)", m.Name, res.RelRes)
 			}
 			if e.Counters().PCApply != 0 {
-				t.Fatalf("%s must not apply a preconditioner (got %d)", name, e.Counters().PCApply)
+				t.Fatalf("%s must not apply a preconditioner (got %d)", m.Name, e.Counters().PCApply)
 			}
 			if rr := residualNorm(a, res.X, b); rr > 1e-6 {
 				t.Fatalf("true relres %g", rr)

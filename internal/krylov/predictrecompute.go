@@ -74,7 +74,6 @@ func replacePolicyOf(opt Options, meurant bool) func(int) bool {
 
 func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result, error) {
 	n := e.NLocal()
-	ph := phasesOf(e)
 	mon := newMonitor(e, b, opt)
 
 	x := zerosLike(n, opt.X0)
@@ -96,25 +95,25 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 	// Setup: r0 = b − A·x0; z0 = M⁻¹r0; p0 = z0; s0 = A·p0; w0 = A·z0 = s0;
 	// q0 = M⁻¹s0; u0 = A·q0 — then one blocking reduction for the dots.
 	e.SpMV(r, x)
-	sp := ph.begin(obs.PhaseRecurrenceLC)
+	sp := e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(r, b, r)
 	chargeAxpys(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(z, r)
-	sp = ph.begin(obs.PhaseRecurrenceLC)
+	sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Copy(p, z)
 	chargeCopies(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.SpMV(s, p)
-	sp = ph.begin(obs.PhaseRecurrenceLC)
+	sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Copy(w, s)
 	chargeCopies(e, n, 1)
-	ph.end(sp)
+	e.EndPhase(sp)
 	e.ApplyPC(q, s)
 	e.SpMV(u, q)
 
 	buf := make([]float64, 5)
-	localPRDots(e, ph, buf, opt.Norm, p, s, z, q, r)
+	localPRDots(e, buf, opt.Norm, p, s, z, q, r)
 	e.AllreduceSum(buf)
 	mu, del, gam, nu := buf[0], buf[1], buf[2], buf[3]
 	norm := math.Sqrt(math.Abs(buf[4]))
@@ -130,13 +129,13 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 		alpha := nu / mu
 
 		// Recurrence updates: x, r, z, w advance along p, s, q, u.
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpy(x, alpha, p)
 		vec.Axpy(r, -alpha, s)
 		vec.Axpy(z, -alpha, q)
 		vec.Axpy(w, -alpha, u)
 		chargeAxpys(e, n, 4)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		if replace != nil && replace(i+1) {
 			// Residual replacement: recompute r = b − A·x, z = M⁻¹r, and the
@@ -146,10 +145,10 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 			// vectors — the exemplars accept that one-iteration mismatch;
 			// the recomputed dots at the end of this iteration resynchronize.
 			e.SpMV(r, x)
-			sp = ph.begin(obs.PhaseRecurrenceLC)
+			sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 			vec.Sub(r, b, r)
 			chargeAxpys(e, n, 1)
-			ph.end(sp)
+			e.EndPhase(sp)
 			e.ApplyPC(z, r)
 			e.SpMV(s, p)
 			e.SpMV(w, z)
@@ -167,17 +166,17 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 
 		// p = z + β·p; s = w + β·s (the recurrence that makes s track A·p
 		// without an extra SPMV).
-		sp = ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		vec.Axpby(p, 1, z, beta)
 		vec.Axpby(s, 1, w, beta)
 		chargeAxpys(e, n, 2)
-		ph.end(sp)
+		e.EndPhase(sp)
 
 		// q = M⁻¹s must precede the dot batch (γ = (q, s) rides the fused
 		// reduction); the SPMVs u = A·q and — for pr — the recompute
 		// w = A·z overlap the posted allreduce.
 		e.ApplyPC(q, s)
-		localPRDots(e, ph, buf, opt.Norm, p, s, z, q, r)
+		localPRDots(e, buf, opt.Norm, p, s, z, q, r)
 		req := e.IallreduceSum(buf)
 
 		e.SpMV(u, q)
@@ -210,9 +209,9 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 //	buf[3] = ν = (z, r)   buf[4] = the squared norm term for opt.Norm
 //
 // The natural norm √(r, M⁻¹r) reuses ν with no extra dot product.
-func localPRDots(e engine.Engine, ph phases, buf []float64, mode NormMode, p, s, z, q, r []float64) {
+func localPRDots(e engine.Engine, buf []float64, mode NormMode, p, s, z, q, r []float64) {
 	n := len(r)
-	sp := ph.begin(obs.PhaseLocalDots)
+	sp := e.BeginPhase(obs.PhaseLocalDots)
 	buf[0] = vec.Dot(p, s)
 	buf[1] = vec.Dot(z, s)
 	buf[2] = vec.Dot(q, s)
@@ -229,5 +228,5 @@ func localPRDots(e engine.Engine, ph phases, buf []float64, mode NormMode, p, s,
 		dots++
 	}
 	chargeDots(e, n, dots)
-	ph.end(sp)
+	e.EndPhase(sp)
 }

@@ -32,7 +32,6 @@ type sstepConfig struct {
 // sstepState owns the vectors of one s-step solve.
 type sstepState struct {
 	e    engine.Engine
-	ph   phases
 	s, n int
 	cfg  sstepConfig
 
@@ -54,10 +53,6 @@ type sstepState struct {
 	buf []float64
 	sw  *scalarwork.State
 
-	// mpk is the engine's matrix powers capability (nil when it has none):
-	// computePowers offers it every un-fused range and the engine decides.
-	mpk engine.PowersKernel
-
 	// sigma scales the monomial Krylov basis: powU[j] holds (M⁻¹A/σ)^j·u,
 	// keeping the Gram matrices' dynamic range bounded so higher s values
 	// stay numerically viable. σ is a setup-time estimate of λmax(M⁻¹A),
@@ -65,7 +60,7 @@ type sstepState struct {
 	sigma float64
 
 	// Fused-dot side channel: computePowers with fuse set folds moment
-	// entries into the SPMV sweep (engine.FusedSpMV); the next dot sweep
+	// entries into the SPMV sweep (Engine.SpMVFusedDots); the next dot sweep
 	// consumes the muVal entries flagged by muMask and clears the mask.
 	muVal  []float64
 	muMask []bool
@@ -81,8 +76,7 @@ type sstepState struct {
 
 func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 	s, n := opt.S, e.NLocal()
-	st := &sstepState{e: e, ph: phasesOf(e), s: s, n: n, cfg: cfg, sigma: 1}
-	st.mpk, _ = e.(engine.PowersKernel)
+	st := &sstepState{e: e, s: s, n: n, cfg: cfg, sigma: 1}
 	st.x = zerosLike(n, opt.X0)
 
 	nPow := s + 1
@@ -148,12 +142,12 @@ func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 	if st.sigma != 1 {
 		scale = 1 / st.sigma
 	}
-	if !fuse && st.mpk != nil {
+	if !fuse {
 		var dstU [][]float64
 		if st.cfg.precond {
 			dstU = st.powU[lo : hi+1]
 		}
-		if st.mpk.SpMVPowers(st.powR[lo:hi+1], dstU, st.powU[lo-1], scale) {
+		if st.e.SpMVPowers(st.powR[lo:hi+1], dstU, st.powU[lo-1], scale) {
 			if scale != 1 {
 				st.e.Charge(float64(st.n*(hi-lo+1)), 0) // the scales' flops
 			}
@@ -170,7 +164,7 @@ func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 		}
 		if len(ws) > 0 || scale != 1 {
 			dots := st.fdots[:len(ws)]
-			engine.SpMVFusedOn(st.e, st.powR[j], st.powU[j-1], scale, ws, dots)
+			st.e.SpMVFusedDots(st.powR[j], st.powU[j-1], scale, ws, dots)
 			if scale != 1 {
 				// The scale's flops; its memory sweep is absorbed by the SPMV.
 				st.e.Charge(float64(st.n), 0)
@@ -215,10 +209,10 @@ func (st *sstepState) estimateSigma(b []float64) {
 		} else {
 			copy(w, t)
 		}
-		sp := st.ph.begin(obs.PhaseLocalDots)
+		sp := e.BeginPhase(obs.PhaseLocalDots)
 		buf := []float64{vec.Dot(v, w), vec.Dot(v, v), vec.Dot(w, w)}
 		chargeDots(e, n, 3)
-		st.ph.end(sp)
+		e.EndPhase(sp)
 		e.AllreduceSum(buf)
 		// A poisoned reduction (e.g. an injected bit-flip surviving into the
 		// setup allreduce) can land NaN/Inf in ANY of the three moments, or
@@ -231,12 +225,12 @@ func (st *sstepState) estimateSigma(b []float64) {
 		}
 		lambda = math.Abs(buf[0]) / buf[1]
 		scale := 1 / math.Sqrt(buf[2])
-		sp = st.ph.begin(obs.PhaseRecurrenceLC)
+		sp = e.BeginPhase(obs.PhaseRecurrenceLC)
 		for i := range v {
 			v[i] = w[i] * scale
 		}
 		chargeAxpys(e, n, 1)
-		st.ph.end(sp)
+		e.EndPhase(sp)
 	}
 	// A modest overestimate is harmless (it only shrinks the basis).
 	st.sigma = 1.25 * lambda
@@ -326,7 +320,7 @@ func (st *sstepState) runSweep() {
 	if blocks > 0 {
 		phase = obs.PhaseRecurrenceLC
 	}
-	sp := st.ph.begin(phase)
+	sp := st.e.BeginPhase(phase)
 	if blocks > 0 {
 		// Each block costs one copy sweep plus s² axpys sharing the
 		// destination traffic: charge the axpys and one read of the base.
@@ -342,8 +336,8 @@ func (st *sstepState) runSweep() {
 	} else {
 		sw.Run(n, st.buf)
 		if blocks > 0 {
-			st.ph.end(sp)
-			sp = st.ph.begin(obs.PhaseGram)
+			st.e.EndPhase(sp)
+			sp = st.e.BeginPhase(obs.PhaseGram)
 		}
 		mu := st.pay.Mu(st.buf)
 		nFused := 0
@@ -362,17 +356,17 @@ func (st *sstepState) runSweep() {
 		}
 	}
 	sw.Blocks, sw.Updates, sw.Dots = sw.Blocks[:0], sw.Updates[:0], sw.Dots[:0]
-	st.ph.end(sp)
+	st.e.EndPhase(sp)
 }
 
 // recomputeResidual sets r = b − A·x and u = M⁻¹r (powers 0) from the
 // current iterate.
 func (st *sstepState) recomputeResidual(b []float64) {
 	st.e.SpMV(st.powR[0], st.x)
-	sp := st.ph.begin(obs.PhaseRecurrenceLC)
+	sp := st.e.BeginPhase(obs.PhaseRecurrenceLC)
 	vec.Sub(st.powR[0], b, st.powR[0])
 	chargeAxpys(st.e, st.n, 1)
-	st.ph.end(sp)
+	st.e.EndPhase(sp)
 	if st.cfg.precond {
 		st.e.ApplyPC(st.powU[0], st.powR[0])
 	}
@@ -462,14 +456,14 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	// recovery). It recomputes the true residual via bootstrap, which is a
 	// residual replacement by construction.
 	reseed := func() {
-		sp := st.ph.begin(obs.PhaseRecovery)
+		sp := e.BeginPhase(obs.PhaseRecovery)
 		st.sw.Reset()
 		st.qU.Zero()
 		for k := range st.aqU {
 			st.aqU[k].Zero()
 			st.aqR[k].Zero()
 		}
-		st.ph.end(sp)
+		e.EndPhase(sp)
 		req = st.bootstrap(b)
 	}
 
@@ -514,13 +508,13 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 				// basis and re-arm the guards.
 				recoveries++
 				lastRecoveryRel = bestRel
-				sp := st.ph.begin(obs.PhaseRecovery)
+				sp := e.BeginPhase(obs.PhaseRecovery)
 				c := e.Counters()
 				c.Recoveries++
 				c.ResidualReplacements++
 				mon.rearm(bestRel)
 				copy(st.x, bestX)
-				st.ph.end(sp)
+				e.EndPhase(sp)
 				reseed()
 				continue
 			}

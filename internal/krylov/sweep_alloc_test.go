@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/vec"
@@ -43,6 +44,10 @@ func (e *quietEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]fl
 	}
 }
 
+func (e *quietEngine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	return false
+}
+
 func (e *quietEngine) ApplyPC(dst, src []float64) {
 	for i := range dst {
 		dst[i] = 0.5 * src[i]
@@ -53,6 +58,8 @@ func (e *quietEngine) AllreduceSum([]float64)                 {}
 func (e *quietEngine) IallreduceSum([]float64) engine.Request { return nil }
 func (e *quietEngine) Charge(flops, bytes float64)            { e.c.Flops += flops }
 func (e *quietEngine) Counters() *trace.Counters              { return &e.c }
+func (e *quietEngine) BeginPhase(obs.Phase) obs.Span          { return obs.Span{} }
+func (e *quietEngine) EndPhase(obs.Span)                      {}
 
 // TestSStepOuterIterationAllocFree pins the steady state: once the scalar
 // work has produced the coefficients, the solver-side vector work of an

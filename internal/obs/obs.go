@@ -119,7 +119,7 @@ func (s Span) Live() bool { return s.live }
 func (s Span) Phase() Phase { return s.phase }
 
 // PhaseMark returns a span carrying only a phase tag, no timestamps. The sim
-// engine implements PhaseTracker with these: BeginPhase swaps its
+// engine implements BeginPhase/EndPhase with these: BeginPhase swaps its
 // current-phase tag and parks the previous one in the returned span, so the
 // recorded cost events — not wall time — carry the phase, and the timeline
 // materializes later on the deterministic virtual clock.
@@ -608,14 +608,4 @@ func unring[T any](ring []T, next, count int) []T {
 	}
 	out = append(out, ring[next:]...)
 	return append(out, ring[:next]...)
-}
-
-// PhaseTracker is the capability engines expose so solver code can open
-// phase spans without knowing which runtime (or whether any tracer) is
-// underneath. Engines implement it by delegating to their attached tracer;
-// sim.Engine implements it by tagging its recorded cost events instead, so
-// the spans materialize later on the virtual clock.
-type PhaseTracker interface {
-	BeginPhase(p Phase) Span
-	EndPhase(sp Span)
 }

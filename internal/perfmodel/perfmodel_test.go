@@ -3,8 +3,19 @@ package perfmodel
 import (
 	"testing"
 
+	"repro/internal/krylov"
 	"repro/internal/sim"
 )
+
+// TestMethodListsKnown: every Table I row names a registered solver, except
+// PIPELCG, which the paper tabulates and this repository does not implement.
+func TestMethodListsKnown(t *testing.T) {
+	for _, m := range AllMethods {
+		if _, err := krylov.MethodByName(string(m)); (err != nil) != (m == PIPELCG) {
+			t.Errorf("%s: registry lookup error = %v", m, err)
+		}
+	}
+}
 
 func poissonProblem() Problem {
 	n := 1000 * 1000

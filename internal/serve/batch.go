@@ -92,14 +92,14 @@ func (m *Manager) runBatch(batch []*Job) {
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
 
-	solver, err := solverFor(req.Method)
+	meth, err := krylov.MethodByName(req.Method)
 	if err != nil {
 		fail(err)
 		return
 	}
 
 	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(req.Method) {
+	if !meth.Unpreconditioned {
 		pc, err = entry.AcquirePC(req.PC)
 		if err != nil {
 			fail(err)
@@ -159,7 +159,7 @@ func (m *Manager) runBatch(batch []*Job) {
 		}
 	}
 
-	out := blockcg.Solve(eng, solver, cols)
+	out := blockcg.Solve(eng, meth.Solve, cols)
 
 	sum := eng.Tr.Summary()
 	m.met.AddObs(sum)

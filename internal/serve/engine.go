@@ -36,14 +36,17 @@ const (
 type cancelPanic struct{ err error }
 
 // cancelEngine wraps an engine so every kernel call observes the job
-// context: SpMV, ApplyPC and both reductions poll ctx and unwind with a
-// cancelPanic once it is done. Cancellation therefore lands within one
-// solver iteration. The wrapper adds no arithmetic — the numerics (and the
-// bit-identity guarantee against the CLI path) are untouched.
+// context: the products, ApplyPC and both reductions poll ctx and unwind
+// with a cancelPanic once it is done. Cancellation therefore lands within
+// one solver iteration. Everything else the embedded engine forwards itself,
+// and the wrapper adds no arithmetic — the numerics (and the bit-identity
+// guarantee against the CLI path) are untouched.
 type cancelEngine struct {
 	engine.Engine
 	ctx context.Context
 }
+
+var _ engine.Engine = (*cancelEngine)(nil)
 
 func (e *cancelEngine) poll() {
 	select {
@@ -64,32 +67,14 @@ func (e *cancelEngine) IallreduceSum(buf []float64) engine.Request {
 	return e.Engine.IallreduceSum(buf)
 }
 
-// SpMVFusedDots forwards the optional fused-SPMV capability (interface
-// embedding does not promote it through the wrapper's static type). Without
-// this, engine.SpMVFusedOn would fall back to its unfused emulation — whose
-// dot folds use a different chunk geometry — and every daemon solve would
-// drift bitwise from the CLI path.
 func (e *cancelEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
 	e.poll()
-	engine.SpMVFusedOn(e.Engine, dst, src, scale, ws, dots)
+	e.Engine.SpMVFusedDots(dst, src, scale, ws, dots)
 }
 
-// BeginPhase/EndPhase forward the optional obs.PhaseTracker capability.
-// Embedding the Engine interface does not promote optional interfaces through
-// the wrapper's static type, so without these the solver's phase spans would
-// silently vanish whenever a job runs under cancellation wrapping — which is
-// every job.
-func (e *cancelEngine) BeginPhase(p obs.Phase) obs.Span {
-	if pt, ok := e.Engine.(obs.PhaseTracker); ok {
-		return pt.BeginPhase(p)
-	}
-	return obs.Span{}
-}
-
-func (e *cancelEngine) EndPhase(sp obs.Span) {
-	if pt, ok := e.Engine.(obs.PhaseTracker); ok {
-		pt.EndPhase(sp)
-	}
+func (e *cancelEngine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	e.poll()
+	return e.Engine.SpMVPowers(dstR, dstU, src, scale)
 }
 
 // saneRel sanitizes a residual norm for the JSON event boundary:
@@ -140,15 +125,6 @@ func rhsFor(pr bench.Problem, seed uint64) []float64 {
 		b[i] = float64(z>>11)/(1<<52) - 1
 	}
 	return b
-}
-
-// solverFor resolves a method name, adding the resilience ladder to the
-// standard registry under "ladder".
-func solverFor(name string) (krylov.Solver, error) {
-	if name == "ladder" {
-		return krylov.SolveLadder, nil
-	}
-	return bench.Solver(name)
 }
 
 // run executes one accepted job end to end: pin the operator, check a
@@ -206,7 +182,7 @@ func (m *Manager) run(j *Job) {
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
 
-	solver, err := solverFor(method)
+	meth, err := krylov.MethodByName(method)
 	if err != nil {
 		m.finishJob(j, JobFailed, nil, err)
 		return
@@ -245,18 +221,18 @@ func (m *Manager) run(j *Job) {
 	}
 
 	if j.Req.Ranks <= 1 {
-		m.runSeq(j, ctx, entry, pr, solver, opt, &progressEng)
+		m.runSeq(j, ctx, entry, pr, meth, opt, &progressEng)
 	} else {
-		m.runComm(j, ctx, entry, pr, solver, opt, &progressEng)
+		m.runComm(j, ctx, entry, pr, meth, opt, &progressEng)
 	}
 }
 
 // runSeq executes the job on the sequential reference engine — the default
 // path, whose iterate is bit-identical to `pipescg -runtime seq`.
 func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
-	solver krylov.Solver, opt krylov.Options, progressEng *engine.Engine) {
+	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
 	var pc engine.Preconditioner
-	if !bench.Unpreconditioned(j.effectiveMethod()) {
+	if !meth.Unpreconditioned {
 		var err error
 		pc, err = entry.AcquirePC(j.Req.PC)
 		if err != nil {
@@ -290,7 +266,7 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Pro
 		opt.Observe = da.Observe
 	}
 
-	res, err := m.solveRecovering(wrapped, b, solver, opt)
+	res, err := m.solveRecovering(wrapped, b, meth.Solve, opt)
 	unpermuteResult(res, pr.Perm)
 	if da != nil {
 		j.mu.Lock()
@@ -314,9 +290,9 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Pro
 // receive deadline and the solver a wait deadline so a rank unwound by
 // cancellation can never deadlock its peers.
 func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
-	solver krylov.Solver, opt krylov.Options, progressEng *engine.Engine) {
+	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
 	var factory comm.PCFactory
-	if !bench.Unpreconditioned(j.effectiveMethod()) {
+	if !meth.Unpreconditioned {
 		switch j.Req.PC {
 		case "", "none":
 		case "jacobi":
@@ -369,7 +345,7 @@ func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Pr
 	results := make([]*krylov.Result, ranks)
 	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
 		wrapped := &cancelEngine{Engine: e, ctx: ctx}
-		res, err := m.solveRecovering(wrapped, bs[r], solver, rankOpts[r])
+		res, err := m.solveRecovering(wrapped, bs[r], meth.Solve, rankOpts[r])
 		results[r] = res
 		return err
 	})

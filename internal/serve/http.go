@@ -55,6 +55,22 @@ func apiError(w http.ResponseWriter, code int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// MaxSolveBodyBytes caps the JSON body of a solve submission, on a shard and
+// on the router alike: a body the router refuses must not be accepted by a
+// directly addressed solverd. (Operator uploads have their own, larger cap.)
+const MaxSolveBodyBytes = 16 << 20
+
+// BodyErrorStatus maps a failure to read or decode a request body onto its
+// status: 413 when the body ran past its http.MaxBytesReader cap, 400
+// otherwise.
+func BodyErrorStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -66,8 +82,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // (draining).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSolveBodyBytes)).Decode(&req); err != nil {
+		apiError(w, BodyErrorStatus(err), "bad request body: %v", err)
 		return nil, false
 	}
 	if req.Problem == "" {

@@ -248,18 +248,6 @@ func (j *Job) tuneDecision() *tuneDecision {
 	return j.tune
 }
 
-// effectiveMethod is the method the job actually runs: the tuner's selection
-// for an auto job (valid once the decision is made, at run start), the
-// request's method otherwise.
-func (j *Job) effectiveMethod() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.tune != nil {
-		return j.tune.Method
-	}
-	return j.Req.Method
-}
-
 // emit records ev in the ring and fans it out to subscribers without
 // blocking: a subscriber that falls behind loses progress events, never the
 // terminal result (Subscribe replays the ring, and the result is always

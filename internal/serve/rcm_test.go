@@ -11,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/grid"
+	"repro/internal/krylov"
 	"repro/internal/partition"
 	"repro/internal/sparse"
 )
@@ -114,13 +115,9 @@ func TestUploadRCMReordersAndRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solver, err := solverFor("pipe-pscg")
-		if err != nil {
-			t.Fatal(err)
-		}
 		opt := bench.DefaultOptions(ref)
 		opt.S = 3
-		res, err := solver(engine.NewSeq(ref.A, pc), ref.B, opt)
+		res, err := krylov.PIPEPSCG(engine.NewSeq(ref.A, pc), ref.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

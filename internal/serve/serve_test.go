@@ -14,7 +14,12 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/comm"
 	"repro/internal/engine"
+	"repro/internal/krylov"
+	"repro/internal/partition"
+	"repro/internal/precond"
+	"repro/internal/sparse"
 )
 
 // newTestServer builds a server with a small config and an httptest front.
@@ -102,14 +107,14 @@ func TestServeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		solver, err := solverFor(method)
+		meth, err := krylov.MethodByName(method)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opt := bench.DefaultOptions(pr)
 		opt.S = 3
 		opt.MaxIter = 100000
-		res, err := solver(engine.NewSeq(pr.A, pc), pr.B, opt)
+		res, err := meth.Solve(engine.NewSeq(pr.A, pc), pr.B, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,6 +155,111 @@ func TestSolveCommRuntimeMatchesSeq(t *testing.T) {
 		if d := math.Abs(seq.X[i] - par.X[i]); d > 1e-8 {
 			t.Fatalf("comm iterate off at %d by %g", i, d)
 		}
+	}
+}
+
+// TestCommJobRunsPowersBlock: a ranks=2 job runs the message pattern of a
+// direct comm solve on the same partition — under a row-local preconditioner
+// the pipelined powers ride one deep halo exchange per s products, so the job
+// makes fewer exchanges than SPMVs; under SSOR the engine refuses and the job
+// keeps one per product. Either way the iterate is the direct solve's, bit
+// for bit (the Jacobi x_hash is pinned: it predates the capability reaching
+// service jobs).
+func TestCommJobRunsPowersBlock(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	pr := bench.Poisson7(32)
+	pt := partition.RowBlockByNNZ(pr.A, 2)
+	opt := bench.DefaultOptions(pr)
+	opt.S, opt.MaxIter = 3, 100000
+
+	for _, tc := range []struct {
+		pc         string
+		factory    comm.PCFactory
+		halo, spmv int
+		xHash      string
+	}{
+		{pc: "jacobi", halo: 24, spmv: 64, xHash: "d3b4d49a9e86fb98",
+			factory: func(a *sparse.CSR, lo, hi int) engine.Preconditioner { return precond.NewJacobi(a, lo, hi) }},
+		{pc: "sor", halo: 34, spmv: 34,
+			factory: func(a *sparse.CSR, lo, hi int) engine.Preconditioner { return precond.NewSSOR(a, lo, hi, 1.0, 1) }},
+	} {
+		f := comm.NewFabric(2, 0)
+		engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, tc.factory)
+		bs := comm.Scatter(pt, pr.B)
+		xs := make([][]float64, 2)
+		for r, err := range comm.RunErr(engines, func(r int, e *comm.Engine) error {
+			res, err := krylov.PIPEPSCG(e, bs[r], opt)
+			if err == nil {
+				xs[r] = res.X
+			}
+			return err
+		}) {
+			if err != nil {
+				t.Fatalf("%s: direct solve rank %d: %v", tc.pc, r, err)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		direct := engines[0].Counters()
+
+		j, err := s.Jobs.Submit(SolveRequest{
+			ProblemSpec: ProblemSpec{Problem: "poisson7", N: 32},
+			Method:      "pipe-pscg", PC: tc.pc, Ranks: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		res, err := j.Result()
+		if err != nil || res == nil || !res.Converged {
+			t.Fatalf("%s: job failed: %v", tc.pc, err)
+		}
+		c := j.Counters()
+		if c.HaloExchanges != direct.HaloExchanges || c.SpMV != direct.SpMV {
+			t.Errorf("%s: job made %d halo exchanges for %d SPMVs, the direct solve %d for %d",
+				tc.pc, c.HaloExchanges, c.SpMV, direct.HaloExchanges, direct.SpMV)
+		}
+		if c.HaloExchanges != tc.halo || c.SpMV != tc.spmv {
+			t.Errorf("%s: %d halo exchanges for %d SPMVs, want %d for %d",
+				tc.pc, c.HaloExchanges, c.SpMV, tc.halo, tc.spmv)
+		}
+		got := XHash(res.X)
+		if want := XHash(comm.Gather(pt, xs)); got != want {
+			t.Errorf("%s: job x_hash %s, direct solve %s", tc.pc, got, want)
+		}
+		if tc.xHash != "" && got != tc.xHash {
+			t.Errorf("%s: x_hash %s, want %s", tc.pc, got, tc.xHash)
+		}
+	}
+}
+
+// oversizedSolveBody is a syntactically plausible solve request one MiB past
+// MaxSolveBodyBytes.
+func oversizedSolveBody() []byte {
+	return append([]byte(`{"problem":"`), bytes.Repeat([]byte("a"), MaxSolveBodyBytes+1<<20)...)
+}
+
+// TestOversizedBodyRejectedWith413: a directly addressed shard refuses a
+// request body past the cap the router applies, on both submission routes,
+// and serves the next job.
+func TestOversizedBodyRejectedWith413(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+	for _, path := range []string{"/v1/solve", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(oversizedSolveBody()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: status %d for a %d MiB body, want 413", path, resp.StatusCode, MaxSolveBodyBytes>>20+1)
+		}
+	}
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 6},
+	}))
+	if st.State != JobConverged {
+		t.Fatalf("job after the refused bodies: state=%s error=%q", st.State, st.Error)
 	}
 }
 

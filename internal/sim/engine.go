@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -77,6 +78,8 @@ type Engine struct {
 	pcP2P, pcAllr    int
 }
 
+var _ engine.Engine = (*Engine)(nil)
+
 // NewEngine returns a recording engine for A with the given preconditioner
 // (nil means identity).
 func NewEngine(a *sparse.CSR, pc engine.Preconditioner) *Engine {
@@ -87,7 +90,7 @@ func NewEngine(a *sparse.CSR, pc engine.Preconditioner) *Engine {
 	return e
 }
 
-// BeginPhase implements obs.PhaseTracker by tagging subsequent Charge
+// BeginPhase implements engine.Engine by tagging subsequent Charge
 // events rather than reading any clock: the previous tag is parked in the
 // returned span and restored by EndPhase, so nested sections compose.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
@@ -96,7 +99,7 @@ func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
 	return obs.PhaseMark(prev)
 }
 
-// EndPhase implements obs.PhaseTracker.
+// EndPhase implements engine.Engine.
 func (e *Engine) EndPhase(sp obs.Span) {
 	if sp.Live() {
 		e.curPhase = sp.Phase()
@@ -140,7 +143,7 @@ func (e *Engine) SpMV(dst, src []float64) {
 	e.spmvEvent()
 }
 
-// SpMVFusedDots implements engine.FusedSpMV: same numerics as the fused
+// SpMVFusedDots implements engine.Engine: same numerics as the fused
 // operator kernel (bit-identical to Seq), priced as one SPMV event. The
 // scale/dot payload is charged by the caller, identically on every engine.
 func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
@@ -163,7 +166,7 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
 }
 
-// SpMVPowers implements engine.PowersKernel for the MatrixPowers ablation:
+// SpMVPowers implements engine.Engine for the MatrixPowers ablation:
 // the numerics are the per-product chain (same kernels, same bits); the cost
 // model prices one deep exchange plus the redundant ghost-zone work
 // (Evaluate, case evMPK) and the preconditioner applications as usual.
@@ -206,6 +209,10 @@ type simRequest struct {
 func (r simRequest) Wait() {
 	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
 }
+
+// WaitTimeout records the wait; the data is already global, so it cannot
+// time out.
+func (r simRequest) WaitTimeout(time.Duration) error { r.Wait(); return nil }
 
 // IallreduceSum implements engine.Engine.
 func (e *Engine) IallreduceSum(buf []float64) engine.Request {
