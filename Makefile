@@ -127,18 +127,20 @@ bench-check:
 # Hot-path kernel perf smoke: the stencil-vs-CSR SPMV pair, the fused
 # powers-block step, the fused s-step vector sweep, the comm collectives
 # (blocking and posted, 8 and 16 ranks), the matrix powers block (depth 3,
-# hop 0 and 200 µs) and its plan build, run short (100 iterations, 3
-# samples) so tier1 catches a kernel that stops compiling or collapses,
-# without turning the gate into a benchmark farm. cmd/perfreport produces
-# the committed BENCH_pr6.json.
+# hop 0 and 200 µs) and its plan build, and the worker pool under 1, 2 and 4
+# concurrent callers, run short (100 iterations, 3 samples; 2000 of the
+# microsecond-scale pool regions) so tier1 catches a kernel that stops
+# compiling or collapses, without turning the gate into a benchmark farm.
+# cmd/perfreport produces the committed BENCH_pr6.json.
 perf:
 	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep' -benchtime=100x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec
 	$(GO) test -bench '[Aa]llreduce(8|16)|PowersExchange' -benchtime=100x -count=3 -run xxx ./internal/comm
 	$(GO) test -bench 'BuildPowersPlans' -benchtime=100x -count=3 -run xxx ./internal/partition
+	$(GO) test -bench 'PoolContended' -benchtime=2000x -count=3 -run xxx ./internal/par
 
 # Kernel-layer scaling benches: SPMV, Gram/dot, and the solver-level run at
 # 1 worker versus all cores.
 bench-kernels:
-	$(GO) test -bench='SpMVParallel|GramParallel|DotParallel|RangeOverhead' ./internal/...
+	$(GO) test -bench='SpMVParallel|GramParallel|DotParallel|RangeOverhead|PoolContended' ./internal/...
 	$(GO) test -bench=SolverParallelKernels .

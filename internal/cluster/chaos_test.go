@@ -122,7 +122,7 @@ func TestClusterChaos(t *testing.T) {
 			if err != nil || res == nil || !res.Converged {
 				t.Fatalf("baseline %s: %v", sp.ProblemSpec.Key(), err)
 			}
-			baseline[sp.ProblemSpec.Key()] = serve.XHash(res.X)
+			baseline[sp.ProblemSpec.Key()] = j.XHash()
 		}
 		dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		solo.Drain(dctx)

@@ -15,19 +15,30 @@
 //     ascending chunk order, so parallel dot products and Gram matrices are
 //     bit-identical across repeated runs and across pool sizes.
 //
-//  3. One pool per process. comm.Engine runs R rank goroutines on one host;
-//     if each rank spun up its own GOMAXPROCS workers, R×W goroutines would
-//     contend for the same cores. The shared Default pool serializes
-//     parallel regions (one region at a time, callers queue on a mutex), so
-//     the host is never oversubscribed and per-region scratch needs no
-//     per-caller copies.
+//  3. One pool per process, and no region ever waits for another. comm.Engine
+//     runs R rank goroutines and the service runs concurrent jobs on one
+//     host; if each spun up its own GOMAXPROCS workers, R×W goroutines would
+//     contend for the same cores. The shared Default pool's W-1 helpers are a
+//     counted resource instead: a region leases as many as are free (at most
+//     one per chunk beyond its own), and a region that finds none runs all
+//     its chunks on its caller. Lease what is free, never wait — so at most
+//     W-1 helpers plus the callers themselves are runnable. Splitting the
+//     helpers evenly among the callers present was measured and rejected: it
+//     runs two comm ranks inline in lock-step and loses the stagger in which
+//     one computes on every core while the other waits out a network hop
+//     (solve_latency solve_s +29 %). Known residue at W > 2: a caller that
+//     found no helper finishes that one region serially even if helpers free
+//     up meanwhile.
 //
 //  4. Steady-state allocation freedom. Workers are started once and woken by
-//     channel signals; reduction scratch is owned by the pool and reused.
-//     The only per-region allocation is the closure header of the body.
+//     channel signals; each in-flight region owns a descriptor (chunk
+//     counter, completion channel, reduction scratch) checked out of a fixed
+//     free list and reused. The only per-region allocation is the closure
+//     header of the body.
 //
-// Region bodies must be leaf code: a body must not start another parallel
-// region on the same pool (the region mutex is not reentrant).
+// Region bodies should be leaf code: a body that starts another region on the
+// same pool is correct (the inner region leases what is left, usually
+// nothing, and runs inline) but gains no parallelism.
 package par
 
 import (
@@ -88,16 +99,24 @@ func ChunkBounds(n, nchunks, c int) (lo, hi int) {
 // Pool is a fork-join worker pool. The zero value is not usable; use NewPool
 // or the process-wide Default pool.
 type Pool struct {
-	mu sync.Mutex // serializes regions; guards scratch and the fields below
-
 	w    int
-	wake chan struct{}
-	done chan struct{}
-	quit chan struct{}
+	free atomic.Int32 // helpers not leased to a region; 0 for good once stopped
 
+	wake    chan *region // leased helpers receive the region to work on
+	regions chan *region // free list of w-1 descriptors
+	quit    chan struct{}
+	stop    sync.Once
+}
+
+// region is the state of one in-flight parallel region. A region that leased
+// at least one helper holds exactly one descriptor, so w-1 of them suffice and
+// checking one out never blocks.
+type region struct {
+	helpers int // leased to this region
 	run     func(chunk int)
 	nchunks int64
 	next    atomic.Int64
+	done    chan struct{}
 
 	scratch []float64 // reduction partials, reused across regions
 
@@ -115,13 +134,16 @@ func NewPool(w int) *Pool {
 		w = 1
 	}
 	p := &Pool{
-		w:    w,
-		wake: make(chan struct{}, w),
-		done: make(chan struct{}, w),
-		quit: make(chan struct{}),
+		w:       w,
+		wake:    make(chan *region, w-1),
+		regions: make(chan *region, w-1),
+		quit:    make(chan struct{}),
 	}
-	p.reduceFn = p.reduceChunk
+	p.free.Store(int32(w - 1))
 	for i := 1; i < w; i++ {
+		r := &region{done: make(chan struct{}, w-1)}
+		r.reduceFn = r.reduceChunk
+		p.regions <- r
 		go p.worker()
 	}
 	return p
@@ -130,12 +152,21 @@ func NewPool(w int) *Pool {
 // Workers returns the pool's worker count (including the caller).
 func (p *Pool) Workers() int { return p.w }
 
-// Stop terminates the pool's worker goroutines. The pool must not be used
-// afterwards. Waits for an in-flight region to finish.
+// Stop terminates the pool's worker goroutines once every in-flight region
+// has returned its helpers: it leases all w-1 and keeps them, so regions
+// entered afterwards (a stale reference across SetWorkers) find none free and
+// run serially. A second Stop is a no-op.
 func (p *Pool) Stop() {
-	p.mu.Lock()
-	close(p.quit)
-	p.mu.Unlock()
+	p.stop.Do(func() {
+		for held := 0; held < p.w-1; {
+			if k := p.lease(p.w - 1 - held); k > 0 {
+				held += k
+			} else {
+				runtime.Gosched()
+			}
+		}
+		close(p.quit)
+	})
 }
 
 func (p *Pool) worker() {
@@ -143,73 +174,91 @@ func (p *Pool) worker() {
 		select {
 		case <-p.quit:
 			return
-		case <-p.wake:
-			p.claimChunks()
-			p.done <- struct{}{}
+		case r := <-p.wake:
+			r.claimChunks()
+			r.done <- struct{}{}
 		}
 	}
+}
+
+// lease takes up to want helpers out of the free count — whatever is free
+// right now, possibly none. It never waits.
+func (p *Pool) lease(want int) int {
+	for {
+		f := p.free.Load()
+		k := min(int(f), want)
+		if k <= 0 {
+			return 0
+		}
+		if p.free.CompareAndSwap(f, f-int32(k)) {
+			return k
+		}
+	}
+}
+
+// enter leases helpers for a region of nchunks chunks and checks out the
+// descriptor they share; nil means no helper is free (or none is needed) and
+// the caller runs the region alone.
+func (p *Pool) enter(nchunks int) *region {
+	k := p.lease(nchunks - 1)
+	if k == 0 {
+		return nil
+	}
+	r := <-p.regions
+	r.helpers = k
+	return r
+}
+
+// leave returns the descriptor and then the lease — in that order, so a
+// region that holds a lease always finds a descriptor.
+func (p *Pool) leave(r *region) {
+	k := r.helpers
+	p.regions <- r
+	p.free.Add(int32(k))
 }
 
 // claimChunks drains the region's chunk queue: chunks are claimed with an
 // atomic counter, so load balancing is dynamic while output stays
 // deterministic (chunks write disjoint results or indexed partial slots).
-func (p *Pool) claimChunks() {
-	n := p.nchunks
+func (r *region) claimChunks() {
+	n := r.nchunks
 	for {
-		c := p.next.Add(1) - 1
+		c := r.next.Add(1) - 1
 		if c >= n {
 			return
 		}
-		p.run(int(c))
+		r.run(int(c))
 	}
 }
 
 // ForChunks runs body(c) for every chunk c in [0, nchunks), in parallel when
-// the pool has more than one worker and the region has more than one chunk.
-// Bodies run concurrently and must write disjoint state.
+// the region has more than one chunk and the pool has a helper free. Bodies
+// run concurrently and must write disjoint state.
 func (p *Pool) ForChunks(nchunks int, body func(chunk int)) {
-	if nchunks <= 0 {
-		return
-	}
-	if p.w == 1 || nchunks == 1 {
+	r := p.enter(nchunks)
+	if r == nil {
 		for c := 0; c < nchunks; c++ {
 			body(c)
 		}
 		return
 	}
-	p.mu.Lock()
-	p.forChunksLocked(nchunks, body)
-	p.mu.Unlock()
+	p.fork(r, nchunks, body)
+	p.leave(r)
 }
 
-func (p *Pool) forChunksLocked(nchunks int, body func(chunk int)) {
-	select {
-	case <-p.quit:
-		// Stopped pool (a stale reference across SetWorkers): its helper
-		// goroutines are gone, so run the region serially — correct, just
-		// not parallel. Stop acquires the region mutex, so this check
-		// cannot race with an in-flight region.
-		for c := 0; c < nchunks; c++ {
-			body(c)
-		}
-		return
-	default:
+// fork runs the region on its leased helpers plus the caller (worker 0).
+func (p *Pool) fork(r *region, nchunks int, body func(chunk int)) {
+	r.run = body
+	r.nchunks = int64(nchunks)
+	r.next.Store(0)
+	for i := 0; i < r.helpers; i++ {
+		p.wake <- r
 	}
-	p.run = body
-	p.nchunks = int64(nchunks)
-	p.next.Store(0)
-	helpers := p.w - 1
-	if helpers > nchunks-1 {
-		helpers = nchunks - 1
+	r.claimChunks()
+	for i := 0; i < r.helpers; i++ {
+		<-r.done
 	}
-	for i := 0; i < helpers; i++ {
-		p.wake <- struct{}{}
-	}
-	p.claimChunks() // the caller is worker 0
-	for i := 0; i < helpers; i++ {
-		<-p.done
-	}
-	p.run = nil
+	r.run = nil
 }
 
 // Range runs body over [0, n) split into deterministic chunks. body must be
@@ -236,69 +285,69 @@ func (p *Pool) Range(n int, body func(lo, hi int)) {
 // slot into which it must accumulate (+=) its chunk's contribution, and the
 // slots are folded into dst in ascending chunk order. Because chunk geometry
 // depends only on n and the fold order is fixed, the result is bit-identical
-// across worker counts and runs. The serial path (single chunk, or a
-// one-worker pool) executes chunks in the same order with dst itself as the
-// slot, so it produces the same bits. The chunk index lets a body own
-// per-chunk scratch.
+// across worker counts and runs. The serial path (single chunk, or no helper
+// free) executes chunks in the same order with dst itself as the slot, so it
+// produces the same bits. The chunk index lets a body own per-chunk scratch.
 func (p *Pool) RangeReduce(dst []float64, n int, body func(chunk, lo, hi int, out []float64)) {
 	for i := range dst {
 		dst[i] = 0
 	}
 	stride := len(dst)
 	nc := NumChunks(n)
-	if nc == 0 {
-		return
-	}
-	if nc == 1 || p.w == 1 {
+	r := p.enter(nc)
+	if r == nil {
 		for c := 0; c < nc; c++ {
 			lo, hi := ChunkBounds(n, nc, c)
 			body(c, lo, hi, dst)
 		}
 		return
 	}
-	p.mu.Lock()
 	need := nc * stride
-	if cap(p.scratch) < need {
-		p.scratch = make([]float64, need)
+	if cap(r.scratch) < need {
+		r.scratch = make([]float64, need)
 	}
-	p.scratch = p.scratch[:need]
-	for i := range p.scratch {
-		p.scratch[i] = 0
+	r.scratch = r.scratch[:need]
+	for i := range r.scratch {
+		r.scratch[i] = 0
 	}
-	p.redBody, p.redN, p.redNC, p.redW = body, n, nc, stride
-	p.forChunksLocked(nc, p.reduceFn)
-	p.redBody = nil
+	r.redBody, r.redN, r.redNC, r.redW = body, n, nc, stride
+	p.fork(r, nc, r.reduceFn)
+	r.redBody = nil
 	for c := 0; c < nc; c++ {
-		slot := p.scratch[c*stride : (c+1)*stride]
+		slot := r.scratch[c*stride : (c+1)*stride]
 		for i, v := range slot {
 			dst[i] += v
 		}
 	}
-	p.mu.Unlock()
+	p.leave(r)
 }
 
 // reduceChunk runs the in-flight reduction's body on chunk c.
-func (p *Pool) reduceChunk(c int) {
-	lo, hi := ChunkBounds(p.redN, p.redNC, c)
-	p.redBody(c, lo, hi, p.scratch[c*p.redW:(c+1)*p.redW])
+func (r *region) reduceChunk(c int) {
+	lo, hi := ChunkBounds(r.redN, r.redNC, c)
+	r.redBody(c, lo, hi, r.scratch[c*r.redW:(c+1)*r.redW])
 }
 
 // Default pool: one per process, sized from GOMAXPROCS, shared by every
-// engine and rank.
+// engine and rank. Readers load the pointer; defMu only orders the writers
+// (first creation and SetWorkers).
 var (
 	defMu sync.Mutex
-	def   *Pool
+	def   atomic.Pointer[Pool]
 )
 
 // Default returns the process-wide shared pool, creating it with
 // GOMAXPROCS(0) workers on first use.
 func Default() *Pool {
+	if p := def.Load(); p != nil {
+		return p
+	}
 	defMu.Lock()
 	defer defMu.Unlock()
-	if def == nil {
-		def = NewPool(runtime.GOMAXPROCS(0))
+	if def.Load() == nil {
+		def.Store(NewPool(runtime.GOMAXPROCS(0)))
 	}
-	return def
+	return def.Load()
 }
 
 // SetWorkers replaces the shared pool with one of n workers; n < 1 restores
@@ -312,13 +361,14 @@ func SetWorkers(n int) {
 	}
 	defMu.Lock()
 	defer defMu.Unlock()
-	if def != nil {
-		if def.w == n {
-			return
-		}
-		def.Stop()
+	old := def.Load()
+	if old != nil && old.w == n {
+		return
 	}
-	def = NewPool(n)
+	def.Store(NewPool(n))
+	if old != nil {
+		old.Stop()
+	}
 }
 
 // Workers returns the shared pool's worker count.

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -184,44 +185,198 @@ func TestRangeReduceDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestLeaseAccounting pins the lease rule with bodies parked on a channel: a
+// lone region takes every helper, a region entered meanwhile takes none and
+// still completes on its caller, and everything is returned afterwards.
+func TestLeaseAccounting(t *testing.T) {
+	const w = 8
+	p := NewPool(w)
+	defer p.Stop()
+	entered := make(chan struct{}, w)
+	release := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		p.ForChunks(w, func(int) {
+			entered <- struct{}{}
+			<-release
+		})
+	}()
+	for i := 0; i < w; i++ {
+		<-entered // every worker, caller included, is parked in one chunk
+	}
+	if f := p.free.Load(); f != 0 {
+		t.Errorf("lone region left %d helpers free, want 0", f)
+	}
+	if d := len(p.regions); d != w-2 {
+		t.Errorf("%d descriptors free with one region in flight, want %d", d, w-2)
+	}
+	var order []int // unsynchronized on purpose: the region must stay on this goroutine
+	p.ForChunks(5, func(c int) { order = append(order, c) })
+	var sum [1]float64
+	p.RangeReduce(sum[:], 10*Grain(), func(c, lo, hi int, out []float64) {
+		order = append(order, 5+c)
+		out[0] += float64(hi - lo)
+	})
+	for i, c := range order {
+		if c != i {
+			t.Fatalf("helperless regions ran chunks in order %v", order)
+		}
+	}
+	if len(order) != 15 || sum[0] != float64(10*Grain()) {
+		t.Errorf("helperless regions ran %d chunks and reduced %g", len(order), sum[0])
+	}
+	if f, d := p.free.Load(), len(p.regions); f != 0 || d != w-2 {
+		t.Errorf("helperless regions moved the lease state: free=%d descriptors=%d", f, d)
+	}
+	close(release)
+	<-finished
+	if f, d := p.free.Load(), len(p.regions); f != w-1 || d != w-1 {
+		t.Errorf("after release free=%d descriptors=%d, want %d and %d", f, d, w-1, w-1)
+	}
+}
+
 // TestConcurrentRegions hammers one shared pool from several goroutines —
-// the comm.Engine usage pattern (R ranks × shared pool). Run under -race.
+// the comm.Engine and service usage pattern (callers × shared pool) — with
+// mixed ForChunks and RangeReduce regions. Every reduction must carry the bits
+// of its solo run whatever it managed to lease, and the lease count must come
+// back whole. Run under -race.
 func TestConcurrentRegions(t *testing.T) {
 	defer SetGrain(0)
 	SetGrain(32)
-	p := NewPool(4)
-	defer p.Stop()
-	const ranks = 6
-	const n = 5000
-	var wg sync.WaitGroup
-	results := make([]float64, ranks)
-	for r := 0; r < ranks; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = float64((i*r)%13) - 6
+	const callers, regions, n = 6, 200, 5000
+	x := make([][]float64, callers)
+	solo := make([]float64, callers)
+	sumOf := func(p *Pool, x []float64) float64 {
+		var out [1]float64
+		p.RangeReduce(out[:], n, func(_, lo, hi int, o []float64) {
+			var s float64
+			for i := lo; i < hi; i++ {
+				s += x[i]
 			}
-			for rep := 0; rep < 20; rep++ {
-				var out [1]float64
-				p.RangeReduce(out[:], n, func(_, lo, hi int, o []float64) {
-					var s float64
-					for i := lo; i < hi; i++ {
-						s += x[i]
+			o[0] += s
+		})
+		return out[0]
+	}
+	p1 := NewPool(1)
+	for r := range x {
+		x[r] = make([]float64, n)
+		for i := range x[r] {
+			x[r][i] = 1 / float64(1+(i*(r+3))%17)
+		}
+		solo[r] = sumOf(p1, x[r])
+	}
+	for _, w := range []int{1, 2, 4} {
+		p := NewPool(w)
+		var wg sync.WaitGroup
+		for r := 0; r < callers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				hits := make([]int32, 37)
+				for rep := 0; rep < regions; rep++ {
+					if rep%2 == 0 {
+						if got := sumOf(p, x[r]); got != solo[r] {
+							t.Errorf("w=%d caller %d region %d: %x, solo %x", w, r, rep, got, solo[r])
+							return
+						}
+						continue
 					}
-					o[0] += s
-				})
-				if rep == 0 {
-					results[r] = out[0]
-				} else if results[r] != out[0] {
-					t.Errorf("rank %d: result changed across reps", r)
+					p.ForChunks(len(hits), func(c int) { hits[c]++ })
+				}
+				for c, h := range hits {
+					if h != regions/2 {
+						t.Errorf("w=%d caller %d: chunk %d ran %d times, want %d", w, r, c, h, regions/2)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
+		if f, d := p.free.Load(), len(p.regions); f != int32(w-1) || d != w-1 {
+			t.Errorf("w=%d: free=%d descriptors=%d after the hammer, want %d", w, f, d, w-1)
+		}
+		p.Stop()
+	}
+}
+
+// TestStopWithRegionsInFlight: Stop waits out the regions holding helpers and
+// returns, a second Stop is a no-op, and regions entered afterwards run
+// serially on their caller.
+func TestStopWithRegionsInFlight(t *testing.T) {
+	p := NewPool(4)
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var count atomic.Int64
+			for rep := 0; rep < 300; rep++ {
+				if rep == 10 {
+					started <- struct{}{}
+				}
+				count.Store(0)
+				p.ForChunks(9, func(c int) { count.Add(int64(c)) })
+				if count.Load() != 36 {
+					t.Errorf("region lost chunks across Stop: sum %d", count.Load())
 					return
 				}
 			}
-		}(r)
+		}()
 	}
+	for g := 0; g < 3; g++ {
+		<-started
+	}
+	p.Stop()
+	p.Stop()
 	wg.Wait()
+	if f := p.free.Load(); f != 0 {
+		t.Errorf("stopped pool has %d helpers free", f)
+	}
+	var order []int // unsynchronized: -race flags any chunk that leaves the caller
+	p.ForChunks(9, func(c int) { order = append(order, c) })
+	for i, c := range order {
+		if c != i {
+			t.Fatalf("stopped pool ran chunks in order %v", order)
+		}
+	}
+	if len(order) != 9 {
+		t.Fatalf("stopped pool ran %d of 9 chunks", len(order))
+	}
+}
+
+// TestLeasedRegionsAllocFree: a warm region that does lease helpers — the
+// descriptor checkout, the wake-ups, the reduction scratch — allocates nothing.
+func TestLeasedRegionsAllocFree(t *testing.T) {
+	const w = 4
+	p := NewPool(w)
+	defer p.Stop()
+	var unleased atomic.Int64
+	chunk := func(int) {
+		if p.free.Load() == w-1 {
+			unleased.Add(1)
+		}
+	}
+	reduce := func(_, lo, hi int, out []float64) {
+		chunk(0)
+		out[0] += float64(hi - lo)
+	}
+	var dst [2]float64
+	n := 16 * Grain()
+	forChunks := func() { p.ForChunks(16, chunk) }
+	rangeReduce := func() { p.RangeReduce(dst[:], n, reduce) }
+	forChunks()
+	rangeReduce()
+	if a := testing.AllocsPerRun(50, forChunks); a != 0 {
+		t.Errorf("warm ForChunks allocates %.1f times per region", a)
+	}
+	if a := testing.AllocsPerRun(50, rangeReduce); a != 0 {
+		t.Errorf("warm RangeReduce allocates %.1f times per region", a)
+	}
+	if unleased.Load() != 0 || dst[0] != float64(n) {
+		t.Errorf("%d chunks ran without a lease; reduced %g, want %d", unleased.Load(), dst[0], n)
+	}
 }
 
 // TestStoppedPoolDegradesToSerial: a stale reference across SetWorkers must
@@ -282,5 +437,40 @@ func BenchmarkRangeOverhead(b *testing.B) {
 				x[j] += 1
 			}
 		})
+	}
+}
+
+// BenchmarkPoolContended times regions entered by 1, 2 and 4 concurrent
+// callers on one 4-worker pool — short regions (2 chunks) and solver-sized
+// ones (27, a 48^3 vector at the default grain) with a ~2 µs body. Every
+// caller runs b.N regions, so ns/op is the time one caller spends per region.
+func BenchmarkPoolContended(b *testing.B) {
+	var sink atomic.Uint64
+	body := func(c int) {
+		v := uint64(c) + 1
+		for i := 0; i < 1000; i++ { // ~2 µs of dependent multiplies
+			v = v*6364136223846793005 + 1442695040888963407
+		}
+		sink.Add(v & 1)
+	}
+	for _, callers := range []int{1, 2, 4} {
+		for _, nchunks := range []int{2, 27} {
+			b.Run(fmt.Sprintf("callers=%d/chunks=%d", callers, nchunks), func(b *testing.B) {
+				p := NewPool(4)
+				defer p.Stop()
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for g := 0; g < callers; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < b.N; i++ {
+							p.ForChunks(nchunks, body)
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

@@ -38,7 +38,7 @@ func soloHashes(t *testing.T, req SolveRequest, seeds []uint64) map[uint64]strin
 		if w := j.BatchWidth(); w != 1 {
 			t.Fatalf("solo seed %d ran at width %d", seed, w)
 		}
-		out[seed] = XHash(res.X)
+		out[seed] = j.XHash()
 	}
 	return out
 }
@@ -107,7 +107,7 @@ func TestCoalesceDeterministic(t *testing.T) {
 		if w := j.BatchWidth(); w != len(seeds) {
 			t.Errorf("batch job %d: width %d, want %d", i, w, len(seeds))
 		}
-		if got := XHash(res.X); got != want[seeds[i]] {
+		if got := j.XHash(); got != want[seeds[i]] {
 			t.Errorf("batch job %d (seed %d): x_hash %s, want solo %s", i, seeds[i], got, want[seeds[i]])
 		}
 	}

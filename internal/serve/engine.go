@@ -468,7 +468,7 @@ func (m *Manager) classify(j *Job, ctx context.Context, res *krylov.Result, err 
 
 // finishJob records the terminal state, tallies metrics and emits the result
 // event (with the iterate's bit-fingerprint, and the iterate itself when the
-// submission asked for it).
+// submission asked for it; otherwise the iterate is dropped here).
 func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err error) {
 	ev := Event{Type: "result", Job: j.ID, State: state}
 	if res != nil {
@@ -481,6 +481,13 @@ func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err erro
 			ev.XHash = XHash(res.X)
 			if j.Req.IncludeX {
 				ev.X = res.X
+			} else {
+				// Nothing reads the iterate again: retain the result
+				// without it, so a finished job costs its scalars and
+				// history, not n floats.
+				kept := *res
+				kept.X = nil
+				res = &kept
 			}
 		}
 	}
@@ -488,7 +495,7 @@ func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err erro
 		ev.Error = err.Error()
 	}
 	j.mu.Lock()
-	j.res, j.err = res, err
+	j.res, j.err, j.xHash = res, err, ev.XHash
 	overlap := j.obsSum.Overlap
 	if j.batchWidth > 1 {
 		ev.BatchWidth = j.batchWidth

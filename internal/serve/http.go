@@ -182,11 +182,9 @@ func (s *Server) jobStatus(j *Job, includeCounters bool) JobStatus {
 		st.Iterations = res.Iterations
 		st.RelRes, st.Diverged = saneRel(res.RelRes)
 		st.Diverged = st.Diverged || res.Diverged
-		if res.X != nil {
-			st.XHash = XHash(res.X)
-			if j.Req.IncludeX {
-				st.X = res.X
-			}
+		st.XHash = j.XHash()
+		if j.Req.IncludeX {
+			st.X = res.X
 		}
 	}
 	if err != nil {

@@ -164,7 +164,8 @@ type Job struct {
 	events     []Event // ring of the most recent events
 	dropped    int     // ring overwrites
 	subs       map[chan Event]struct{}
-	res        *krylov.Result
+	res        *krylov.Result // without X unless Req.IncludeX
+	xHash      string         // XHash of the iterate, computed once at finish
 	err        error
 	counters   trace.Counters
 	obsSum     obs.Summary   // merged trace summary across the job's ranks
@@ -208,11 +209,21 @@ func (j *Job) State() JobState {
 // Done is closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Result returns the solver result and error once the job is done.
+// Result returns the solver result and error once the job is done. The
+// result carries the iterate X only when the submission set include_x;
+// XHash identifies it either way.
 func (j *Job) Result() (*krylov.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.res, j.err
+}
+
+// XHash returns the bit-fingerprint of the job's iterate ("" while running,
+// or when the solve produced none).
+func (j *Job) XHash() string {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.xHash
 }
 
 // Counters returns the job's kernel counters (complete once done).

@@ -79,6 +79,33 @@ func TestSolveSyncConverges(t *testing.T) {
 	}
 }
 
+// cliSolve runs poisson7 n=6 under Jacobi the way cmd/pipescg -runtime seq
+// does — same problem, PC, options and solver on a fresh engine — the solo
+// baseline the daemon's results are compared against.
+func cliSolve(t *testing.T, method string) *krylov.Result {
+	t.Helper()
+	pr, err := bench.ProblemByName("poisson7", 6, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := bench.MakePC("jacobi", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meth, err := krylov.MethodByName(method)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := bench.DefaultOptions(pr)
+	opt.S = 3
+	opt.MaxIter = 100000
+	res, err := meth.Solve(engine.NewSeq(pr.A, pc), pr.B, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestServeBitIdentical is the acceptance gate: a solve submitted through
 // the daemon produces a bit-identical iterate to the same problem run
 // through the CLI path (engine.NewSeq + the bench solver registry, exactly
@@ -98,26 +125,7 @@ func TestServeBitIdentical(t *testing.T) {
 			t.Fatalf("%s: state=%s error=%q", method, st.State, st.Error)
 		}
 
-		// CLI path: same problem, PC, options, solver — fresh engine.
-		pr, err := bench.ProblemByName("poisson7", 6, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc, err := bench.MakePC("jacobi", pr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		meth, err := krylov.MethodByName(method)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := bench.DefaultOptions(pr)
-		opt.S = 3
-		opt.MaxIter = 100000
-		res, err := meth.Solve(engine.NewSeq(pr.A, pc), pr.B, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := cliSolve(t, method)
 		if len(res.X) != len(st.X) {
 			t.Fatalf("%s: X length %d vs %d", method, len(res.X), len(st.X))
 		}
@@ -129,6 +137,56 @@ func TestServeBitIdentical(t *testing.T) {
 		}
 		if got, want := st.XHash, XHash(res.X); got != want {
 			t.Fatalf("%s: x_hash %s vs local %s", method, got, want)
+		}
+	}
+}
+
+// TestFinishedJobDropsIterate: a finished job retains its iterate only when
+// the submission asked for it back. Without include_x the stored result has
+// no X and the status endpoint serves the hash computed once at finish; with
+// include_x the iterate is kept bit for bit.
+func TestFinishedJobDropsIterate(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	solo := cliSolve(t, "pipe-pscg")
+	for _, includeX := range []bool{false, true} {
+		j, err := s.Jobs.Submit(SolveRequest{
+			ProblemSpec: ProblemSpec{Problem: "poisson7", N: 6},
+			Method:      "pipe-pscg", PC: "jacobi", IncludeX: includeX,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		res, err := j.Result()
+		if err != nil || res == nil || !res.Converged {
+			t.Fatalf("include_x=%v: job failed: %v", includeX, err)
+		}
+		if res.Iterations != solo.Iterations || len(res.History) != len(solo.History) {
+			t.Errorf("include_x=%v: retained result lost its scalars: %d iterations, %d history entries",
+				includeX, res.Iterations, len(res.History))
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := decodeStatus(t, resp)
+		if want := XHash(solo.X); st.XHash != want || j.XHash() != want {
+			t.Errorf("include_x=%v: status x_hash %s, job %s, solo %s", includeX, st.XHash, j.XHash(), want)
+		}
+		if !includeX {
+			if res.X != nil || st.X != nil {
+				t.Errorf("job without include_x still holds its iterate (%d floats)", len(res.X))
+			}
+			continue
+		}
+		if len(res.X) != len(solo.X) || len(st.X) != len(solo.X) {
+			t.Fatalf("include_x: X length %d / %d, want %d", len(res.X), len(st.X), len(solo.X))
+		}
+		for i := range solo.X {
+			if math.Float64bits(res.X[i]) != math.Float64bits(solo.X[i]) ||
+				math.Float64bits(st.X[i]) != math.Float64bits(solo.X[i]) {
+				t.Fatalf("include_x: iterate differs at %d", i)
+			}
 		}
 	}
 }
@@ -224,7 +282,7 @@ func TestCommJobRunsPowersBlock(t *testing.T) {
 			t.Errorf("%s: %d halo exchanges for %d SPMVs, want %d for %d",
 				tc.pc, c.HaloExchanges, c.SpMV, tc.halo, tc.spmv)
 		}
-		got := XHash(res.X)
+		got := j.XHash()
 		if want := XHash(comm.Gather(pt, xs)); got != want {
 			t.Errorf("%s: job x_hash %s, direct solve %s", tc.pc, got, want)
 		}
