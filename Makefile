@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check loc bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet fmt-check layering loc bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
 
 all: tier1
 
@@ -19,7 +19,7 @@ test:
 # parallel, and the kernel packages saturate the worker pool — co-scheduling
 # them with the timing-sensitive serve drain smoke makes its deadline flaky.
 race:
-	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/serve/... ./internal/cluster/... ./internal/audit/... ./internal/obs/... ./internal/blockcg/...
+	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/serve/... ./internal/cluster/... ./internal/audit/... ./internal/obs/... ./internal/blockcg/... ./internal/workload/...
 	$(GO) test -race ./internal/sparse/... ./internal/grid/... ./internal/vec/...
 
 vet:
@@ -27,6 +27,12 @@ vet:
 
 fmt-check:
 	test -z "$$(gofmt -l cmd internal examples benchmark bench_test.go)"
+
+# Layering gate (DESIGN.md §4): the production daemons link no harness — not
+# the differential audit, not the paper's experiments, not the simulator or
+# its cost model. internal/workload is the shared assembly below all of them.
+layering:
+	! $(GO) list -deps ./cmd/solverd ./cmd/solverouter | grep -E '^repro/internal/(audit|bench|sim|perfmodel)$$'
 
 # Go line counts, non-test and test, per top-level package and in total: run
 # it on the parent commit and on the change to state a PR's LoC delta.
@@ -104,13 +110,14 @@ trace-smoke:
 batch-smoke:
 	$(GO) test -race -run TestBatchSmoke -v -count=1 ./internal/serve
 
-# tier1 is the gate every change must pass: build, vet, gofmt, full tests, the
+# tier1 is the gate every change must pass: build, vet, gofmt, the layering
+# rule, full tests, the
 # race detector over the concurrent packages, the chaos suite, the
 # solver-service smoke, the multi-RHS coalescing smoke, the inter-daemon
 # cluster chaos run, the differential audit sweep, the timeline export
 # smoke, the distributed-tracing smoke, the hot-path kernel perf smoke, and
 # the nested benchmark module's own vet + tests.
-tier1: build vet fmt-check test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf bench-check
+tier1: build vet fmt-check layering test race chaos serve-smoke batch-smoke cluster-chaos audit variant-audit timeline trace-smoke perf bench-check
 
 # The repository's performance ledger (BENCHMARK.json): six workloads ×
 # {untraced, traced}, ~3.5 min. Pass one workload with

@@ -26,13 +26,13 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/precond"
 	"repro/internal/sim"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // benchPoisson is the reduced-scale 125-pt problem the benches share.
-func benchPoisson(b *testing.B) bench.Problem {
+func benchPoisson(b *testing.B) workload.Problem {
 	b.Helper()
-	return bench.Poisson125(24) // 13.8k unknowns
+	return workload.Poisson125(24) // 13.8k unknowns
 }
 
 // BenchmarkTableICounters validates Table I: kernel counts per s iterations
@@ -53,7 +53,7 @@ func BenchmarkTableICounters(b *testing.B) {
 				b.Fatal(err)
 			}
 			solve := m.Solve
-			opt := bench.DefaultOptions(pr)
+			opt := workload.DefaultOptions(pr)
 			opt.RelTol, opt.AbsTol, opt.MaxIter = 0, 0, 24
 			var pc engine.Preconditioner
 			if !m.Unpreconditioned {
@@ -96,7 +96,7 @@ func BenchmarkFig1StrongScalingPoisson(b *testing.B) {
 	nodes := []int{1, 10, 40, 80, 120}
 	methods := []string{"pcg", "pipecg", "pipecg-oati", "pscg", "pipe-pscg"}
 	for i := 0; i < b.N; i++ {
-		series, err := bench.StrongScaling(pr, methods, "jacobi", m, nodes, bench.DefaultOptions(pr))
+		series, err := bench.StrongScaling(pr, methods, "jacobi", m, nodes, workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,11 +113,11 @@ func BenchmarkFig1StrongScalingPoisson(b *testing.B) {
 // BenchmarkFig2StrongScalingEcology2 regenerates Fig. 2 on the ecology2
 // stand-in at rtol 1e-2.
 func BenchmarkFig2StrongScalingEcology2(b *testing.B) {
-	pr := bench.Ecology2(4) // ≈250×250
+	pr := workload.Ecology2(4) // ≈250×250
 	m := sim.CrayXC40()
 	nodes := []int{1, 40, 120}
 	for i := 0; i < b.N; i++ {
-		series, err := bench.StrongScaling(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, nodes, bench.DefaultOptions(pr))
+		series, err := bench.StrongScaling(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, nodes, workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFig2StrongScalingEcology2(b *testing.B) {
 
 // BenchmarkTableIISuiteSparse regenerates Table II on the three stand-ins.
 func BenchmarkTableIISuiteSparse(b *testing.B) {
-	problems := []bench.Problem{bench.Ecology2(8), bench.Thermal2(8), bench.Serena(8)}
+	problems := []workload.Problem{workload.Ecology2(8), workload.Thermal2(8), workload.Serena(8)}
 	for i := range problems {
 		problems[i].RelTol = 1e-5
 	}
@@ -151,7 +151,7 @@ func BenchmarkFig3SSensitivity(b *testing.B) {
 	pr := benchPoisson(b)
 	m := sim.CrayXC40()
 	for i := 0; i < b.N; i++ {
-		series, err := bench.SSensitivity(pr, []int{3, 4, 5}, "jacobi", m, []int{1, 70, 140}, bench.DefaultOptions(pr))
+		series, err := bench.SSensitivity(pr, []int{3, 4, 5}, "jacobi", m, []int{1, 70, 140}, workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +169,7 @@ func BenchmarkFig4Preconditioners(b *testing.B) {
 	m := sim.CrayXC40()
 	for i := 0; i < b.N; i++ {
 		bars, err := bench.PrecondComparison(pr, []string{"jacobi", "sor", "mg", "gamg"},
-			[]string{"pcg", "pscg", "pipe-pscg"}, m, 120, bench.DefaultOptions(pr))
+			[]string{"pcg", "pscg", "pipe-pscg"}, m, 120, workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func BenchmarkFig5Accuracy(b *testing.B) {
 	pr := benchPoisson(b)
 	m := sim.CrayXC40()
 	for i := 0; i < b.N; i++ {
-		trs, err := bench.Accuracy(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, 80, bench.DefaultOptions(pr))
+		trs, err := bench.Accuracy(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, 80, workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkFig5Accuracy(b *testing.B) {
 func BenchmarkAblationAsyncProgress(b *testing.B) {
 	pr := benchPoisson(b)
 	for i := 0; i < b.N; i++ {
-		run, err := bench.RunSim(pr, "pipe-pscg", "jacobi", bench.DefaultOptions(pr))
+		run, err := bench.RunSim(pr, "pipe-pscg", "jacobi", workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func BenchmarkAblationDecomposition(b *testing.B) {
 	pr := benchPoisson(b)
 	m := sim.CrayXC40()
 	for i := 0; i < b.N; i++ {
-		run, err := bench.RunSim(pr, "pipe-pscg", "jacobi", bench.DefaultOptions(pr))
+		run, err := bench.RunSim(pr, "pipe-pscg", "jacobi", workload.DefaultOptions(pr))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -276,8 +276,8 @@ func BenchmarkAblationChooseS(b *testing.B) {
 // and residuals are bit-identical across pool sizes (the kernels are
 // deterministic), so the sub-benchmarks time exactly the same arithmetic.
 func BenchmarkSolverParallelKernels(b *testing.B) {
-	pr := bench.Poisson125(32) // 32.8k unknowns, ~4M nnz
-	pr.A.ChunkPlan()           // build the SPMV plan outside the timed region
+	pr := workload.Poisson125(32) // 32.8k unknowns, ~4M nnz
+	pr.A.ChunkPlan()              // build the SPMV plan outside the timed region
 	defer par.SetWorkers(0)
 	for _, w := range []int{1, runtime.NumCPU()} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -286,7 +286,7 @@ func BenchmarkSolverParallelKernels(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				pc := precond.NewJacobi(pr.A, 0, pr.A.Rows)
 				e := engine.NewSeq(pr.A, pc)
-				opt := bench.DefaultOptions(pr)
+				opt := workload.DefaultOptions(pr)
 				opt.RelTol, opt.AbsTol, opt.MaxIter = 0, 0, 30
 				res, err := krylov.PIPEPSCG(e, pr.B, opt)
 				if err != nil {
@@ -303,25 +303,23 @@ func BenchmarkSolverParallelKernels(b *testing.B) {
 // goroutine runtime with injected hop latency: PIPE-PsCG (1 hidden reduction
 // per s iterations) against PCG (3s exposed reductions).
 func BenchmarkRealOverlapCommRuntime(b *testing.B) {
-	pr := bench.Poisson7(12)
+	pr := workload.Poisson7(12)
 	const ranks = 4
 	const hop = 200 * time.Microsecond
 	pt := partition.RowBlock(pr.A.Rows, ranks)
-	bs := comm.Scatter(pt, pr.B)
-	factory := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	}
 	run := func(solve krylov.Solver) time.Duration {
-		f := comm.NewFabric(ranks, hop)
-		engines := comm.NewEngines(f, pr.A, pt, factory)
-		start := time.Now()
-		comm.Run(engines, func(r int, e *comm.Engine) {
-			opt := bench.DefaultOptions(pr)
-			if _, err := solve(e, bs[r], opt); err != nil {
-				b.Error(err)
-			}
-		})
-		return time.Since(start)
+		out, err := workload.SPMD{Fabric: comm.NewFabric(ranks, hop), Part: pt, PC: "jacobi"}.
+			Run(pr, krylov.Method{Solve: solve}, pr.B, workload.DefaultOptions(pr))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := out.FirstErr(); err != nil {
+			b.Error(err)
+		}
+		if out.Leak != nil {
+			b.Error(out.Leak)
+		}
+		return out.Elapsed
 	}
 	for i := 0; i < b.N; i++ {
 		tPCG := run(krylov.PCG)

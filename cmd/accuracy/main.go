@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -24,8 +25,8 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := bench.Poisson125(*n)
-	opt := bench.DefaultOptions(pr)
+	pr := workload.Poisson125(*n)
+	opt := workload.DefaultOptions(pr)
 	opt.RelTol = *rtol
 	m := sim.CrayXC40()
 	fmt.Printf("problem %s: N=%d nnz=%d at %d nodes, rtol %.0e\n", pr.Name, pr.A.Rows, pr.A.NNZ(), *nodes, *rtol)

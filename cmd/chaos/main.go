@@ -17,16 +17,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -61,7 +56,7 @@ func main() {
 	if *ranks < 1 {
 		log.Fatalf("-ranks must be at least 1, got %d", *ranks)
 	}
-	pr, err := bench.ProblemByName(*problem, *n, *scale)
+	pr, err := workload.ProblemByName(*problem, *n, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +67,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	solve := meth.Solve
 
 	fc := &comm.FaultConfig{
 		Seed: *seed, DropRate: *drop, DupRate: *dup,
@@ -80,7 +74,6 @@ func main() {
 		CorruptRate: *corrupt, Checksum: !*noChecksum,
 		StragglerRank: *straggler, StragglerJitter: *jitter,
 	}
-	pt := partition.RowBlockByNNZ(pr.A, *ranks)
 	f := comm.NewFabric(*ranks, *latency).WithFault(fc)
 	if *timeout > 0 {
 		// timeout 0 keeps the fabric default — block forever, unless drops
@@ -88,57 +81,34 @@ func main() {
 		// a guaranteed deadlock under message loss.
 		f = f.WithRecvTimeout(*timeout, *retries)
 	}
-	engines := comm.NewEngines(f, pr.A, pt, func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	})
-	bs := comm.Scatter(pt, pr.B)
 
 	fmt.Printf("%s: N=%d nnz=%d method=%s s=%d rtol=%.0e ranks=%d\n",
 		pr.Name, pr.A.Rows, pr.A.NNZ(), *method, *s, *rtol, *ranks)
 	fmt.Printf("faults: seed=%d drop=%.3g dup=%.3g delay=%.3g/%v corrupt=%.3g checksum=%v straggler=%d/%v timeout=%v×%d\n",
 		*seed, *drop, *dup, *delayRate, *delayMax, *corrupt, !*noChecksum, *straggler, *jitter, *timeout, *retries)
 
-	results := make([]*krylov.Result, *ranks)
-	start := time.Now()
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		res, err := solve(e, bs[r], opt)
-		results[r] = res
-		return err
-	})
-	wall := time.Since(start).Round(time.Millisecond)
-
-	failed := false
-	for r, err := range errs {
+	out, err := workload.SPMD{Fabric: f, PC: "jacobi"}.Run(pr, meth, pr.B, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for r, err := range out.Errs {
 		if err != nil {
-			failed = true
 			fmt.Printf("rank %d error: %v\n", r, err)
 		}
 	}
 
-	if res := results[0]; res != nil {
+	if res := out.Ranks[0]; res != nil {
 		fmt.Printf("%s: converged=%v iterations=%d (outer %d) relres=%.3e wall=%v\n",
-			res.Method, res.Converged, res.Iterations, res.Outer, res.RelRes, wall)
-		if !failed {
-			xs := make([][]float64, *ranks)
-			ok := true
-			for r := range xs {
-				if results[r] == nil {
-					ok = false
-					break
-				}
-				xs[r] = results[r].X
-			}
-			if ok {
-				fmt.Printf("true residual: %.3e\n", trueResidual(pr.A, pr.B, comm.Gather(pt, xs)))
-			}
+			res.Method, res.Converged, res.Iterations, res.Outer, res.RelRes, out.Elapsed.Round(time.Millisecond))
+		if out.Res != nil {
+			fmt.Printf("true residual: %.3e\n", workload.TrueResidual(pr.A, pr.B, out.Res.X))
 		}
 	}
 
 	// Recovery statistics: solver-level events summed across ranks, the
 	// comm layer's own ledger, and the injector's tally.
 	var recov, repl, steps, events int
-	for _, e := range engines {
-		c := e.Counters()
+	for _, c := range out.Counters {
 		recov += c.Recoveries
 		repl += c.ResidualReplacements
 		steps += c.LadderStepdowns
@@ -149,26 +119,9 @@ func main() {
 	fmt.Printf("comm faults: %s\n", total)
 	fmt.Printf("recovery events (trace.Counters, all ranks): %d\n", events)
 
-	if err := f.Close(); err != nil {
-		fmt.Printf("fabric close: %v\n", err)
+	if out.Leak != nil {
+		fmt.Printf("fabric close: %v\n", out.Leak)
 	} else {
 		fmt.Println("fabric close: clean (no leaked mailbox entries)")
 	}
-}
-
-// trueResidual recomputes ‖b − A·x‖/‖b‖ from scratch — the ground truth no
-// recurrence drift or injected corruption can fake.
-func trueResidual(a *sparse.CSR, b, x []float64) float64 {
-	r := make([]float64, a.Rows)
-	a.MulVec(r, x)
-	var rn, bn float64
-	for i := range r {
-		d := b[i] - r[i]
-		rn += d * d
-		bn += b[i] * b[i]
-	}
-	if bn == 0 {
-		return math.Sqrt(rn)
-	}
-	return math.Sqrt(rn / bn)
 }

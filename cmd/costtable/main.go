@@ -14,6 +14,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/perfmodel"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -37,8 +38,8 @@ func main() {
 
 	// Measured validation: kernel counts and VMA flops per s iterations.
 	fmt.Printf("\nMeasured per %d iterations (125-pt Poisson, n=%d, Jacobi):\n", *s, *n)
-	pr := bench.Poisson125(*n)
-	opt := bench.DefaultOptions(pr)
+	pr := workload.Poisson125(*n)
+	opt := workload.DefaultOptions(pr)
 	opt.S = *s
 	opt.RelTol = 0 // fixed-length runs
 	opt.AbsTol = 0
@@ -73,17 +74,14 @@ var measuredMethods = []string{"pcg", "cg-cg", "groppcg", "pipecg", "pipecg3", "
 
 // measured runs a method for maxIter iterations on a sequential engine and
 // returns a copy of its kernel counters.
-func measured(pr bench.Problem, meth string, opt krylov.Options, maxIter int) trace.Counters {
+func measured(pr workload.Problem, meth string, opt krylov.Options, maxIter int) trace.Counters {
 	m, err := krylov.MethodByName(meth)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var pc engine.Preconditioner
-	if !m.Unpreconditioned {
-		pc, err = bench.MakePC("jacobi", pr)
-		if err != nil {
-			log.Fatal(err)
-		}
+	pc, err := workload.PC(workload.EffectivePC(m, "jacobi"), pr)
+	if err != nil {
+		log.Fatal(err)
 	}
 	e := engine.NewSeq(pr.A, pc)
 	opt.MaxIter = maxIter

@@ -22,12 +22,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -41,12 +38,7 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := bench.Poisson7(*n)
-	pt := partition.RowBlockByNNZ(pr.A, *ranks)
-	bs := comm.Scatter(pt, pr.B)
-	factory := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	}
+	pr := workload.Poisson7(*n)
 
 	latencies := []time.Duration{0, 50 * time.Microsecond, 200 * time.Microsecond, 800 * time.Microsecond}
 	methodList := bench.ParseList(*methods)
@@ -71,34 +63,23 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			solve := m.Solve
 			best := time.Duration(0)
 			for rep := 0; rep < *reps; rep++ {
-				f := comm.NewFabric(*ranks, hop)
-				engines := comm.NewEngines(f, pr.A, pt, factory)
-				tracers := make([]*obs.Tracer, *ranks)
-				for r, e := range engines {
-					tracers[r] = obs.New(r)
-					e.SetTracer(tracers[r])
+				out, err := workload.SPMD{Fabric: comm.NewFabric(*ranks, hop), PC: "jacobi", Tracer: workload.DefaultTracer}.
+					Run(pr, m, pr.B, workload.DefaultOptions(pr))
+				if err != nil {
+					log.Fatal(err)
 				}
-				start := time.Now()
-				comm.Run(engines, func(r int, e *comm.Engine) {
-					opt := bench.DefaultOptions(pr)
-					res, err := solve(e, bs[r], opt)
-					if err != nil {
-						log.Fatalf("%s rank %d: %v", meth, r, err)
-					}
-					if r == 0 {
-						iters[meth] = res.Iterations
-					}
-				})
-				if el := time.Since(start); best == 0 || el < best {
-					best = el
-					sums := make([]obs.Summary, *ranks)
-					for r, tr := range tracers {
-						sums[r] = tr.Summary()
-					}
-					hidden[hi][meth] = obs.MergeSummaries(sums).Overlap
+				if r, err := out.FirstErr(); err != nil {
+					log.Fatalf("%s rank %d: %v", meth, r, err)
+				}
+				if out.Leak != nil {
+					log.Fatalf("%s: fabric close: %v", meth, out.Leak)
+				}
+				iters[meth] = out.Res.Iterations
+				if best == 0 || out.Elapsed < best {
+					best = out.Elapsed
+					hidden[hi][meth] = obs.MergeSummaries(out.Summaries).Overlap
 				}
 			}
 			fmt.Printf(" %12.1f", float64(best.Microseconds())/1000)

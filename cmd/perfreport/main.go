@@ -28,7 +28,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/grid"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sparse"
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 // Kernel is one measured kernel pair: a reference implementation and the
@@ -242,14 +242,14 @@ func rcmReport(rep *Report) {
 
 // solvePhases runs one full solve on the seq engine with a tracer and
 // returns the phase-span totals the runtime reports.
-func solvePhases(pr bench.Problem, op engine.Operator, backend string, s int) (SolvePhases, error) {
-	pc, err := bench.MakePC("jacobi", pr)
+func solvePhases(pr workload.Problem, op engine.Operator, backend string, s int) (SolvePhases, error) {
+	pc, err := workload.PC("jacobi", pr)
 	if err != nil {
 		return SolvePhases{}, err
 	}
 	e := engine.NewSeq(op, pc)
 	e.Tr = obs.New(0)
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = s
 	res, err := krylov.PIPEPSCG(e, pr.B, opt)
 	if err != nil {
@@ -301,7 +301,7 @@ type BlockReport struct {
 
 // blockRHS builds k right-hand sides: the problem's canonical b plus seeded
 // Gaussian columns.
-func blockRHS(pr bench.Problem, k int) [][]float64 {
+func blockRHS(pr workload.Problem, k int) [][]float64 {
 	bs := make([][]float64, k)
 	bs[0] = pr.B
 	for j := 1; j < k; j++ {
@@ -315,7 +315,7 @@ func blockRHS(pr bench.Problem, k int) [][]float64 {
 // per-RHS time must fall as the width grows.
 func blockReport() *BlockReport {
 	const dim = 48
-	pr := bench.Poisson125(dim)
+	pr := workload.Poisson125(dim)
 	rep := &BlockReport{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Problem:    pr.Name, N: pr.A.Rows, NNZ: pr.A.NNZ(),
@@ -348,14 +348,14 @@ func blockReport() *BlockReport {
 		bs := blockRHS(pr, k)
 		var iters int
 		r := measure(func() {
-			pc, err := bench.MakePC("jacobi", pr)
+			pc, err := workload.PC("jacobi", pr)
 			if err != nil {
 				log.Fatal(err)
 			}
 			e := engine.NewSeq(pr.Operator(), pc)
 			cols := make([]blockcg.Column, k)
 			for j := range cols {
-				cols[j] = blockcg.Column{B: bs[j], Opt: bench.DefaultOptions(pr)}
+				cols[j] = blockcg.Column{B: bs[j], Opt: workload.DefaultOptions(pr)}
 			}
 			out := blockcg.Solve(e, krylov.PCG, cols)
 			for j := range out {
@@ -422,7 +422,7 @@ func main() {
 	gramKernels(rep)
 	rcmReport(rep)
 
-	pr := bench.Poisson7(32)
+	pr := workload.Poisson7(32)
 	for _, s := range []int{4, 6} {
 		csr, err := solvePhases(pr, pr.A, "csr", s)
 		if err != nil {

@@ -26,12 +26,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/engine"
-	"repro/internal/grid"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -59,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = *s
 	opt.MaxIter = *maxIter
 	if *rtol > 0 {
@@ -80,19 +78,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	solve := meth.Solve
 	fmt.Printf("%s: N=%d nnz=%d method=%s pc=%s s=%d rtol=%.0e norm=%s runtime=%s\n",
 		pr.Name, pr.A.Rows, pr.A.NNZ(), *method, *pc, *s, opt.RelTol, opt.Norm, *runtime)
 
 	switch *runtime {
 	case "seq":
-		pcInst, err := makePC(meth, *pc, pr)
+		pcInst, err := workload.PC(workload.EffectivePC(meth, *pc), pr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		e := engine.NewSeq(pr.Operator(), pcInst)
 		start := time.Now()
-		res, err := solve(e, pr.B, opt)
+		res, err := meth.Solve(e, pr.B, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -119,68 +116,39 @@ func main() {
 		}
 
 	case "comm":
-		if meth.Unpreconditioned {
-			*pc = "none"
+		out, err := workload.SPMD{Fabric: comm.NewFabric(*ranks, *latency), PC: *pc}.Run(pr, meth, pr.B, opt)
+		if err != nil {
+			log.Fatalf("runtime comm supports %v", err)
 		}
-		pt := partition.RowBlockByNNZ(pr.A, *ranks)
-		f := comm.NewFabric(*ranks, *latency)
-		var factory comm.PCFactory
-		switch *pc {
-		case "none":
-		case "jacobi":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewJacobi(a, lo, hi)
-			}
-		case "sor":
-			// Processor-block SSOR: each rank relaxes its own row block,
-			// exactly PETSc's parallel PCSOR behaviour.
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewSSOR(a, lo, hi, 1.0, 1)
-			}
-		default:
-			log.Fatalf("runtime comm supports rank-local PCs only (jacobi, sor, none), got %q", *pc)
+		if r, err := out.FirstErr(); err != nil {
+			log.Fatalf("rank %d: %v", r, err)
 		}
-		engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, factory)
-		bs := comm.Scatter(pt, pr.B)
-		results := make([]*krylov.Result, *ranks)
-		start := time.Now()
-		comm.Run(engines, func(r int, e *comm.Engine) {
-			res, err := solve(e, bs[r], opt)
-			if err != nil {
-				log.Fatalf("rank %d: %v", r, err)
-			}
-			results[r] = res
-		})
-		report(results[0])
+		report(out.Res)
 		fmt.Printf("wall time: %v over %d ranks (hop latency %v)\nrank-0 counters: %s\n",
-			time.Since(start).Round(time.Millisecond), *ranks, *latency, engines[0].Counters())
+			out.Elapsed.Round(time.Millisecond), *ranks, *latency, &out.Counters[0])
+		if out.Leak != nil {
+			log.Fatalf("fabric close: %v", out.Leak)
+		}
 
 	default:
 		log.Fatalf("unknown runtime %q", *runtime)
 	}
 }
 
-func loadProblem(matrixPath, name string, n, scale int) (bench.Problem, error) {
+func loadProblem(matrixPath, name string, n, scale int) (workload.Problem, error) {
 	if matrixPath == "" {
-		return bench.ProblemByName(name, n, scale)
+		return workload.ProblemByName(name, n, scale)
 	}
 	f, err := os.Open(matrixPath)
 	if err != nil {
-		return bench.Problem{}, err
+		return workload.Problem{}, err
 	}
 	defer f.Close()
 	a, err := sparse.ReadMatrixMarket(f)
 	if err != nil {
-		return bench.Problem{}, err
+		return workload.Problem{}, err
 	}
-	return bench.Problem{Name: matrixPath, A: a, B: grid.OnesRHS(a), RelTol: 1e-5}, nil
-}
-
-func makePC(meth krylov.Method, pcName string, pr bench.Problem) (engine.Preconditioner, error) {
-	if meth.Unpreconditioned {
-		return nil, nil
-	}
-	return bench.MakePC(pcName, pr)
+	return workload.FromMatrix(matrixPath, a), nil
 }
 
 func report(res *krylov.Result) {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -23,11 +24,11 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := bench.Poisson125(*n)
+	pr := workload.Poisson125(*n)
 	m := sim.CrayXC40()
 	fmt.Printf("problem %s: N=%d nnz=%d at %d nodes\n", pr.Name, pr.A.Rows, pr.A.NNZ(), *nodes)
 
-	bars, err := bench.PrecondComparison(pr, bench.ParseList(*pcs), bench.ParseList(*methods), m, *nodes, bench.DefaultOptions(pr))
+	bars, err := bench.PrecondComparison(pr, bench.ParseList(*pcs), bench.ParseList(*methods), m, *nodes, workload.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // The method list of each figure and table, by name — selections from
@@ -70,23 +71,23 @@ func main() {
 	write("results_table1.txt", t1)
 
 	// Figure 1.
-	pr := bench.Poisson125(n)
-	series, err := bench.StrongScaling(pr, fig1Methods, "jacobi", m, nodes, bench.DefaultOptions(pr))
+	pr := workload.Poisson125(n)
+	series, err := bench.StrongScaling(pr, fig1Methods, "jacobi", m, nodes, workload.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}
 	write("results_fig1.txt", bench.FormatScaling("Fig. 1 — strong scaling, 125-pt Poisson", series))
 
 	// Figure 2.
-	eco := bench.Ecology2(scale)
-	series, err = bench.StrongScaling(eco, fig2Methods, "jacobi", m, nodes, bench.DefaultOptions(eco))
+	eco := workload.Ecology2(scale)
+	series, err = bench.StrongScaling(eco, fig2Methods, "jacobi", m, nodes, workload.DefaultOptions(eco))
 	if err != nil {
 		log.Fatal(err)
 	}
 	write("results_fig2.txt", bench.FormatScaling("Fig. 2 — strong scaling, ecology2 (rtol 1e-2)", series))
 
 	// Table II.
-	mats := []bench.Problem{bench.Ecology2(scale), bench.Thermal2(scale), bench.Serena(scale)}
+	mats := []workload.Problem{workload.Ecology2(scale), workload.Thermal2(scale), workload.Serena(scale)}
 	for i := range mats {
 		mats[i].RelTol = 1e-5
 	}
@@ -103,7 +104,7 @@ func main() {
 	write("results_table2.txt", "Table II — SuiteSparse stand-ins @120 nodes, rtol 1e-5\n"+t2)
 
 	// Figure 3.
-	series, err = bench.SSensitivity(pr, []int{3, 4, 5}, "jacobi", m, append(nodes, 130, 140), bench.DefaultOptions(pr))
+	series, err = bench.SSensitivity(pr, []int{3, 4, 5}, "jacobi", m, append(nodes, 130, 140), workload.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -114,9 +115,9 @@ func main() {
 	if n4 > 64 {
 		n4 = 64
 	}
-	pr4 := bench.Poisson125(n4)
+	pr4 := workload.Poisson125(n4)
 	bars, err := bench.PrecondComparison(pr4, []string{"jacobi", "sor", "mg", "gamg"},
-		fig4Methods, m, 120, bench.DefaultOptions(pr4))
+		fig4Methods, m, 120, workload.DefaultOptions(pr4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func main() {
 	write("results_fig4.txt", "Fig. 4 — preconditioner comparison @120 nodes\n"+t4)
 
 	// Figure 5.
-	trs, err := bench.Accuracy(pr, fig5Methods, "jacobi", m, 80, bench.DefaultOptions(pr))
+	trs, err := bench.Accuracy(pr, fig5Methods, "jacobi", m, 80, workload.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}

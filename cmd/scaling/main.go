@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -40,7 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	pr, err := bench.ProblemByName(*problem, *n, *scale)
+	pr, err := workload.ProblemByName(*problem, *n, *scale)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = *s
 	if *rtol > 0 {
 		opt.RelTol = *rtol

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -25,7 +26,7 @@ func main() {
 	)
 	flag.Parse()
 
-	pr := bench.Poisson125(*n)
+	pr := workload.Poisson125(*n)
 	nodeList, err := bench.ParseInts(*nodes)
 	if err != nil {
 		log.Fatal(err)
@@ -37,7 +38,7 @@ func main() {
 	m := sim.CrayXC40()
 	fmt.Printf("problem %s: N=%d nnz=%d pc=%s\n", pr.Name, pr.A.Rows, pr.A.NNZ(), *pc)
 
-	series, err := bench.SSensitivity(pr, sList, *pc, m, nodeList, bench.DefaultOptions(pr))
+	series, err := bench.SSensitivity(pr, sList, *pc, m, nodeList, workload.DefaultOptions(pr))
 	if err != nil {
 		log.Fatal(err)
 	}

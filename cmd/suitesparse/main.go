@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -25,9 +26,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var problems []bench.Problem
+	var problems []workload.Problem
 	for _, name := range bench.ParseList(*matrices) {
-		pr, err := bench.ProblemByName(name, 0, *scale)
+		pr, err := workload.ProblemByName(name, 0, *scale)
 		if err != nil {
 			log.Fatal(err)
 		}

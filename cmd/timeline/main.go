@@ -34,14 +34,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/comm"
-	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -72,14 +68,14 @@ func main() {
 		return
 	}
 
-	pr := bench.Poisson7(*n)
+	pr := workload.Poisson7(*n)
 	meth, err := krylov.MethodByName(*method)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	opt := bench.DefaultOptions(pr)
-	sums, res, err := tracedSolve(pr, *ranks, *hop, meth.Solve, opt)
+	opt := workload.DefaultOptions(pr)
+	sums, res, err := tracedSolve(pr, *ranks, *hop, meth, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,13 +88,13 @@ func main() {
 	// plateaus the residual, the stagnation guard fires (improvement < 1%
 	// over a 2-check window), and the recovery policy restores the best
 	// iterate and rebuilds the basis instead of stopping.
-	ropt := bench.DefaultOptions(pr)
+	ropt := workload.DefaultOptions(pr)
 	ropt.RelTol = 1e-30
 	ropt.Recover = true
 	ropt.MaxRecoveries = 2
 	ropt.StagnationWindow = 2
 	ropt.StagnationFactor = 0.99
-	rsums, rres, err := tracedSolve(pr, *ranks, *hop, krylov.PIPEPSCG, ropt)
+	rsums, rres, err := tracedSolve(pr, *ranks, *hop, krylov.Method{Solve: krylov.PIPEPSCG}, ropt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -122,41 +118,21 @@ func main() {
 
 // tracedSolve runs one SPMD solve on a fresh fabric with a tracer per rank
 // and returns the per-rank summaries plus rank 0's result.
-func tracedSolve(pr bench.Problem, ranks int, hop time.Duration,
-	solve krylov.Solver, opt krylov.Options) ([]obs.Summary, *krylov.Result, error) {
-	pt := partition.RowBlockByNNZ(pr.A, ranks)
-	f := comm.NewFabric(ranks, hop)
-	factory := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-		return precond.NewJacobi(a, lo, hi)
-	}
-	engines := comm.NewEngines(f, pr.A, pt, factory)
-	tracers := make([]*obs.Tracer, ranks)
-	for r, e := range engines {
-		tracers[r] = obs.New(r)
-		e.SetTracer(tracers[r])
-	}
-	bs := comm.Scatter(pt, pr.B)
+func tracedSolve(pr workload.Problem, ranks int, hop time.Duration,
+	meth krylov.Method, opt krylov.Options) ([]obs.Summary, *krylov.Result, error) {
 	opt.WaitDeadline = 10 * time.Second
-
-	results := make([]*krylov.Result, ranks)
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		var err error
-		results[r], err = solve(e, bs[r], opt)
-		return err
-	})
-	if err := f.Close(); err != nil {
-		return nil, nil, fmt.Errorf("fabric leak: %v", err)
+	out, err := workload.SPMD{Fabric: comm.NewFabric(ranks, hop), PC: "jacobi", Tracer: workload.DefaultTracer}.
+		Run(pr, meth, pr.B, opt)
+	if err != nil {
+		return nil, nil, err
 	}
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("rank %d: %v", r, err)
-		}
+	if out.Leak != nil {
+		return nil, nil, fmt.Errorf("fabric leak: %v", out.Leak)
 	}
-	sums := make([]obs.Summary, ranks)
-	for r, tr := range tracers {
-		sums[r] = tr.Summary()
+	if r, err := out.FirstErr(); err != nil {
+		return nil, nil, fmt.Errorf("rank %d: %v", r, err)
 	}
-	return sums, results[0], nil
+	return out.Summaries, out.Res, nil
 }
 
 // checkTrace validates an exported file through obs.CheckChromeEvents: every

@@ -11,61 +11,42 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/engine"
-	"repro/internal/grid"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
-	"repro/internal/synth"
+	"repro/internal/workload"
 )
 
 func main() {
 	const ranks = 4
 
 	// A heterogeneous conductance grid (ecology2-like, reduced scale).
-	m := synth.Ecology2(16) // ≈62×62
-	a := m.A
-	b := grid.OnesRHS(a)
+	pr := workload.Ecology2(16) // ≈62×62
 	fmt.Printf("pressure Poisson: %s stand-in, N=%d nnz=%d, %d SPMD ranks\n",
-		m.Name, a.Rows, a.NNZ(), ranks)
-
-	pt := partition.RowBlockByNNZ(a, ranks)
-	fabric := comm.NewFabric(ranks, 50*time.Microsecond) // injected hop latency
-	engines := comm.NewEngines(fabric, a, pt,
-		func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewJacobi(a, lo, hi)
-		})
-	bs := comm.Scatter(pt, b)
+		pr.Name, pr.A.Rows, pr.A.NNZ(), ranks)
 
 	opt := krylov.Defaults()
 	opt.RelTol = 1e-2 // the OpenFOAM default the paper cites
 
-	results := make([]*krylov.Result, ranks)
-	start := time.Now()
-	comm.Run(engines, func(r int, e *comm.Engine) {
-		res, err := krylov.Hybrid(e, bs[r], opt)
-		if err != nil {
-			log.Fatalf("rank %d: %v", r, err)
-		}
-		results[r] = res
-	})
-	elapsed := time.Since(start)
+	fabric := comm.NewFabric(ranks, 50*time.Microsecond) // injected hop latency
+	out, err := workload.SPMD{Fabric: fabric, PC: "jacobi"}.Run(pr, krylov.Method{Solve: krylov.Hybrid}, pr.B, opt)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if r, err := out.FirstErr(); err != nil {
+		log.Fatalf("rank %d: %v", r, err)
+	}
+	if out.Leak != nil {
+		log.Fatal(out.Leak)
+	}
 
-	res := results[0]
+	res := out.Res
 	fmt.Printf("%s: converged=%v in %d iterations, relres=%.3e\n",
 		res.Method, res.Converged, res.Iterations, res.RelRes)
 	fmt.Printf("wall time %v with real overlapped allreduces (rank-0 counters: %s)\n",
-		elapsed.Round(time.Millisecond), engines[0].Counters())
+		out.Elapsed.Round(time.Millisecond), &out.Counters[0])
 
-	// Reassemble the global pressure field and report its range.
-	xs := make([][]float64, ranks)
-	for r := range xs {
-		xs[r] = results[r].X
-	}
-	x := comm.Gather(pt, xs)
-	lo, hi := x[0], x[0]
-	for _, v := range x {
+	// The driver reassembled the global pressure field; report its range.
+	lo, hi := res.X[0], res.X[0]
+	for _, v := range res.X {
 		if v < lo {
 			lo = v
 		}

@@ -10,10 +10,11 @@ import (
 	"repro/internal/bench"
 	"repro/internal/perfmodel"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
-	pr := bench.Poisson125(24) // 13.8k unknowns — fast demo
+	pr := workload.Poisson125(24) // 13.8k unknowns — fast demo
 	m := sim.CrayXC40()
 
 	model := perfmodel.Problem{
@@ -35,7 +36,7 @@ func main() {
 	// Verify with the simulator: run PIPE-PsCG at several s and report the
 	// measured (modeled) time at each scale.
 	fmt.Println("\nsimulator check (modeled time to convergence, seconds):")
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	svals := []int{1, 2, 3, 4, 5, 6}
 	runs := map[int]*bench.Run{}
 	for _, s := range svals {

@@ -32,12 +32,7 @@
 // failure is exactly reproducible.
 package audit
 
-import (
-	"math"
-
-	"repro/internal/bench"
-	"repro/internal/vec"
-)
+import "repro/internal/workload"
 
 // SweepOptions configures a sweep.
 type SweepOptions struct {
@@ -140,23 +135,10 @@ func AuditConfig(cfg Config, specs []EngineSpec, p AuditParams) ([]Violation, in
 			if r.Spec.BitGroup() {
 				continue
 			}
-			vs = append(vs, CheckTrueResidual(cfg, r, trueRelOf(pr, r.X), p)...)
+			vs = append(vs, CheckTrueResidual(cfg, r, workload.TrueResidual(pr.A, pr.B, r.X), p)...)
 		}
 	}
 	return vs, nRuns, maxRatio
-}
-
-// trueRelOf computes ‖b−A·x‖/‖b‖ with the raw CSR kernel.
-func trueRelOf(pr bench.Problem, x []float64) float64 {
-	r := make([]float64, pr.A.Rows)
-	pr.A.MulVec(r, x)
-	vec.Sub(r, pr.B, r)
-	num := math.Sqrt(vec.Dot(r, r))
-	den := math.Sqrt(vec.Dot(pr.B, pr.B))
-	if den > 0 {
-		return num / den
-	}
-	return num
 }
 
 // withRepro shrinks the failing config and stamps every violation with the

@@ -493,6 +493,30 @@ func TestExecutePoolRestoration(t *testing.T) {
 	}
 }
 
+// TestExecuteRefusesWholeMatrixPCOnComm: a comm spec with a preconditioner
+// that is not rank-local must fail with the shared table's error — it used to
+// run with identity, silently unpreconditioned against a preconditioned seq
+// reference — and the config as a whole reports it as a violation.
+func TestExecuteRefusesWholeMatrixPCOnComm(t *testing.T) {
+	cfg := Config{Problem: "poisson7", N: 6, Method: "pcg", PC: "icc", S: 1}
+	if _, err := Execute(cfg, EngineSpec{Kind: "seq", Pool: 1}, DefaultParams()); err != nil {
+		t.Fatalf("seq runs icc: %v", err)
+	}
+	_, err := Execute(cfg, EngineSpec{Kind: "comm", Ranks: 4, Pool: 1}, DefaultParams())
+	if err == nil || !strings.Contains(err.Error(), `rank-local PCs only (jacobi, sor, none), got "icc"`) {
+		t.Fatalf("comm with pc=icc: error %v, want the rank-local refusal", err)
+	}
+	vs, _, _ := AuditConfig(cfg, []EngineSpec{{Kind: "seq", Pool: 1}, {Kind: "comm", Ranks: 4, Pool: 1}}, DefaultParams())
+	if len(vs) != 1 || vs[0].Kind != "error" {
+		t.Fatalf("violations %+v, want exactly the comm spec's error", vs)
+	}
+	// A method that ignores its preconditioner runs wherever it is asked to.
+	cfg.Method, cfg.S = "pipe-scg", 3
+	if _, err := Execute(cfg, EngineSpec{Kind: "comm", Ranks: 4, Pool: 1}, DefaultParams()); err != nil {
+		t.Fatalf("pipe-scg ignores pc=icc and must run: %v", err)
+	}
+}
+
 // refLedger guards against silent counter-field growth: if trace.Counters
 // gains a field that Fields() misses, ledger comparison would silently skip
 // it. trace has its own coverage test; this assertion just ties the audit's

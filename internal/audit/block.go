@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bench"
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/krylov"
+	"repro/internal/workload"
 )
 
 // blockRHS builds a config's K right-hand sides: column 0 is the problem's
@@ -15,7 +15,7 @@ import (
 // engine matrix audited), and each further column is a deterministic
 // splitmix64 vector derived from the config seed — distinct systems, same
 // provenance.
-func blockRHS(cfg Config, pr bench.Problem) [][]float64 {
+func blockRHS(cfg Config, pr workload.Problem) [][]float64 {
 	bs := make([][]float64, cfg.K)
 	bs[0] = pr.B
 	for j := 1; j < cfg.K; j++ {
@@ -50,13 +50,13 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 		return fail("error", "%v", err), 0
 	}
 	solver := meth.Solve
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = cfg.S
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
 
 	newEngine := func() (engine.Engine, error) {
-		pc, err := bench.MakePC(effectivePC(cfg), pr)
+		pc, err := workload.PC(workload.EffectivePC(meth, cfg.PC), pr)
 		if err != nil {
 			return nil, err
 		}

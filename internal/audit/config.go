@@ -15,7 +15,7 @@ import (
 // and compares the outcomes. Seed records the splitmix64 draw that produced
 // the config, so a reported failure carries its own provenance.
 type Config struct {
-	Problem string // bench problem name (poisson7, poisson125, ecology2, ...)
+	Problem string // catalogue problem name (poisson7, poisson125, ecology2, ...)
 	N       int    // grid edge for structured problems, reduction scale for synth ones
 	Method  string // solver name from the krylov registry
 	PC      string // preconditioner name (none, jacobi, sor)

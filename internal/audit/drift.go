@@ -7,6 +7,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/sparse"
 	"repro/internal/vec"
+	"repro/internal/workload"
 )
 
 // AuditParams bounds every judgement the harness makes. Defaults() is the
@@ -80,91 +81,68 @@ type DriftReport struct {
 	Violations []string
 }
 
-// DriftAuditor recomputes the true residual out-of-band from the solver's
-// iterate. It attaches to a solve via krylov.Options.Observe and deliberately
-// uses the raw CSR kernels — not the engine — so the audited run's counter
-// ledger is identical to an unaudited one (ledger bit-identity across
-// engines is itself under test).
+// DriftAuditor keeps an audited run's drift samples, its drift violations
+// and the Krylov-basis Gram probe on top of workload.DriftProbe, the
+// out-of-band true-residual sampler (raw CSR kernels, never the engine, so
+// the audited run's counter ledger is identical to an unaudited one — ledger
+// bit-identity across engines is itself under test).
 type DriftAuditor struct {
-	a      *sparse.CSR
-	b      []float64
-	bnorm  float64
-	s      int
-	p      AuditParams
-	r      []float64 // scratch: b − A·x
-	t      []float64 // scratch: A·basis column
-	checks int
-	rep    DriftReport
+	*workload.DriftProbe
+	a   *sparse.CSR
+	s   int
+	p   AuditParams
+	t   []float64 // scratch: A·basis column
+	rep DriftReport
 }
 
 // NewDriftAuditor builds the auditor for one solve of A·x = b with block
-// size s (the Gram probe builds an s-column monomial basis).
+// size s (the Gram probe builds an s-column monomial basis). Its Observe
+// method is the krylov.Options.Observe hook: every DriftEvery-th monitor
+// check it recomputes the true residual and probes the Krylov-basis Gram
+// matrix the next s-step block would be built from.
 func NewDriftAuditor(a *sparse.CSR, b []float64, s int, p AuditParams) *DriftAuditor {
 	if s < 1 {
 		s = 1
 	}
-	return &DriftAuditor{
-		a: a, b: b, bnorm: math.Sqrt(vec.Dot(b, b)), s: s, p: p,
-		r: make([]float64, a.Rows), t: make([]float64, a.Rows),
-	}
+	d := &DriftAuditor{DriftProbe: workload.NewDriftProbe(a, b, p.DriftEvery),
+		a: a, s: s, p: p, t: make([]float64, a.Rows)}
+	d.OnSample = d.sample
+	return d
 }
 
-// Observe is the krylov.Options.Observe hook: every DriftEvery-th monitor
-// check it recomputes the true residual and probes the Krylov-basis Gram
-// matrix the next s-step block would be built from.
-func (d *DriftAuditor) Observe(hp krylov.HistPoint, x []float64) {
-	d.checks++
-	every := d.p.DriftEvery
-	if every < 1 {
-		every = 1
-	}
-	if (d.checks-1)%every != 0 {
-		return
-	}
-	// True residual r = b − A·x through the raw kernel.
-	d.a.MulVec(d.r, x)
-	vec.Sub(d.r, d.b, d.r)
-	trueRel := math.Sqrt(vec.Dot(d.r, d.r))
-	if d.bnorm > 0 {
-		trueRel /= d.bnorm
-	}
+// sample judges one measurement; r is the true residual b − A·x.
+func (d *DriftAuditor) sample(hp krylov.HistPoint, trueRel float64, r []float64) {
 	d.rep.Samples = append(d.rep.Samples, DriftSample{
 		Iteration: hp.Iteration, RelRes: hp.RelRes, TrueRel: trueRel,
 	})
-
+	d.rep.MaxRatio = d.MaxRatio
 	// A non-finite recurrence residual is the divergence guard's business
 	// (an invariant check ensures it is terminal); drift is only meaningful
 	// between finite quantities.
 	if !finite(hp.RelRes) || !finite(trueRel) {
 		return
 	}
-	if hp.RelRes > 0 {
-		if ratio := trueRel / hp.RelRes; ratio > d.rep.MaxRatio {
-			d.rep.MaxRatio = ratio
-		}
-	}
 	if trueRel > d.p.DriftFloor && trueRel > d.p.DriftFactor*hp.RelRes {
 		d.rep.Violations = append(d.rep.Violations, fmt.Sprintf(
 			"iter %d: true residual %.3e exceeds %g× recurrence residual %.3e",
 			hp.Iteration, trueRel, d.p.DriftFactor, hp.RelRes))
 	}
-
-	if v := d.gramProbe(); v != "" {
+	if v := d.gramProbe(r); v != "" {
 		d.rep.Violations = append(d.rep.Violations,
 			fmt.Sprintf("iter %d: %s", hp.Iteration, v))
 	}
 }
 
 // gramProbe builds the s-column monomial Krylov basis K = [r, Ar, …,
-// A^{s-1}r] from the current TRUE residual (already in d.r) and checks the
+// A^{s-1}r] from the current TRUE residual r and checks the
 // A-Gram G = KᵀAK for symmetry and positive semi-definiteness within
 // tolerance — the structural precondition the s-step scalar work (W·α = g
 // via Cholesky) rests on. Columns are normalized so the probe measures the
 // operator, not the residual's magnitude. Returns "" when the probe passes.
-func (d *DriftAuditor) gramProbe() string {
+func (d *DriftAuditor) gramProbe(r []float64) string {
 	s, n := d.s, d.a.Rows
 	basis := make([][]float64, s)
-	cur := d.r
+	cur := r
 	for j := 0; j < s; j++ {
 		col := make([]float64, n)
 		copy(col, cur)

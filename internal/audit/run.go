@@ -5,17 +5,15 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // EngineSpec names one runtime a config is executed on: the engine kind,
@@ -101,8 +99,8 @@ type Run struct {
 // transformed system. "csr" strips the matrix-free backend, "stencil"
 // requires it, and "rcm" reorders the whole system (A, b, and ground truth
 // move together; the stencil kernel is invalid after reordering).
-func buildProblem(cfg Config) (bench.Problem, error) {
-	pr, err := bench.ProblemByName(cfg.Problem, cfg.N, cfg.N)
+func buildProblem(cfg Config) (workload.Problem, error) {
+	pr, err := workload.ProblemByName(cfg.Problem, cfg.N, cfg.N)
 	if err != nil {
 		return pr, err
 	}
@@ -115,28 +113,25 @@ func buildProblem(cfg Config) (bench.Problem, error) {
 			return pr, fmt.Errorf("audit: problem %q has no matrix-free stencil", cfg.Problem)
 		}
 	case "rcm":
-		perm := sparse.RCMOrder(pr.A)
-		pr.A = sparse.PermuteSym(pr.A, perm)
-		b := make([]float64, len(pr.B))
-		sparse.PermuteVec(b, pr.B, perm)
-		pr.B = b
-		pr.Perm = perm
-		pr.Op = nil
+		pr = pr.Reordered(sparse.RCMOrder(pr.A))
 	default:
 		return pr, fmt.Errorf("audit: unknown op %q", cfg.Op)
 	}
 	return pr, nil
 }
 
-// Execute runs one config on one engine spec. The solve is configured with
-// the unpreconditioned residual norm so the monitor's recurrence norm and
-// the drift auditor's true ‖b−A·x‖/‖b‖ measure the same quantity.
+// Execute runs one config on one engine spec, assembled the way every other
+// harness assembles a solve: the catalogue, the preconditioner table and —
+// for comm specs — the SPMD driver of internal/workload. The solve is
+// configured with the unpreconditioned residual norm so the monitor's
+// recurrence norm and the drift auditor's true ‖b−A·x‖/‖b‖ measure the same
+// quantity.
 func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 	pr, err := buildProblem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = cfg.S
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
@@ -145,7 +140,6 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver := meth.Solve
 
 	// The worker pool is process-global; pin it for the duration of this run
 	// and restore afterwards so specs never leak into each other.
@@ -166,7 +160,7 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 
 	switch spec.Kind {
 	case "seq", "sim":
-		pc, err := bench.MakePC(effectivePC(cfg), pr)
+		pc, err := workload.PC(workload.EffectivePC(meth, cfg.PC), pr)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +179,7 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 			se.Op = pr.Op
 			e = se
 		}
-		res, err := solver(e, pr.B, opt)
+		res, err := meth.Solve(e, pr.B, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -197,61 +191,29 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 		if ranks < 1 {
 			ranks = 1
 		}
-		pt := partition.RowBlockByNNZ(pr.A, ranks)
-		f := comm.NewFabric(ranks, 0)
-		engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, pcFactory(effectivePC(cfg)))
-		var tracers []*obs.Tracer
+		driver := workload.SPMD{Fabric: comm.NewFabric(ranks, 0), PC: cfg.PC}
 		if ap.Trace {
-			tracers = make([]*obs.Tracer, ranks)
-			for r, e := range engines {
-				tracers[r] = obs.New(r)
-				e.SetTracer(tracers[r])
-			}
+			driver.Tracer = workload.DefaultTracer
 		}
-		bs := comm.Scatter(pt, pr.B)
 		opt.WaitDeadline = 10 * time.Second
-
-		rankOpts := make([]krylov.Options, ranks)
-		for r := range rankOpts {
-			rankOpts[r] = opt
-			if r != 0 {
-				rankOpts[r].Observe = nil
-			}
+		out, err := driver.Run(pr, meth, pr.B, opt)
+		if err != nil {
+			return nil, err
 		}
-		results := make([]*krylov.Result, ranks)
-		errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-			res, err := solver(e, bs[r], rankOpts[r])
-			results[r] = res
-			return err
-		})
-		ledger := *engines[0].Counters()
-		_ = f.Close()
-		for r, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("rank %d: %w", r, err)
-			}
+		if r, err := out.FirstErr(); err != nil {
+			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		xs := make([][]float64, ranks)
-		for r := range xs {
-			xs[r] = results[r].X
+		if out.Leak != nil {
+			return nil, out.Leak
 		}
-		run.Res, run.X, run.Ledger = results[0], comm.Gather(pt, xs), ledger
+		run.Res, run.X, run.Ledger = out.Res, out.Res.X, out.Counters[0]
 
 		// The full observability sink, mirroring solverd's post-solve path:
 		// skew over the rank summaries with fabric transit attribution, the
 		// record folded into a (discarded) flight recorder. All of it reads
 		// finished state, so the iterates above must be unaffected.
-		if ap.Flight && tracers != nil && ranks > 1 {
-			sums := make([]obs.Summary, ranks)
-			for r, tr := range tracers {
-				sums[r] = tr.Summary()
-			}
-			transit := f.TransitStats()
-			transitNS := make([]int64, ranks)
-			for r := range transitNS {
-				transitNS[r] = transit[r].MeanNS()
-			}
-			skew := obs.AnalyzeSkewTransit(sums, transitNS)
+		if sums := out.Summaries; ap.Flight && sums != nil && ranks > 1 {
+			skew := obs.AnalyzeSkewTransit(sums, out.TransitNS)
 			run.Skew = &skew
 			fr := obs.NewFlightRecorder("audit", spec.String(), 4, 4)
 			fr.RecordJob(obs.JobRecord{
@@ -264,34 +226,4 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 		return run, nil
 	}
 	return nil, fmt.Errorf("audit: unknown engine kind %q", spec.Kind)
-}
-
-// effectivePC collapses the preconditioner for methods that ignore it, so a
-// config carrying a stale pc field still runs the solve it describes.
-func effectivePC(cfg Config) string {
-	if m, _ := krylov.MethodByName(cfg.Method); m.Unpreconditioned {
-		return "none"
-	}
-	return cfg.PC
-}
-
-// pcFactory maps a preconditioner name to the comm runtime's rank-local
-// factory. Only the rank-local PCs are in the sweep: at P>1, rank-local SSOR
-// is a block-SSOR — a different (valid) operator than the global sweep, one
-// more reason multi-rank runs live under the cross-P policy, not the bit
-// group.
-func pcFactory(name string) comm.PCFactory {
-	switch name {
-	case "", "none":
-		return nil
-	case "jacobi":
-		return func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewJacobi(a, lo, hi)
-		}
-	case "sor":
-		return func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewSSOR(a, lo, hi, 1.0, 1)
-		}
-	}
-	return nil
 }

@@ -7,26 +7,29 @@ import (
 
 	"repro/internal/krylov"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // smallPoisson is a fast stand-in problem for harness tests.
-func smallPoisson(t *testing.T) Problem {
+func smallPoisson(t *testing.T) workload.Problem {
 	t.Helper()
-	pr := Poisson7(10)
+	pr := workload.Poisson7(10)
 	pr.RelTol = 1e-6
 	return pr
 }
 
+// The catalogue checks below stay in this package under the names the test
+// floor knows them by; they exercise internal/workload, which bench runs on.
 func TestProblemBuilders(t *testing.T) {
-	pr := Poisson125(6)
+	pr := workload.Poisson125(6)
 	if pr.A.Rows != 216 || pr.Grid == nil {
 		t.Fatal("poisson125 builder broken")
 	}
-	e := Ecology2(64)
+	e := workload.Ecology2(64)
 	if e.RelTol != 1e-2 {
 		t.Fatal("ecology2 must default to rtol 1e-2 (paper Fig. 2)")
 	}
-	if Thermal2(64).A.Rows == 0 || Serena(16).A.Rows == 0 {
+	if workload.Thermal2(64).A.Rows == 0 || workload.Serena(16).A.Rows == 0 {
 		t.Fatal("synth builders broken")
 	}
 }
@@ -34,14 +37,14 @@ func TestProblemBuilders(t *testing.T) {
 func TestMakePC(t *testing.T) {
 	pr := smallPoisson(t)
 	for _, name := range []string{"none", "jacobi", "sor", "bjacobi", "chebyshev", "mg", "gamg"} {
-		if _, err := MakePC(name, pr); err != nil {
+		if _, err := workload.PC(name, pr); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	if _, err := MakePC("mg", Ecology2(128)); err == nil {
+	if _, err := workload.PC("mg", workload.Ecology2(128)); err == nil {
 		t.Fatal("mg on unstructured problem must error")
 	}
-	if _, err := MakePC("bogus", pr); err == nil {
+	if _, err := workload.PC("bogus", pr); err == nil {
 		t.Fatal("unknown PC must error")
 	}
 }
@@ -50,7 +53,7 @@ func TestStrongScalingShape(t *testing.T) {
 	pr := smallPoisson(t)
 	m := sim.CrayXC40()
 	nodes := []int{1, 10, 40, 120}
-	series, err := StrongScaling(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, nodes, DefaultOptions(pr))
+	series, err := StrongScaling(pr, []string{"pcg", "pipecg", "pipe-pscg"}, "jacobi", m, nodes, workload.DefaultOptions(pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestStrongScalingShape(t *testing.T) {
 func TestSSensitivityRuns(t *testing.T) {
 	pr := smallPoisson(t)
 	m := sim.CrayXC40()
-	series, err := SSensitivity(pr, []int{2, 3}, "jacobi", m, []int{1, 80}, DefaultOptions(pr))
+	series, err := SSensitivity(pr, []int{2, 3}, "jacobi", m, []int{1, 80}, workload.DefaultOptions(pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestSSensitivityRuns(t *testing.T) {
 func TestPrecondComparisonRuns(t *testing.T) {
 	pr := smallPoisson(t)
 	m := sim.CrayXC40()
-	bars, err := PrecondComparison(pr, []string{"jacobi", "sor"}, []string{"pcg", "pipe-pscg"}, m, 120, DefaultOptions(pr))
+	bars, err := PrecondComparison(pr, []string{"jacobi", "sor"}, []string{"pcg", "pipe-pscg"}, m, 120, workload.DefaultOptions(pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestPrecondComparisonRuns(t *testing.T) {
 func TestAccuracyTrajectories(t *testing.T) {
 	pr := smallPoisson(t)
 	m := sim.CrayXC40()
-	trs, err := Accuracy(pr, []string{"pcg", "pipe-pscg"}, "jacobi", m, 80, DefaultOptions(pr))
+	trs, err := Accuracy(pr, []string{"pcg", "pipe-pscg"}, "jacobi", m, 80, workload.DefaultOptions(pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +134,7 @@ func TestAccuracyTrajectories(t *testing.T) {
 
 func TestTableIIRuns(t *testing.T) {
 	pr := smallPoisson(t)
-	rows, err := TableII([]Problem{pr}, []string{"pcg", "pipecg-oati", "hybrid"}, "jacobi", sim.CrayXC40(), 120)
+	rows, err := TableII([]workload.Problem{pr}, []string{"pcg", "pipecg-oati", "hybrid"}, "jacobi", sim.CrayXC40(), 120)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestFormatters(t *testing.T) {
 
 func TestRunSimUnpreconditionedIgnoresPC(t *testing.T) {
 	pr := smallPoisson(t)
-	run, err := RunSim(pr, "pipe-scg", "jacobi", DefaultOptions(pr))
+	run, err := RunSim(pr, "pipe-scg", "jacobi", workload.DefaultOptions(pr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +190,8 @@ func TestRunSimUnpreconditionedIgnoresPC(t *testing.T) {
 }
 
 func TestDefaultOptions(t *testing.T) {
-	pr := Ecology2(128)
-	opt := DefaultOptions(pr)
+	pr := workload.Ecology2(128)
+	opt := workload.DefaultOptions(pr)
 	if opt.RelTol != 1e-2 || opt.S != 3 {
 		t.Fatalf("bad defaults %+v", opt)
 	}

@@ -8,11 +8,12 @@ import (
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/krylov"
+	"repro/internal/workload"
 )
 
 // blockRHS builds k deterministic right-hand sides: column 0 the problem's
 // canonical b, the rest seeded Gaussian vectors.
-func blockRHS(pr Problem, k int) [][]float64 {
+func blockRHS(pr workload.Problem, k int) [][]float64 {
 	bs := make([][]float64, k)
 	bs[0] = pr.B
 	for j := 1; j < k; j++ {
@@ -30,7 +31,7 @@ func blockRHS(pr Problem, k int) [][]float64 {
 // block MulMat over the same columns — the amortization the block subsystem
 // is built on: one read of A's values and column indices serves every RHS.
 func BenchmarkBlockSpMV(b *testing.B) {
-	pr := Poisson125(48)
+	pr := workload.Poisson125(48)
 	a := pr.A
 	for _, k := range []int{1, 4, 16} {
 		xs := blockRHS(pr, k)
@@ -58,19 +59,19 @@ func BenchmarkBlockSpMV(b *testing.B) {
 // reported as the ns/rhs metric, which is the number that must fall as k
 // grows for the batching to pay.
 func BenchmarkBlockSolve(b *testing.B) {
-	pr := Poisson125(32)
+	pr := workload.Poisson125(32)
 	for _, k := range []int{1, 4, 16} {
 		bs := blockRHS(pr, k)
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				pc, err := MakePC("jacobi", pr)
+				pc, err := workload.PC("jacobi", pr)
 				if err != nil {
 					b.Fatal(err)
 				}
 				e := engine.NewSeq(pr.Operator(), pc)
 				cols := make([]blockcg.Column, k)
 				for j := range cols {
-					opt := DefaultOptions(pr)
+					opt := workload.DefaultOptions(pr)
 					cols[j] = blockcg.Column{B: bs[j], Opt: opt}
 				}
 				out := blockcg.Solve(e, krylov.PCG, cols)

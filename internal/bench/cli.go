@@ -90,24 +90,3 @@ func ParseList(s string) []string {
 	}
 	return out
 }
-
-// ProblemByName builds a named workload. n is the grid dimension for the
-// Poisson problems; scale the reduction factor for the SuiteSparse
-// stand-ins (1 = full paper size).
-func ProblemByName(name string, n, scale int) (Problem, error) {
-	switch name {
-	case "poisson125":
-		return Poisson125(n), nil
-	case "poisson7":
-		return Poisson7(n), nil
-	case "poisson5":
-		return Poisson5(n), nil
-	case "ecology2":
-		return Ecology2(scale), nil
-	case "thermal2":
-		return Thermal2(scale), nil
-	case "serena":
-		return Serena(scale), nil
-	}
-	return Problem{}, fmt.Errorf("bench: unknown problem %q (want poisson125, poisson7, poisson5, ecology2, thermal2, serena)", name)
-}

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/workload"
+)
 
 func TestParseInts(t *testing.T) {
 	cases := []struct {
@@ -84,8 +88,8 @@ func TestParseList(t *testing.T) {
 }
 
 func TestProblemByName(t *testing.T) {
-	for _, name := range []string{"poisson125", "poisson7", "ecology2", "thermal2", "serena"} {
-		pr, err := ProblemByName(name, 8, 32)
+	for _, name := range workload.Names { // the name list and the constructors agree
+		pr, err := workload.ProblemByName(name, 8, 32)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -96,7 +100,7 @@ func TestProblemByName(t *testing.T) {
 			t.Fatalf("%s: missing decomposition hint", name)
 		}
 	}
-	if _, err := ProblemByName("bogus", 8, 1); err == nil {
+	if _, err := workload.ProblemByName("bogus", 8, 1); err == nil {
 		t.Fatal("want error")
 	}
 }

@@ -1,3 +1,10 @@
+// Package bench holds the paper's experiments on the recording simulator
+// engine (see DESIGN.md §5 for the experiment index): each solver runs once
+// on internal/sim, and the event stream is replayed across rank counts to
+// produce the strong-scaling, s-sensitivity, preconditioner, accuracy and
+// SuiteSparse comparisons behind every table and figure of the evaluation
+// section. Problems, preconditioners and default options come from
+// internal/workload, the assembly every other harness shares.
 package bench
 
 import (
@@ -6,6 +13,7 @@ import (
 
 	"repro/internal/krylov"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Run is one solver execution on the recording simulator engine: the real
@@ -19,17 +27,14 @@ type Run struct {
 
 // RunSim executes one method on the problem under the named preconditioner
 // and returns the recording.
-func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error) {
+func RunSim(pr workload.Problem, method, pcName string, opt krylov.Options) (*Run, error) {
 	m, err := krylov.MethodByName(method)
 	if err != nil {
 		return nil, err
 	}
-	pc, err := MakePC(pcName, pr)
+	pc, err := workload.PC(workload.EffectivePC(m, pcName), pr)
 	if err != nil {
 		return nil, err
-	}
-	if m.Unpreconditioned {
-		pc = nil
 	}
 	eng := sim.NewEngine(pr.A, pc)
 	eng.Op = pr.Op
@@ -39,13 +44,6 @@ func RunSim(pr Problem, method, pcName string, opt krylov.Options) (*Run, error)
 		return nil, fmt.Errorf("bench: %s on %s: %w", method, pr.Name, err)
 	}
 	return &Run{Method: method, PC: pcName, Result: res, Eng: eng}, nil
-}
-
-// DefaultOptions returns the paper's solve options for a problem.
-func DefaultOptions(pr Problem) krylov.Options {
-	opt := krylov.Defaults()
-	opt.RelTol = pr.RelTol
-	return opt
 }
 
 // ScalingSeries is one method's strong-scaling curve.
@@ -71,7 +69,7 @@ func nodesToCores(m sim.Machine, nodes []int) []int {
 // StrongScaling reproduces Figures 1 and 2: each method runs once, its event
 // stream is priced at every node count, and speedups are reported against
 // PCG on one node.
-func StrongScaling(pr Problem, methods []string, pcName string, m sim.Machine, nodes []int, opt krylov.Options) ([]ScalingSeries, error) {
+func StrongScaling(pr workload.Problem, methods []string, pcName string, m sim.Machine, nodes []int, opt krylov.Options) ([]ScalingSeries, error) {
 	cores := nodesToCores(m, nodes)
 
 	base, err := RunSim(pr, "pcg", pcName, opt)
@@ -103,7 +101,7 @@ func StrongScaling(pr Problem, methods []string, pcName string, m sim.Machine, n
 
 // SSensitivity reproduces Figure 3: PIPE-PsCG at several s values across
 // node counts, speedups versus PCG at one node.
-func SSensitivity(pr Problem, svals []int, pcName string, m sim.Machine, nodes []int, opt krylov.Options) ([]ScalingSeries, error) {
+func SSensitivity(pr workload.Problem, svals []int, pcName string, m sim.Machine, nodes []int, opt krylov.Options) ([]ScalingSeries, error) {
 	cores := nodesToCores(m, nodes)
 	base, err := RunSim(pr, "pcg", pcName, opt)
 	if err != nil {
@@ -142,7 +140,7 @@ type PCBar struct {
 
 // PrecondComparison reproduces Figure 4: each preconditioner × method at a
 // fixed node count, speedup versus PCG (same preconditioner) on one node.
-func PrecondComparison(pr Problem, pcs, methods []string, m sim.Machine, atNodes int, opt krylov.Options) ([]PCBar, error) {
+func PrecondComparison(pr workload.Problem, pcs, methods []string, m sim.Machine, atNodes int, opt krylov.Options) ([]PCBar, error) {
 	var out []PCBar
 	p := atNodes * m.CoresPerNode
 	for _, pcName := range pcs {
@@ -178,7 +176,7 @@ type Trajectory struct {
 
 // Accuracy reproduces Figure 5: relative residual as a function of modeled
 // time at a fixed node count.
-func Accuracy(pr Problem, methods []string, pcName string, m sim.Machine, atNodes int, opt krylov.Options) ([]Trajectory, error) {
+func Accuracy(pr workload.Problem, methods []string, pcName string, m sim.Machine, atNodes int, opt krylov.Options) ([]Trajectory, error) {
 	p := atNodes * m.CoresPerNode
 	var out []Trajectory
 	for _, meth := range methods {
@@ -210,11 +208,11 @@ type TableIIRow struct {
 }
 
 // TableII reproduces the SuiteSparse comparison at a fixed node count.
-func TableII(problems []Problem, methods []string, pcName string, m sim.Machine, atNodes int) ([]TableIIRow, error) {
+func TableII(problems []workload.Problem, methods []string, pcName string, m sim.Machine, atNodes int) ([]TableIIRow, error) {
 	p := atNodes * m.CoresPerNode
 	var rows []TableIIRow
 	for _, pr := range problems {
-		opt := DefaultOptions(pr)
+		opt := workload.DefaultOptions(pr)
 		base, err := RunSim(pr, "pcg", pcName, opt)
 		if err != nil {
 			return nil, err

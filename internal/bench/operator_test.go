@@ -7,75 +7,51 @@ import (
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/krylov"
-	"repro/internal/partition"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
-// solveSeq runs one method on the sequential engine over the given operator.
-func solveSeq(t *testing.T, pr Problem, op engine.Operator, method string) *krylov.Result {
+// solveSeq runs one method on the sequential engine; pr.Op selects the
+// operator (nil = the assembled CSR).
+func solveSeq(t *testing.T, pr workload.Problem, method string) *krylov.Result {
 	t.Helper()
 	m, err := krylov.MethodByName(method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := m.Solve
-	var pc engine.Preconditioner
-	if !m.Unpreconditioned {
-		pc, err = MakePC("jacobi", pr)
-		if err != nil {
-			t.Fatal(err)
-		}
+	pc, err := workload.PC(workload.EffectivePC(m, "jacobi"), pr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt := DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = 3
-	res, err := solve(engine.NewSeq(op, pc), pr.B, opt)
+	res, err := m.Solve(engine.NewSeq(pr.Operator(), pc), pr.B, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", method, err)
 	}
 	return res
 }
 
-// solveComm runs one method on the goroutine-rank runtime over the given
-// operator and returns the assembled iterate.
-func solveComm(t *testing.T, pr Problem, op engine.Operator, method string, ranks int) *krylov.Result {
+// solveComm runs one method on the goroutine-rank runtime through the shared
+// SPMD driver and returns rank 0's result with the assembled iterate.
+func solveComm(t *testing.T, pr workload.Problem, method string, ranks int) *krylov.Result {
 	t.Helper()
 	m, err := krylov.MethodByName(method)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solve := m.Solve
-	var factory comm.PCFactory
-	if !m.Unpreconditioned {
-		factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-			return precond.NewJacobi(a, lo, hi)
-		}
-	}
-	opt := DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = 3
-	pt := partition.RowBlockByNNZ(pr.A, ranks)
-	f := comm.NewFabric(ranks, 0)
-	engines := comm.NewEnginesOp(f, pr.A, op, pt, factory)
-	bs := comm.Scatter(pt, pr.B)
-	results := make([]*krylov.Result, ranks)
-	comm.Run(engines, func(r int, e *comm.Engine) {
-		res, err := solve(e, bs[r], opt)
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
-			return
-		}
-		results[r] = res
-	})
-	if t.Failed() {
-		t.FailNow()
+	out, err := workload.SPMD{Fabric: comm.NewFabric(ranks, 0), PC: "jacobi"}.Run(pr, m, pr.B, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	xs := make([][]float64, ranks)
-	for r := range xs {
-		xs[r] = results[r].X
+	if r, err := out.FirstErr(); err != nil {
+		t.Fatalf("rank %d: %v", r, err)
 	}
-	out := *results[0]
-	out.X = comm.Gather(pt, xs)
-	return &out
+	if out.Leak != nil {
+		t.Fatal(out.Leak)
+	}
+	return out.Res
 }
 
 func sameBits(t *testing.T, tag string, got, want *krylov.Result) {
@@ -104,23 +80,25 @@ func sameBits(t *testing.T, tag string, got, want *krylov.Result) {
 func TestStencilSolveBitIdenticalToCSR(t *testing.T) {
 	methods := []string{"pcg", "scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg"}
 	for _, name := range []string{"poisson7", "poisson5"} {
-		pr, err := ProblemByName(name, 7, 1)
+		pr, err := workload.ProblemByName(name, 7, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if pr.Op == nil {
 			t.Fatalf("%s: no matrix-free operator", name)
 		}
+		csr := pr
+		csr.Op = nil
 		for _, method := range methods {
-			want := solveSeq(t, pr, pr.A, method)
+			want := solveSeq(t, csr, method)
 			if !want.Converged {
 				t.Fatalf("%s/%s: CSR reference did not converge", name, method)
 			}
-			got := solveSeq(t, pr, pr.Op, method)
+			got := solveSeq(t, pr, method)
 			sameBits(t, name+"/"+method+"/seq", got, want)
 			for _, ranks := range []int{1, 4} {
-				wantP := solveComm(t, pr, pr.A, method, ranks)
-				gotP := solveComm(t, pr, pr.Op, method, ranks)
+				wantP := solveComm(t, csr, method, ranks)
+				gotP := solveComm(t, pr, method, ranks)
 				sameBits(t, name+"/"+method+"/comm", gotP, wantP)
 				if ranks == 1 {
 					// One-rank SPMD matches the sequential path bitwise too

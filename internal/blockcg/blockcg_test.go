@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/blockcg"
 	"repro/internal/comm"
 	"repro/internal/engine"
@@ -18,11 +17,12 @@ import (
 	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // distinctRHS returns k deterministic, mutually different right-hand sides:
 // column 0 is the problem's canonical b, the rest are seeded pseudo-random.
-func distinctRHS(pr bench.Problem, k int, seed int64) [][]float64 {
+func distinctRHS(pr workload.Problem, k int, seed int64) [][]float64 {
 	cols := make([][]float64, k)
 	cols[0] = pr.B
 	for j := 1; j < k; j++ {
@@ -44,10 +44,10 @@ func solverOf(t *testing.T, method string) krylov.Solver {
 	return m.Solve
 }
 
-func soloSeq(t *testing.T, pr bench.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
+func soloSeq(t *testing.T, pr workload.Problem, method string, b []float64, opt krylov.Options) (*krylov.Result, trace.Counters) {
 	t.Helper()
 	solver := solverOf(t, method)
-	pc, err := bench.MakePC("jacobi", pr)
+	pc, err := workload.PC("jacobi", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func compareColumn(t *testing.T, label string, gang blockcg.Result, solo *krylov
 // Distinct RHS make the columns converge at different iterations, so
 // deflation (width shrinking mid-solve) is exercised on every run.
 func TestGangBitIdenticalSeq(t *testing.T) {
-	pr := bench.Poisson7(10)
+	pr := workload.Poisson7(10)
 	const k = 3
 	for _, method := range []string{"pcg", "groppcg", "scg", "pipe-scg", "pscg", "pipe-pscg"} {
 		t.Run(method, func(t *testing.T) {
-			opt := bench.DefaultOptions(pr)
+			opt := workload.DefaultOptions(pr)
 			opt.S = 3
 			rhs := distinctRHS(pr, k, 42)
 
@@ -114,7 +114,7 @@ func TestGangBitIdenticalSeq(t *testing.T) {
 			}
 
 			solver := solverOf(t, method)
-			pc, err := bench.MakePC("jacobi", pr)
+			pc, err := workload.PC("jacobi", pr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,11 +144,11 @@ func TestGangBitIdenticalSeq(t *testing.T) {
 // that batch composition — and with it the packed halo payloads and the
 // collective sequence — stays rank-consistent.
 func TestGangBitIdenticalComm(t *testing.T) {
-	pr := bench.Poisson7(8)
+	pr := workload.Poisson7(8)
 	const k = 3
 	method := "pipe-pscg"
 	solver := solverOf(t, method)
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = 3
 	rhs := distinctRHS(pr, k, 7)
 
@@ -223,14 +223,14 @@ func TestGangBitIdenticalComm(t *testing.T) {
 // phases (block_spmv from the batched SPMV, block_gram from the packed
 // reductions).
 func TestGangTracingBitIdentity(t *testing.T) {
-	pr := bench.Poisson125(6)
+	pr := workload.Poisson125(6)
 	const k = 4
 	solver := krylov.PCG
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	rhs := distinctRHS(pr, k, 3)
 
 	run := func(traced bool) ([]blockcg.Result, obs.Summary) {
-		pc, err := bench.MakePC("jacobi", pr)
+		pc, err := workload.PC("jacobi", pr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,10 +298,10 @@ func (c *cancelWrap) SpMV(dst, src []float64) {
 func TestGangColumnCancel(t *testing.T) {
 	for _, tc := range []struct {
 		method string
-		pr     bench.Problem
+		pr     workload.Problem
 	}{
-		{"pcg", bench.Poisson7(8)},
-		{"pipe-pscg", bench.Poisson7(20)},
+		{"pcg", workload.Poisson7(8)},
+		{"pipe-pscg", workload.Poisson7(20)},
 	} {
 		t.Run(tc.method, func(t *testing.T) {
 			pr, method := tc.pr, tc.method
@@ -309,7 +309,7 @@ func TestGangColumnCancel(t *testing.T) {
 				t.Fatalf("%d rows against a par grain of %d", len(pr.B), par.Grain())
 			}
 			const k = 3
-			opt := bench.DefaultOptions(pr)
+			opt := workload.DefaultOptions(pr)
 			opt.S = 3
 			rhs := distinctRHS(pr, k, 99)
 
@@ -320,7 +320,7 @@ func TestGangColumnCancel(t *testing.T) {
 			}
 
 			solver := solverOf(t, method)
-			pc, err := bench.MakePC("jacobi", pr)
+			pc, err := workload.PC("jacobi", pr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,11 +354,11 @@ func TestGangColumnCancel(t *testing.T) {
 
 // TestGangWidthOne: a width-1 gang is exactly a solo solve.
 func TestGangWidthOne(t *testing.T) {
-	pr := bench.Poisson125(5)
-	opt := bench.DefaultOptions(pr)
+	pr := workload.Poisson125(5)
+	opt := workload.DefaultOptions(pr)
 	solo, soloC := soloSeq(t, pr, "pscg", pr.B, opt)
 	solver := krylov.PSCG
-	pc, _ := bench.MakePC("jacobi", pr)
+	pc, _ := workload.PC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	res := blockcg.Solve(base, solver, []blockcg.Column{{B: pr.B, Opt: opt}})
 	compareColumn(t, "width-1", res[0], solo, soloC)
@@ -366,9 +366,9 @@ func TestGangWidthOne(t *testing.T) {
 
 // TestGangEmpty: zero columns is a no-op.
 func TestGangEmpty(t *testing.T) {
-	pr := bench.Poisson125(4)
+	pr := workload.Poisson125(4)
 	solver := krylov.PCG
-	pc, _ := bench.MakePC("jacobi", pr)
+	pc, _ := workload.PC("jacobi", pr)
 	base := engine.NewSeq(pr.Operator(), pc)
 	if got := blockcg.Solve(base, solver, nil); len(got) != 0 {
 		t.Fatalf("empty gang returned %d results", len(got))

@@ -21,7 +21,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // breakerGaugeValue maps breaker states onto a monotone severity scale:
 // 0 closed, 1 half-open, 2 open — so `max` over time in a dashboard reads as
 // "how broken did it get".
-func breakerGaugeValue(s BreakerState) int {
+func breakerGaugeValue(s BreakerState) int64 {
 	switch s {
 	case BreakerClosed:
 		return 0
@@ -34,63 +34,33 @@ func breakerGaugeValue(s BreakerState) int {
 
 // WritePrometheus writes the router metrics snapshot.
 func (rt *Router) WritePrometheus(w io.Writer) {
-	fmt.Fprintf(w, "# HELP cluster_shards Configured shard count.\n")
-	fmt.Fprintf(w, "# TYPE cluster_shards gauge\n")
-	fmt.Fprintf(w, "cluster_shards %d\n", len(rt.names))
-	fmt.Fprintf(w, "# TYPE cluster_replicas gauge\n")
-	fmt.Fprintf(w, "cluster_replicas %d\n", rt.cfg.Replicas)
+	p := obs.NewPromWriter(w)
+	p.Family("cluster_shards", "gauge", "Configured shard count.").Int("", int64(len(rt.names)))
+	p.Family("cluster_replicas", "gauge", "").Int("", int64(rt.cfg.Replicas))
 
-	fmt.Fprintf(w, "# HELP cluster_shard_up Shard reachability from the router (last probe or request).\n")
-	fmt.Fprintf(w, "# TYPE cluster_shard_up gauge\n")
-	for _, name := range rt.names {
-		fmt.Fprintf(w, "cluster_shard_up{shard=%q} %d\n", name, b2i(rt.shards[name].up.Load()))
+	perShard := func(name, typ, help string, value func(*shard) int64) {
+		p.Family(name, typ, help)
+		for _, sh := range rt.names {
+			p.Int(fmt.Sprintf("shard=%q", sh), value(rt.shards[sh]))
+		}
 	}
-	fmt.Fprintf(w, "# HELP cluster_shard_draining Shard alive but refusing admissions.\n")
-	fmt.Fprintf(w, "# TYPE cluster_shard_draining gauge\n")
-	for _, name := range rt.names {
-		fmt.Fprintf(w, "cluster_shard_draining{shard=%q} %d\n", name, b2i(rt.shards[name].draining.Load()))
-	}
-	fmt.Fprintf(w, "# HELP cluster_breaker_state Circuit breaker position: 0 closed, 1 half-open, 2 open.\n")
-	fmt.Fprintf(w, "# TYPE cluster_breaker_state gauge\n")
-	for _, name := range rt.names {
-		fmt.Fprintf(w, "cluster_breaker_state{shard=%q} %d\n", name, breakerGaugeValue(rt.shards[name].breaker.State()))
-	}
-	fmt.Fprintf(w, "# HELP cluster_shard_requests_total Requests proxied to each shard (probes excluded).\n")
-	fmt.Fprintf(w, "# TYPE cluster_shard_requests_total counter\n")
-	for _, name := range rt.names {
-		fmt.Fprintf(w, "cluster_shard_requests_total{shard=%q} %d\n", name, rt.shards[name].requests.Load())
-	}
-	fmt.Fprintf(w, "# HELP cluster_shard_errors_total Transport failures talking to each shard.\n")
-	fmt.Fprintf(w, "# TYPE cluster_shard_errors_total counter\n")
-	for _, name := range rt.names {
-		fmt.Fprintf(w, "cluster_shard_errors_total{shard=%q} %d\n", name, rt.shards[name].errors.Load())
-	}
+	perShard("cluster_shard_up", "gauge", "Shard reachability from the router (last probe or request).",
+		func(s *shard) int64 { return obs.PromBool(s.up.Load()) })
+	perShard("cluster_shard_draining", "gauge", "Shard alive but refusing admissions.",
+		func(s *shard) int64 { return obs.PromBool(s.draining.Load()) })
+	perShard("cluster_breaker_state", "gauge", "Circuit breaker position: 0 closed, 1 half-open, 2 open.",
+		func(s *shard) int64 { return breakerGaugeValue(s.breaker.State()) })
+	perShard("cluster_shard_requests_total", "counter", "Requests proxied to each shard (probes excluded).",
+		func(s *shard) int64 { return s.requests.Load() })
+	perShard("cluster_shard_errors_total", "counter", "Transport failures talking to each shard.",
+		func(s *shard) int64 { return s.errors.Load() })
 
-	fmt.Fprintf(w, "# HELP cluster_retries_total Attempts re-sent after an upstream failure.\n")
-	fmt.Fprintf(w, "# TYPE cluster_retries_total counter\n")
-	fmt.Fprintf(w, "cluster_retries_total %d\n", rt.met.retries.Load())
-	fmt.Fprintf(w, "# HELP cluster_failovers_total Requests served by a non-primary replica.\n")
-	fmt.Fprintf(w, "# TYPE cluster_failovers_total counter\n")
-	fmt.Fprintf(w, "cluster_failovers_total %d\n", rt.met.failovers.Load())
-	fmt.Fprintf(w, "# HELP cluster_requeued_jobs_total Solve jobs resubmitted at least once under their idempotency key.\n")
-	fmt.Fprintf(w, "# TYPE cluster_requeued_jobs_total counter\n")
-	fmt.Fprintf(w, "cluster_requeued_jobs_total %d\n", rt.met.requeued.Load())
-	fmt.Fprintf(w, "# HELP cluster_rejected_total Shard 429 responses propagated to clients with Retry-After.\n")
-	fmt.Fprintf(w, "# TYPE cluster_rejected_total counter\n")
-	fmt.Fprintf(w, "cluster_rejected_total %d\n", rt.met.rejected.Load())
-	fmt.Fprintf(w, "# HELP cluster_unavailable_total Router-issued 503s: no replica accepting after retries.\n")
-	fmt.Fprintf(w, "# TYPE cluster_unavailable_total counter\n")
-	fmt.Fprintf(w, "cluster_unavailable_total %d\n", rt.met.unavailable.Load())
-	fmt.Fprintf(w, "# HELP cluster_upload_replicas_total Successful upload replica writes.\n")
-	fmt.Fprintf(w, "# TYPE cluster_upload_replicas_total counter\n")
-	fmt.Fprintf(w, "cluster_upload_replicas_total %d\n", rt.met.uploadRepl.Load())
+	p.Family("cluster_retries_total", "counter", "Attempts re-sent after an upstream failure.").Int("", rt.met.retries.Load())
+	p.Family("cluster_failovers_total", "counter", "Requests served by a non-primary replica.").Int("", rt.met.failovers.Load())
+	p.Family("cluster_requeued_jobs_total", "counter", "Solve jobs resubmitted at least once under their idempotency key.").Int("", rt.met.requeued.Load())
+	p.Family("cluster_rejected_total", "counter", "Shard 429 responses propagated to clients with Retry-After.").Int("", rt.met.rejected.Load())
+	p.Family("cluster_unavailable_total", "counter", "Router-issued 503s: no replica accepting after retries.").Int("", rt.met.unavailable.Load())
+	p.Family("cluster_upload_replicas_total", "counter", "Successful upload replica writes.").Int("", rt.met.uploadRepl.Load())
 
-	obs.WriteGoRuntimeMetrics(w, "cluster")
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	obs.WriteGoRuntimeMetrics(p, "cluster")
 }

@@ -188,59 +188,42 @@ func TestMCGRRBeatsPlainPipelinedFloor(t *testing.T) {
 	}
 }
 
-// TestReplacePolicyHook pins the rk_replace-style policy contract: a non-nil
-// Options.ReplacePolicy overrides ReplaceEvery entirely, is consulted with
-// 1-based iteration numbers, and drives the ResidualReplacements counter.
-func TestReplacePolicyHook(t *testing.T) {
+// TestReplaceCadence pins the variant family's residual-replacement cadence
+// through the ResidualReplacements counter: ReplaceEvery fires on every
+// multiple of itself (1-based iterations), PIPEMCGRR falls back to
+// defaultReplaceEvery, and PIPEPRCG does not replace unless asked.
+func TestReplaceCadence(t *testing.T) {
 	a, b := testProblem(t)
-
-	run := func(opt Options) (*Result, *engine.Seq, []int) {
-		var asked []int
-		inner := opt.ReplacePolicy
-		opt.ReplacePolicy = func(k int) bool {
-			asked = append(asked, k)
-			return inner != nil && inner(k)
-		}
+	for _, tc := range []struct {
+		name   string
+		solve  Solver
+		every  int // Options.ReplaceEvery
+		period int // expected cadence, 0 = never
+	}{
+		{"pipe-m-cg-rr/every=5", PIPEMCGRR, 5, 5},
+		{"pipe-m-cg-rr/every=2", PIPEMCGRR, 2, 2},
+		{"pipe-m-cg-rr/default", PIPEMCGRR, 0, defaultReplaceEvery},
+		{"pipe-pr-cg/default", PIPEPRCG, 0, 0},
+		{"pipe-pr-cg/every=5", PIPEPRCG, 5, 5},
+	} {
+		opt := Defaults()
+		opt.RelTol = 1e-8
+		opt.ReplaceEvery = tc.every
 		e := engine.NewSeq(a, precond.NewJacobi(a, 0, a.Rows))
-		res, err := PIPEMCGRR(e, b, opt)
+		res, err := tc.solve(e, b, opt)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		return res, e, asked
-	}
-
-	// A policy that never fires wins over an aggressive ReplaceEvery.
-	opt := Defaults()
-	opt.RelTol = 1e-8
-	opt.ReplaceEvery = 2
-	res, e, asked := run(opt)
-	if !res.Converged {
-		t.Fatalf("did not converge: %g", res.RelRes)
-	}
-	if got := e.Counters().ResidualReplacements; got != 0 {
-		t.Fatalf("never-fire policy must suppress replacement, counter = %d", got)
-	}
-	if len(asked) == 0 || asked[0] != 1 {
-		t.Fatalf("policy must be consulted with 1-based iterations, got %v", asked[:min(len(asked), 3)])
-	}
-	for i, k := range asked {
-		if k != i+1 {
-			t.Fatalf("policy consultations not consecutive 1-based: asked[%d] = %d", i, k)
+		if !res.Converged {
+			t.Fatalf("%s: did not converge: %g", tc.name, res.RelRes)
 		}
-	}
-
-	// A firing policy is visible in the counters.
-	opt = Defaults()
-	opt.RelTol = 1e-8
-	opt.ReplacePolicy = func(k int) bool { return k%5 == 0 }
-	res, e, _ = run(Options{RelTol: 1e-8, AbsTol: 1e-50, MaxIter: 100000, S: 3,
-		ReplacePolicy: opt.ReplacePolicy})
-	if !res.Converged {
-		t.Fatalf("did not converge: %g", res.RelRes)
-	}
-	want := res.Iterations / 5
-	if got := e.Counters().ResidualReplacements; got != want {
-		t.Fatalf("every-5 policy: %d replacements over %d iterations, want %d",
-			got, res.Iterations, want)
+		want := 0
+		if tc.period > 0 {
+			want = res.Iterations / tc.period
+		}
+		if got := e.Counters().ResidualReplacements; got != want {
+			t.Errorf("%s: %d replacements over %d iterations, want %d",
+				tc.name, got, res.Iterations, want)
+		}
 	}
 }

@@ -91,15 +91,6 @@ type Options struct {
 	// tight tolerances (the Cools–Cornelis–Vanroose remedy the paper's
 	// §V alludes to). 0 disables replacement.
 	ReplaceEvery int
-	// ReplacePolicy generalizes ReplaceEvery for the stability-aware
-	// variants (PIPEMCGRR, PIPEPRCG): when non-nil it is consulted with the
-	// 1-based iteration number about to be completed and a true return
-	// forces a residual replacement at that iteration — the rk_replace
-	// policy hook of the ParallelCG exemplars. It takes precedence over
-	// ReplaceEvery. The policy must be deterministic and identical across
-	// ranks: it is evaluated independently on every rank of an SPMD run,
-	// and divergent answers would desynchronize the kernel schedule.
-	ReplacePolicy func(iter int) bool
 	// Recover turns the breakdown/divergence/stagnation guards from hard
 	// stops into a recovery policy: the solver restores the best iterate,
 	// recomputes the true residual r = b − A·x, rebuilds the Krylov basis

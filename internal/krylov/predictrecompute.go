@@ -22,9 +22,8 @@ import (
 //	PIPEMCGRR pipelined Meurant CG with periodic residual replacement: the
 //	          cheaper one-overlapped-SPMV pipelined variant, stabilized by
 //	          recomputing r = b − A·x (and the vectors derived from it) on
-//	          the rk_replace cadence from Options (ReplacePolicy /
-//	          ReplaceEvery, defaulting to every defaultReplaceEvery
-//	          iterations).
+//	          the rk_replace cadence Options.ReplaceEvery (every
+//	          defaultReplaceEvery iterations when unset).
 //
 // Shared state, in the exemplars' naming generalized to a preconditioner M:
 //
@@ -36,7 +35,7 @@ import (
 // exemplars (z ≡ r, q ≡ s, w ≡ A·r, u ≡ A·s).
 
 // defaultReplaceEvery is the residual-replacement cadence PIPEMCGRR falls
-// back to when neither ReplacePolicy nor ReplaceEvery is set. PIPEMCGRR
+// back to when ReplaceEvery is not set. PIPEMCGRR
 // without replacement is not returned to callers at all: its ν-prediction
 // alone is less stable than PIPECG's recurrences, and the replacement IS
 // the method.
@@ -53,23 +52,18 @@ func PIPEMCGRR(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	return pipePRCG(e, b, opt, true)
 }
 
-// replacePolicyOf resolves the residual-replacement policy for the variant
-// family: Options.ReplacePolicy wins, then ReplaceEvery > 0 as a fixed
-// cadence, then the variant's own default (PIPEMCGRR replaces every
-// defaultReplaceEvery iterations; PIPEPRCG — self-stabilizing through its
-// recomputed dots — does not replace at all).
-func replacePolicyOf(opt Options, meurant bool) func(int) bool {
-	if opt.ReplacePolicy != nil {
-		return opt.ReplacePolicy
+// replaceCadence resolves the residual-replacement cadence for the variant
+// family: ReplaceEvery > 0 as given, else the variant's own default
+// (PIPEMCGRR replaces every defaultReplaceEvery iterations; PIPEPRCG —
+// self-stabilizing through its recomputed dots — never, 0).
+func replaceCadence(opt Options, meurant bool) int {
+	if opt.ReplaceEvery > 0 {
+		return opt.ReplaceEvery
 	}
-	every := opt.ReplaceEvery
-	if every <= 0 {
-		if !meurant {
-			return nil
-		}
-		every = defaultReplaceEvery
+	if meurant {
+		return defaultReplaceEvery
 	}
-	return func(k int) bool { return k%every == 0 }
+	return 0
 }
 
 func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result, error) {
@@ -90,7 +84,7 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 	if meurant {
 		method = "pipe-m-cg-rr"
 	}
-	replace := replacePolicyOf(opt, meurant)
+	replaceEvery := replaceCadence(opt, meurant)
 
 	// Setup: r0 = b − A·x0; z0 = M⁻¹r0; p0 = z0; s0 = A·p0; w0 = A·z0 = s0;
 	// q0 = M⁻¹s0; u0 = A·q0 — then one blocking reduction for the dots.
@@ -137,7 +131,7 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 		chargeAxpys(e, n, 4)
 		e.EndPhase(sp)
 
-		if replace != nil && replace(i+1) {
+		if replaceEvery > 0 && (i+1)%replaceEvery == 0 {
 			// Residual replacement: recompute r = b − A·x, z = M⁻¹r, and the
 			// operator images s = A·p, w = A·z from scratch, discarding the
 			// accumulated recurrence rounding error. ν below is then

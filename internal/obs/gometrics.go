@@ -2,12 +2,10 @@ package obs
 
 // Shared Prometheus helpers for the process-level series both daemons
 // (solverd, solverouter) expose: build identity and Go runtime health.
-// Hand-rolled text format 0.0.4, same as the rest of the metrics planes —
-// no client library dependency.
+// Written through PromWriter like the rest of the metrics planes.
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
 )
@@ -25,31 +23,14 @@ func buildVersion() string {
 // WriteGoRuntimeMetrics writes `<prefix>_build_info` plus Go runtime gauges
 // (goroutines, GC pauses and cycles, heap) in stable order. Callers append
 // it to their own metrics plane under their own prefix.
-func WriteGoRuntimeMetrics(w io.Writer, prefix string) {
+func WriteGoRuntimeMetrics(p *PromWriter, prefix string) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 
-	fmt.Fprintf(w, "# HELP %s_build_info Build identity; the value is always 1.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_build_info gauge\n", prefix)
-	fmt.Fprintf(w, "%s_build_info{version=%q,go_version=%q} 1\n", prefix, buildVersion(), runtime.Version())
-
-	fmt.Fprintf(w, "# HELP %s_goroutines Current number of goroutines.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_goroutines gauge\n", prefix)
-	fmt.Fprintf(w, "%s_goroutines %d\n", prefix, runtime.NumGoroutine())
-
-	fmt.Fprintf(w, "# HELP %s_gc_pause_seconds_total Cumulative stop-the-world GC pause time.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_gc_pause_seconds_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_gc_pause_seconds_total %g\n", prefix, float64(ms.PauseTotalNs)/1e9)
-
-	fmt.Fprintf(w, "# HELP %s_gc_cycles_total Completed GC cycles.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_gc_cycles_total counter\n", prefix)
-	fmt.Fprintf(w, "%s_gc_cycles_total %d\n", prefix, ms.NumGC)
-
-	fmt.Fprintf(w, "# HELP %s_heap_alloc_bytes Bytes of allocated heap objects.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_heap_alloc_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_heap_alloc_bytes %d\n", prefix, ms.HeapAlloc)
-
-	fmt.Fprintf(w, "# HELP %s_heap_sys_bytes Bytes of heap obtained from the OS.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_heap_sys_bytes gauge\n", prefix)
-	fmt.Fprintf(w, "%s_heap_sys_bytes %d\n", prefix, ms.HeapSys)
+	p.Family(prefix+"_build_info", "gauge", "Build identity; the value is always 1.").Int(fmt.Sprintf("version=%q,go_version=%q", buildVersion(), runtime.Version()), 1)
+	p.Family(prefix+"_goroutines", "gauge", "Current number of goroutines.").Int("", int64(runtime.NumGoroutine()))
+	p.Family(prefix+"_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time.").Float("", float64(ms.PauseTotalNs)/1e9)
+	p.Family(prefix+"_gc_cycles_total", "counter", "Completed GC cycles.").Int("", int64(ms.NumGC))
+	p.Family(prefix+"_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.").Int("", int64(ms.HeapAlloc))
+	p.Family(prefix+"_heap_sys_bytes", "gauge", "Bytes of heap obtained from the OS.").Int("", int64(ms.HeapSys))
 }

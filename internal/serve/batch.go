@@ -4,11 +4,11 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/blockcg"
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // runBatch executes a coalesced batch of jobs as ONE block solve: the gang
@@ -34,11 +34,7 @@ func (m *Manager) runBatch(batch []*Job) {
 	// wait counts against the budget exactly as on the solo path.
 	ctxs := make([]context.Context, len(batch))
 	for i, j := range batch {
-		timeout := m.cfg.MaxJobRuntime
-		if j.Req.TimeoutMS > 0 {
-			timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
-		}
-		ctx, cancel := context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+		ctx, cancel := m.deadlineContext(j)
 		defer cancel()
 		ctxs[i] = ctx
 	}
@@ -98,51 +94,33 @@ func (m *Manager) runBatch(batch []*Job) {
 		return
 	}
 
-	var pc engine.Preconditioner
-	if !meth.Unpreconditioned {
-		pc, err = entry.AcquirePC(req.PC)
-		if err != nil {
-			fail(err)
-			return
-		}
-		defer entry.ReleasePC(req.PC, pc)
+	pcName := workload.EffectivePC(meth, req.PC)
+	pc, err := entry.AcquirePC(pcName)
+	if err != nil {
+		fail(err)
+		return
 	}
+	defer entry.ReleasePC(pcName, pc)
 
 	eng := engine.NewSeq(pr.Operator(), pc)
 	// One shared tracer for the gang, anchored once: every member job's
 	// solve span starts here on the wall axis.
 	anchor := time.Now()
-	eng.Tr = obs.New(0, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
+	eng.Tr = jobTracer(0)
 	for _, j := range jobs {
-		j.mu.Lock()
-		j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-		j.mu.Unlock()
+		j.setAnchor(anchor)
 	}
 
 	cols := make([]blockcg.Column, width)
 	for i, j := range jobs {
 		i, j, ctx := i, j, jctx[i]
-		opt := bench.DefaultOptions(pr)
-		opt.S = req.S
-		opt.MaxIter = req.MaxIter
-		if req.RelTol > 0 {
-			opt.RelTol = req.RelTol
-		}
-		// ReplaceEvery is part of the coalesce key, so every member of the
-		// batch requested the same cadence.
-		opt.ReplaceEvery = req.ReplaceEvery
+		// Every solver parameter is part of the coalesce key, so the head
+		// request's options are every member's.
+		opt := solveOptions(pr, req)
 		// colEng is this column's engine view; the progress hook runs on the
 		// column's own goroutine, so reading its per-column ledger is safe.
 		var colEng engine.Engine
-		opt.Progress = func(hp krylov.HistPoint) {
-			ev := Event{Type: "progress", Job: j.ID,
-				Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
-			ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
-			if colEng != nil {
-				ev.Recoveries = colEng.Counters().RecoveryEvents()
-			}
-			j.emit(ev)
-		}
+		opt.Progress = j.progressHook(&colEng)
 		cols[i] = blockcg.Column{
 			B:   rhsFor(pr, j.Req.RHSSeed),
 			Opt: opt,
@@ -165,7 +143,7 @@ func (m *Manager) runBatch(batch []*Job) {
 	m.met.AddObs(sum)
 	for i, j := range jobs {
 		res := out[i].Res
-		unpermuteResult(res, pr.Perm)
+		unpermuteResult(res, pr)
 		j.mu.Lock()
 		j.counters = out[i].Counters
 		j.obsSum = sum

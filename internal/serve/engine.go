@@ -9,14 +9,11 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/precond"
-	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // jobEventCapacity and jobLedgerCapacity bound each rank's tracer rings for
@@ -28,6 +25,15 @@ const (
 	jobEventCapacity  = 64
 	jobLedgerCapacity = 256
 )
+
+// jobTracer builds one rank's bounded tracer for a service job.
+func jobTracer(rank int) *obs.Tracer {
+	return obs.New(rank, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
+}
+
+// driftProbeEvery is the auto jobs' drift-probe cadence in monitor checks,
+// the audit sweep's own.
+const driftProbeEvery = 4
 
 // cancelPanic unwinds a solver whose job context ended. The engine interface
 // has no error returns on kernels, so cancellation travels the same way the
@@ -110,7 +116,7 @@ func XHash(x []float64) string {
 // seed names the same system on the solo path, the comm path, and inside a
 // coalesced block solve — the hook solverbench's -rhs mode uses to compare
 // batched iterates bitwise against unbatched baselines.
-func rhsFor(pr bench.Problem, seed uint64) []float64 {
+func rhsFor(pr workload.Problem, seed uint64) []float64 {
 	if seed == 0 {
 		return pr.B
 	}
@@ -127,20 +133,66 @@ func rhsFor(pr bench.Problem, seed uint64) []float64 {
 	return b
 }
 
+// deadlineContext bounds a job's context by its runtime budget. The budget is
+// per job, not per solve: it is anchored at submission, so time spent waiting
+// in the queue counts and an overloaded service sheds deadline-blown work
+// instead of running it late.
+func (m *Manager) deadlineContext(j *Job) (context.Context, context.CancelFunc) {
+	timeout := m.cfg.MaxJobRuntime
+	if j.Req.TimeoutMS > 0 {
+		timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
+	}
+	return context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+}
+
+// solveOptions lays a request's solver parameters over the problem defaults.
+func solveOptions(pr workload.Problem, req SolveRequest) krylov.Options {
+	opt := workload.DefaultOptions(pr)
+	opt.S = req.S
+	opt.MaxIter = req.MaxIter
+	if req.RelTol > 0 {
+		opt.RelTol = req.RelTol
+	}
+	opt.ReplaceEvery = req.ReplaceEvery
+	return opt
+}
+
+// progressHook returns the job's per-iteration progress emitter. Events carry
+// the recovery ledger alongside the residual, so a stream shows degradation
+// as it happens; *eng is the engine whose counters hold that ledger, set by
+// the runner before the solve starts.
+func (j *Job) progressHook(eng *engine.Engine) func(krylov.HistPoint) {
+	return func(hp krylov.HistPoint) {
+		ev := Event{Type: "progress", Job: j.ID,
+			Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
+		// The monitor records the history point (and fires this hook) BEFORE
+		// its divergence check, so a NaN/Inf residual reaches this boundary
+		// on every divergent solve. json.Marshal fails on non-finite floats;
+		// sanitize here so the event survives instead of tearing the stream.
+		ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
+		if *eng != nil {
+			ev.Recoveries = (*eng).Counters().RecoveryEvents()
+		}
+		j.emit(ev)
+	}
+}
+
+// setAnchor pins the instant the solve's tracers were built (their clock
+// zero) on the wall axis, so the stitcher can place rank-relative phase
+// events in the cross-process trace.
+func (j *Job) setAnchor(t time.Time) {
+	j.mu.Lock()
+	j.anchorNS = t.UnixNano()
+	j.mu.Unlock()
+}
+
 // run executes one accepted job end to end: pin the operator, check a
 // preconditioner out of its pool, solve under the job deadline, classify the
 // outcome, and fold the job's counters into the service aggregate.
 func (m *Manager) run(j *Job) {
 	defer func() { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }()
 
-	timeout := m.cfg.MaxJobRuntime
-	if j.Req.TimeoutMS > 0 {
-		timeout = time.Duration(j.Req.TimeoutMS) * time.Millisecond
-	}
-	// The budget is per job, not per solve: time spent waiting in the queue
-	// counts, so an overloaded service sheds deadline-blown work instead of
-	// running it late.
-	ctx, cancelTimeout := context.WithDeadline(j.ctx, j.submitted.Add(timeout))
+	ctx, cancelTimeout := m.deadlineContext(j)
 	defer cancelTimeout()
 
 	// A job cancelled while queued never touches the registry.
@@ -188,13 +240,7 @@ func (m *Manager) run(j *Job) {
 		return
 	}
 
-	opt := bench.DefaultOptions(pr)
-	opt.S = j.Req.S
-	opt.MaxIter = j.Req.MaxIter
-	if j.Req.RelTol > 0 {
-		opt.RelTol = j.Req.RelTol
-	}
-	opt.ReplaceEvery = j.Req.ReplaceEvery
+	opt := solveOptions(pr, j.Req)
 	if dec := j.tuneDecision(); dec != nil {
 		opt.S = dec.S
 		opt.ReplaceEvery = dec.ReplaceEvery
@@ -203,22 +249,8 @@ func (m *Manager) run(j *Job) {
 		// estimate the same quantity, so their ratio is a clean drift signal.
 		opt.Norm = krylov.NormUnpreconditioned
 	}
-	// Per-iteration progress events carry the recovery ledger alongside the
-	// residual, so a stream shows degradation as it happens.
 	var progressEng engine.Engine
-	opt.Progress = func(hp krylov.HistPoint) {
-		ev := Event{Type: "progress", Job: j.ID,
-			Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
-		// The monitor records the history point (and fires this hook) BEFORE
-		// its divergence check, so a NaN/Inf residual reaches this boundary
-		// on every divergent solve. json.Marshal fails on non-finite floats;
-		// sanitize here so the event survives instead of tearing the stream.
-		ev.RelRes, ev.Diverged = saneRel(hp.RelRes)
-		if progressEng != nil {
-			ev.Recoveries = progressEng.Counters().RecoveryEvents()
-		}
-		j.emit(ev)
-	}
+	opt.Progress = j.progressHook(&progressEng)
 
 	if j.Req.Ranks <= 1 {
 		m.runSeq(j, ctx, entry, pr, meth, opt, &progressEng)
@@ -229,48 +261,39 @@ func (m *Manager) run(j *Job) {
 
 // runSeq executes the job on the sequential reference engine — the default
 // path, whose iterate is bit-identical to `pipescg -runtime seq`.
-func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
+func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
 	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
-	var pc engine.Preconditioner
-	if !meth.Unpreconditioned {
-		var err error
-		pc, err = entry.AcquirePC(j.Req.PC)
-		if err != nil {
-			m.finishJob(j, JobFailed, nil, err)
-			return
-		}
-		defer entry.ReleasePC(j.Req.PC, pc)
+	pcName := workload.EffectivePC(meth, j.Req.PC)
+	pc, err := entry.AcquirePC(pcName)
+	if err != nil {
+		m.finishJob(j, JobFailed, nil, err)
+		return
 	}
+	defer entry.ReleasePC(pcName, pc)
 
 	eng := engine.NewSeq(pr.Operator(), pc)
-	// The tracer's clock zero is its construction instant; the anchor pins
-	// that instant on the wall axis so the stitcher can place rank-relative
-	// phase events in the cross-process trace.
-	anchor := time.Now()
-	eng.Tr = obs.New(0, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
-	j.mu.Lock()
-	j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-	j.mu.Unlock()
+	j.setAnchor(time.Now())
+	eng.Tr = jobTracer(0)
 	*progressEng = eng
 	wrapped := &cancelEngine{Engine: eng, ctx: ctx}
 
 	b := rhsFor(pr, j.Req.RHSSeed)
-	// Auto jobs carry the audit harness's drift probe: every few monitor
-	// checks it recomputes the true residual through the raw CSR kernel —
-	// never the engine, so the job's counter ledger (and its bit-identity
-	// with the CLI path) is untouched. The max true/recurrence ratio is the
-	// tuner's stability signal and lands on the result event as DriftRatio.
-	var da *audit.DriftAuditor
+	// Auto jobs carry the drift probe: every few monitor checks it
+	// recomputes the true residual through the raw CSR kernel — never the
+	// engine, so the job's counter ledger (and its bit-identity with the CLI
+	// path) is untouched. The max true/recurrence ratio is the tuner's
+	// stability signal and lands on the result event as DriftRatio.
+	var probe *workload.DriftProbe
 	if j.tuneDecision() != nil {
-		da = audit.NewDriftAuditor(pr.A, b, opt.S, audit.DefaultParams())
-		opt.Observe = da.Observe
+		probe = workload.NewDriftProbe(pr.A, b, driftProbeEvery)
+		opt.Observe = probe.Observe
 	}
 
-	res, err := m.solveRecovering(wrapped, b, meth.Solve, opt)
-	unpermuteResult(res, pr.Perm)
-	if da != nil {
+	res, err := solveRecovering(wrapped, b, meth.Solve, opt)
+	unpermuteResult(res, pr)
+	if probe != nil {
 		j.mu.Lock()
-		j.driftRatio = da.Report().MaxRatio
+		j.driftRatio = probe.MaxRatio
 		j.mu.Unlock()
 	}
 	sum := eng.Tr.Summary()
@@ -284,33 +307,15 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr bench.Pro
 	m.classify(j, ctx, res, err)
 }
 
-// runComm executes the job on the in-process goroutine-rank runtime: the
-// entry's cached nnz-balanced partition, a fresh fabric, rank-local
-// preconditioners, and the shared kernel pool underneath. The fabric gets a
-// receive deadline and the solver a wait deadline so a rank unwound by
-// cancellation can never deadlock its peers.
-func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Problem,
+// runComm executes the job on the in-process goroutine-rank runtime through
+// the shared SPMD driver — the same function the CLIs and the audit call —
+// with the entry's cached nnz-balanced partition, a fresh fabric, and the
+// shared kernel pool underneath. The fabric gets a receive deadline and the
+// solver a wait deadline so a rank unwound by cancellation can never
+// deadlock its peers.
+func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
 	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
-	var factory comm.PCFactory
-	if !meth.Unpreconditioned {
-		switch j.Req.PC {
-		case "", "none":
-		case "jacobi":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewJacobi(a, lo, hi)
-			}
-		case "sor":
-			factory = func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
-				return precond.NewSSOR(a, lo, hi, 1.0, 1)
-			}
-		default:
-			m.finishJob(j, JobFailed, nil,
-				fmt.Errorf("serve: ranks>1 supports rank-local PCs only (jacobi, sor, none), got %q", j.Req.PC))
-			return
-		}
-	}
 	ranks := j.Req.Ranks
-	pt := entry.Partition(ranks)
 	f := comm.NewFabric(ranks, 0).WithRecvTimeout(2*time.Second, 3)
 	if m.cfg.testFabricFault != nil {
 		// Test hook: inject fabric faults (e.g. the PR 2 straggler jitter)
@@ -318,57 +323,38 @@ func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Pr
 		// end against a known-degraded rank.
 		f = f.WithFault(m.cfg.testFabricFault)
 	}
-	engines := comm.NewEnginesOp(f, pr.A, pr.Operator(), pt, factory)
-	anchor := time.Now()
-	tracers := make([]*obs.Tracer, ranks)
-	for r, e := range engines {
-		tracers[r] = obs.New(r, obs.WithCapacity(jobEventCapacity, jobLedgerCapacity))
-		e.SetTracer(tracers[r])
-	}
-	j.mu.Lock()
-	j.solveStart, j.anchorNS = anchor, anchor.UnixNano()
-	j.mu.Unlock()
-	bs := comm.Scatter(pt, rhsFor(pr, j.Req.RHSSeed))
 	opt.WaitDeadline = 10 * time.Second
-	*progressEng = engines[0]
-
-	// Only rank 0 streams progress; the checks are collective-consistent, so
-	// one rank's view is the job's view.
-	rankOpts := make([]krylov.Options, ranks)
-	for r := range rankOpts {
-		rankOpts[r] = opt
-		if r != 0 {
-			rankOpts[r].Progress = nil
+	// Every rank solves behind the cancellation wrapper; rank 0, the one
+	// rank that streams progress, lends its counters to the progress hook.
+	solve := meth.Solve
+	meth.Solve = func(e engine.Engine, b []float64, opt krylov.Options) (*krylov.Result, error) {
+		if e.(*comm.Engine).Rank() == 0 {
+			*progressEng = e
 		}
+		return solveRecovering(&cancelEngine{Engine: e, ctx: ctx}, b, solve, opt)
+	}
+	tracer := func(rank int) *obs.Tracer {
+		if rank == 0 {
+			j.setAnchor(time.Now())
+		}
+		return jobTracer(rank)
+	}
+	out, err := workload.SPMD{Fabric: f, Part: entry.Partition(ranks), PC: j.Req.PC, Tracer: tracer}.
+		Run(pr, meth, rhsFor(pr, j.Req.RHSSeed), opt)
+	if err != nil {
+		m.finishJob(j, JobFailed, nil, fmt.Errorf("serve: ranks>1 supports %w", err))
+		return
 	}
 
-	results := make([]*krylov.Result, ranks)
-	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-		wrapped := &cancelEngine{Engine: e, ctx: ctx}
-		res, err := m.solveRecovering(wrapped, bs[r], meth.Solve, rankOpts[r])
-		results[r] = res
-		return err
-	})
-
-	agg := engines[0].Counters()
-	sums := make([]obs.Summary, ranks)
-	for r, tr := range tracers {
-		sums[r] = tr.Summary()
-	}
-	sum := obs.MergeSummaries(sums)
+	sum := obs.MergeSummaries(out.Summaries)
 	// Per-rank skew analysis: purely observational (it reads finished
 	// summaries), exported as solverd_rank_skew and, past the threshold,
 	// flagged in the flight recorder.
-	transit := f.TransitStats()
-	transitNS := make([]int64, len(transit))
-	for r, tr := range transit {
-		transitNS[r] = tr.MeanNS()
-	}
-	skew := obs.AnalyzeSkewTransit(sums, transitNS)
+	skew := obs.AnalyzeSkewTransit(out.Summaries, out.TransitNS)
 	j.mu.Lock()
-	j.counters = *agg
+	j.counters = out.Counters[0]
 	j.obsSum = sum
-	j.rankSums = sums
+	j.rankSums = out.Summaries
 	j.skew = &skew
 	j.mu.Unlock()
 	m.met.noteSkew(skew)
@@ -383,61 +369,35 @@ func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr bench.Pr
 		})
 	}
 	// Service-level aggregate folds every rank's counters and spans.
-	for _, e := range engines {
-		m.met.AddCounters(e.Counters())
+	for r := range out.Counters {
+		m.met.AddCounters(&out.Counters[r])
 	}
 	m.met.AddObs(sum)
-	if err := f.Close(); err != nil {
+	if out.Leak != nil {
 		// A cancelled SPMD solve legitimately leaves mailbox entries behind;
 		// count it, don't fail the drain.
 		m.met.fabricLeaks.Add(1)
 	}
 
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	res := results[0]
-	if res != nil && firstErr == nil {
-		// Return the assembled global iterate on the job result.
-		xs := make([][]float64, ranks)
-		for r := range xs {
-			if results[r] == nil {
-				res = nil
-				break
-			}
-			xs[r] = results[r].X
-		}
-		if res != nil {
-			assembled := *results[0]
-			assembled.X = comm.Gather(pt, xs)
-			res = &assembled
-		}
-	}
-	unpermuteResult(res, pr.Perm)
-	m.classify(j, ctx, res, firstErr)
+	_, firstErr := out.FirstErr()
+	unpermuteResult(out.Res, pr)
+	m.classify(j, ctx, out.Res, firstErr)
 }
 
 // unpermuteResult maps a solve's iterate back to the operator's source row
 // ordering when the registry reordered the system (RCM on uploads). It runs
 // before classify, so XHash and any returned X are in the ordering the
 // client uploaded.
-func unpermuteResult(res *krylov.Result, perm []int) {
-	if res == nil || res.X == nil || perm == nil {
-		return
+func unpermuteResult(res *krylov.Result, pr workload.Problem) {
+	if res != nil {
+		res.X = pr.Unpermute(res.X)
 	}
-	x := make([]float64, len(res.X))
-	sparse.InversePermuteVec(x, res.X, perm)
-	res.X = x
 }
 
 // solveRecovering invokes the solver, converting a cancellation unwind back
 // into an error. Other panics propagate (seq path) or are captured by
 // comm.RunErr (comm path).
-func (m *Manager) solveRecovering(e engine.Engine, b []float64, solver krylov.Solver,
+func solveRecovering(e engine.Engine, b []float64, solver krylov.Solver,
 	opt krylov.Options) (res *krylov.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

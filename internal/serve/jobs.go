@@ -162,7 +162,6 @@ type Job struct {
 	mu         sync.Mutex
 	state      JobState
 	events     []Event // ring of the most recent events
-	dropped    int     // ring overwrites
 	subs       map[chan Event]struct{}
 	res        *krylov.Result // without X unless Req.IncludeX
 	xHash      string         // XHash of the iterate, computed once at finish
@@ -178,7 +177,6 @@ type Job struct {
 	tctx       obs.TraceContext // this job's span in its trace
 	parentSpan string           // incoming parent span id (hex), "" for daemon-originated traces
 	runStart   time.Time        // worker picked the job up (queue-wait span end)
-	solveStart time.Time        // engine solve began (solve span start)
 	coalesceAt time.Time        // head job's coalesce-window wait start (zero if none)
 	coalesceNS int64            // head job's coalesce-window wait duration
 	anchorNS   int64            // wall Unix ns the solve tracers' clock 0 maps to
@@ -269,7 +267,6 @@ func (j *Job) emit(ev Event) {
 	if len(j.events) >= maxRetainedEvents {
 		copy(j.events, j.events[1:])
 		j.events = j.events[:len(j.events)-1]
-		j.dropped++
 	}
 	j.events = append(j.events, ev)
 	for ch := range j.subs {

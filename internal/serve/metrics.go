@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -21,13 +20,12 @@ var latencyBuckets = []float64{
 // histogram is a fixed-bucket latency histogram in Prometheus semantics.
 type histogram struct {
 	mu     sync.Mutex
-	counts []uint64 // one per bucket, non-cumulative; +Inf is counts[len]
+	counts []int64 // one per bucket, non-cumulative; +Inf is counts[len]
 	sum    float64
-	total  uint64
 }
 
 func newHistogram() *histogram {
-	return &histogram{counts: make([]uint64, len(latencyBuckets)+1)}
+	return &histogram{counts: make([]int64, len(latencyBuckets)+1)}
 }
 
 func (h *histogram) Observe(seconds float64) {
@@ -35,25 +33,16 @@ func (h *histogram) Observe(seconds float64) {
 	h.mu.Lock()
 	h.counts[i]++
 	h.sum += seconds
-	h.total++
 	h.mu.Unlock()
 }
 
-// write emits the histogram as <name>_bucket/_sum/_count series.
-func (h *histogram) write(w io.Writer, name string) {
+// write emits the histogram's series under the writer's current family.
+func (h *histogram) write(p *obs.PromWriter) {
 	h.mu.Lock()
-	counts := append([]uint64(nil), h.counts...)
-	sum, total := h.sum, h.total
+	counts := append([]int64(nil), h.counts...)
+	sum := h.sum
 	h.mu.Unlock()
-	var cum uint64
-	for i, le := range latencyBuckets {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, strconv.FormatFloat(le, 'g', -1, 64), cum)
-	}
-	cum += counts[len(latencyBuckets)]
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %g\n", name, sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, total)
+	p.Histogram("", latencyBuckets, counts, sum)
 }
 
 // Metrics is the service-level ledger the /metrics plane serves. Job
@@ -161,93 +150,63 @@ func (m *Metrics) countJob(state JobState) {
 // cache traffic, the latency histogram, and the kernel-counter aggregate in
 // trace's stable serialization.
 func (m *Metrics) WritePrometheus(w io.Writer, mgr *Manager, reg *Registry) {
+	p := obs.NewPromWriter(w)
 	if id := mgr.cfg.ShardID; id != "" {
-		fmt.Fprintf(w, "# HELP solverd_shard_info Shard identity of this daemon inside a cluster.\n")
-		fmt.Fprintf(w, "# TYPE solverd_shard_info gauge\n")
-		fmt.Fprintf(w, "solverd_shard_info{shard=%q} 1\n", id)
+		p.Family("solverd_shard_info", "gauge", "Shard identity of this daemon inside a cluster.").Int(fmt.Sprintf("shard=%q", id), 1)
 	}
-	fmt.Fprintf(w, "# HELP solverd_queue_depth Jobs waiting for a worker.\n")
-	fmt.Fprintf(w, "# TYPE solverd_queue_depth gauge\n")
-	fmt.Fprintf(w, "solverd_queue_depth %d\n", mgr.QueueDepth())
-	fmt.Fprintf(w, "# TYPE solverd_inflight_jobs gauge\n")
-	fmt.Fprintf(w, "solverd_inflight_jobs %d\n", mgr.InFlight())
-	fmt.Fprintf(w, "# TYPE solverd_workers gauge\n")
-	fmt.Fprintf(w, "solverd_workers %d\n", mgr.Workers())
-	fmt.Fprintf(w, "# TYPE solverd_draining gauge\n")
-	fmt.Fprintf(w, "solverd_draining %d\n", b2i(mgr.Draining()))
-	fmt.Fprintf(w, "# TYPE solverd_registry_entries gauge\n")
-	fmt.Fprintf(w, "solverd_registry_entries %d\n", reg.Len())
+	p.Family("solverd_queue_depth", "gauge", "Jobs waiting for a worker.").Int("", int64(mgr.QueueDepth()))
+	p.Family("solverd_inflight_jobs", "gauge", "").Int("", int64(mgr.InFlight()))
+	p.Family("solverd_workers", "gauge", "").Int("", int64(mgr.Workers()))
+	p.Family("solverd_draining", "gauge", "").Int("", obs.PromBool(mgr.Draining()))
+	p.Family("solverd_registry_entries", "gauge", "").Int("", int64(reg.Len()))
 
-	fmt.Fprintf(w, "# TYPE solverd_jobs_total counter\n")
-	fmt.Fprintf(w, "solverd_jobs_total{outcome=\"converged\"} %d\n", m.jobsConverged.Load())
-	fmt.Fprintf(w, "solverd_jobs_total{outcome=\"failed\"} %d\n", m.jobsFailed.Load())
-	fmt.Fprintf(w, "solverd_jobs_total{outcome=\"canceled\"} %d\n", m.jobsCanceled.Load())
-	fmt.Fprintf(w, "solverd_jobs_total{outcome=\"rejected\"} %d\n", m.jobsRejected.Load())
-	fmt.Fprintf(w, "solverd_jobs_total{outcome=\"drained\"} %d\n", m.jobsDrained.Load())
+	p.Family("solverd_jobs_total", "counter", "")
+	p.Int(`outcome="converged"`, m.jobsConverged.Load())
+	p.Int(`outcome="failed"`, m.jobsFailed.Load())
+	p.Int(`outcome="canceled"`, m.jobsCanceled.Load())
+	p.Int(`outcome="rejected"`, m.jobsRejected.Load())
+	p.Int(`outcome="drained"`, m.jobsDrained.Load())
 
-	fmt.Fprintf(w, "# HELP solverd_batch_width Width of the most recently executed solve batch (1 = solo).\n")
-	fmt.Fprintf(w, "# TYPE solverd_batch_width gauge\n")
-	fmt.Fprintf(w, "solverd_batch_width %d\n", m.batchWidth.Load())
-	fmt.Fprintf(w, "# HELP solverd_jobs_batched_total Jobs executed, by whether their solve was coalesced into a width>1 block solve.\n")
-	fmt.Fprintf(w, "# TYPE solverd_jobs_batched_total counter\n")
-	fmt.Fprintf(w, "solverd_jobs_batched_total{mode=\"coalesced\"} %d\n", m.jobsCoalesced.Load())
-	fmt.Fprintf(w, "solverd_jobs_batched_total{mode=\"solo\"} %d\n", m.jobsSolo.Load())
+	p.Family("solverd_batch_width", "gauge", "Width of the most recently executed solve batch (1 = solo).").Int("", m.batchWidth.Load())
+	p.Family("solverd_jobs_batched_total", "counter", "Jobs executed, by whether their solve was coalesced into a width>1 block solve.")
+	p.Int(`mode="coalesced"`, m.jobsCoalesced.Load())
+	p.Int(`mode="solo"`, m.jobsSolo.Load())
 
-	fmt.Fprintf(w, "# HELP solverd_jobs_deduped_total Submissions attached to a retained job via their idempotency key.\n")
-	fmt.Fprintf(w, "# TYPE solverd_jobs_deduped_total counter\n")
-	fmt.Fprintf(w, "solverd_jobs_deduped_total %d\n", m.jobsDeduped.Load())
+	p.Family("solverd_jobs_deduped_total", "counter", "Submissions attached to a retained job via their idempotency key.").Int("", m.jobsDeduped.Load())
 
-	fmt.Fprintf(w, "# TYPE solverd_registry_hits_total counter\n")
-	fmt.Fprintf(w, "solverd_registry_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintf(w, "solverd_registry_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintf(w, "solverd_registry_evictions_total %d\n", m.cacheEvictions.Load())
-	fmt.Fprintf(w, "solverd_fabric_leaks_total %d\n", m.fabricLeaks.Load())
+	p.Family("solverd_registry_hits_total", "counter", "").Int("", m.cacheHits.Load())
+	p.Family("solverd_registry_misses_total", "counter", "").Int("", m.cacheMisses.Load())
+	p.Family("solverd_registry_evictions_total", "counter", "").Int("", m.cacheEvictions.Load())
+	p.Family("solverd_fabric_leaks_total", "counter", "Multi-rank jobs whose fabric closed with undelivered messages (cancellation).").Int("", m.fabricLeaks.Load())
 
-	fmt.Fprintf(w, "# HELP solverd_tuner_events_total Stability-tuner activity on method=auto jobs.\n")
-	fmt.Fprintf(w, "# TYPE solverd_tuner_events_total counter\n")
-	fmt.Fprintf(w, "solverd_tuner_events_total{kind=\"record\"} %d\n", m.tunerRecords.Load())
-	fmt.Fprintf(w, "solverd_tuner_events_total{kind=\"warmstart\"} %d\n", m.tunerWarmstarts.Load())
-	fmt.Fprintf(w, "solverd_tuner_events_total{kind=\"switch\"} %d\n", m.tunerSwitches.Load())
-	fmt.Fprintf(w, "# HELP solverd_tuner_fingerprints Operator fingerprints with a recorded best configuration.\n")
-	fmt.Fprintf(w, "# TYPE solverd_tuner_fingerprints gauge\n")
-	fmt.Fprintf(w, "solverd_tuner_fingerprints %d\n", mgr.tuner.Len())
+	p.Family("solverd_tuner_events_total", "counter", "Stability-tuner activity on method=auto jobs.")
+	p.Int(`kind="record"`, m.tunerRecords.Load())
+	p.Int(`kind="warmstart"`, m.tunerWarmstarts.Load())
+	p.Int(`kind="switch"`, m.tunerSwitches.Load())
+	p.Family("solverd_tuner_fingerprints", "gauge", "Operator fingerprints with a recorded best configuration.").Int("", int64(mgr.tuner.Len()))
 
-	fmt.Fprintf(w, "# TYPE solverd_request_seconds histogram\n")
-	m.latency.write(w, "solverd_request_seconds")
+	p.Family("solverd_request_seconds", "histogram", "")
+	m.latency.write(p)
 
 	m.obsMu.Lock()
 	phases := m.phases
 	overlap := m.overlap
 	m.obsMu.Unlock()
-	fmt.Fprintf(w, "# HELP solverd_phase_seconds Traced per-phase durations aggregated over finished jobs and ranks.\n")
-	fmt.Fprintf(w, "# TYPE solverd_phase_seconds histogram\n")
-	for _, p := range obs.Phases() {
-		st := phases[p]
-		var cum int64
-		for i, le := range obs.DurationBuckets {
-			cum += st.Buckets[i]
-			fmt.Fprintf(w, "solverd_phase_seconds_bucket{phase=%q,le=\"%s\"} %d\n",
-				p.String(), strconv.FormatFloat(le, 'g', -1, 64), cum)
-		}
-		cum += st.Buckets[len(obs.DurationBuckets)]
-		fmt.Fprintf(w, "solverd_phase_seconds_bucket{phase=%q,le=\"+Inf\"} %d\n", p.String(), cum)
-		fmt.Fprintf(w, "solverd_phase_seconds_sum{phase=%q} %g\n", p.String(), float64(st.TotalNS)/1e9)
-		fmt.Fprintf(w, "solverd_phase_seconds_count{phase=%q} %d\n", p.String(), st.Count)
+	p.Family("solverd_phase_seconds", "histogram", "Traced per-phase durations aggregated over finished jobs and ranks.")
+	for _, ph := range obs.Phases() {
+		st := phases[ph]
+		p.Histogram(fmt.Sprintf("phase=%q", ph.String()), obs.DurationBuckets[:], st.Buckets[:], float64(st.TotalNS)/1e9)
 	}
 
-	fmt.Fprintf(w, "# HELP solverd_overlap_reductions_total Reductions recorded in the overlap ledger, by kind.\n")
-	fmt.Fprintf(w, "# TYPE solverd_overlap_reductions_total counter\n")
-	fmt.Fprintf(w, "solverd_overlap_reductions_total{kind=\"posted\"} %d\n", overlap.Posted)
-	fmt.Fprintf(w, "solverd_overlap_reductions_total{kind=\"blocking\"} %d\n", overlap.Blocking)
-	fmt.Fprintf(w, "# HELP solverd_overlap_interval_seconds_total Post-to-complete time summed over non-blocking reductions.\n")
-	fmt.Fprintf(w, "# TYPE solverd_overlap_interval_seconds_total counter\n")
-	fmt.Fprintf(w, "solverd_overlap_interval_seconds_total %g\n", float64(overlap.IntervalNS)/1e9)
-	fmt.Fprintf(w, "solverd_overlap_wait_seconds_total %g\n", float64(overlap.WaitNS)/1e9)
-	fmt.Fprintf(w, "solverd_overlap_blocking_wait_seconds_total %g\n", float64(overlap.BlockingWaitNS)/1e9)
-	fmt.Fprintf(w, "solverd_overlap_compute_under_seconds_total %g\n", float64(overlap.ComputeUnderNS)/1e9)
-	fmt.Fprintf(w, "# HELP solverd_overlap_efficiency Measured hidden fraction: 1 - wait/interval over all posted reductions.\n")
-	fmt.Fprintf(w, "# TYPE solverd_overlap_efficiency gauge\n")
-	fmt.Fprintf(w, "solverd_overlap_efficiency %g\n", overlap.HiddenFraction())
+	seconds := func(ns int64) float64 { return float64(ns) / 1e9 }
+	p.Family("solverd_overlap_reductions_total", "counter", "Reductions recorded in the overlap ledger, by kind.")
+	p.Int(`kind="posted"`, int64(overlap.Posted))
+	p.Int(`kind="blocking"`, int64(overlap.Blocking))
+	p.Family("solverd_overlap_interval_seconds_total", "counter", "Post-to-complete time summed over non-blocking reductions.").Float("", seconds(overlap.IntervalNS))
+	p.Family("solverd_overlap_wait_seconds_total", "counter", "Time non-blocking reductions were still waited on at their completion point.").Float("", seconds(overlap.WaitNS))
+	p.Family("solverd_overlap_blocking_wait_seconds_total", "counter", "Time spent inside blocking reductions.").Float("", seconds(overlap.BlockingWaitNS))
+	p.Family("solverd_overlap_compute_under_seconds_total", "counter", "Compute time that ran under an in-flight reduction.").Float("", seconds(overlap.ComputeUnderNS))
+	p.Family("solverd_overlap_efficiency", "gauge", "Measured hidden fraction: 1 - wait/interval over all posted reductions.").Float("", overlap.HiddenFraction())
 
 	m.skewMu.Lock()
 	skew := m.skewLast
@@ -258,27 +217,22 @@ func (m *Metrics) WritePrometheus(w io.Writer, mgr *Manager, reg *Registry) {
 		// contract until noteSkew has stored a real one.
 		skew.StragglerRank = -1
 	}
-	fmt.Fprintf(w, "# HELP solverd_rank_skew Per-rank straggler score of the most recent analyzed multi-rank solve (compute excess + wait deficit + transit excess).\n")
-	fmt.Fprintf(w, "# TYPE solverd_rank_skew gauge\n")
+	p.Family("solverd_rank_skew", "gauge", "Per-rank straggler score of the most recent analyzed multi-rank solve (compute excess + wait deficit + transit excess).")
 	for _, r := range skew.Ranks {
-		fmt.Fprintf(w, "solverd_rank_skew{rank=\"%d\"} %g\n", r.Rank, r.Score)
+		p.Float(fmt.Sprintf(`rank="%d"`, r.Rank), r.Score)
 	}
-	fmt.Fprintf(w, "# HELP solverd_rank_skew_straggler Rank with the highest straggler score in the most recent analyzed solve (-1 = none analyzed).\n")
-	fmt.Fprintf(w, "# TYPE solverd_rank_skew_straggler gauge\n")
-	fmt.Fprintf(w, "solverd_rank_skew_straggler %d\n", skew.StragglerRank)
-	fmt.Fprintf(w, "# HELP solverd_rank_skew_imbalance Compute load-balance ratio max/mean of the most recent analyzed solve.\n")
-	fmt.Fprintf(w, "# TYPE solverd_rank_skew_imbalance gauge\n")
-	fmt.Fprintf(w, "solverd_rank_skew_imbalance %g\n", skew.Imbalance)
-	fmt.Fprintf(w, "# TYPE solverd_rank_skew_solves_total counter\n")
-	fmt.Fprintf(w, "solverd_rank_skew_solves_total %d\n", skewSolves)
+	p.Family("solverd_rank_skew_straggler", "gauge", "Rank with the highest straggler score in the most recent analyzed solve (-1 = none analyzed).").Int("", int64(skew.StragglerRank))
+	p.Family("solverd_rank_skew_imbalance", "gauge", "Compute load-balance ratio max/mean of the most recent analyzed solve.").Float("", skew.Imbalance)
+	p.Family("solverd_rank_skew_solves_total", "counter", "").Int("", skewSolves)
 
-	obs.WriteGoRuntimeMetrics(w, "solverd")
+	obs.WriteGoRuntimeMetrics(p, "solverd")
 
-	fmt.Fprintf(w, "# HELP solverd_kernel_* Kernel-counter aggregate over finished jobs (trace.Counters).\n")
+	// The kernel-counter aggregate over finished jobs (trace.Counters), one
+	// counter family per field.
 	m.mu.Lock()
 	snap := m.kernels
 	m.mu.Unlock()
-	snap.WritePrometheus(w, "solverd_kernel", "")
+	snap.WritePrometheus(p, "solverd_kernel", "")
 }
 
 // Snapshot is the one-line drain summary flushed through the service log.
@@ -292,11 +246,4 @@ func (m *Metrics) Snapshot(mgr *Manager, reg *Registry) string {
 		m.jobsRejected.Load(), m.jobsDrained.Load(), m.jobsDeduped.Load(),
 		m.cacheHits.Load(), m.cacheMisses.Load(), m.cacheEvictions.Load(), reg.Len(),
 		k.String(), k.RecoveryString())
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -62,7 +62,9 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	wg.Wait()
 
 	var buf bytes.Buffer
-	h.write(&buf, "t")
+	p := obs.NewPromWriter(&buf)
+	p.Family("t", "histogram", "")
+	h.write(p)
 	series := map[string]string{}
 	var infBucket string
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {

@@ -8,12 +8,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/krylov"
 	"repro/internal/partition"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // shuffledLap2DMM builds a 2D 5-point Laplacian on an nx×ny grid under a
@@ -110,12 +110,12 @@ func TestUploadRCMReordersAndRoundTrips(t *testing.T) {
 		}
 
 		// Reference: the same solve on the un-reordered system.
-		ref := bench.Problem{Name: "ref", A: orig, B: grid.OnesRHS(orig), RelTol: 1e-5}
-		pc, err := bench.MakePC("jacobi", ref)
+		ref := workload.Problem{Name: "ref", A: orig, B: grid.OnesRHS(orig), RelTol: 1e-5}
+		pc, err := workload.PC("jacobi", ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := bench.DefaultOptions(ref)
+		opt := workload.DefaultOptions(ref)
 		opt.S = 3
 		res, err := krylov.PIPEPSCG(engine.NewSeq(ref.A, pc), ref.B, opt)
 		if err != nil {

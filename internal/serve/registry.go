@@ -5,15 +5,16 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
-	"repro/internal/bench"
 	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/partition"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // ProblemSpec names a registry operator: a built-in workload (plus its size
@@ -50,7 +51,7 @@ type Entry struct {
 	spec ProblemSpec
 
 	buildOnce sync.Once
-	problem   bench.Problem
+	problem   workload.Problem
 	buildErr  error
 
 	mu    sync.Mutex
@@ -63,7 +64,7 @@ type Entry struct {
 }
 
 // Problem returns the built problem. Only valid after a successful Acquire.
-func (e *Entry) Problem() bench.Problem { return e.problem }
+func (e *Entry) Problem() workload.Problem { return e.problem }
 
 // Partition returns the nnz-balanced row partition for the given rank count,
 // computing it once per count ("partitioned once").
@@ -112,7 +113,7 @@ func (e *Entry) AcquirePC(pcName string) (engine.Preconditioner, error) {
 		return pc, nil
 	}
 	pool.mu.Unlock()
-	return bench.MakePC(pcName, e.problem)
+	return workload.PC(pcName, e.problem)
 }
 
 // ReleasePC returns a checked-out preconditioner to the entry's pool.
@@ -169,7 +170,7 @@ func (g *Registry) RegisterUpload(name string, r io.Reader) (rows, nnz int, err 
 	if name == "" {
 		return 0, 0, fmt.Errorf("serve: empty upload name")
 	}
-	if _, err := bench.ProblemByName(name, 8, 64); err == nil {
+	if slices.Contains(workload.Names, name) {
 		return 0, 0, fmt.Errorf("serve: name %q shadows a built-in problem", name)
 	}
 	a, err := sparse.ReadMatrixMarket(r)
@@ -309,19 +310,19 @@ func (g *Registry) Len() int {
 }
 
 // build constructs the problem for spec: an uploaded matrix by name, else a
-// built-in workload via the bench registry. Uploaded operators are RCM
+// built-in workload from the workload catalogue. Uploaded operators are RCM
 // reordered at build time — bandwidth (and with it the row-block halo
 // volume) shrinks, and every derived artifact (partitions, halos, PCs) is
 // computed from the reordered system. Problem.Perm records the reordering;
 // the job runner un-permutes iterates before they reach the client, so the
 // reordering is invisible at the API boundary. Built-ins are left in their
 // native ordering, which keeps daemon solves bit-identical to the CLI path.
-func (g *Registry) build(spec ProblemSpec) (bench.Problem, error) {
+func (g *Registry) build(spec ProblemSpec) (workload.Problem, error) {
 	g.mu.Lock()
 	a, ok := g.uploads[spec.Problem]
 	g.mu.Unlock()
 	if ok {
-		pr := bench.Problem{Name: spec.Problem, A: a, B: grid.OnesRHS(a), RelTol: 1e-5}
+		pr := workload.Problem{Name: spec.Problem, A: a, B: grid.OnesRHS(a), RelTol: 1e-5}
 		if perm := sparse.RCMOrder(a); !isIdentityPerm(perm) {
 			pr.A = sparse.PermuteSym(a, perm)
 			// b = A·1 commutes with the symmetric permutation (P·1 = 1), so
@@ -331,7 +332,7 @@ func (g *Registry) build(spec ProblemSpec) (bench.Problem, error) {
 		}
 		return pr, nil
 	}
-	return bench.ProblemByName(spec.Problem, spec.N, spec.Scale)
+	return workload.ProblemByName(spec.Problem, spec.N, spec.Scale)
 }
 
 func isIdentityPerm(p []int) bool {

@@ -5,6 +5,8 @@ import (
 	"compress/gzip"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func specP7(n int) ProblemSpec { return ProblemSpec{Problem: "poisson7", N: n} }
@@ -152,8 +154,13 @@ func TestRegistryUploadPlainAndGzip(t *testing.T) {
 	}
 	g.Release(e)
 
-	if _, _, err := g.RegisterUpload("poisson7", strings.NewReader(uploadMM)); err == nil {
-		t.Fatal("shadowing a built-in name must fail")
+	// Every catalogue name is refused, from the name list alone (the check
+	// used to build a whole built-in problem to find out).
+	for _, name := range workload.Names {
+		if _, _, err := g.RegisterUpload(name, strings.NewReader(uploadMM)); err == nil ||
+			!strings.Contains(err.Error(), "shadows a built-in problem") {
+			t.Fatalf("upload named %q: error %v, want the shadowing refusal", name, err)
+		}
 	}
 	if _, _, err := g.RegisterUpload("  ", strings.NewReader(uploadMM)); err == nil {
 		t.Fatal("empty name must fail")

@@ -25,9 +25,12 @@
 //     finishes or cancels in-flight jobs against a deadline, and flushes
 //     final metrics.
 //
-// Numerics are untouched: a job executed through the daemon runs the same
-// solver on the same engine as the CLI path and produces a bit-identical
-// iterate (asserted by TestServeBitIdentical).
+// Numerics are untouched: a job executed through the daemon is assembled by
+// the same functions as the CLI path — internal/workload's catalogue and
+// preconditioner table, and for ranks>1 its SPMD driver — and produces a
+// bit-identical iterate (asserted by TestServeBitIdentical). The package
+// imports no harness: not the audit, not the paper's experiments, not the
+// simulator (make layering).
 package serve
 
 import (

@@ -13,13 +13,13 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
+	"repro/internal/workload"
 )
 
 // newTestServer builds a server with a small config and an httptest front.
@@ -84,11 +84,11 @@ func TestSolveSyncConverges(t *testing.T) {
 // baseline the daemon's results are compared against.
 func cliSolve(t *testing.T, method string) *krylov.Result {
 	t.Helper()
-	pr, err := bench.ProblemByName("poisson7", 6, 32)
+	pr, err := workload.ProblemByName("poisson7", 6, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := bench.MakePC("jacobi", pr)
+	pc, err := workload.PC("jacobi", pr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func cliSolve(t *testing.T, method string) *krylov.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S = 3
 	opt.MaxIter = 100000
 	res, err := meth.Solve(engine.NewSeq(pr.A, pc), pr.B, opt)
@@ -225,9 +225,9 @@ func TestSolveCommRuntimeMatchesSeq(t *testing.T) {
 // service jobs).
 func TestCommJobRunsPowersBlock(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-	pr := bench.Poisson7(32)
+	pr := workload.Poisson7(32)
 	pt := partition.RowBlockByNNZ(pr.A, 2)
-	opt := bench.DefaultOptions(pr)
+	opt := workload.DefaultOptions(pr)
 	opt.S, opt.MaxIter = 3, 100000
 
 	for _, tc := range []struct {
@@ -532,12 +532,17 @@ func TestUploadThenSolve(t *testing.T) {
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/solve", SolveRequest{
 		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 5},
 	}))
 	if st.State != JobConverged {
 		t.Fatalf("warmup solve: %s (%s)", st.State, st.Error)
+	}
+	// The response is written when the job finishes, a moment before its
+	// worker hands the running slot back; the scrape below reads that gauge.
+	for deadline := time.Now().Add(2 * time.Second); s.Jobs.InFlight() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 
 	hr := mustGet(t, ts.URL+"/healthz")

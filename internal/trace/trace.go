@@ -7,9 +7,10 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // Counters accumulates kernel-level statistics for one solve.
@@ -145,30 +146,24 @@ func (c *Counters) MarshalJSON() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// WritePrometheus writes one Prometheus text-format line per counter:
+// WritePrometheus writes every counter as its own Prometheus counter family:
 //
+//	# TYPE <prefix>_<name> counter
 //	<prefix>_<name>{<labels>} <value>
 //
 // labels is the raw label body ("method=\"pcg\"", see Label for safe
 // construction) and may be empty. The output order matches Fields(), so
 // repeated scrapes diff cleanly.
-func (c *Counters) WritePrometheus(w io.Writer, prefix, labels string) error {
-	lb := ""
-	if labels != "" {
-		lb = "{" + labels + "}"
-	}
-	sep := "_"
-	if prefix == "" {
+func (c *Counters) WritePrometheus(p *obs.PromWriter, prefix, labels string) {
+	if prefix != "" {
 		// An empty prefix must not leave a leading underscore: "_spmv" and
 		// "spmv" are distinct series to a scraper.
-		sep = ""
+		prefix += "_"
 	}
 	for _, f := range c.Fields() {
-		if _, err := fmt.Fprintf(w, "%s%s%s%s %s\n", prefix, sep, f.Name, lb, formatValue(f.Value)); err != nil {
-			return err
-		}
+		p.Family(prefix+f.Name, "counter", "")
+		p.Sample(labels, formatValue(f.Value))
 	}
-	return nil
 }
 
 // Label renders one name="value" label pair with the Prometheus exposition

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // fillDistinct sets every field of c to a distinct nonzero value (i+1 for the
@@ -120,11 +122,7 @@ func TestCountersJSONStable(t *testing.T) {
 
 func TestCountersPrometheus(t *testing.T) {
 	c := Counters{SpMV: 7, Flops: 1.5}
-	var sb strings.Builder
-	if err := c.WritePrometheus(&sb, "solverd_kernel", `problem="p"`); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := promText(t, &c, "solverd_kernel", `problem="p"`)
 	for _, want := range []string{
 		"solverd_kernel_spmv{problem=\"p\"} 7\n",
 		"solverd_kernel_flops{problem=\"p\"} 1.5\n",
@@ -134,10 +132,37 @@ func TestCountersPrometheus(t *testing.T) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, out)
 		}
 	}
-	lines := strings.Count(out, "\n")
-	if lines != len(c.Fields()) {
-		t.Fatalf("prometheus output has %d lines, want %d", lines, len(c.Fields()))
+	if lines := sampleLines(out); len(lines) != len(c.Fields()) {
+		t.Fatalf("prometheus output has %d sample lines, want %d", len(lines), len(c.Fields()))
 	}
+	// Every field is its own typed family, declared before its sample.
+	if want := "# TYPE solverd_kernel_spmv counter\nsolverd_kernel_spmv{problem=\"p\"} 7\n"; !strings.Contains(out, want) {
+		t.Fatalf("prometheus output missing %q:\n%s", want, out)
+	}
+}
+
+// promText renders c through a PromWriter and fails the test on a write
+// error.
+func promText(t *testing.T, c *Counters, prefix, labels string) string {
+	t.Helper()
+	var sb strings.Builder
+	p := obs.NewPromWriter(&sb)
+	c.WritePrometheus(p, prefix, labels)
+	if err := p.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
+// sampleLines returns the non-comment lines of a text-format scrape.
+func sampleLines(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
 }
 
 // TestCountersPrometheusEmptyPrefix pins the bare-name edge case: an empty
@@ -145,15 +170,11 @@ func TestCountersPrometheus(t *testing.T) {
 // label body must not emit braces.
 func TestCountersPrometheusEmptyPrefix(t *testing.T) {
 	c := Counters{SpMV: 2}
-	var sb strings.Builder
-	if err := c.WritePrometheus(&sb, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "spmv 2\n") {
+	out := promText(t, &c, "", "")
+	if !strings.Contains(out, "\nspmv 2\n") {
 		t.Fatalf("missing bare series name:\n%s", out)
 	}
-	for _, line := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+	for _, line := range sampleLines(out) {
 		if strings.HasPrefix(line, "_") {
 			t.Errorf("empty prefix left a leading underscore: %q", line)
 		}
@@ -174,14 +195,10 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 	}
 
 	c := Counters{SpMV: 1}
-	var sb strings.Builder
-	if err := c.WritePrometheus(&sb, "k", Label("file", "weird\"name\nwith newline")); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if got := strings.Count(out, "\n"); got != len(c.Fields()) {
+	out := promText(t, &c, "k", Label("file", "weird\"name\nwith newline"))
+	if got := strings.Count(out, "\n"); got != 2*len(c.Fields()) {
 		t.Fatalf("escaped label broke line structure: %d lines, want %d:\n%s",
-			got, len(c.Fields()), out)
+			got, 2*len(c.Fields()), out)
 	}
 	if want := `k_spmv{file="weird\"name\nwith newline"} 1` + "\n"; !strings.Contains(out, want) {
 		t.Fatalf("missing escaped series %q in:\n%s", want, out)
