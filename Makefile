@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check layering loc bench bench-check bench-kernels perf chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet fmt-check layering loc bench bench-check bench-kernels perf fuzz chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
 
 all: tier1
 
@@ -138,13 +138,23 @@ bench-check:
 # concurrent callers, run short (100 iterations, 3 samples; 2000 of the
 # microsecond-scale pool regions) so tier1 catches a kernel that stops
 # compiling or collapses, without turning the gate into a benchmark farm.
+# Assembly runs 5 iterations (the 125-point 32³ operator, the 7-point 48³ one
+# and a scattered Builder): a slide back to a global sort shows as ~10×.
 # cmd/perfreport produces the committed BENCH_pr6.json.
 perf:
 	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep' -benchtime=100x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'Laplacian' -benchtime=5x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'BuilderBuild' -benchtime=5x -count=3 -run xxx ./internal/sparse
 	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec
 	$(GO) test -bench '[Aa]llreduce(8|16)|PowersExchange' -benchtime=100x -count=3 -run xxx ./internal/comm
 	$(GO) test -bench 'BuildPowersPlans' -benchtime=100x -count=3 -run xxx ./internal/partition
 	$(GO) test -bench 'PoolContended' -benchtime=2000x -count=3 -run xxx ./internal/par
+
+# Native fuzzing of the untrusted-input parsers beyond their committed seed
+# corpora (testdata/fuzz, which plain `go test` already runs). Not part of
+# tier1: a fuzz run is open-ended exploration, not a gate.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzReadMatrixMarket -fuzztime 30s -parallel 2 ./internal/sparse
 
 # Kernel-layer scaling benches: SPMV, Gram/dot, and the solver-level run at
 # 1 worker versus all cores.

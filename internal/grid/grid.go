@@ -13,6 +13,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -74,14 +75,18 @@ func (s Stencil) Is3D() bool { return s == Star7 || s == Box27 || s == Box125 }
 // offset is a relative stencil position.
 type offset struct{ dx, dy, dz int }
 
-// offsets returns the neighbor offsets of the stencil, excluding the center.
+// offsets returns the neighbor offsets of the stencil, excluding the center,
+// in column order: ascending (dz, dy, dx). Every in-range neighbor of a grid
+// point has the linear index Index(x+dx, y+dy, z+dz), which grows with
+// (dz, dy, dx) lexicographically, so a row visited in this order is already
+// sorted. The stencils are symmetric, so the center belongs at the midpoint.
 func (s Stencil) offsets() []offset {
 	var out []offset
 	switch s {
 	case Star7:
-		out = []offset{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1}}
+		out = []offset{{0, 0, -1}, {0, -1, 0}, {-1, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}}
 	case Star5:
-		out = []offset{{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}}
+		out = []offset{{0, -1, 0}, {-1, 0, 0}, {1, 0, 0}, {0, 1, 0}}
 	case Box27, Box125:
 		r := 1
 		if s == Box125 {
@@ -148,30 +153,49 @@ func (g Grid) Coords(i int) (x, y, z int) {
 	return
 }
 
-// Laplacian assembles the SPD stencil operator as CSR.
+// Laplacian assembles the SPD stencil operator as CSR, row by row in O(nnz).
+// The stored-entry count has a closed form — a stencil point (dx, dy, dz)
+// stays in range at (Nx-|dx|)·(Ny-|dy|)·(Nz-|dz|) grid points — so Col and Val
+// are allocated once at their exact size, and walking the stencil in column
+// order (offsets, with the center at its midpoint) writes each row already
+// sorted.
 func (g Grid) Laplacian() *sparse.CSR {
 	offs := g.Stencil.offsets()
-	n := g.N()
 	diag := float64(len(offs))
-	b := sparse.NewBuilder(n, n)
-	b.Reserve(n * (len(offs) + 1))
+	center := len(offs) / 2
+	pts := slices.Insert(offs, center, offset{})
+	n := g.N()
+	nnz := 0
+	for _, o := range pts {
+		nnz += inRange(g.Nx, o.dx) * inRange(g.Ny, o.dy) * inRange(g.Nz, o.dz)
+	}
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
+		Col: make([]int, nnz), Val: make([]float64, nnz)}
+	p := 0
 	for z := 0; z < g.Nz; z++ {
 		for y := 0; y < g.Ny; y++ {
 			for x := 0; x < g.Nx; x++ {
-				i := g.Index(x, y, z)
-				b.Add(i, i, diag)
-				for _, o := range offs {
+				for k, o := range pts {
 					nx, ny, nz := x+o.dx, y+o.dy, z+o.dz
 					if nx < 0 || nx >= g.Nx || ny < 0 || ny >= g.Ny || nz < 0 || nz >= g.Nz {
 						continue // Dirichlet: neighbor outside keeps weight on diagonal
 					}
-					b.Add(i, g.Index(nx, ny, nz), -1)
+					a.Col[p], a.Val[p] = g.Index(nx, ny, nz), -1
+					if k == center {
+						a.Val[p] = diag
+					}
+					p++
 				}
+				a.RowPtr[g.Index(x, y, z)+1] = p
 			}
 		}
 	}
-	return b.Build()
+	return a
 }
+
+// inRange counts the points of a length-n axis whose neighbor at offset d is
+// also on the axis.
+func inRange(n, d int) int { return max(n-max(d, -d), 0) }
 
 // Coarsen returns the grid with every dimension halved (for geometric
 // multigrid). Dimensions are rounded up so a 2D grid stays 2D.

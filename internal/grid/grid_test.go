@@ -1,7 +1,10 @@
 package grid
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +105,86 @@ func TestLaplacianSymmetricSPD(t *testing.T) {
 			if quad <= 0 {
 				t.Fatalf("%v: x'Ax = %g not positive", s, quad)
 			}
+		}
+	}
+}
+
+// laplacianBySort is the assembly Laplacian replaced, kept as the reference:
+// every (row, col, val) triplet into one list, one global sort, then CSR.
+func laplacianBySort(g Grid) *sparse.CSR {
+	type triplet struct {
+		row, col int
+		val      float64
+	}
+	offs := g.Stencil.offsets()
+	var ts []triplet
+	for z := 0; z < g.Nz; z++ {
+		for y := 0; y < g.Ny; y++ {
+			for x := 0; x < g.Nx; x++ {
+				i := g.Index(x, y, z)
+				ts = append(ts, triplet{i, i, float64(len(offs))})
+				for _, o := range offs {
+					nx, ny, nz := x+o.dx, y+o.dy, z+o.dz
+					if nx >= 0 && nx < g.Nx && ny >= 0 && ny < g.Ny && nz >= 0 && nz < g.Nz {
+						ts = append(ts, triplet{i, g.Index(nx, ny, nz), -1})
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(ts, func(a, b int) bool {
+		if ts[a].row != ts[b].row {
+			return ts[a].row < ts[b].row
+		}
+		return ts[a].col < ts[b].col
+	})
+	n := g.N()
+	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for _, tr := range ts {
+		a.Col = append(a.Col, tr.col)
+		a.Val = append(a.Val, tr.val)
+		a.RowPtr[tr.row+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	return a
+}
+
+// TestLaplacianMatchesSortedTriplets: the row-ordered assembly is byte-equal
+// to the triplet sort for every stencil, on cubes and squares from one point
+// up, and on non-cubic grids where the stencil reaches past a whole axis
+// (n ≤ 2r). Col and Val come out at their exact size.
+func TestLaplacianMatchesSortedTriplets(t *testing.T) {
+	var grids []Grid
+	for _, n := range []int{1, 2, 3, 5, 16} {
+		for _, s := range []Stencil{Star7, Box27, Box125} {
+			grids = append(grids, NewCube(n, s))
+		}
+		for _, s := range []Stencil{Star5, Box9} {
+			grids = append(grids, NewSquare(n, s))
+		}
+	}
+	grids = append(grids,
+		Grid{Nx: 2, Ny: 5, Nz: 3, Stencil: Box125},
+		Grid{Nx: 7, Ny: 1, Nz: 4, Stencil: Box125},
+		Grid{Nx: 4, Ny: 3, Nz: 2, Stencil: Box27},
+		Grid{Nx: 1, Ny: 6, Nz: 2, Stencil: Star7},
+		Grid{Nx: 5, Ny: 2, Nz: 1, Stencil: Box9},
+		Grid{Nx: 1, Ny: 3, Nz: 1, Stencil: Star5})
+	for _, g := range grids {
+		got, want := g.Laplacian(), laplacianBySort(g)
+		tag := fmt.Sprintf("%v %dx%dx%d", g.Stencil, g.Nx, g.Ny, g.Nz)
+		if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+			t.Fatalf("%s: structure differs from the sorted triplets", tag)
+		}
+		for k := range want.Val {
+			if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+				t.Fatalf("%s: Val[%d] = %g, want %g", tag, k, got.Val[k], want.Val[k])
+			}
+		}
+		if cap(got.Col) != len(got.Col) || cap(got.Val) != len(got.Val) {
+			t.Fatalf("%s: Col/Val cap %d/%d for %d entries", tag, cap(got.Col), cap(got.Val), len(got.Col))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -59,6 +60,20 @@ func BenchmarkSpMV2D(b *testing.B) {
 			op.MulVec(y, x)
 		}
 	})
+}
+
+// BenchmarkLaplacian measures assembly of the paper's 125-point operator at
+// the solve_spmv benchmark size and of the 7-point operator at the
+// solve_vector size: one pass over the grid writing each row in column order.
+func BenchmarkLaplacian(b *testing.B) {
+	for _, g := range []Grid{NewCube(32, Box125), NewCube(48, Star7)} {
+		b.Run(fmt.Sprintf("%v-%d", g.Stencil, g.Nx), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = g.Laplacian()
+			}
+		})
+	}
 }
 
 // BenchmarkPowersStep measures one monomial powers-block step — y = A·x/σ

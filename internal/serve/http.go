@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // routes mounts the HTTP API:
@@ -270,7 +272,7 @@ type MatricesResponse struct {
 
 func (s *Server) handleMatrices(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, MatricesResponse{
-		Builtin:  []string{"poisson125", "poisson7", "poisson5", "ecology2", "thermal2", "serena"},
+		Builtin:  workload.Names,
 		Uploads:  s.Registry.Uploads(),
 		Resident: s.Registry.Summaries(),
 	})

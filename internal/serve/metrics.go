@@ -159,6 +159,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, mgr *Manager, reg *Registry) {
 	p.Family("solverd_workers", "gauge", "").Int("", int64(mgr.Workers()))
 	p.Family("solverd_draining", "gauge", "").Int("", obs.PromBool(mgr.Draining()))
 	p.Family("solverd_registry_entries", "gauge", "").Int("", int64(reg.Len()))
+	var resident int64
+	for _, e := range reg.Summaries() {
+		resident += int64(e.Bytes)
+	}
+	p.Family("solverd_registry_bytes", "gauge", "Bytes the resident entries' systems hold: CSR row pointers, columns and values, plus the right-hand side.").Int("", resident)
 
 	p.Family("solverd_jobs_total", "counter", "")
 	p.Int(`outcome="converged"`, m.jobsConverged.Load())

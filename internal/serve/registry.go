@@ -344,12 +344,14 @@ func isIdentityPerm(p []int) bool {
 	return true
 }
 
-// EntrySummary is the registry listing for the HTTP plane.
+// EntrySummary is the registry listing for the HTTP plane. Bytes is what the
+// entry's system holds resident: the CSR (RowPtr, Col, Val) and B.
 type EntrySummary struct {
-	Key  string `json:"key"`
-	N    int    `json:"n"`
-	NNZ  int    `json:"nnz"`
-	Refs int    `json:"refs"`
+	Key   string `json:"key"`
+	N     int    `json:"n"`
+	NNZ   int    `json:"nnz"`
+	Bytes int    `json:"bytes"`
+	Refs  int    `json:"refs"`
 }
 
 // Summaries lists resident entries, most recently used first.
@@ -371,6 +373,7 @@ func (g *Registry) Summaries() []EntrySummary {
 		e.mu.Lock()
 		if e.buildErr == nil && e.problem.A != nil {
 			s.N, s.NNZ = e.problem.A.Rows, e.problem.A.NNZ()
+			s.Bytes = 8*(s.N+1) + 16*s.NNZ + 8*s.N
 		}
 		e.mu.Unlock()
 		out = append(out, s)

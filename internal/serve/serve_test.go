@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -529,6 +530,40 @@ func TestUploadThenSolve(t *testing.T) {
 	if len(ml.Resident) == 0 {
 		t.Fatal("no resident entries after a solve")
 	}
+	// 50 rows, 148 nnz: RowPtr, Col, Val and B.
+	if r := ml.Resident[0]; r.Bytes != 8*51+16*148+8*50 {
+		t.Fatalf("resident %+v: bytes %d", r, r.Bytes)
+	}
+	if !slices.Equal(ml.Builtin, workload.Names) {
+		t.Fatalf("builtin %v, catalogue %v", ml.Builtin, workload.Names)
+	}
+}
+
+// TestUploadHeaderCannotSizeAllocation: an upload whose size line claims
+// more than its body holds is a 400 — not an allocation sized by the claim —
+// and the same daemon then serves a solve.
+func TestUploadHeaderCannotSizeAllocation(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, body := range []string{
+		"%%MatrixMarket matrix coordinate real symmetric\n1 1 50000000\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 1\n1 1 1\n",
+	} {
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/matrices/x", strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	st := decodeStatus(t, postJSON(t, ts.URL+"/v1/solve", SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 6}, Method: "pcg",
+	}))
+	if st.State != JobConverged {
+		t.Fatalf("solve after refused uploads: state=%s error=%q", st.State, st.Error)
+	}
 }
 
 func TestHealthzAndMetrics(t *testing.T) {
@@ -563,6 +598,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"solverd_queue_depth 0",
 		"solverd_inflight_jobs 0",
 		"solverd_registry_entries 1",
+		// poisson7 n=5: 125 rows, 725 nnz → 8·126 + 16·725 + 8·125.
+		"solverd_registry_bytes 13608",
 		"solverd_registry_misses_total 1",
 		"solverd_request_seconds_bucket{le=\"+Inf\"} 1",
 		"solverd_request_seconds_count 1",

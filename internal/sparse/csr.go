@@ -45,7 +45,10 @@ type Entry struct {
 }
 
 // Builder accumulates coordinate entries and produces a CSR matrix.
-// Duplicate (row, col) entries are summed, matching finite element assembly.
+// Duplicate (row, col) entries are summed in insertion order, matching finite
+// element assembly: three or more entries at one coordinate sum as
+// ((a+b)+c)+…, so the bits depend only on the order of the Add calls. (No
+// caller in this repository adds one coordinate more than twice.)
 type Builder struct {
 	rows, cols int
 	entries    []Entry
@@ -73,46 +76,87 @@ func (b *Builder) Reserve(n int) {
 	}
 }
 
-// entriesByRowCol sorts coordinate entries row-major. A concrete
-// sort.Interface: sort.Sort on it avoids the closure indirection and
-// reflection-based swapper of sort.Slice on large assemblies (see
-// BenchmarkBuilderBuild).
-type entriesByRowCol []Entry
-
-func (e entriesByRowCol) Len() int      { return len(e) }
-func (e entriesByRowCol) Swap(i, j int) { e[i], e[j] = e[j], e[i] }
-func (e entriesByRowCol) Less(i, j int) bool {
-	if e[i].Row != e[j].Row {
-		return e[i].Row < e[j].Row
+// Build produces the CSR matrix in O(nnz + rows): a counting sort by row
+// scatters the entries into exact-size arrays in insertion order, each row is
+// sorted by column with SortRow (stable, so duplicates keep insertion order),
+// and duplicates are summed in that order while the rows are compacted in
+// place. Entries that cancel to an exact zero are kept as stored (explicit)
+// zeros — the structure of the assembly is preserved, which keeps chunk
+// plans, partitions and symbolic products stable even when values cancel.
+func (b *Builder) Build() *CSR {
+	nnz := len(b.entries)
+	a := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1),
+		Col: make([]int, nnz), Val: make([]float64, nnz)}
+	for _, e := range b.entries {
+		a.RowPtr[e.Row+1]++
 	}
-	return e[i].Col < e[j].Col
+	for i := 0; i < b.rows; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	next := make([]int, b.rows)
+	copy(next, a.RowPtr)
+	for _, e := range b.entries {
+		p := next[e.Row]
+		a.Col[p], a.Val[p] = e.Col, e.Val
+		next[e.Row] = p + 1
+	}
+	w := 0
+	for i := 0; i < b.rows; i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		SortRow(a.Col[lo:hi], a.Val[lo:hi])
+		a.RowPtr[i] = w
+		for k := lo; k < hi; {
+			c, v := a.Col[k], a.Val[k]
+			for k++; k < hi && a.Col[k] == c; k++ {
+				v += a.Val[k]
+			}
+			a.Col[w], a.Val[w] = c, v
+			w++
+		}
+	}
+	a.RowPtr[b.rows] = w
+	a.Col, a.Val = a.Col[:w], a.Val[:w]
+	return a
 }
 
-// Build produces the CSR matrix, summing duplicate (row, col) entries.
-// Entries that cancel to an exact zero are kept as stored (explicit) zeros —
-// the structure of the assembly is preserved, which keeps chunk plans,
-// partitions and symbolic products stable even when values cancel.
-func (b *Builder) Build() *CSR {
-	sort.Sort(entriesByRowCol(b.entries))
-	a := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
-	for k := 0; k < len(b.entries); {
-		e := b.entries[k]
-		v := e.Val
-		k++
-		for k < len(b.entries) && b.entries[k].Row == e.Row && b.entries[k].Col == e.Col {
-			v += b.entries[k].Val
-			k++
+// sortRowInsertionMax is the longest out-of-order row SortRow insertion-sorts.
+// Assembled rows are short and nearly sorted, where insertion sort is linear;
+// a longer unsorted row (a dense row in an uploaded file) takes the
+// O(d log d) stable merge instead, so no single row makes assembly quadratic.
+const sortRowInsertionMax = 64
+
+// SortRow sorts one CSR row's (col, val) pairs by column, stably: equal
+// columns keep their relative order. It is the one row sort every assembly
+// path shares (Builder.Build, PermuteSym, synth.AssembleLaplacian).
+func SortRow(col []int, val []float64) {
+	if len(col) > sortRowInsertionMax {
+		if !sort.IntsAreSorted(col) {
+			sort.Stable(rowByCol{col, val})
 		}
-		a.Col = append(a.Col, e.Col)
-		a.Val = append(a.Val, v)
-		a.RowPtr[e.Row+1] = len(a.Col)
+		return
 	}
-	for i := 1; i <= b.rows; i++ {
-		if a.RowPtr[i] == 0 {
-			a.RowPtr[i] = a.RowPtr[i-1]
+	for k := 1; k < len(col); k++ {
+		c, v := col[k], val[k]
+		m := k
+		for m > 0 && col[m-1] > c {
+			col[m], val[m] = col[m-1], val[m-1]
+			m--
 		}
+		col[m], val[m] = c, v
 	}
-	return a
+}
+
+// rowByCol is one row's parallel (col, val) arrays as a sort.Interface.
+type rowByCol struct {
+	col []int
+	val []float64
+}
+
+func (r rowByCol) Len() int           { return len(r.col) }
+func (r rowByCol) Less(i, j int) bool { return r.col[i] < r.col[j] }
+func (r rowByCol) Swap(i, j int) {
+	r.col[i], r.col[j] = r.col[j], r.col[i]
+	r.val[i], r.val[j] = r.val[j], r.val[i]
 }
 
 // FromDense converts a dense row-major matrix to CSR, skipping zeros.

@@ -1,8 +1,11 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -40,6 +43,138 @@ func TestBuilderSumsDuplicates(t *testing.T) {
 	}
 	if a.At(0, 1) != 4 || a.At(1, 0) != -1 || a.At(0, 0) != 0 {
 		t.Fatalf("bad values: %v", a.Val)
+	}
+}
+
+// buildBySort is the Build the counting sort replaced, kept as the reference:
+// one global sort of the triplets by (row, col), duplicates summed in the
+// order the sort leaves them, Col/Val grown by append.
+func buildBySort(b *Builder) *CSR {
+	es := slices.Clone(b.entries)
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].Row != es[j].Row {
+			return es[i].Row < es[j].Row
+		}
+		return es[i].Col < es[j].Col
+	})
+	a := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1)}
+	for k := 0; k < len(es); {
+		e := es[k]
+		v := e.Val
+		for k++; k < len(es) && es[k].Row == e.Row && es[k].Col == e.Col; k++ {
+			v += es[k].Val
+		}
+		a.Col = append(a.Col, e.Col)
+		a.Val = append(a.Val, v)
+		a.RowPtr[e.Row+1]++
+	}
+	for i := 0; i < b.rows; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	return a
+}
+
+func sameCSR(t *testing.T, tag string, got, want *CSR) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.Col, want.Col) {
+		t.Fatalf("%s: structure differs: RowPtr %v Col %v, want %v %v", tag, got.RowPtr, got.Col, want.RowPtr, want.Col)
+	}
+	for k := range want.Val {
+		if math.Float64bits(got.Val[k]) != math.Float64bits(want.Val[k]) {
+			t.Fatalf("%s: Val[%d] = %g, want %g", tag, k, got.Val[k], want.Val[k])
+		}
+	}
+}
+
+// TestBuildMatchesSortedBuild: on random triplets in random order, with no
+// coordinate added more than twice (a+b = b+a exactly, so the old unstable
+// sort's duplicate order cannot matter), Build is byte-equal to the global
+// sort it replaced — empty rows, rectangular shapes and rows past the
+// insertion-sort cutoff included.
+func TestBuildMatchesSortedBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(40), 1+rng.Intn(200)
+		b := NewBuilder(rows, cols)
+		for k, n := 0, rng.Intn(rows*cols/2+1); k < n; k++ {
+			i, j := rng.Intn(rows), rng.Intn(cols)
+			b.Add(i, j, rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				b.Add(i, j, rng.NormFloat64())
+			}
+		}
+		// Drop third and later copies of a coordinate, keeping the order.
+		seen := map[[2]int]int{}
+		kept := b.entries[:0]
+		for _, e := range b.entries {
+			key := [2]int{e.Row, e.Col}
+			if seen[key] < 2 {
+				seen[key]++
+				kept = append(kept, e)
+			}
+		}
+		b.entries = kept
+		sameCSR(t, fmt.Sprintf("trial %d (%d×%d, %d entries)", trial, rows, cols, len(kept)), b.Build(), buildBySort(b))
+	}
+}
+
+// TestBuildSumsDuplicatesInInsertionOrder: three or more entries at one
+// coordinate sum as ((a+b)+c) in the order they were added, whatever the
+// columns around them, in short rows and in rows long enough to take the
+// stable merge instead of insertion sort. 1e16+1 rounds back to 1e16, so the
+// order decides between 0 and 1.
+func TestBuildSumsDuplicatesInInsertionOrder(t *testing.T) {
+	for _, width := range []int{3, 2 * sortRowInsertionMax} {
+		b := NewBuilder(2, width)
+		for j := width - 1; j >= 0; j-- { // descending: the row must be sorted
+			b.Add(0, j, 1)
+			b.Add(0, j, 1e16)
+			b.Add(0, j, -1e16)
+			b.Add(1, j, 1e16)
+			b.Add(1, j, -1e16)
+			b.Add(1, j, 1)
+		}
+		a := b.Build()
+		if a.NNZ() != 2*width {
+			t.Fatalf("width %d: nnz %d", width, a.NNZ())
+		}
+		for j := 0; j < width; j++ {
+			if got := a.At(0, j); got != 0 {
+				t.Fatalf("width %d: (0,%d) = %g, want (1+1e16)-1e16 = 0", width, j, got)
+			}
+			if got := a.At(1, j); got != 1 {
+				t.Fatalf("width %d: (1,%d) = %g, want (1e16-1e16)+1 = 1", width, j, got)
+			}
+		}
+	}
+}
+
+// TestSortRow: SortRow equals a stable sort of the (col, val) pairs, on
+// either side of the insertion-sort cutoff, with duplicate columns.
+func TestSortRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, n := range []int{0, 1, 2, 7, sortRowInsertionMax, sortRowInsertionMax + 1, 500} {
+		for _, span := range []int{3, 10 * n} {
+			col, val := make([]int, n), make([]float64, n)
+			for k := range col {
+				col[k], val[k] = rng.Intn(span+1), float64(k)
+			}
+			type pair struct {
+				c int
+				v float64
+			}
+			want := make([]pair, n)
+			for k := range want {
+				want[k] = pair{col[k], val[k]}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].c < want[j].c })
+			SortRow(col, val)
+			for k := range want {
+				if col[k] != want[k].c || val[k] != want[k].v {
+					t.Fatalf("n=%d span=%d: [%d] = (%d,%g), want (%d,%g)", n, span, k, col[k], val[k], want[k].c, want[k].v)
+				}
+			}
+		}
 	}
 }
 

@@ -18,6 +18,12 @@ import (
 // two-byte gzip magic (0x1f 0x8b), so `.mtx` and `.mtx.gz` files — the form
 // SuiteSparse distributes and service uploads arrive in — go through the
 // same call.
+//
+// The reader trusts no count in the stream: memory grows only with the
+// entries actually read, and a size line whose rows or cols exceed its
+// declared entry count is refused before anything is allocated for it. Every
+// matrix this repository solves is square with a stored diagonal, so it
+// declares at least one entry per row and per column.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -33,7 +39,7 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 
 func readMatrixMarket(r io.Reader) (*CSR, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("sparse: empty MatrixMarket stream")
 	}
@@ -71,12 +77,13 @@ func readMatrixMarket(r io.Reader) (*CSR, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: bad dimensions %d×%d", rows, cols)
 	}
-	b := NewBuilder(rows, cols)
-	if symmetry == "symmetric" {
-		b.Reserve(2 * nnz)
-	} else {
-		b.Reserve(nnz)
+	if symmetry == "symmetric" && rows != cols {
+		return nil, fmt.Errorf("sparse: symmetric matrix must be square, got %d×%d", rows, cols)
 	}
+	if rows > nnz || cols > nnz {
+		return nil, fmt.Errorf("sparse: %d×%d matrix declares only %d entries (need a stored diagonal)", rows, cols, nnz)
+	}
+	b := NewBuilder(rows, cols)
 	read := 0
 	for sc.Scan() && read < nnz {
 		line := strings.TrimSpace(sc.Text())
@@ -104,6 +111,9 @@ func readMatrixMarket(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
 			}
+		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) outside %d×%d", i, j, rows, cols)
 		}
 		i, j = i-1, j-1 // MatrixMarket is 1-based
 		b.Add(i, j, v)

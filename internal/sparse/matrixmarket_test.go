@@ -3,7 +3,11 @@ package sparse
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -83,6 +87,126 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
+}
+
+// TestReadMatrixMarketHeaderCannotSizeAllocation: counts in a size line are
+// claims, not budgets. A 60-byte body declaring fifty million entries, one
+// declaring two billion rows and entries, and one whose rows exceed its entry
+// count (a RowPtr of 16 GB for a single entry) are each refused having
+// allocated under 1 MB.
+func TestReadMatrixMarketHeaderCannotSizeAllocation(t *testing.T) {
+	for _, src := range []string{
+		"%%MatrixMarket matrix coordinate real symmetric\n1 1 50000000\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 2000000000\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2000000000 2000000000 1\n1 1 1\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadMatrixMarket(strings.NewReader(src))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q: want an error", src)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%q: allocated %d bytes before failing (%v)", src, alloc, err)
+		}
+	}
+}
+
+// TestReadMatrixMarketRefusesBadEntries: indices outside the declared shape
+// and a non-square symmetric file are errors, not panics.
+func TestReadMatrixMarketRefusesBadEntries(t *testing.T) {
+	for _, src := range []string{
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n3 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n1 0 1\n",
+		"%%MatrixMarket matrix coordinate real symmetric\n2 3 3\n1 1 1\n2 2 1\n1 3 1\n",
+	} {
+		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {
+			t.Errorf("%q: want an error", src)
+		}
+	}
+}
+
+// mmReference re-reads a body the reader accepted, line by line, and sums
+// every entry (and its mirror, for symmetric files) into a map in file order:
+// the values the CSR must hold.
+func mmReference(t *testing.T, body []byte) (rows, cols int, vals map[[2]int]float64) {
+	t.Helper()
+	if len(body) >= 2 && body[0] == 0x1f && body[1] == 0x8b {
+		gz, err := gzip.NewReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("reader accepted a gzip stream gzip refuses: %v", err)
+		}
+		body, _ = io.ReadAll(gz) // what precedes a late error is what the reader saw
+	}
+	lines := strings.Split(string(body), "\n")
+	header := strings.Fields(strings.ToLower(lines[0]))
+	pattern, symmetric := header[3] == "pattern", header[4] == "symmetric"
+	vals = map[[2]int]float64{}
+	nnz, read := -1, 0
+	for _, line := range lines[1:] {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "%") {
+			continue
+		}
+		if nnz < 0 {
+			fmt.Sscan(line, &rows, &cols, &nnz)
+			continue
+		}
+		if read == nnz {
+			break
+		}
+		f := strings.Fields(line)
+		i, _ := strconv.Atoi(f[0])
+		j, _ := strconv.Atoi(f[1])
+		v := 1.0
+		if !pattern {
+			v, _ = strconv.ParseFloat(f[2], 64)
+		}
+		vals[[2]int{i - 1, j - 1}] += v
+		if symmetric && i != j {
+			vals[[2]int{j - 1, i - 1}] += v
+		}
+		read++
+	}
+	return rows, cols, vals
+}
+
+// FuzzReadMatrixMarket: no input panics the reader, and whatever it accepts
+// is a valid CSR — monotone RowPtr ending at len(Col) = len(Val), columns
+// strictly increasing and in range in every row — holding exactly the
+// entries of the file, duplicates summed in file order. `go test` runs the
+// committed corpus (testdata/fuzz); `make fuzz` explores beyond it.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		a, err := ReadMatrixMarket(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if len(a.RowPtr) != a.Rows+1 || a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.Col) || len(a.Col) != len(a.Val) {
+			t.Fatalf("bad CSR shape: %d rows, RowPtr len %d ends %d, %d cols, %d vals",
+				a.Rows, len(a.RowPtr), a.RowPtr[len(a.RowPtr)-1], len(a.Col), len(a.Val))
+		}
+		rows, cols, want := mmReference(t, body)
+		if a.Rows != rows || a.Cols != cols || a.NNZ() != len(want) {
+			t.Fatalf("CSR %d×%d with %d entries, file %d×%d with %d distinct", a.Rows, a.Cols, a.NNZ(), rows, cols, len(want))
+		}
+		for i := 0; i < a.Rows; i++ {
+			if a.RowPtr[i] > a.RowPtr[i+1] {
+				t.Fatalf("RowPtr falls at row %d", i)
+			}
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				c := a.Col[k]
+				if c < 0 || c >= a.Cols || (k > a.RowPtr[i] && c <= a.Col[k-1]) {
+					t.Fatalf("row %d: column %d out of range or order", i, c)
+				}
+				w, ok := want[[2]int{i, c}]
+				if v := a.Val[k]; !ok || (v != w && !(v != v && w != w)) {
+					t.Fatalf("(%d,%d) = %g, file sums to %g (present %v)", i, c, v, w, ok)
+				}
+			}
+		}
+	})
 }
 
 // gzipped compresses a MatrixMarket source in memory.

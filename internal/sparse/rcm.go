@@ -147,34 +147,26 @@ func InversePerm(perm []int) []int {
 }
 
 // PermuteSym returns P·A·Pᵀ for the permutation perm (perm[new] = old):
-// B[i][j] = A[perm[i]][perm[j]]. Column indices within each row are sorted,
-// so the result is a valid CSR matrix.
+// B[i][j] = A[perm[i]][perm[j]]. Each permuted row is written straight into
+// exact-size arrays and sorted in place with SortRow, so the result is a
+// valid CSR matrix built in O(nnz).
 func PermuteSym(a *CSR, perm []int) *CSR {
 	if a.Rows != a.Cols || len(perm) != a.Rows {
 		panic("sparse: PermuteSym needs a square matrix and a full permutation")
 	}
 	inv := InversePerm(perm)
 	n := a.Rows
-	b := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	b.Col = make([]int, 0, a.NNZ())
-	b.Val = make([]float64, 0, a.NNZ())
-	type ent struct {
-		col int
-		val float64
-	}
-	row := make([]ent, 0, 8)
-	for i := 0; i < n; i++ {
-		old := perm[i]
-		row = row[:0]
+	b := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
+		Col: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
+	p := 0
+	for i, old := range perm {
+		lo := p
 		for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
-			row = append(row, ent{inv[a.Col[k]], a.Val[k]})
+			b.Col[p], b.Val[p] = inv[a.Col[k]], a.Val[k]
+			p++
 		}
-		sort.Slice(row, func(x, y int) bool { return row[x].col < row[y].col })
-		for _, e := range row {
-			b.Col = append(b.Col, e.col)
-			b.Val = append(b.Val, e.val)
-		}
-		b.RowPtr[i+1] = len(b.Col)
+		SortRow(b.Col[lo:p], b.Val[lo:p])
+		b.RowPtr[i+1] = p
 	}
 	return b
 }

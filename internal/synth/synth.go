@@ -109,8 +109,7 @@ func AssembleLaplacian(n int, generate func(EdgeEmitter)) *sparse.CSR {
 	}
 	generate(fill)
 
-	// Write diagonals into the reserved slot, then sort each row by column
-	// with insertion sort (rows are short).
+	// Write diagonals into the reserved slot, then sort each row by column.
 	for i := 0; i < n; i++ {
 		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		d := fill.diag[i]
@@ -119,17 +118,7 @@ func AssembleLaplacian(n int, generate func(EdgeEmitter)) *sparse.CSR {
 		}
 		a.Col[lo] = i
 		a.Val[lo] = d
-		for k := lo + 1; k < hi; k++ {
-			c, v := a.Col[k], a.Val[k]
-			m := k
-			for m > lo && a.Col[m-1] > c {
-				a.Col[m] = a.Col[m-1]
-				a.Val[m] = a.Val[m-1]
-				m--
-			}
-			a.Col[m] = c
-			a.Val[m] = v
-		}
+		sparse.SortRow(a.Col[lo:hi], a.Val[lo:hi])
 	}
 	return a
 }

@@ -1,8 +1,10 @@
 package workload_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"strings"
@@ -280,6 +282,62 @@ func TestDriftProbe(t *testing.T) {
 	sameBits(t, "probed X", probed.X, plain.X)
 	if !reflect.DeepEqual(probedC.Fields(), plainC.Fields()) {
 		t.Fatalf("probed counters %v, unprobed %v", probedC.Fields(), plainC.Fields())
+	}
+}
+
+// csrHash is FNV-64a over a CSR's shape, RowPtr, Col and the bits of Val.
+func csrHash(a *sparse.CSR) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(a.Rows))
+	put(uint64(a.Cols))
+	for _, p := range a.RowPtr {
+		put(uint64(p))
+	}
+	for _, c := range a.Col {
+		put(uint64(c))
+	}
+	for _, v := range a.Val {
+		put(math.Float64bits(v))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestCatalogueCSRPinned pins every catalogue problem's assembled matrix —
+// and the RCM-reordered form the registry builds for uploads — to the bit at
+// a small size. The hashes were taken from the sort-based assembly the
+// row-ordered one replaced, so a change in any assembly path shows here.
+func TestCatalogueCSRPinned(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		n, scale int
+		hash     string
+		rcmHash  string
+	}{
+		{"poisson125", 6, 0, "1d8f16a4e77389b9", ""},
+		{"poisson7", 8, 0, "97637f2bee334a5e", ""},
+		{"poisson5", 10, 0, "a109651d2a9d615e", ""},
+		{"ecology2", 0, 64, "e95d3b57d98b7513", "c6b66bb3c88d8427"},
+		{"thermal2", 0, 64, "62a617347c7ba5c7", "8ac0cc4faa36418b"},
+		{"serena", 0, 16, "bdec9c2d1c8a7213", ""},
+	} {
+		pr, err := workload.ProblemByName(c.name, c.n, c.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := csrHash(pr.A); got != c.hash {
+			t.Errorf("%s: CSR hash %s, want %s", c.name, got, c.hash)
+		}
+		if c.rcmHash == "" {
+			continue
+		}
+		if got := csrHash(pr.Reordered(sparse.RCMOrder(pr.A)).A); got != c.rcmHash {
+			t.Errorf("%s/rcm: CSR hash %s, want %s", c.name, got, c.rcmHash)
+		}
 	}
 }
 
