@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check layering loc bench bench-check bench-kernels perf fuzz chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
+.PHONY: all build test race vet fmt-check layering loc bench bench-check bench-kernels perf fuzz results-check chaos serve-smoke cluster-chaos audit variant-audit timeline batch-smoke trace-smoke tier1
 
 all: tier1
 
@@ -155,6 +155,16 @@ perf:
 # tier1: a fuzz run is open-ended exploration, not a gate.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadMatrixMarket -fuzztime 30s -parallel 2 ./internal/sparse
+
+# The committed paper records: regenerate all seven tables and figures at
+# paper scale into a fresh directory and diff every results_* file against
+# it. About 6 minutes and 4.4 GB peak RSS on 2 cores, so not part of tier1;
+# TestFiguresGolden pins the formats at a tiny scale there.
+results-check:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/repro -full -out "$$d" && \
+	for f in results_*; do diff -u "$$f" "$$d/$$f" || exit 1; done && \
+	echo "results-check: all committed records reproduced byte for byte"
 
 # Kernel-layer scaling benches: SPMV, Gram/dot, and the solver-level run at
 # 1 worker versus all cores.

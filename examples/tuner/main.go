@@ -68,5 +68,5 @@ func main() {
 	}
 	fmt.Println("\nnote: at this demo's tiny problem size the setup kernels dominate and")
 	fmt.Println("the simulator favors small s; at the paper's 1M-unknown scale the")
-	fmt.Println("model's growing-s choice matches the simulator (see cmd/ssense -n 100).")
+	fmt.Println("model's growing-s choice matches the simulator (see cmd/repro -full fig3).")
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -158,12 +157,8 @@ func TestFormatters(t *testing.T) {
 	if !strings.Contains(out, "2.00x") {
 		t.Fatalf("scaling:\n%s", out)
 	}
-	var buf bytes.Buffer
-	if err := WriteScalingCSV(&buf, []ScalingSeries{s}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "nodes,cores,pcg") {
-		t.Fatalf("csv:\n%s", buf.String())
+	if csv := FormatScalingCSV([]ScalingSeries{s}); !strings.Contains(csv, "nodes,cores,pcg") {
+		t.Fatalf("csv:\n%s", csv)
 	}
 	tr := Trajectory{Method: "pcg", TimeSec: []float64{1, 2}, RelRes: []float64{0.5, 0.01}, Threshold: 0.1}
 	txt := FormatTrajectories("fig5", []Trajectory{tr})

@@ -3,8 +3,10 @@
 // on internal/sim, and the event stream is replayed across rank counts to
 // produce the strong-scaling, s-sensitivity, preconditioner, accuracy and
 // SuiteSparse comparisons behind every table and figure of the evaluation
-// section. Problems, preconditioners and default options come from
-// internal/workload, the assembly every other harness shares.
+// section. Figures defines each table and figure once — parameters, method
+// list and output format — and cmd/repro renders them. Problems,
+// preconditioners and default options come from internal/workload, the
+// assembly every other harness shares.
 package bench
 
 import (

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"strings"
 )
 
@@ -68,29 +67,26 @@ func FormatScaling(title string, series []ScalingSeries) string {
 	return b.String()
 }
 
-// WriteScalingCSV emits the scaling series as CSV (nodes, cores, then one
+// FormatScalingCSV renders scaling series as CSV (nodes, cores, then one
 // speedup column per method).
-func WriteScalingCSV(w io.Writer, series []ScalingSeries) error {
+func FormatScalingCSV(series []ScalingSeries) string {
 	if len(series) == 0 {
-		return nil
+		return ""
 	}
+	var b strings.Builder
 	cols := []string{"nodes", "cores"}
 	for _, s := range series {
 		cols = append(cols, s.Method)
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
-		return err
-	}
+	fmt.Fprintln(&b, strings.Join(cols, ","))
 	for i := range series[0].Nodes {
 		cells := []string{fmt.Sprint(series[0].Nodes[i]), fmt.Sprint(series[0].Cores[i])}
 		for _, s := range series {
 			cells = append(cells, fmt.Sprintf("%.4f", s.Speedup[i]))
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
+		fmt.Fprintln(&b, strings.Join(cells, ","))
 	}
-	return nil
+	return b.String()
 }
 
 // FormatTrajectories renders Fig. 5-style residual-versus-time curves.
