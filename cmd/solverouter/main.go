@@ -78,7 +78,8 @@ func main() {
 		log.Printf("shard %s at %s", sc.Name, sc.URL)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: rt.Handler()}
+	hs := serve.NewHTTPServer(rt.Handler())
+	hs.Addr = *addr
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	serveErr := make(chan error, 1)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,6 +21,9 @@ import (
 //	ssense -n 12 > fig3.txt
 //	precond -n 12 > fig4.txt
 //	accuracy -n 12 > fig5.txt
+//
+// A change that moves a record on purpose rewrites them with
+// `go test ./internal/bench -run TestFiguresGolden -update`.
 func TestFiguresGolden(t *testing.T) {
 	for _, f := range Figures {
 		t.Run(f.Name, func(t *testing.T) {
@@ -37,10 +41,17 @@ func TestFiguresGolden(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite the TestFiguresGolden records")
+
 // golden compares got against the file at path; a missing file stands for
 // the empty output.
 func golden(t *testing.T, path, got string) {
 	t.Helper()
+	if *update && got != "" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	want, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		t.Fatal(err)

@@ -340,6 +340,10 @@ func (ce *colEngine) ApplyPC(dst, src []float64) {
 	ce.c.PCFlops += ce.flopsDelta
 }
 
+// PCDiagonal answers for the base engine's preconditioner — no rendezvous;
+// the diagonal is read-only and shared by every column.
+func (ce *colEngine) PCDiagonal() ([]float64, bool) { return ce.g.base.PCDiagonal() }
+
 func (ce *colEngine) AllreduceSum(buf []float64) {
 	ce.kind, ce.buf = opAllreduce, buf
 	ce.g.rendezvous(ce)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -109,6 +111,55 @@ func TestRouterOversizedBody413(t *testing.T) {
 	rt.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d for a 17 MiB body, want 413", w.Code)
+	}
+}
+
+// TestRouterSlowHeaderClientDisconnected: the router's HTTP server hangs up
+// on a client that stops halfway through its request headers, after the
+// shards' ReadHeaderTimeout, and then routes a solve.
+func TestRouterSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
+	_, url := startShard(t, "s0")
+	rt, err := NewRouter(RouterConfig{Shards: []ShardConfig{{Name: "s0", URL: url}}, ProbeInterval: -1, Retry: fastRetry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := serve.NewHTTPServer(rt.Handler())
+	go hs.Serve(l)
+	defer hs.Close()
+	addr := l.Addr().String()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/solve HTTP/1.1\r\nHost: %s\r\nContent-Ty", addr)
+	conn.SetReadDeadline(start.Add(serve.ReadHeaderTimeout + 5*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("a client stalled mid-header is still connected after %v", time.Since(start).Round(time.Second))
+	}
+	if held := time.Since(start); held < serve.ReadHeaderTimeout/2 {
+		t.Fatalf("hung up after %v, before the header timeout %v", held, serve.ReadHeaderTimeout)
+	}
+
+	body, _ := json.Marshal(serve.SolveRequest{ProblemSpec: serve.ProblemSpec{Problem: "poisson7", N: 5}})
+	resp, err := http.Post("http://"+addr+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st serve.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK || !st.Converged {
+		t.Fatalf("solve after the stalled client: status %d, %+v, %v", resp.StatusCode, st, err)
 	}
 }
 

@@ -76,7 +76,7 @@ func NewEnginesOp(f *Fabric, a *sparse.CSR, op engine.Operator, pt partition.Par
 		op = a
 	}
 	halos := partition.BuildHalos(a, pt)
-	powers := &powersPlans{a: a, pt: pt, rowLocal: true}
+	powers := &powersPlans{a: a, pt: pt, diagonal: true}
 	engines := make([]*Engine, pt.P)
 	for r := range engines {
 		e := &Engine{
@@ -89,7 +89,8 @@ func NewEnginesOp(f *Fabric, a *sparse.CSR, op engine.Operator, pt partition.Par
 		if pcf != nil {
 			e.pc = pcf(a, e.lo, e.hi)
 		}
-		powers.rowLocal = powers.rowLocal && rowLocal(e.pc)
+		_, diag := e.PCDiagonal()
+		powers.diagonal = powers.diagonal && diag
 		engines[r] = e
 	}
 	return engines
@@ -233,6 +234,9 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 	flops, _, _, _ := e.pc.WorkPerApply()
 	e.c.PCFlops += flops
 }
+
+// PCDiagonal implements engine.Engine.
+func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.pc) }
 
 // AllreduceSum implements engine.Engine. A fabric failure (deadline
 // exhausted with nothing recoverable) surfaces as a typed panic that

@@ -358,7 +358,7 @@ func TestFaultsInDeepExchange(t *testing.T) {
 	const p, depth, blocks = 3, 3, 5
 	pt := partition.RowBlock(a.Rows, p)
 	xs := Scatter(pt, sinVector(a.Rows))
-	wantR, wantU := powersBlock(t, NewEngines(NewFabric(p, 0), a, pt, jacobiPC), xs, depth, true, 0.37, false)
+	wantR, wantU := powersBlock(t, NewEngines(NewFabric(p, 0), a, pt, jacobiPC), xs, depth, true, 0.37, false, false)
 
 	faults := map[string]*FaultConfig{
 		"drop":    {Seed: 3, DropRate: 1.0},
@@ -369,7 +369,7 @@ func TestFaultsInDeepExchange(t *testing.T) {
 		f := NewFabric(p, 0).WithFault(fc).WithRecvTimeout(2*time.Millisecond, 50)
 		engines := NewEngines(f, a, pt, jacobiPC)
 		for k := 0; k < blocks; k++ {
-			gotR, gotU := powersBlock(t, engines, xs, depth, true, 0.37, true)
+			gotR, gotU := powersBlock(t, engines, xs, depth, true, 0.37, true, false)
 			sameLevels(t, name+" r", gotR, wantR)
 			sameLevels(t, name+" u", gotU, wantU)
 		}

@@ -25,26 +25,20 @@ import (
 type powersPlans struct {
 	a        *sparse.CSR
 	pt       partition.Partition
-	rowLocal bool // every rank's preconditioner is row-local (or absent)
+	diagonal bool // every rank's preconditioner is diagonal (or absent)
 
 	mu      sync.Mutex
 	byDepth map[int][]partition.PowersPlan // nil plans = refused
 }
 
-// rowLocal reports whether a rank can apply pc to ghost rows it recomputes:
-// no preconditioner at all, or one that declares itself row-local.
-func rowLocal(pc engine.Preconditioner) bool {
-	rl, ok := pc.(engine.RowLocalPC)
-	return pc == nil || ok && rl.RowLocal()
-}
-
 // plansFor returns every rank's depth-k plan, or nil when the kernel must
 // not engage. It engages iff there is an exchange to save (P ≥ 2, k ≥ 2),
-// ghost rows can be preconditioned where they are recomputed (row-local
-// PC), and the plans are worthwhile — a pure function of the preconditioner,
-// the partition and the matrix structure, never of an option.
+// ghost rows can be preconditioned where they are recomputed (a diagonal
+// PC, engine.DiagonalPC), and the plans are worthwhile — a pure function of
+// the preconditioner, the partition and the matrix structure, never of an
+// option.
 func (ps *powersPlans) plansFor(depth int) []partition.PowersPlan {
-	if ps.pt.P < 2 || depth < 2 || !ps.rowLocal {
+	if ps.pt.P < 2 || depth < 2 || !ps.diagonal {
 		return nil
 	}
 	ps.mu.Lock()

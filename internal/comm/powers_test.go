@@ -53,13 +53,19 @@ func perProductChain(e *Engine, dstR, dstU [][]float64, src []float64, scale flo
 
 // powersBlock runs one depth-k block on every rank — through the kernel or
 // the per-product chain — and returns rank-major [rank][level] r- and
-// u-space results.
-func powersBlock(t *testing.T, engines []*Engine, src [][]float64, depth int, precond bool, scale float64, kernel bool) (rs, us [][][]float64) {
+// u-space results. With scratch set (preconditioned only), every r level is
+// one vector, the one-space solver's call.
+func powersBlock(t *testing.T, engines []*Engine, src [][]float64, depth int, precond bool, scale float64, kernel, scratch bool) (rs, us [][][]float64) {
 	t.Helper()
 	rs = make([][][]float64, len(engines))
 	us = make([][][]float64, len(engines))
 	errs := RunErr(engines, func(r int, e *Engine) error {
 		rs[r] = allocLevels(depth, e.NLocal())
+		if scratch {
+			for j := range rs[r] {
+				rs[r][j] = rs[r][0]
+			}
+		}
 		if precond {
 			us[r] = allocLevels(depth, e.NLocal())
 		}
@@ -93,7 +99,10 @@ func sameLevels(t *testing.T, id string, got, want [][][]float64) {
 
 // TestSpMVPowersMatchesPerProduct: the kernel's block equals the chain of
 // scaled products and preconditioner applications to the bit, at one halo
-// exchange instead of depth, with every other counter unchanged.
+// exchange instead of depth, with every other counter unchanged — and a
+// preconditioned block whose r levels all alias one scratch vector leaves
+// the u levels bit-identical to the block with distinct levels, the scratch
+// holding the last product.
 func TestSpMVPowersMatchesPerProduct(t *testing.T) {
 	a := thinGrid()
 	x := sinVector(a.Rows)
@@ -106,11 +115,17 @@ func TestSpMVPowersMatchesPerProduct(t *testing.T) {
 					const depth = 3
 					on := NewEngines(NewFabric(p, 0), a, pt, pcf)
 					off := NewEngines(NewFabric(p, 0), a, pt, pcf)
-					gotR, gotU := powersBlock(t, on, xs, depth, precond, scale, true)
-					wantR, wantU := powersBlock(t, off, xs, depth, precond, scale, false)
+					gotR, gotU := powersBlock(t, on, xs, depth, precond, scale, true, false)
+					wantR, wantU := powersBlock(t, off, xs, depth, precond, scale, false, false)
 					sameLevels(t, "r", gotR, wantR)
 					if precond {
 						sameLevels(t, "u", gotU, wantU)
+						aliased := NewEngines(NewFabric(p, 0), a, pt, pcf)
+						scratchR, scratchU := powersBlock(t, aliased, xs, depth, precond, scale, true, true)
+						sameLevels(t, "u (aliased r)", scratchU, wantU)
+						for r := range wantR {
+							sameLevels(t, "last r (aliased)", [][][]float64{{scratchR[r][0]}}, [][][]float64{{wantR[r][depth-1]}})
+						}
 					}
 					for r := range on {
 						c, w := *on[r].Counters(), *off[r].Counters()

@@ -50,13 +50,30 @@ type Preconditioner interface {
 	WorkPerApply() (flops, bytes float64, p2pRounds, allreduces int)
 }
 
-// RowLocalPC is an optional Preconditioner marker. RowLocal reports that
-// row i of M⁻¹·src depends on src[i] and on row i of the matrix alone
-// (diagonal scalings, the identity), so an instance built over any row range
-// reproduces, bit for bit, the rows another instance produces there — what
-// lets a rank apply M⁻¹ to ghost rows it recomputes (Engine.SpMVPowers).
-type RowLocalPC interface {
-	RowLocal() bool
+// DiagonalPC is an optional Preconditioner capability: M is diagonal.
+// Diagonal returns M's diagonal d over the rows the instance was built for,
+// nil for the identity. Row i of M⁻¹·src then depends on src[i] and d[i]
+// alone, so an instance built over any row range reproduces, bit for bit, the
+// rows another instance produces there — what lets a rank apply M⁻¹ to ghost
+// rows it recomputes (Engine.SpMVPowers) — and every r-space quantity of a
+// preconditioned solver is a row scale r = D·u of its u-space twin
+// (Engine.PCDiagonal). The slice is shared and read-only.
+type DiagonalPC interface {
+	Diagonal() []float64
+}
+
+// Diagonal answers Engine.PCDiagonal for an engine that applies pc (nil
+// meaning the identity): M's diagonal and true when M is diagonal, the
+// diagonal being nil for the identity; false otherwise.
+func Diagonal(pc Preconditioner) (d []float64, ok bool) {
+	if pc == nil {
+		return nil, true
+	}
+	dp, ok := pc.(DiagonalPC)
+	if !ok {
+		return nil, false
+	}
+	return dp.Diagonal(), true
 }
 
 // Engine is the runtime a solver executes on. Everything a solver may ask of
@@ -86,16 +103,24 @@ type Engine interface {
 	// instead of one halo exchange per product. Starting from u = src,
 	// level j computes dstR[j] = scale·A·u and then u = dstU[j] =
 	// M⁻¹·dstR[j]; a nil dstU means the basis is unpreconditioned
-	// (u = dstR[j], no PC applied or counted). Values and every counter
-	// except HaloExchanges and the redundant rows' SpMVFlops equal the
-	// per-product sequence SpMVFusedDots (scale in the write-back),
-	// ApplyPC. The engine answers for itself: false means "not here" —
-	// nothing was computed, sent or counted — and the caller runs its
-	// per-product loop.
+	// (u = dstR[j], no PC applied or counted). With dstU set, the dstR
+	// levels may all be one scratch vector: a level's product is read only
+	// by its own PC application, so dstU is bit-identical to a run with
+	// distinct levels and dstR ends holding the last product. Values and
+	// every counter except HaloExchanges and the redundant rows' SpMVFlops
+	// equal the per-product sequence SpMVFusedDots (scale in the
+	// write-back), ApplyPC. The engine answers for itself: false means "not
+	// here" — nothing was computed, sent or counted — and the caller runs
+	// its per-product loop.
 	SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool
 
 	// ApplyPC computes dst = M⁻¹·src over the local rows.
 	ApplyPC(dst, src []float64)
+
+	// PCDiagonal reports whether the M that ApplyPC applies is diagonal,
+	// M = diag(d) over the local rows, and returns d — nil for the identity
+	// (see DiagonalPC and Diagonal). ok false means M is not diagonal.
+	PCDiagonal() (d []float64, ok bool)
 
 	// AllreduceSum sums buf element-wise across all ranks, blocking.
 	AllreduceSum(buf []float64)
@@ -244,6 +269,9 @@ func (e *Seq) ApplyPC(dst, src []float64) {
 	flops, _, _, _ := e.PC.WorkPerApply()
 	e.C.PCFlops += flops
 }
+
+// PCDiagonal implements Engine.
+func (e *Seq) PCDiagonal() ([]float64, bool) { return Diagonal(e.PC) }
 
 // AllreduceSum implements Engine; with one rank it is a no-op on the data,
 // but it still enters the overlap ledger as a blocking reduction (hidden

@@ -36,18 +36,27 @@ type sstepState struct {
 	cfg  sstepConfig
 
 	x []float64
-	// powU[j] = (M⁻¹A)^j u and powR[j] = (AM⁻¹)^j r = M·powU[j]; for the
-	// unpreconditioned methods powR aliases powU (M = I).
+	// powU[j] = (M⁻¹A)^j u and powR[j] = (AM⁻¹)^j r = M·powU[j].
 	powU, powR [][]float64
 	// Direction block and its operator images: aqU[k] = (M⁻¹A)^{k+1}·Q in
-	// u-space, aqR[k] = M·aqU[k] in r-space (aliasing aqU when M = I).
-	// Blocking variants carry only k=0; the pipelined variants carry k=0..s
-	// (the paper's AQm/AQ2m "matrix of matrices"). Each block is updated in
-	// place every outer iteration — between iterations it holds the previous
-	// directions, the paper's P — so there is no even/odd double buffer. The
-	// r-space image of Q itself is never read and is not carried.
+	// u-space, aqR[k] = M·aqU[k] in r-space. Blocking variants carry only
+	// k=0; the pipelined variants carry k=0..s (the paper's AQm/AQ2m "matrix
+	// of matrices"). Each block is updated in place every outer iteration —
+	// between iterations it holds the previous directions, the paper's P —
+	// so there is no even/odd double buffer. The r-space image of Q itself
+	// is never read and is not carried.
 	qU       vec.Multi
 	aqU, aqR []vec.Multi
+
+	// One space. When M is diagonal (Engine.PCDiagonal; M = I for the
+	// unpreconditioned methods) r = D·u row by row, so only the u-space
+	// vectors are kept: aqR is nil, every r-space operand of the payload is
+	// a D-weighted dot of u-space vectors (weight d, nil for M = I), and
+	// powR serves only as the products' destination — every level aliases
+	// powU for M = I, or one scratch vector that ApplyPC turns into the next
+	// power. Otherwise (twin space) powR and aqR are carried by their own
+	// recurrences.
+	d []float64
 
 	pay scalarwork.Payload
 	buf []float64
@@ -100,11 +109,20 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 		return v
 	}
 	st.powU = allocPow()
-	st.powR = st.powU
 	st.qU = vec.NewMulti(n, s)
 	st.aqU = allocBlocks()
-	st.aqR = st.aqU
-	if cfg.precond {
+	d, diagonal := e.PCDiagonal()
+	switch {
+	case !cfg.precond:
+		st.powR = st.powU
+	case diagonal:
+		st.d = d
+		st.powR = make([][]float64, nPow)
+		r := make([]float64, n)
+		for j := range st.powR {
+			st.powR[j] = r
+		}
+	default:
 		st.powR = allocPow()
 		st.aqR = allocBlocks()
 	}
@@ -124,7 +142,8 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 }
 
 // computePowers fills powR[j] = A·powU[j-1]/σ (SPMV) and, when
-// preconditioned, powU[j] = M⁻¹·powR[j] (PC) for j in [lo, hi]. The σ basis
+// preconditioned, powU[j] = M⁻¹·powR[j] (PC) for j in [lo, hi] — in one
+// space, powR[j] is the scratch product that the PC reads. The σ basis
 // scale rides the SPMV write-back (one multiply on the accumulated row sum —
 // the same flops as the separate vec.Scale pass, bit-identical, minus one
 // full memory sweep). With fuse set, the moment entries whose operands are
@@ -259,7 +278,8 @@ func (st *sstepState) norm2(mode NormMode) float64 {
 // Alg. 4; k = 0..s for the pipelined Alg. 5/6). σ·α_true is exactly the
 // solved coeffs.Alpha, so negAlpha needs no extra scaling. Each image block
 // reads powers k+1..k+s, all of which the sweep advances only after every
-// block of the same rows is formed.
+// block of the same rows is formed. In one space only the u-space blocks and
+// powers are advanced.
 func (st *sstepState) queueLCs(b []float64, advance bool) {
 	s, sw := st.s, &st.sweep
 	sw.Blocks = append(sw.Blocks, vec.BlockLC{Dst: st.qU, Base: st.powU[:s], B: b})
@@ -269,7 +289,7 @@ func (st *sstepState) queueLCs(b []float64, advance bool) {
 		if advance {
 			sw.Updates = append(sw.Updates, vec.ColumnLC{Y: st.powU[k], Cols: st.aqU[k], Coef: st.negAlpha})
 		}
-		if st.cfg.precond {
+		if st.aqR != nil {
 			sw.Blocks = append(sw.Blocks, vec.BlockLC{Dst: st.aqR[k], Base: st.powR[k+1 : k+1+s], B: b})
 			if advance {
 				sw.Updates = append(sw.Updates, vec.ColumnLC{Y: st.powR[k], Cols: st.aqR[k], Coef: st.negAlpha})
@@ -278,32 +298,45 @@ func (st *sstepState) queueLCs(b []float64, advance bool) {
 	}
 }
 
-// queueDots adds the fused reduction payload to the pending sweep: moments,
-// cross-Gram, Pᵀr, and the two norm terms, each entry bit-identical to its
-// separate vec.Dot (same chunk geometry, same fold order) on the vectors as
-// the sweep's LCs leave them. Moment entries already produced inside a fused
-// SPMV (muMask) are consumed by runSweep, not recomputed.
+// queueDots adds the fused reduction payload to the pending sweep: moments
+// ⟨u_a, r_b⟩, cross-Gram ⟨AQr[0][k], u_j⟩, Pᵀr, ‖u‖² and ‖r‖², each entry
+// bit-identical to its separate vec.Dot (same chunk geometry, same fold
+// order) on the vectors as the sweep's LCs leave them. In one space every
+// r-space operand is the D-weighted u-space vector (r_b = D·u_b, ‖r‖² =
+// ‖D·u‖²). Moment entries already produced inside a fused SPMV (muMask) are
+// consumed by runSweep, not recomputed.
 func (st *sstepState) queueDots() {
 	s, sw := st.s, &st.sweep
+	// rDot is ⟨r-space image of x, y⟩ for the u-space x with twin xR.
+	rDot := func(x, xR, y []float64, out int) vec.DotPair {
+		if st.aqR == nil {
+			return vec.DotPair{X: x, W: st.d, Y: y, Out: out}
+		}
+		return vec.DotPair{X: xR, Y: y, Out: out}
+	}
 	for m := 0; m < 2*s; m++ {
 		if st.muMask[m] {
 			continue
 		}
 		a := m / 2
-		sw.Dots = append(sw.Dots, vec.DotPair{X: st.powU[a], Y: st.powR[m-a], Out: m})
+		sw.Dots = append(sw.Dots, rDot(st.powU[m-a], st.powR[m-a], st.powU[a], m))
 	}
 	cOff, gpOff, exOff := st.pay.OffC(), st.pay.OffGP(), st.pay.OffExtra()
 	for k := 0; k < s; k++ {
+		var aqR []float64 // the twin, when carried
+		if st.aqR != nil {
+			aqR = st.aqR[0][k]
+		}
 		for j := 0; j < s; j++ {
-			sw.Dots = append(sw.Dots, vec.DotPair{X: st.aqR[0][k], Y: st.powU[j], Out: cOff + k*s + j})
+			sw.Dots = append(sw.Dots, rDot(st.aqU[0][k], aqR, st.powU[j], cOff+k*s+j))
 		}
 	}
 	for j := 0; j < s; j++ {
-		sw.Dots = append(sw.Dots, vec.DotPair{X: st.powR[0], Y: st.qU[j], Out: gpOff + j})
+		sw.Dots = append(sw.Dots, rDot(st.powU[0], st.powR[0], st.qU[j], gpOff+j))
 	}
 	sw.Dots = append(sw.Dots,
 		vec.DotPair{X: st.powU[0], Y: st.powU[0], Out: exOff},
-		vec.DotPair{X: st.powR[0], Y: st.powR[0], Out: exOff + 1})
+		rDot(st.powU[0], st.powR[0], nil, exOff+1))
 }
 
 // runSweep executes the queued LCs and dots as one pass — one parallel
@@ -349,6 +382,16 @@ func (st *sstepState) runSweep() {
 			}
 		}
 		chargeDots(st.e, n, dots)
+		nWeighted := 0
+		for _, d := range sw.Dots {
+			if d.W != nil {
+				nWeighted++
+			}
+		}
+		if nWeighted > 0 {
+			// A weighted dot's row scale: one multiply and the weight's stream.
+			st.e.Charge(float64(n*nWeighted), 8*float64(n*nWeighted))
+		}
 		if nFused > 0 {
 			// The fused dots' multiply-adds; the SPMV pass absorbed the
 			// product vector's read, leaving one operand stream per dot.
@@ -461,6 +504,8 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 		st.qU.Zero()
 		for k := range st.aqU {
 			st.aqU[k].Zero()
+		}
+		for k := range st.aqR {
 			st.aqR[k].Zero()
 		}
 		e.EndPhase(sp)

@@ -11,11 +11,14 @@ import (
 )
 
 // quietEngine is a one-rank engine whose kernels allocate nothing (a
-// tridiagonal product and a diagonal preconditioner as plain loops), so
-// AllocsPerRun sees only what the solver itself allocates.
+// tridiagonal product and the diagonal preconditioner M = 2·I as plain
+// loops), so AllocsPerRun sees only what the solver itself allocates. The
+// preconditioner reports its diagonal only when diag is set, so the
+// preconditioned variants run in one space with it and twin space without.
 type quietEngine struct {
-	n int
-	c trace.Counters
+	n    int
+	c    trace.Counters
+	diag []float64
 }
 
 func (e *quietEngine) NLocal() int  { return e.n }
@@ -54,6 +57,8 @@ func (e *quietEngine) ApplyPC(dst, src []float64) {
 	}
 }
 
+func (e *quietEngine) PCDiagonal() ([]float64, bool) { return e.diag, e.diag != nil }
+
 func (e *quietEngine) AllreduceSum([]float64)                 {}
 func (e *quietEngine) IallreduceSum([]float64) engine.Request { return nil }
 func (e *quietEngine) Charge(flops, bytes float64)            { e.c.Flops += flops }
@@ -65,7 +70,8 @@ func (e *quietEngine) EndPhase(obs.Span)                      {}
 // work has produced the coefficients, the solver-side vector work of an
 // outer iteration — queueing and running the sweep, consuming the fused
 // moments, driving the reduction and the powers — allocates nothing, for
-// the fused (pipelined) and the split (Alg. 4) sweep schedules alike.
+// the fused (pipelined) and the split (Alg. 4) sweep schedules alike, and
+// for the one-space (weighted dots) and twin-space preconditioned forms.
 func TestSStepOuterIterationAllocFree(t *testing.T) {
 	defer par.SetWorkers(0)
 	n := 3*par.Grain() + 7
@@ -73,14 +79,23 @@ func TestSStepOuterIterationAllocFree(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
+	twos := make([]float64, n)
+	for i := range twos {
+		twos[i] = 2
+	}
 	for _, w := range []int{1, 2} {
 		par.SetWorkers(w)
-		for _, cfg := range []sstepConfig{
-			{name: "pipe-pscg", pipelined: true, precond: true},
-			{name: "pipe-scg", pipelined: true},
-			{name: "scg-s"},
+		for _, c := range []struct {
+			cfg  sstepConfig
+			diag []float64
+		}{
+			{sstepConfig{name: "pipe-pscg", pipelined: true, precond: true}, twos},
+			{sstepConfig{name: "pipe-pscg", pipelined: true, precond: true}, nil},
+			{sstepConfig{name: "pipe-scg", pipelined: true}, nil},
+			{sstepConfig{name: "scg-s"}, nil},
 		} {
-			st := newSStepState(&quietEngine{n: n}, Defaults(), cfg)
+			cfg := c.cfg
+			st := newSStepState(&quietEngine{n: n, diag: c.diag}, Defaults(), cfg)
 			st.bootstrap(b)
 			co, err := st.sw.Step(st.pay, st.buf)
 			if err != nil {
@@ -89,7 +104,8 @@ func TestSStepOuterIterationAllocFree(t *testing.T) {
 			run := func() { st.advance(b, co, false) }
 			run()
 			if a := testing.AllocsPerRun(3, run); a != 0 {
-				t.Errorf("%s workers=%d: %v allocations per outer iteration, want 0", cfg.name, w, a)
+				t.Errorf("%s one-space=%v workers=%d: %v allocations per outer iteration, want 0",
+					cfg.name, st.aqR == nil, w, a)
 			}
 		}
 	}

@@ -29,26 +29,26 @@ func (Identity) Name() string { return "none" }
 // WorkPerApply implements engine.Preconditioner.
 func (Identity) WorkPerApply() (float64, float64, int, int) { return 0, 0, 0, 0 }
 
-// RowLocal implements engine.RowLocalPC.
-func (Identity) RowLocal() bool { return true }
+// Diagonal implements engine.DiagonalPC: M = I.
+func (Identity) Diagonal() []float64 { return nil }
 
 // Jacobi is diagonal scaling: M = diag(A).
 type Jacobi struct {
-	invDiag []float64
+	diag, invDiag []float64
 }
 
 // NewJacobi builds the Jacobi preconditioner for rows [lo, hi) of a. Rows
 // with a zero diagonal get a unit scale (keeps the operator well defined).
 func NewJacobi(a *sparse.CSR, lo, hi int) *Jacobi {
-	inv := a.DiagRange(lo, hi)
-	for i, d := range inv {
-		if d == 0 {
-			inv[i] = 1
-		} else {
-			inv[i] = 1 / d
+	d := a.DiagRange(lo, hi)
+	inv := make([]float64, len(d))
+	for i := range d {
+		if d[i] == 0 {
+			d[i] = 1
 		}
+		inv[i] = 1 / d[i]
 	}
-	return &Jacobi{invDiag: inv}
+	return &Jacobi{diag: d, invDiag: inv}
 }
 
 // Apply implements engine.Preconditioner.
@@ -59,8 +59,8 @@ func (j *Jacobi) Apply(dst, src []float64) {
 // Name implements engine.Preconditioner.
 func (j *Jacobi) Name() string { return "jacobi" }
 
-// RowLocal implements engine.RowLocalPC: row i is src[i]/a(i,i).
-func (j *Jacobi) RowLocal() bool { return true }
+// Diagonal implements engine.DiagonalPC: M = diag(A), zero entries as 1.
+func (j *Jacobi) Diagonal() []float64 { return j.diag }
 
 // WorkPerApply implements engine.Preconditioner.
 func (j *Jacobi) WorkPerApply() (float64, float64, int, int) {

@@ -204,10 +204,25 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Every daemon's HTTP server bounds a slow client: it has ReadHeaderTimeout
+// to send a request's headers, and a keep-alive connection may sit idle for
+// IdleTimeout (longer than net/http clients keep an idle connection, 90 s, so
+// a client never reuses one the server is closing). Bodies are not bounded
+// in time, as an upload may be 1 GiB.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 120 * time.Second
+)
+
+// NewHTTPServer returns the http.Server a daemon serves h with.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Serve runs the HTTP server on l until Drain (or a listener error). It owns
 // the http.Server so Drain and Kill can shut it down.
 func (s *Server) Serve(l net.Listener) error {
-	hs := &http.Server{Handler: s.mux}
+	hs := NewHTTPServer(s.mux)
 	s.hsMu.Lock()
 	s.hs = hs
 	s.hsMu.Unlock()

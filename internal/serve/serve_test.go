@@ -218,12 +218,11 @@ func TestSolveCommRuntimeMatchesSeq(t *testing.T) {
 }
 
 // TestCommJobRunsPowersBlock: a ranks=2 job runs the message pattern of a
-// direct comm solve on the same partition — under a row-local preconditioner
+// direct comm solve on the same partition — under a diagonal preconditioner
 // the pipelined powers ride one deep halo exchange per s products, so the job
 // makes fewer exchanges than SPMVs; under SSOR the engine refuses and the job
 // keeps one per product. Either way the iterate is the direct solve's, bit
-// for bit (the Jacobi x_hash is pinned: it predates the capability reaching
-// service jobs).
+// for bit (the Jacobi x_hash is pinned: that of the one-space solve).
 func TestCommJobRunsPowersBlock(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	pr := workload.Poisson7(32)
@@ -237,7 +236,7 @@ func TestCommJobRunsPowersBlock(t *testing.T) {
 		halo, spmv int
 		xHash      string
 	}{
-		{pc: "jacobi", halo: 24, spmv: 64, xHash: "d3b4d49a9e86fb98",
+		{pc: "jacobi", halo: 24, spmv: 64, xHash: "a23d56b48578e625",
 			factory: func(a *sparse.CSR, lo, hi int) engine.Preconditioner { return precond.NewJacobi(a, lo, hi) }},
 		{pc: "sor", halo: 34, spmv: 34,
 			factory: func(a *sparse.CSR, lo, hi int) engine.Preconditioner { return precond.NewSSOR(a, lo, hi, 1.0, 1) }},

@@ -166,6 +166,9 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
 }
 
+// PCDiagonal implements engine.Engine.
+func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.PC) }
+
 // SpMVPowers implements engine.Engine for the MatrixPowers ablation:
 // the numerics are the per-product chain (same kernels, same bits); the cost
 // model prices one deep exchange plus the redundant ghost-zone work

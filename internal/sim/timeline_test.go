@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/partition"
+	"repro/internal/precond"
 )
 
 func TestTimelineMatchesReduceEvents(t *testing.T) {
@@ -81,6 +83,24 @@ func TestSpMVPowersSimNumericsAndEvent(t *testing.T) {
 	if e.Counters().SpMV != 2 || e.Counters().HaloExchanges != 1 {
 		t.Fatalf("counters %+v", e.Counters())
 	}
+	// Preconditioned, with every r level aliased to one scratch vector (the
+	// one-space solver's call): the u levels are bit-identical to the block
+	// with distinct levels, and the scratch ends holding the last product.
+	pc := NewEngine(a, precond.NewJacobi(a, 0, a.Rows))
+	pc.MatrixPowers = true
+	wantR, wantU := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}, [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
+	pc.SpMVPowers(wantR, wantU, src, 0.37)
+	r := make([]float64, a.Rows)
+	gotU := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
+	pc.SpMVPowers([][]float64{r, r}, gotU, src, 0.37)
+	for i := range r {
+		if math.Float64bits(gotU[0][i]) != math.Float64bits(wantU[0][i]) ||
+			math.Float64bits(gotU[1][i]) != math.Float64bits(wantU[1][i]) ||
+			math.Float64bits(r[i]) != math.Float64bits(wantR[1][i]) {
+			t.Fatalf("aliased r levels: row %d differs", i)
+		}
+	}
+
 	// The modeled time must include the deep exchange.
 	b := e.Evaluate(CrayXC40(), 9)
 	if b.Halo <= 0 || b.Compute <= 0 {

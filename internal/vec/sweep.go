@@ -32,10 +32,62 @@ type ColumnLC struct {
 	Coef []float64
 }
 
-// DotPair asks for out[Out] = X·Y.
+// DotPair asks for out[Out] = X·Y or, with the diagonal weight W set, for
+// the weighted dot Σ (W[i]·X[i])·Y[i] = ⟨D·X, Y⟩, D = diag(W): the r-space
+// dot of a solver that keeps only u-space vectors under a diagonal
+// preconditioner (r = D·u). A nil Y squares the weighted X, Σ (W[i]·X[i])²
+// = ‖D·X‖², or X itself when W is nil too.
 type DotPair struct {
-	X, Y []float64
-	Out  int
+	X, Y, W []float64
+	Out     int
+}
+
+// rangeDot returns the pair's dot over [lo, hi) with the package's 4-way
+// association.
+func (d DotPair) rangeDot(lo, hi int) float64 {
+	switch {
+	case d.W == nil && d.Y == nil:
+		return dotRange(d.X, d.X, lo, hi)
+	case d.W == nil:
+		return dotRange(d.X, d.Y, lo, hi)
+	case d.Y == nil:
+		return sqRangeW(d.X, d.W, lo, hi)
+	}
+	return dotRangeW(d.X, d.W, d.Y, lo, hi)
+}
+
+// dotRangeW is dotRange of the row-scaled w∘x against y.
+func dotRangeW(x, w, y []float64, lo, hi int) float64 {
+	var s0, s1, s2, s3 float64
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		s0 += w[i] * x[i] * y[i]
+		s1 += w[i+1] * x[i+1] * y[i+1]
+		s2 += w[i+2] * x[i+2] * y[i+2]
+		s3 += w[i+3] * x[i+3] * y[i+3]
+	}
+	for ; i < hi; i++ {
+		s0 += w[i] * x[i] * y[i]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// sqRangeW is dotRange of the row-scaled w∘x against itself.
+func sqRangeW(x, w []float64, lo, hi int) float64 {
+	var s0, s1, s2, s3 float64
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		t0, t1, t2, t3 := w[i]*x[i], w[i+1]*x[i+1], w[i+2]*x[i+2], w[i+3]*x[i+3]
+		s0 += t0 * t0
+		s1 += t1 * t1
+		s2 += t2 * t2
+		s3 += t3 * t3
+	}
+	for ; i < hi; i++ {
+		t := w[i] * x[i]
+		s0 += t * t
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Sweep is one fused pass over the rows of a set of equal-length vectors: a
@@ -133,7 +185,8 @@ func (sw *Sweep) compile(n, nout int) {
 		sw.upOff = append(sw.upOff, len(sw.upCols))
 	}
 	for _, d := range sw.Dots {
-		if len(d.X) != n || len(d.Y) != n || d.Out < 0 || d.Out >= nout {
+		if len(d.X) != n || d.Y != nil && len(d.Y) != n || d.W != nil && len(d.W) != n ||
+			d.Out < 0 || d.Out >= nout {
 			panic("vec: Sweep dot shape mismatch")
 		}
 	}
@@ -151,7 +204,7 @@ func (sw *Sweep) chunk(c, lo, hi int, slot []float64) {
 // entry.
 func dotStage(dots []DotPair, lo, hi int, slot []float64) {
 	for _, d := range dots {
-		slot[d.Out] += dotRange(d.X, d.Y, lo, hi)
+		slot[d.Out] += d.rangeDot(lo, hi)
 	}
 }
 

@@ -152,6 +152,63 @@ func (st *sweepState) queue(sw *Sweep, b, negAlpha, xAlpha []float64, lcs, advan
 		DotPair{X: st.powR[0], Y: st.powR[0], Out: o + 1})
 }
 
+// queueOneSpace fills sw with the one-space form of the same outer
+// iteration, the way krylov.sstepState does under a diagonal preconditioner
+// M = diag(d): only the u-space LCs, and every r-space operand of the payload
+// a d-weighted dot of u-space vectors.
+func (st *sweepState) queueOneSpace(sw *Sweep, b, negAlpha, xAlpha, d []float64) {
+	s := st.s
+	sw.Blocks, sw.Updates, sw.Dots = sw.Blocks[:0], sw.Updates[:0], sw.Dots[:0]
+	sw.Blocks = append(sw.Blocks, BlockLC{Dst: st.qU, Base: st.powU[:s], B: b})
+	sw.Updates = append(sw.Updates, ColumnLC{Y: st.x, Cols: st.qU, Coef: xAlpha})
+	for k := range st.aqU {
+		sw.Blocks = append(sw.Blocks, BlockLC{Dst: st.aqU[k], Base: st.powU[k+1 : k+1+s], B: b})
+		sw.Updates = append(sw.Updates, ColumnLC{Y: st.powU[k], Cols: st.aqU[k], Coef: negAlpha})
+	}
+	for m := 0; m < 2*s; m++ {
+		sw.Dots = append(sw.Dots, DotPair{X: st.powU[m-m/2], W: d, Y: st.powU[m/2], Out: m})
+	}
+	for k := 0; k < s; k++ {
+		for j := 0; j < s; j++ {
+			sw.Dots = append(sw.Dots, DotPair{X: st.aqU[0][k], W: d, Y: st.powU[j], Out: 2*s + k*s + j})
+		}
+	}
+	for j := 0; j < s; j++ {
+		sw.Dots = append(sw.Dots, DotPair{X: st.powU[0], W: d, Y: st.qU[j], Out: 2*s + s*s + j})
+	}
+	o := 2*s + s*s + s
+	sw.Dots = append(sw.Dots,
+		DotPair{X: st.powU[0], Y: st.powU[0], Out: o},
+		DotPair{X: st.powU[0], W: d, Out: o + 1})
+}
+
+// touchedBytes is what one run of sw must move through memory at least:
+// every distinct vector it reads, and every one it writes, once.
+func touchedBytes(sw *Sweep, n int) int64 {
+	reads, writes := map[*float64]bool{}, map[*float64]bool{}
+	add := func(set map[*float64]bool, vs ...[]float64) {
+		for _, v := range vs {
+			if v != nil {
+				set[&v[0]] = true
+			}
+		}
+	}
+	for _, bl := range sw.Blocks {
+		add(reads, bl.Dst...)
+		add(reads, bl.Base...)
+		add(writes, bl.Dst...)
+	}
+	for _, up := range sw.Updates {
+		add(reads, up.Y)
+		add(reads, up.Cols...)
+		add(writes, up.Y)
+	}
+	for _, d := range sw.Dots {
+		add(reads, d.X, d.Y, d.W)
+	}
+	return int64(8 * n * (len(reads) + len(writes)))
+}
+
 func bitsEqual(a, b []float64) int {
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -263,6 +320,62 @@ func TestSweepMatchesPerKernelReference(t *testing.T) {
 	}
 }
 
+// TestSweepWeightedDots: a weighted pair is the plain dot of the row-scaled
+// vector W∘X, and a nil Y squares it, bit for bit — alone, beside plain
+// pairs, and after the LCs of a one-space sweep — across chunk-boundary
+// sizes and pool sizes.
+func TestSweepWeightedDots(t *testing.T) {
+	defer par.SetWorkers(0)
+	rng := rand.New(rand.NewSource(17))
+	var sw Sweep
+	for _, n := range []int{1, 3, 511, 4096, 4097, 20000} {
+		x, y, w := randVec(rng, n), randVec(rng, n), randVec(rng, n)
+		wx := make([]float64, n)
+		for i := range wx {
+			wx[i] = w[i] * x[i]
+		}
+		for _, workers := range []int{1, 2, 4} {
+			par.SetWorkers(workers)
+			sw.Dots = append(sw.Dots[:0],
+				DotPair{X: x, W: w, Y: y, Out: 0},
+				DotPair{X: x, W: w, Out: 1},
+				DotPair{X: x, Y: y, Out: 2},
+				DotPair{X: x, Out: 3})
+			out := make([]float64, 4)
+			sw.Run(n, out)
+			want := []float64{Dot(wx, y), Dot(wx, wx), Dot(x, y), Dot(x, x)}
+			if i := bitsEqual(out, want); i >= 0 {
+				t.Fatalf("n=%d w=%d: pair %d = %x, want %x", n, workers, i, out[i], want[i])
+			}
+		}
+	}
+
+	// After the LCs: each weighted payload entry equals Dot of the scaled
+	// operand on the vectors as the one-space LCs leave them.
+	n, s := 4097, 3
+	st := newSweepState(rng, n, s)
+	b, alpha, xAlpha, d := randVec(rng, s*s), randVec(rng, s), randVec(rng, s), randVec(rng, n)
+	st.queueOneSpace(&sw, b, alpha, xAlpha, d)
+	out := make([]float64, st.payloadLen())
+	sw.Run(n, out)
+	for _, p := range sw.Dots {
+		x := p.X
+		if p.W != nil {
+			x = make([]float64, n)
+			for i := range x {
+				x[i] = p.W[i] * p.X[i]
+			}
+		}
+		y := p.Y
+		if y == nil {
+			y = x
+		}
+		if want := Dot(x, y); math.Float64bits(out[p.Out]) != math.Float64bits(want) {
+			t.Fatalf("one-space payload entry %d = %x, want %x", p.Out, out[p.Out], want)
+		}
+	}
+}
+
 // TestSweepShapePanics: mismatched operands are programming errors.
 func TestSweepShapePanics(t *testing.T) {
 	v := func(n int) []float64 { return make([]float64, n) }
@@ -274,6 +387,7 @@ func TestSweepShapePanics(t *testing.T) {
 		{Updates: []ColumnLC{{Y: v(3), Cols: NewMulti(4, 1), Coef: v(1)}}},
 		{Dots: []DotPair{{X: v(4), Y: v(3)}}},
 		{Dots: []DotPair{{X: v(4), Y: v(4), Out: 1}}},
+		{Dots: []DotPair{{X: v(4), Y: v(4), W: v(3)}}},
 	}
 	for i := range cases {
 		func() {
@@ -288,7 +402,8 @@ func TestSweepShapePanics(t *testing.T) {
 }
 
 // TestSweepSteadyStateAllocFree: a warmed-up Sweep owns its plans, its
-// reduction scratch and its region body.
+// reduction scratch and its region body, in the twin-space form and in the
+// one-space form with weighted dots.
 func TestSweepSteadyStateAllocFree(t *testing.T) {
 	defer par.SetWorkers(0)
 	rng := rand.New(rand.NewSource(5))
@@ -298,23 +413,35 @@ func TestSweepSteadyStateAllocFree(t *testing.T) {
 	for i := range b {
 		b[i] *= 0.1 // keep the repeated in-place recurrence bounded
 	}
+	d := randVec(rng, n)
 	out := make([]float64, st.payloadLen())
 	var sw Sweep
 	for _, w := range []int{1, 2} {
 		par.SetWorkers(w)
-		run := func() {
-			st.queue(&sw, b, negAlpha, xAlpha, true, true, true)
-			sw.Run(n, out)
-		}
-		run()
-		if a := testing.AllocsPerRun(5, run); a != 0 {
-			t.Fatalf("workers=%d: %v allocations per sweep, want 0", w, a)
+		for _, oneSpace := range []bool{false, true} {
+			run := func() {
+				if oneSpace {
+					st.queueOneSpace(&sw, b, negAlpha, xAlpha, d)
+				} else {
+					st.queue(&sw, b, negAlpha, xAlpha, true, true, true)
+				}
+				sw.Run(n, out)
+			}
+			run()
+			if a := testing.AllocsPerRun(5, run); a != 0 {
+				t.Fatalf("workers=%d one-space=%v: %v allocations per sweep, want 0", w, oneSpace, a)
+			}
 		}
 	}
 }
 
 // BenchmarkSStepSweep times the steady-state PIPE-PsCG sweep (s=3, 48³ rows:
-// the solve_vector workload's vector work per outer iteration).
+// the solve_vector workload's vector work per outer iteration) in twin space
+// and in one space, the form a diagonal preconditioner runs. The reported
+// MB/s is the bytes the sweep must touch — each distinct vector it reads and
+// each it writes, once (twin 42 + 36 vectors, one space 24 + 20) — per
+// second: its distance from the machine's triad bandwidth is the headroom a
+// faster loop could still win.
 func BenchmarkSStepSweep(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n, s := 110592, 3
@@ -324,13 +451,29 @@ func BenchmarkSStepSweep(b *testing.B) {
 		coef[i] *= 0.1
 		negAlpha[i%s] *= 0.1
 	}
+	d := make([]float64, n)
+	for i := range d {
+		d[i] = 1 + 0.01*rng.Float64() // keep the repeated recurrence bounded
+	}
 	out := make([]float64, st.payloadLen())
-	var sw Sweep
-	b.SetBytes(int64(8 * n * 79)) // 43 vectors read, 36 written
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.queue(&sw, coef, negAlpha, xAlpha, true, true, true)
-		sw.Run(n, out)
+	for _, form := range []string{"twin", "one-space"} {
+		b.Run(form, func(b *testing.B) {
+			var sw Sweep
+			queue := func() {
+				if form == "twin" {
+					st.queue(&sw, coef, negAlpha, xAlpha, true, true, true)
+				} else {
+					st.queueOneSpace(&sw, coef, negAlpha, xAlpha, d)
+				}
+			}
+			queue()
+			b.SetBytes(touchedBytes(&sw, n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				queue()
+				sw.Run(n, out)
+			}
+		})
 	}
 }
