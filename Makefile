@@ -142,7 +142,7 @@ bench-check:
 # and a scattered Builder): a slide back to a global sort shows as ~10×.
 # cmd/perfreport produces the committed BENCH_pr6.json.
 perf:
-	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep' -benchtime=100x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep|BasisVector' -benchtime=100x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'Laplacian' -benchtime=5x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'BuilderBuild' -benchtime=5x -count=3 -run xxx ./internal/sparse
 	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec

@@ -270,9 +270,9 @@ func TestGangTracingBitIdentity(t *testing.T) {
 }
 
 // cancelWrap is a serve-style engine wrapper: it embeds the engine it is
-// given, so everything is forwarded, and overrides SpMV to panic a typed
-// value once its column has performed enough SPMVs — modeling a per-job
-// cancellation firing mid-gang.
+// given, so everything is forwarded, and overrides the two product calls to
+// panic a typed value once its column has performed enough SPMVs — modeling
+// a per-job cancellation firing mid-gang.
 type cancelWrap struct {
 	engine.Engine
 	after int
@@ -281,12 +281,21 @@ type cancelWrap struct {
 
 type testCancel struct{}
 
-func (c *cancelWrap) SpMV(dst, src []float64) {
+func (c *cancelWrap) poll() {
 	c.n++
 	if c.n > c.after {
 		panic(testCancel{})
 	}
+}
+
+func (c *cancelWrap) SpMV(dst, src []float64) {
+	c.poll()
 	c.Engine.SpMV(dst, src)
+}
+
+func (c *cancelWrap) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
+	c.poll()
+	c.Engine.SpMVFusedDots(dst, src, scale, pc, ws, dots)
 }
 
 // TestGangColumnCancel: every column runs under the wrapper, as every service

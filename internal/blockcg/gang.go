@@ -217,9 +217,10 @@ func (g *gang) executeOne(ce *colEngine) {
 		g.base.SpMV(ce.dst, ce.src)
 		ce.flopsDelta = c.SpMVFlops - before
 	case opFused:
-		before := c.SpMVFlops
-		g.base.SpMVFusedDots(ce.dst, ce.src, ce.scale, ce.ws, ce.dots)
+		before, pcBefore := c.SpMVFlops, c.PCFlops
+		g.base.SpMVFusedDots(ce.dst, ce.src, ce.scale, ce.pc, ce.ws, ce.dots)
 		ce.flopsDelta = c.SpMVFlops - before
+		ce.pcFlopsDelta = c.PCFlops - pcBefore
 	case opPC:
 		before := c.PCFlops
 		g.base.ApplyPC(ce.dst, ce.src)
@@ -289,11 +290,14 @@ type colEngine struct {
 	kind       opKind
 	dst, src   []float64
 	scale      float64
+	pc         bool
 	ws         [][]float64
 	dots       []float64
 	buf        []float64
 	req        engine.Request
 	flopsDelta float64
+	// pcFlopsDelta is the PC share of an opFused call that folded M⁻¹.
+	pcFlopsDelta float64
 }
 
 var _ engine.Engine = (*colEngine)(nil)
@@ -316,13 +320,17 @@ func (ce *colEngine) SpMV(dst, src []float64) {
 	ce.c.SpMVFlops += ce.flopsDelta
 }
 
-func (ce *colEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
-	ce.kind, ce.dst, ce.src, ce.scale, ce.ws, ce.dots = opFused, dst, src, scale, ws, dots
+func (ce *colEngine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
+	ce.kind, ce.dst, ce.src, ce.scale, ce.pc, ce.ws, ce.dots = opFused, dst, src, scale, pc, ws, dots
 	ce.g.rendezvous(ce)
 	ce.dst, ce.src, ce.ws, ce.dots = nil, nil, nil, nil
 	ce.c.SpMV++
 	ce.c.HaloExchanges++
 	ce.c.SpMVFlops += ce.flopsDelta
+	if pc {
+		ce.c.PCApply++
+		ce.c.PCFlops += ce.pcFlopsDelta
+	}
 }
 
 // SpMVPowers declines: a powers block is one column's dependent chain, and

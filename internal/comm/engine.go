@@ -209,30 +209,44 @@ func (e *Engine) SpMV(dst, src []float64) {
 }
 
 // SpMVFusedDots implements engine.Engine: the same halo exchange as SpMV,
-// then the fused local product + scale + rank-local dot partials in one pass
-// over the owned rows. The caller reduces the dot partials and charges the
-// scale/dot payload.
-func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
+// then the fused local product + scale + rank-local dot partials (+ the
+// folded diagonal PC) in one pass over the owned rows. The caller reduces
+// the dot partials and charges the scale/dot payload.
+func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	e.exchangeGhosts(&e.shallow, src)
 
+	var inv []float64
+	if pc {
+		inv = engine.InvDiagonal(e.pc)
+	}
 	sp := e.tr.Begin(obs.PhaseSpMV)
-	engine.FusedApply(e.op, dst, e.scratch, e.lo, e.hi, e.lo, scale, ws, dots)
+	engine.FusedApply(e.op, dst, e.scratch, e.lo, e.hi, e.lo, scale, inv, ws, dots)
 	e.tr.End(sp)
 	e.countSpMV()
+	if pc {
+		e.countPC()
+	}
 }
 
 // ApplyPC implements engine.Engine.
 func (e *Engine) ApplyPC(dst, src []float64) {
 	sp := e.tr.Begin(obs.PhasePCApply)
 	defer e.tr.End(sp)
-	e.c.PCApply++
 	if e.pc == nil {
 		copy(dst, src)
-		return
+	} else {
+		e.pc.Apply(dst, src)
 	}
-	e.pc.Apply(dst, src)
-	flops, _, _, _ := e.pc.WorkPerApply()
-	e.c.PCFlops += flops
+	e.countPC()
+}
+
+// countPC accounts one application of M⁻¹ on this rank's rows.
+func (e *Engine) countPC() {
+	e.c.PCApply++
+	if e.pc != nil {
+		flops, _, _, _ := e.pc.WorkPerApply()
+		e.c.PCFlops += flops
+	}
 }
 
 // PCDiagonal implements engine.Engine.

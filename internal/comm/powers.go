@@ -7,6 +7,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sparse"
+	"repro/internal/vec"
 )
 
 // The matrix powers kernel (engine.Engine.SpMVPowers; Hoemmen's CA-SPMV, the
@@ -80,11 +81,11 @@ func worthwhile(plans []partition.PowersPlan, pt partition.Partition) bool {
 }
 
 // ghostRun is one contiguous run of off-rank rows recomputed at some level,
-// with the preconditioner the engine's PCFactory builds over it (nil =
-// identity).
+// with the factors of the diagonal preconditioner the engine's PCFactory
+// builds over it (nil = identity).
 type ghostRun struct {
 	partition.Run
-	pc engine.Preconditioner
+	inv []float64
 }
 
 // ghostLevel is what one level of a block recomputes off-rank.
@@ -130,7 +131,7 @@ func (e *Engine) newDeepExchange(plan *partition.PowersPlan) *deepExchange {
 		for i, run := range runs {
 			level.runs[i].Run = run
 			if e.pcf != nil {
-				level.runs[i].pc = e.pcf(e.a, run.Lo, run.Hi)
+				level.runs[i].inv = engine.InvDiagonal(e.pcf(e.a, run.Lo, run.Hi))
 			}
 			level.flops += 2 * float64(e.a.RowPtr[run.Hi]-e.a.RowPtr[run.Lo])
 		}
@@ -139,14 +140,15 @@ func (e *Engine) newDeepExchange(plan *partition.PowersPlan) *deepExchange {
 	return dx
 }
 
-// mulRows writes y[i-lo] = scale·(A·scratch)[i] for rows [lo, hi) through
-// the row kernels SpMV (scale 1) and SpMVFusedDots use.
-func (e *Engine) mulRows(y []float64, lo, hi int, scale float64) {
-	if scale == 1 {
+// mulRows writes y[i-lo] = inv[i-lo]·scale·(A·scratch)[i] for rows
+// [lo, hi) through the row kernels SpMV (scale 1, nil inv) and
+// SpMVFusedDots use; a nil inv is no row scale.
+func (e *Engine) mulRows(y []float64, lo, hi int, scale float64, inv []float64) {
+	if scale == 1 && inv == nil {
 		e.op.MulVecRangeInto(y, e.scratch, lo, hi)
 		return
 	}
-	engine.FusedApply(e.op, y, e.scratch, lo, hi, lo, scale, nil, nil)
+	engine.FusedApply(e.op, y, e.scratch, lo, hi, lo, scale, inv, nil, nil)
 }
 
 // SpMVPowers implements engine.Engine. After the single deep exchange
@@ -154,8 +156,15 @@ func (e *Engine) mulRows(y []float64, lo, hi int, scale float64) {
 // later level reads; each level applies the local rows straight into the
 // caller's vectors and the level's ghost runs into ghostR, and only then —
 // all reads of the old u done — overwrites u in place with M⁻¹ of both.
+// With a nil dstR, M⁻¹ rides each product's write-back, local and ghost
+// rows alike, and the next u is copied in as it is.
 func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
-	depth := len(dstR)
+	fold := dstR == nil
+	levels, inv := dstR, []float64(nil) // where each level's local products land
+	if fold {
+		levels, inv = dstU, engine.InvDiagonal(e.pc)
+	}
+	depth := len(levels)
 	dx := e.deepFor(depth)
 	if dx == nil {
 		return false
@@ -170,18 +179,25 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 			ghosts = dx.levels[j]
 		}
 		sp := e.tr.Begin(obs.PhaseSpMV)
-		e.mulRows(dstR[j], e.lo, e.hi, scale)
+		e.mulRows(levels[j], e.lo, e.hi, scale, inv)
 		off := 0
 		for _, g := range ghosts.runs {
-			e.mulRows(dx.ghostR[off:], g.Lo, g.Hi, scale)
+			var ginv []float64
+			if fold {
+				ginv = g.inv
+			}
+			e.mulRows(dx.ghostR[off:], g.Lo, g.Hi, scale, ginv)
 			off += g.Hi - g.Lo
 		}
 		e.tr.End(sp)
 		e.c.SpMV++
 		e.c.SpMVFlops += localFlops + ghosts.flops
 
-		u := dstR[j]
-		if dstU != nil {
+		u := levels[j]
+		switch {
+		case fold:
+			e.countPC()
+		case dstU != nil:
 			u = dstU[j]
 			e.ApplyPC(u, dstR[j])
 		}
@@ -192,8 +208,8 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 		off = 0
 		for _, g := range ghosts.runs {
 			r := dx.ghostR[off : off+g.Hi-g.Lo]
-			if dstU != nil && g.pc != nil {
-				g.pc.Apply(e.scratch[g.Lo:g.Hi], r)
+			if !fold && dstU != nil && g.inv != nil {
+				vec.MulInto(e.scratch[g.Lo:g.Hi], r, g.inv)
 			} else {
 				copy(e.scratch[g.Lo:g.Hi], r)
 			}

@@ -39,10 +39,18 @@ func allocLevels(depth, n int) [][]float64 {
 	return v
 }
 
-// perProductChain is the sequence the kernel replaces: scaled SpMV, then PC.
+// perProductChain is the sequence the kernel replaces: scaled SpMV, then PC
+// — or, with a nil dstR, the folded product M⁻¹·scale·A·u per level.
 func perProductChain(e *Engine, dstR, dstU [][]float64, src []float64, scale float64) {
+	if dstR == nil {
+		for j := range dstU {
+			e.SpMVFusedDots(dstU[j], src, scale, true, nil, nil)
+			src = dstU[j]
+		}
+		return
+	}
 	for j := range dstR {
-		e.SpMVFusedDots(dstR[j], src, scale, nil, nil)
+		e.SpMVFusedDots(dstR[j], src, scale, false, nil, nil)
 		src = dstR[j]
 		if dstU != nil {
 			e.ApplyPC(dstU[j], dstR[j])
@@ -53,18 +61,15 @@ func perProductChain(e *Engine, dstR, dstU [][]float64, src []float64, scale flo
 
 // powersBlock runs one depth-k block on every rank — through the kernel or
 // the per-product chain — and returns rank-major [rank][level] r- and
-// u-space results. With scratch set (preconditioned only), every r level is
-// one vector, the one-space solver's call.
-func powersBlock(t *testing.T, engines []*Engine, src [][]float64, depth int, precond bool, scale float64, kernel, scratch bool) (rs, us [][][]float64) {
+// u-space results. With fold set (preconditioned only) no r level is kept:
+// the one-space solver's call.
+func powersBlock(t *testing.T, engines []*Engine, src [][]float64, depth int, precond bool, scale float64, kernel, fold bool) (rs, us [][][]float64) {
 	t.Helper()
 	rs = make([][][]float64, len(engines))
 	us = make([][][]float64, len(engines))
 	errs := RunErr(engines, func(r int, e *Engine) error {
-		rs[r] = allocLevels(depth, e.NLocal())
-		if scratch {
-			for j := range rs[r] {
-				rs[r][j] = rs[r][0]
-			}
+		if !fold {
+			rs[r] = allocLevels(depth, e.NLocal())
 		}
 		if precond {
 			us[r] = allocLevels(depth, e.NLocal())
@@ -100,9 +105,9 @@ func sameLevels(t *testing.T, id string, got, want [][][]float64) {
 // TestSpMVPowersMatchesPerProduct: the kernel's block equals the chain of
 // scaled products and preconditioner applications to the bit, at one halo
 // exchange instead of depth, with every other counter unchanged — and a
-// preconditioned block whose r levels all alias one scratch vector leaves
-// the u levels bit-identical to the block with distinct levels, the scratch
-// holding the last product.
+// preconditioned block with the PC folded into the products (nil dstR)
+// leaves the u levels and the counters bit-identical to the unfolded block,
+// through the kernel and through the per-product chain alike.
 func TestSpMVPowersMatchesPerProduct(t *testing.T) {
 	a := thinGrid()
 	x := sinVector(a.Rows)
@@ -120,11 +125,19 @@ func TestSpMVPowersMatchesPerProduct(t *testing.T) {
 					sameLevels(t, "r", gotR, wantR)
 					if precond {
 						sameLevels(t, "u", gotU, wantU)
-						aliased := NewEngines(NewFabric(p, 0), a, pt, pcf)
-						scratchR, scratchU := powersBlock(t, aliased, xs, depth, precond, scale, true, true)
-						sameLevels(t, "u (aliased r)", scratchU, wantU)
-						for r := range wantR {
-							sameLevels(t, "last r (aliased)", [][][]float64{{scratchR[r][0]}}, [][][]float64{{wantR[r][depth-1]}})
+						for _, kernel := range []bool{true, false} {
+							folded := NewEngines(NewFabric(p, 0), a, pt, pcf)
+							_, foldU := powersBlock(t, folded, xs, depth, precond, scale, kernel, true)
+							sameLevels(t, "u (folded)", foldU, wantU)
+							ref := off
+							if kernel {
+								ref = on
+							}
+							for r := range folded {
+								if c, w := *folded[r].Counters(), *ref[r].Counters(); c != w {
+									t.Fatalf("p=%d rank %d kernel=%v: folded counters differ: %+v vs %+v", p, r, kernel, c, w)
+								}
+							}
 						}
 					}
 					for r := range on {

@@ -52,14 +52,18 @@ type Preconditioner interface {
 
 // DiagonalPC is an optional Preconditioner capability: M is diagonal.
 // Diagonal returns M's diagonal d over the rows the instance was built for,
-// nil for the identity. Row i of M⁻¹·src then depends on src[i] and d[i]
-// alone, so an instance built over any row range reproduces, bit for bit, the
-// rows another instance produces there — what lets a rank apply M⁻¹ to ghost
-// rows it recomputes (Engine.SpMVPowers) — and every r-space quantity of a
-// preconditioned solver is a row scale r = D·u of its u-space twin
-// (Engine.PCDiagonal). The slice is shared and read-only.
+// nil for the identity, and InvDiagonal the factors Apply multiplies by:
+// Apply computes dst[i] = src[i]·InvDiagonal()[i] (a copy for nil). Row i of
+// M⁻¹·src then depends on src[i] alone, so an instance built over any row
+// range reproduces, bit for bit, the rows another instance produces there —
+// what lets a rank apply M⁻¹ to ghost rows it recomputes
+// (Engine.SpMVPowers) — M⁻¹ can ride a product's write-back
+// (FusedApply), and every r-space quantity of a preconditioned solver is a
+// row scale r = D·u of its u-space twin (Engine.PCDiagonal). The slices are
+// shared and read-only.
 type DiagonalPC interface {
 	Diagonal() []float64
+	InvDiagonal() []float64
 }
 
 // Diagonal answers Engine.PCDiagonal for an engine that applies pc (nil
@@ -76,6 +80,20 @@ func Diagonal(pc Preconditioner) (d []float64, ok bool) {
 	return dp.Diagonal(), true
 }
 
+// InvDiagonal returns the factors a diagonal pc applies — nil for the
+// identity (pc nil included) — and panics for a pc that is not diagonal: an
+// engine folds M⁻¹ into a product only after PCDiagonal said it may.
+func InvDiagonal(pc Preconditioner) []float64 {
+	if pc == nil {
+		return nil
+	}
+	dp, ok := pc.(DiagonalPC)
+	if !ok {
+		panic("engine: M⁻¹ folded into a product, but " + pc.Name() + " is not diagonal")
+	}
+	return dp.InvDiagonal()
+}
+
 // Engine is the runtime a solver executes on. Everything a solver may ask of
 // its runtime is a method here, so a wrapper that embeds an Engine forwards
 // all of it and intercepts by overriding the calls it cares about; an
@@ -90,28 +108,31 @@ type Engine interface {
 	// halo communication the backend needs. dst and src must not alias.
 	SpMV(dst, src []float64)
 
-	// SpMVFusedDots computes dst = scale·(A·src) over the local rows plus
-	// the rank-local dot products dots[k] = ws[k]·dst (nil ws[k] means
-	// dst·dst), fused into the SPMV's pass over the rows. ws entries share
-	// dst's local indexing. The caller accounts the scale/dot work via
-	// Charge — uniformly across engines — so backends only count the SPMV
-	// itself.
-	SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64)
+	// SpMVFusedDots computes the product p = scale·(A·src) over the local
+	// rows plus the rank-local dot products dots[k] = ws[k]·p (nil ws[k]
+	// means p·p), fused into the SPMV's pass over the rows, and stores
+	// dst = p. With pc set it stores dst = M⁻¹·p instead, M⁻¹ riding the
+	// same pass (one pass per preconditioned basis vector); p itself is
+	// never stored. pc needs a diagonal M (PCDiagonal ok). ws entries share
+	// dst's local indexing. Values and counters equal the product into a
+	// scratch vector followed by ApplyPC(dst, scratch). The caller accounts
+	// the scale/dot work via Charge — uniformly across engines — so
+	// backends only count the SPMV (and the PC application) itself.
+	SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64)
 
 	// SpMVPowers offers the engine an s-step powers block to run in one
 	// communication phase (Hoemmen's matrix powers kernel, the paper's §II)
 	// instead of one halo exchange per product. Starting from u = src,
 	// level j computes dstR[j] = scale·A·u and then u = dstU[j] =
 	// M⁻¹·dstR[j]; a nil dstU means the basis is unpreconditioned
-	// (u = dstR[j], no PC applied or counted). With dstU set, the dstR
-	// levels may all be one scratch vector: a level's product is read only
-	// by its own PC application, so dstU is bit-identical to a run with
-	// distinct levels and dstR ends holding the last product. Values and
-	// every counter except HaloExchanges and the redundant rows' SpMVFlops
-	// equal the per-product sequence SpMVFusedDots (scale in the
-	// write-back), ApplyPC. The engine answers for itself: false means "not
-	// here" — nothing was computed, sent or counted — and the caller runs
-	// its per-product loop.
+	// (u = dstR[j], no PC applied or counted), and a nil dstR — which needs
+	// a diagonal M — means the products are not kept: each level is
+	// SpMVFusedDots with pc set, dstU[j] = M⁻¹·scale·A·u. Values and every
+	// counter except HaloExchanges and the redundant rows' SpMVFlops equal
+	// the per-product sequence SpMVFusedDots (scale in the write-back),
+	// ApplyPC — or the folded SpMVFusedDots for a nil dstR. The engine
+	// answers for itself: false means "not here" — nothing was computed,
+	// sent or counted — and the caller runs its per-product loop.
 	SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool
 
 	// ApplyPC computes dst = M⁻¹·src over the local rows.
@@ -241,16 +262,24 @@ func (e *Seq) SpMV(dst, src []float64) {
 }
 
 // SpMVFusedDots implements Engine: one traced SPMV span covering the
-// fused product, scale and local dots. Counted as a single SPMV; the caller
-// charges the scale/dot payload.
-func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
+// fused product, scale, local dots and folded PC. Counted as a single SPMV
+// (plus the PC application when folded); the caller charges the scale/dot
+// payload.
+func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	sp := e.Tr.Begin(obs.PhaseSpMV)
 	rows, _ := e.A.Dims()
-	FusedApply(e.A, dst, src, 0, rows, 0, scale, ws, dots)
+	var inv []float64
+	if pc {
+		inv = InvDiagonal(e.PC)
+	}
+	FusedApply(e.A, dst, src, 0, rows, 0, scale, inv, ws, dots)
 	e.Tr.End(sp)
 	e.C.SpMV++
 	e.C.HaloExchanges++
 	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
+	if pc {
+		e.countPC()
+	}
 }
 
 // SpMVPowers implements Engine: one rank has no exchange to save.
@@ -260,14 +289,21 @@ func (e *Seq) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) b
 func (e *Seq) ApplyPC(dst, src []float64) {
 	sp := e.Tr.Begin(obs.PhasePCApply)
 	defer e.Tr.End(sp)
-	e.C.PCApply++
 	if e.PC == nil {
 		copy(dst, src)
-		return
+	} else {
+		e.PC.Apply(dst, src)
 	}
-	e.PC.Apply(dst, src)
-	flops, _, _, _ := e.PC.WorkPerApply()
-	e.C.PCFlops += flops
+	e.countPC()
+}
+
+// countPC accounts one application of M⁻¹.
+func (e *Seq) countPC() {
+	e.C.PCApply++
+	if e.PC != nil {
+		flops, _, _, _ := e.PC.WorkPerApply()
+		e.C.PCFlops += flops
+	}
 }
 
 // PCDiagonal implements Engine.

@@ -44,23 +44,29 @@ type Operator interface {
 // SPMV + local-dot kernel. MulVecFused computes y[i-yoff] = scale·(A·x)[i]
 // for rows [lo, hi) and dots[k] = ws[k]·y over the produced range (nil ws[k]
 // means y·y), dotting each chunk of y while it is still cache-hot instead of
-// re-reading it in separate Scale/Dot sweeps.
+// re-reading it in separate Scale/Dot sweeps. MulVecFusedDiag does the same
+// and then, still chunk by chunk, scales the rows: y[i-yoff] ends holding
+// inv[i-yoff]·scale·(A·x)[i] — a diagonal preconditioner folded into the
+// product — while the dots still see the unscaled product. Its bits equal
+// MulVecFused followed by y[i] *= inv[i]; a nil inv is MulVecFused.
 type FusedOperator interface {
 	Operator
 	MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64)
+	MulVecFusedDiag(y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64)
 }
 
 // FusedApply routes the fused product through the operator's fused kernel
 // when it has one, and otherwise emulates it with the basic kernels:
-// product, element-wise scale, then one vec.Dot per ws entry. The emulation
-// is deterministic but folds its dots over vec's length-uniform chunk
-// geometry rather than the operator's work-balanced plan, so mixing fused
-// and unfused operators for the same logical run changes bits; engines in a
-// run always share one operator, which keeps every rank on one path.
-// yoff must be 0 (global y) or lo (local y), matching the MulVec forms.
-func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64) {
+// product, element-wise scale, one vec.Dot per ws entry, then the row scale
+// by inv (nil for none). The emulation is deterministic but folds its dots
+// over vec's length-uniform chunk geometry rather than the operator's
+// work-balanced plan, so mixing fused and unfused operators for the same
+// logical run changes bits; engines in a run always share one operator,
+// which keeps every rank on one path. yoff must be 0 (global y) or lo
+// (local y), matching the MulVec forms; inv shares y's indexing.
+func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64) {
 	if f, ok := op.(FusedOperator); ok {
-		f.MulVecFused(y, x, lo, hi, yoff, scale, ws, dots)
+		f.MulVecFusedDiag(y, x, lo, hi, yoff, scale, inv, ws, dots)
 		return
 	}
 	if yoff == 0 {
@@ -78,6 +84,9 @@ func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, ws
 			src = w[lo-yoff : hi-yoff]
 		}
 		dots[k] = vec.Dot(src, local)
+	}
+	if inv != nil {
+		vec.MulInto(local, local, inv[lo-yoff:hi-yoff])
 	}
 }
 

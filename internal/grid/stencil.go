@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // StencilOp is a matrix-free operator for the Star5/Star7 grid Laplacians:
@@ -213,83 +212,141 @@ func accumRow(vals *[7]float64, cols *[7]int, cnt int, x []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
-// rows applies rows [r0, r1), writing y[i-yoff] = scale·(A·x)[i]. Interior
-// rows take the branch-free fast path; boundary rows gather through the
-// generic CSR-order accumulator. scale==1 skips the multiply so the bits
-// match the unscaled product exactly (CSR does the same).
-func (s *StencilOp) rows(y, x []float64, r0, r1, yoff int, scale float64) {
+// FusedRows applies rows [r0, r1) (sparse.RowKernel), writing y[i-yoff] =
+// inv[i-yoff]·scale·(A·x)[i]; a nil inv skips its multiply, and v·1 is v to
+// the bit, so the bits match the plain product exactly. The range is walked
+// one grid line (fixed y and z) at a time: the points strictly inside an
+// interior line go through the line kernel, the rest — the two ends of an
+// interior line and every point of a boundary line — gather through the
+// generic CSR-order accumulator.
+func (s *StencilOp) FusedRows(y, x []float64, r0, r1, yoff int, scale float64, inv []float64) {
 	g := s.g
 	nx, ny := g.Nx, g.Ny
-	scaled := scale != 1
-	i := r0
-	for i < r1 {
+	for i := r0; i < r1; {
 		xi := i % nx
 		t := i / nx
-		yi := t % ny
-		zi := t / ny
-		lineEnd := i + nx - xi
-		if lineEnd > r1 {
-			lineEnd = r1
-		}
+		yi, zi := t%ny, t/ny
+		start := i - xi // the line's first point
+		end := min(start+nx, r1)
+		interior := yi > 0 && yi < ny-1
 		if g.Stencil == Star7 {
-			interiorLine := yi > 0 && yi < ny-1 && zi > 0 && zi < g.Nz-1
-			nxy := nx * ny
-			for ; i < lineEnd; i++ {
-				var v float64
-				if interiorLine && xi > 0 && xi < nx-1 {
-					// Interior Star7 row in CSR order: columns ascend as
-					// i-nxy, i-nx, i-1, i (diag 6), i+1, i+nx, i+nxy; the
-					// first four form the unrolled batch, the rest fold
-					// into s0.
-					var s0, s1, s2, s3 float64
-					s0 += -1 * x[i-nxy]
-					s1 += -1 * x[i-nx]
-					s2 += -1 * x[i-1]
-					s3 += 6 * x[i]
-					s0 += -1 * x[i+1]
-					s0 += -1 * x[i+nx]
-					s0 += -1 * x[i+nxy]
-					v = (s0 + s1) + (s2 + s3)
-				} else {
-					v = s.row7(x, i, xi, yi, zi)
-				}
-				if scaled {
-					v *= scale
-				}
-				y[i-yoff] = v
-				xi++
-			}
-		} else {
-			interiorLine := yi > 0 && yi < ny-1
-			for ; i < lineEnd; i++ {
-				var v float64
-				if interiorLine && xi > 0 && xi < nx-1 {
-					// Interior Star5 row in CSR order: i-nx, i-1, i (diag 4),
-					// i+1 form the batch; i+nx folds into s0.
-					var s0, s1, s2, s3 float64
-					s0 += -1 * x[i-nx]
-					s1 += -1 * x[i-1]
-					s2 += 4 * x[i]
-					s3 += -1 * x[i+1]
-					s0 += -1 * x[i+nx]
-					v = (s0 + s1) + (s2 + s3)
-				} else {
-					v = s.row5(x, i, xi, yi)
-				}
-				if scaled {
-					v *= scale
-				}
-				y[i-yoff] = v
-				xi++
+			interior = interior && zi > 0 && zi < g.Nz-1
+		}
+		a, b := end, end // the interior run [a, b) of the segment
+		if interior {
+			a, b = max(i, start+1), min(end, start+nx-1)
+			if a > b {
+				a, b = end, end
 			}
 		}
+		s.edge(y, x, i, a, yoff, yi, zi, scale, inv)
+		if a < b {
+			if g.Stencil == Star7 {
+				line7(y, x, a, b, yoff, nx, nx*ny, s.diag, scale, inv)
+			} else {
+				line5(y, x, a, b, yoff, nx, s.diag, scale, inv)
+			}
+		}
+		s.edge(y, x, b, end, yoff, yi, zi, scale, inv)
+		i = end
+	}
+}
+
+// edge applies rows [lo, hi) of one line (grid coordinates yi, zi) through
+// the generic accumulator.
+func (s *StencilOp) edge(y, x []float64, lo, hi, yoff, yi, zi int, scale float64, inv []float64) {
+	for i := lo; i < hi; i++ {
+		var v float64
+		if s.g.Stencil == Star7 {
+			v = s.row7(x, i, i%s.g.Nx, yi, zi)
+		} else {
+			v = s.row5(x, i, i%s.g.Nx, yi)
+		}
+		if scale != 1 {
+			v *= scale
+		}
+		if inv != nil {
+			v *= inv[i-yoff]
+		}
+		y[i-yoff] = v
+	}
+}
+
+// line7 is the Star7 line kernel: rows [a, b) of one line, every one with
+// all six neighbours, in the CSR order — columns ascend as i-nxy, i-nx, i-1,
+// i (the diagonal), i+1, i+nx, i+nxy; the first four form the unrolled
+// batch, the rest fold into s0. Each neighbour is a contiguous slice of x
+// cut to the run's length, so the loop carries no per-access bounds check,
+// and the write-back multiplies unconditionally: v·1 is v to the bit, so
+// scale 1 needs no branch.
+func line7(y, x []float64, a, b, yoff, nx, nxy int, diag, scale float64, inv []float64) {
+	out := y[a-yoff : b-yoff]
+	n := len(out)
+	zm, ym, xm := x[a-nxy:][:n], x[a-nx:][:n], x[a-1:][:n]
+	c, xp, yp, zp := x[a:][:n], x[a+1:][:n], x[a+nx:][:n], x[a+nxy:][:n]
+	if inv == nil {
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += -1 * zm[k]
+			s1 += -1 * ym[k]
+			s2 += -1 * xm[k]
+			s3 += diag * c[k]
+			s0 += -1 * xp[k]
+			s0 += -1 * yp[k]
+			s0 += -1 * zp[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
+		}
+		return
+	}
+	iv := inv[a-yoff:][:n]
+	for k := range out {
+		var s0, s1, s2, s3 float64
+		s0 += -1 * zm[k]
+		s1 += -1 * ym[k]
+		s2 += -1 * xm[k]
+		s3 += diag * c[k]
+		s0 += -1 * xp[k]
+		s0 += -1 * yp[k]
+		s0 += -1 * zp[k]
+		out[k] = ((s0 + s1) + (s2 + s3)) * scale * iv[k]
+	}
+}
+
+// line5 is line7's Star5 counterpart: i-nx, i-1, i (the diagonal), i+1 form
+// the batch; i+nx folds into s0.
+func line5(y, x []float64, a, b, yoff, nx int, diag, scale float64, inv []float64) {
+	out := y[a-yoff : b-yoff]
+	n := len(out)
+	ym, xm, c := x[a-nx:][:n], x[a-1:][:n], x[a:][:n]
+	xp, yp := x[a+1:][:n], x[a+nx:][:n]
+	if inv == nil {
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += -1 * ym[k]
+			s1 += -1 * xm[k]
+			s2 += diag * c[k]
+			s3 += -1 * xp[k]
+			s0 += -1 * yp[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
+		}
+		return
+	}
+	iv := inv[a-yoff:][:n]
+	for k := range out {
+		var s0, s1, s2, s3 float64
+		s0 += -1 * ym[k]
+		s1 += -1 * xm[k]
+		s2 += diag * c[k]
+		s3 += -1 * xp[k]
+		s0 += -1 * yp[k]
+		out[k] = ((s0 + s1) + (s2 + s3)) * scale * iv[k]
 	}
 }
 
 // mulVec is the dispatcher, mirroring the CSR one: serial for small ranges,
 // the cached plan for the full range, binary-searched chunk bounds for
 // partial (rank-local) ranges.
-func (s *StencilOp) mulVec(y, x []float64, lo, hi, yoff int, scale float64) {
+func (s *StencilOp) mulVec(y, x []float64, lo, hi, yoff int) {
 	if len(x) < s.n {
 		panic(fmt.Sprintf("grid: StencilOp MulVec x too short: %d < %d", len(x), s.n))
 	}
@@ -299,89 +356,47 @@ func (s *StencilOp) mulVec(y, x []float64, lo, hi, yoff int, scale float64) {
 	total := sparse.RowWork(s.rowPtr, lo, hi)
 	nc := par.NumChunks(total)
 	if nc <= 1 {
-		s.rows(y, x, lo, hi, yoff, scale)
+		s.FusedRows(y, x, lo, hi, yoff, 1, nil)
 		return
 	}
 	if lo == 0 && hi == s.n {
 		ch := s.ChunkPlan()
 		n := len(ch.Bounds) - 1
 		par.Default().ForChunks(n, func(c int) {
-			s.rows(y, x, ch.Bounds[c], ch.Bounds[c+1], yoff, scale)
+			s.FusedRows(y, x, ch.Bounds[c], ch.Bounds[c+1], yoff, 1, nil)
 		})
 		return
 	}
 	par.Default().ForChunks(nc, func(c int) {
 		r0 := sparse.SearchRow(s.rowPtr, lo, hi, c*total/nc)
 		r1 := sparse.SearchRow(s.rowPtr, lo, hi, (c+1)*total/nc)
-		s.rows(y, x, r0, r1, yoff, scale)
+		s.FusedRows(y, x, r0, r1, yoff, 1, nil)
 	})
 }
 
 // MulVec implements engine.Operator.
-func (s *StencilOp) MulVec(y, x []float64) { s.mulVec(y, x, 0, s.n, 0, 1) }
+func (s *StencilOp) MulVec(y, x []float64) { s.mulVec(y, x, 0, s.n, 0) }
 
 // MulVecRange implements engine.Operator.
-func (s *StencilOp) MulVecRange(y, x []float64, lo, hi int) { s.mulVec(y, x, lo, hi, 0, 1) }
+func (s *StencilOp) MulVecRange(y, x []float64, lo, hi int) { s.mulVec(y, x, lo, hi, 0) }
 
 // MulVecRangeInto implements engine.Operator.
-func (s *StencilOp) MulVecRangeInto(y, x []float64, lo, hi int) { s.mulVec(y, x, lo, hi, lo, 1) }
+func (s *StencilOp) MulVecRangeInto(y, x []float64, lo, hi int) { s.mulVec(y, x, lo, hi, lo) }
 
 // MulVecFused implements engine.FusedOperator with the same chunk geometry,
 // scale semantics and ascending-order dot fold as the CSR fused kernel, so a
 // fused solve through the stencil stays bit-identical to one through the
 // assembled matrix.
 func (s *StencilOp) MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64) {
-	if len(ws) != len(dots) {
-		panic("grid: StencilOp MulVecFused ws/dots length mismatch")
-	}
-	for k := range dots {
-		dots[k] = 0
-	}
+	s.MulVecFusedDiag(y, x, lo, hi, yoff, scale, nil, ws, dots)
+}
+
+// MulVecFusedDiag implements engine.FusedOperator: MulVecFused with a
+// diagonal preconditioner's row scale folded into the same pass, through the
+// dispatcher the CSR kernel uses.
+func (s *StencilOp) MulVecFusedDiag(y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64) {
 	if len(x) < s.n {
 		panic(fmt.Sprintf("grid: StencilOp MulVecFused x too short: %d < %d", len(x), s.n))
 	}
-	if lo >= hi {
-		return
-	}
-	total := sparse.RowWork(s.rowPtr, lo, hi)
-	nc := par.NumChunks(total)
-	if nc <= 1 {
-		s.rows(y, x, lo, hi, yoff, scale)
-		chunkDots(dots, ws, y, lo, hi, yoff)
-		return
-	}
-	nd := len(ws)
-	var bounds []int
-	if lo == 0 && hi == s.n {
-		bounds = s.ChunkPlan().Bounds
-		nc = len(bounds) - 1
-	}
-	partials := make([]float64, nc*nd)
-	par.Default().ForChunks(nc, func(c int) {
-		var r0, r1 int
-		if bounds != nil {
-			r0, r1 = bounds[c], bounds[c+1]
-		} else {
-			r0 = sparse.SearchRow(s.rowPtr, lo, hi, c*total/nc)
-			r1 = sparse.SearchRow(s.rowPtr, lo, hi, (c+1)*total/nc)
-		}
-		s.rows(y, x, r0, r1, yoff, scale)
-		chunkDots(partials[c*nd:(c+1)*nd], ws, y, r0, r1, yoff)
-	})
-	for c := 0; c < nc; c++ {
-		for k := 0; k < nd; k++ {
-			dots[k] += partials[c*nd+k]
-		}
-	}
-}
-
-// chunkDots accumulates the fused kernel's local dot partials for rows
-// [r0, r1): out[k] += ws[k]·y (nil ws[k] means y·y), local indexing.
-func chunkDots(out []float64, ws [][]float64, y []float64, r0, r1, yoff int) {
-	for k, w := range ws {
-		if w == nil {
-			w = y
-		}
-		out[k] += vec.DotRange(w, y, r0-yoff, r1-yoff)
-	}
+	sparse.FusedProduct(s.rowPtr, s, y, x, lo, hi, yoff, scale, inv, ws, dots)
 }

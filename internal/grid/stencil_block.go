@@ -12,7 +12,7 @@ import (
 // the indirection entirely — so the block kernel's saving is scheduling: one
 // parallel region (and one chunk-geometry decode per chunk bound) covers all
 // k columns instead of k regions. Each column inside a chunk goes through
-// the exact s.rows kernel the single-RHS path uses, so per-column bits match
+// the exact FusedRows kernel the single-RHS path uses, so per-column bits match
 // MulVec at any worker count by construction.
 
 // mulMat is the block dispatcher, mirroring mulVec chunk for chunk.
@@ -35,7 +35,7 @@ func (s *StencilOp) mulMat(ys, xs [][]float64, lo, hi, yoff int) {
 	nc := par.NumChunks(total)
 	if nc <= 1 {
 		for j := range xs {
-			s.rows(ys[j], xs[j], lo, hi, yoff, 1)
+			s.FusedRows(ys[j], xs[j], lo, hi, yoff, 1, nil)
 		}
 		return
 	}
@@ -44,7 +44,7 @@ func (s *StencilOp) mulMat(ys, xs [][]float64, lo, hi, yoff int) {
 		n := len(ch.Bounds) - 1
 		par.Default().ForChunks(n, func(c int) {
 			for j := range xs {
-				s.rows(ys[j], xs[j], ch.Bounds[c], ch.Bounds[c+1], yoff, 1)
+				s.FusedRows(ys[j], xs[j], ch.Bounds[c], ch.Bounds[c+1], yoff, 1, nil)
 			}
 		})
 		return
@@ -53,7 +53,7 @@ func (s *StencilOp) mulMat(ys, xs [][]float64, lo, hi, yoff int) {
 		r0 := sparse.SearchRow(s.rowPtr, lo, hi, c*total/nc)
 		r1 := sparse.SearchRow(s.rowPtr, lo, hi, (c+1)*total/nc)
 		for j := range xs {
-			s.rows(ys[j], xs[j], r0, r1, yoff, 1)
+			s.FusedRows(ys[j], xs[j], r0, r1, yoff, 1, nil)
 		}
 	})
 }

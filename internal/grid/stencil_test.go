@@ -27,6 +27,9 @@ func stencilGrids() []Grid {
 	return []Grid{
 		NewCube(7, Star7),
 		{Nx: 5, Ny: 4, Nz: 3, Stencil: Star7},
+		{Nx: 13, Ny: 4, Nz: 3, Stencil: Star7}, // long interior runs
+		{Nx: 2, Ny: 3, Nz: 3, Stencil: Star7},  // lines with no interior point
+		{Nx: 17, Ny: 5, Nz: 1, Stencil: Star5},
 		{Nx: 4, Ny: 1, Nz: 3, Stencil: Star7}, // degenerate dimension
 		{Nx: 1, Ny: 3, Nz: 2, Stencil: Star7},
 		NewSquare(9, Star5),
@@ -131,7 +134,10 @@ func TestStencilMulVecBitwise(t *testing.T) {
 }
 
 // TestStencilFusedBitwise pins the fused kernel against the CSR fused kernel
-// (y and dots), and the fused scale against product-then-scale.
+// (y and dots), the fused scale against product-then-scale, and the folded
+// diagonal row scale (MulVecFusedDiag) against the fused product followed by
+// y[i] *= inv[i] — with and without dots, over the full range and over
+// rank-local ranges that start and end mid-line.
 func TestStencilFusedBitwise(t *testing.T) {
 	defer par.SetWorkers(par.Default().Workers())
 	defer par.SetGrain(par.Grain())
@@ -144,8 +150,12 @@ func TestStencilFusedBitwise(t *testing.T) {
 		n := g.N()
 		x := make([]float64, n)
 		w0 := make([]float64, n)
+		inv := make([]float64, n)
 		fillRand(x, rng)
 		fillRand(w0, rng)
+		for i := range inv {
+			inv[i] = 1 / (1 + rng.Float64())
+		}
 		want := make([]float64, n)
 		got := make([]float64, n)
 		wantDots := make([]float64, 2)
@@ -173,6 +183,35 @@ func TestStencilFusedBitwise(t *testing.T) {
 					plain[i] *= scale
 					if math.Float64bits(plain[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%v scale=%v: fused scale diverges from scale-after at %d", g, scale, i)
+					}
+				}
+				for _, r := range [][2]int{{0, n}, {n / 3, n}, {n / 4, 3*n/4 + 1}} {
+					lo, hi := r[0], r[1]
+					for _, ws := range [][][]float64{nil, {w0[lo:hi], nil}} {
+						ref := make([]float64, hi-lo)
+						refDots := make([]float64, len(ws))
+						a.MulVecFused(ref, x, lo, hi, lo, scale, ws, refDots)
+						for i := range ref {
+							ref[i] *= inv[lo+i]
+						}
+						for name, k := range map[string]interface {
+							MulVecFusedDiag(y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64)
+						}{"csr": a, "stencil": op} {
+							y := make([]float64, hi-lo)
+							dots := make([]float64, len(ws))
+							k.MulVecFusedDiag(y, x, lo, hi, lo, scale, inv[lo:hi], ws, dots)
+							for i := range y {
+								if math.Float64bits(y[i]) != math.Float64bits(ref[i]) {
+									t.Fatalf("%v %s w=%d scale=%v [%d,%d) dots=%d: folded y[%d] = %x, want %x", g, name,
+										workers, scale, lo, hi, len(ws), i, math.Float64bits(y[i]), math.Float64bits(ref[i]))
+								}
+							}
+							for d := range dots {
+								if math.Float64bits(dots[d]) != math.Float64bits(refDots[d]) {
+									t.Fatalf("%v %s [%d,%d): folded dot[%d] sees the row scale", g, name, lo, hi, d)
+								}
+							}
+						}
 					}
 				}
 			}

@@ -50,13 +50,15 @@ type sstepState struct {
 
 	// One space. When M is diagonal (Engine.PCDiagonal; M = I for the
 	// unpreconditioned methods) r = D·u row by row, so only the u-space
-	// vectors are kept: aqR is nil, every r-space operand of the payload is
-	// a D-weighted dot of u-space vectors (weight d, nil for M = I), and
-	// powR serves only as the products' destination — every level aliases
-	// powU for M = I, or one scratch vector that ApplyPC turns into the next
-	// power. Otherwise (twin space) powR and aqR are carried by their own
-	// recurrences.
-	d []float64
+	// vectors are kept: aqR is nil and every r-space operand of the payload
+	// is a D-weighted dot of u-space vectors (weight d, nil for M = I). powR
+	// aliases powU for M = I; for a diagonal M it is nil — each power is one
+	// pass, the product with M⁻¹ folded into its write-back
+	// (Engine.SpMVFusedDots with pc set) — and res is the scratch residual
+	// the recompute hands to ApplyPC. Otherwise (twin space) powR and aqR
+	// are carried by their own recurrences.
+	d   []float64
+	res []float64
 
 	pay scalarwork.Payload
 	buf []float64
@@ -117,11 +119,7 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 		st.powR = st.powU
 	case diagonal:
 		st.d = d
-		st.powR = make([][]float64, nPow)
-		r := make([]float64, n)
-		for j := range st.powR {
-			st.powR[j] = r
-		}
+		st.res = make([]float64, n)
 	default:
 		st.powR = allocPow()
 		st.aqR = allocBlocks()
@@ -143,30 +141,35 @@ func newSStepState(e engine.Engine, opt Options, cfg sstepConfig) *sstepState {
 
 // computePowers fills powR[j] = A·powU[j-1]/σ (SPMV) and, when
 // preconditioned, powU[j] = M⁻¹·powR[j] (PC) for j in [lo, hi] — in one
-// space, powR[j] is the scratch product that the PC reads. The σ basis
-// scale rides the SPMV write-back (one multiply on the accumulated row sum —
-// the same flops as the separate vec.Scale pass, bit-identical, minus one
-// full memory sweep). With fuse set, the moment entries whose operands are
-// the SPMV's own source and product — mu[2j-1] = ⟨powU[j-1], powR[j]⟩
-// always, plus the self-dot mu[2j] = ⟨powR[j], powR[j]⟩ when the basis is
-// unpreconditioned (powU aliases powR) — fold into the same pass, dotting
-// each chunk of the product while it is cache-hot; the next dot sweep
-// consumes them through the muVal/muMask side channel. Fuse is only set on
-// ranges that feed the next dot sweep (powers 1..s); the pipelined overlap
-// range s+1..2s computes powers the current payload never dots, and that
-// range is offered whole to the engine's matrix powers kernel, which either
-// produces the same bits in one message round or declines.
+// space, powU[j] = M⁻¹·A·powU[j-1]/σ in one folded pass, the product never
+// stored. The σ basis scale rides the SPMV write-back (one multiply on the
+// accumulated row sum — the same flops as the separate vec.Scale pass,
+// bit-identical, minus one full memory sweep). With fuse set, the moment
+// entries whose operands are the SPMV's own source and product — mu[2j-1] =
+// ⟨powU[j-1], powR[j]⟩ always, plus the self-dot mu[2j] = ⟨powR[j],
+// powR[j]⟩ when the basis is unpreconditioned (powU aliases powR) — fold
+// into the same pass, dotting each chunk of the product while it is
+// cache-hot; the next dot sweep consumes them through the muVal/muMask side
+// channel. Fuse is only set on ranges that feed the next dot sweep (powers
+// 1..s); the pipelined overlap range s+1..2s computes powers the current
+// payload never dots, and that range is offered whole to the engine's matrix
+// powers kernel, which either produces the same bits in one message round or
+// declines.
 func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 	scale := 1.0
 	if st.sigma != 1 {
 		scale = 1 / st.sigma
 	}
+	fold := st.cfg.precond && st.powR == nil
 	if !fuse {
-		var dstU [][]float64
+		var dstR, dstU [][]float64
+		if st.powR != nil {
+			dstR = st.powR[lo : hi+1]
+		}
 		if st.cfg.precond {
 			dstU = st.powU[lo : hi+1]
 		}
-		if st.e.SpMVPowers(st.powR[lo:hi+1], dstU, st.powU[lo-1], scale) {
+		if st.e.SpMVPowers(dstR, dstU, st.powU[lo-1], scale) {
 			if scale != 1 {
 				st.e.Charge(float64(st.n*(hi-lo+1)), 0) // the scales' flops
 			}
@@ -181,9 +184,13 @@ func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 				ws = append(ws, nil)
 			}
 		}
-		if len(ws) > 0 || scale != 1 {
+		dst := st.powU[j]
+		if !fold {
+			dst = st.powR[j]
+		}
+		if fold || len(ws) > 0 || scale != 1 {
 			dots := st.fdots[:len(ws)]
-			st.e.SpMVFusedDots(st.powR[j], st.powU[j-1], scale, ws, dots)
+			st.e.SpMVFusedDots(dst, st.powU[j-1], scale, fold, ws, dots)
 			if scale != 1 {
 				// The scale's flops; its memory sweep is absorbed by the SPMV.
 				st.e.Charge(float64(st.n), 0)
@@ -197,9 +204,9 @@ func (st *sstepState) computePowers(lo, hi int, fuse bool) {
 				}
 			}
 		} else {
-			st.e.SpMV(st.powR[j], st.powU[j-1])
+			st.e.SpMV(dst, st.powU[j-1])
 		}
-		if st.cfg.precond {
+		if st.cfg.precond && !fold {
 			st.e.ApplyPC(st.powU[j], st.powR[j])
 		}
 	}
@@ -222,11 +229,14 @@ func (st *sstepState) estimateSigma(b []float64) {
 	copy(v, b)
 	lambda := 1.0
 	for it := 0; it < 3; it++ {
-		e.SpMV(t, v)
-		if st.cfg.precond {
+		switch {
+		case st.cfg.precond && st.powR == nil:
+			e.SpMVFusedDots(w, v, 1, true, nil, nil)
+		case st.cfg.precond:
+			e.SpMV(t, v)
 			e.ApplyPC(w, t)
-		} else {
-			copy(w, t)
+		default:
+			e.SpMV(w, v)
 		}
 		sp := e.BeginPhase(obs.PhaseLocalDots)
 		buf := []float64{vec.Dot(v, w), vec.Dot(v, v), vec.Dot(w, w)}
@@ -307,19 +317,24 @@ func (st *sstepState) queueLCs(b []float64, advance bool) {
 // consumed by runSweep, not recomputed.
 func (st *sstepState) queueDots() {
 	s, sw := st.s, &st.sweep
-	// rDot is ⟨r-space image of x, y⟩ for the u-space x with twin xR.
+	// rDot is ⟨r-space image of x, y⟩ for the u-space x with twin xR (read
+	// only in twin space).
 	rDot := func(x, xR, y []float64, out int) vec.DotPair {
 		if st.aqR == nil {
 			return vec.DotPair{X: x, W: st.d, Y: y, Out: out}
 		}
 		return vec.DotPair{X: xR, Y: y, Out: out}
 	}
+	powR := st.powR
+	if powR == nil {
+		powR = st.powU // one space: no twins to name
+	}
 	for m := 0; m < 2*s; m++ {
 		if st.muMask[m] {
 			continue
 		}
 		a := m / 2
-		sw.Dots = append(sw.Dots, rDot(st.powU[m-a], st.powR[m-a], st.powU[a], m))
+		sw.Dots = append(sw.Dots, rDot(st.powU[m-a], powR[m-a], st.powU[a], m))
 	}
 	cOff, gpOff, exOff := st.pay.OffC(), st.pay.OffGP(), st.pay.OffExtra()
 	for k := 0; k < s; k++ {
@@ -332,11 +347,11 @@ func (st *sstepState) queueDots() {
 		}
 	}
 	for j := 0; j < s; j++ {
-		sw.Dots = append(sw.Dots, rDot(st.powU[0], st.powR[0], st.qU[j], gpOff+j))
+		sw.Dots = append(sw.Dots, rDot(st.powU[0], powR[0], st.qU[j], gpOff+j))
 	}
 	sw.Dots = append(sw.Dots,
 		vec.DotPair{X: st.powU[0], Y: st.powU[0], Out: exOff},
-		rDot(st.powU[0], st.powR[0], nil, exOff+1))
+		rDot(st.powU[0], powR[0], nil, exOff+1))
 }
 
 // runSweep executes the queued LCs and dots as one pass — one parallel
@@ -405,13 +420,17 @@ func (st *sstepState) runSweep() {
 // recomputeResidual sets r = b − A·x and u = M⁻¹r (powers 0) from the
 // current iterate.
 func (st *sstepState) recomputeResidual(b []float64) {
-	st.e.SpMV(st.powR[0], st.x)
+	r := st.res
+	if st.powR != nil {
+		r = st.powR[0]
+	}
+	st.e.SpMV(r, st.x)
 	sp := st.e.BeginPhase(obs.PhaseRecurrenceLC)
-	vec.Sub(st.powR[0], b, st.powR[0])
+	vec.Sub(r, b, r)
 	chargeAxpys(st.e, st.n, 1)
 	st.e.EndPhase(sp)
 	if st.cfg.precond {
-		st.e.ApplyPC(st.powU[0], st.powR[0])
+		st.e.ApplyPC(st.powU[0], r)
 	}
 }
 

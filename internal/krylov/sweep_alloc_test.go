@@ -37,13 +37,16 @@ func (e *quietEngine) SpMV(dst, src []float64) {
 	}
 }
 
-func (e *quietEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
+func (e *quietEngine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	e.SpMV(dst, src)
 	for k, w := range ws {
 		if w == nil {
 			w = dst
 		}
 		dots[k] = vec.DotRange(w, dst, 0, len(dst))
+	}
+	if pc {
+		e.ApplyPC(dst, dst)
 	}
 }
 

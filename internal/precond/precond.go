@@ -32,6 +32,9 @@ func (Identity) WorkPerApply() (float64, float64, int, int) { return 0, 0, 0, 0 
 // Diagonal implements engine.DiagonalPC: M = I.
 func (Identity) Diagonal() []float64 { return nil }
 
+// InvDiagonal implements engine.DiagonalPC: Apply is a copy.
+func (Identity) InvDiagonal() []float64 { return nil }
+
 // Jacobi is diagonal scaling: M = diag(A).
 type Jacobi struct {
 	diag, invDiag []float64
@@ -61,6 +64,9 @@ func (j *Jacobi) Name() string { return "jacobi" }
 
 // Diagonal implements engine.DiagonalPC: M = diag(A), zero entries as 1.
 func (j *Jacobi) Diagonal() []float64 { return j.diag }
+
+// InvDiagonal implements engine.DiagonalPC: the factors Apply multiplies by.
+func (j *Jacobi) InvDiagonal() []float64 { return j.invDiag }
 
 // WorkPerApply implements engine.Preconditioner.
 func (j *Jacobi) WorkPerApply() (float64, float64, int, int) {

@@ -73,9 +73,9 @@ func (e *cancelEngine) IallreduceSum(buf []float64) engine.Request {
 	return e.Engine.IallreduceSum(buf)
 }
 
-func (e *cancelEngine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
+func (e *cancelEngine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	e.poll()
-	e.Engine.SpMVFusedDots(dst, src, scale, ws, dots)
+	e.Engine.SpMVFusedDots(dst, src, scale, pc, ws, dots)
 }
 
 func (e *cancelEngine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {

@@ -144,13 +144,21 @@ func (e *Engine) SpMV(dst, src []float64) {
 }
 
 // SpMVFusedDots implements engine.Engine: same numerics as the fused
-// operator kernel (bit-identical to Seq), priced as one SPMV event. The
-// scale/dot payload is charged by the caller, identically on every engine.
-func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, ws [][]float64, dots []float64) {
+// operator kernel (bit-identical to Seq), priced as one SPMV event — plus,
+// with pc set, the folded PC application (foldedPC). The scale/dot payload
+// is charged by the caller, identically on every engine.
+func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	op := e.op()
 	rows, _ := op.Dims()
-	engine.FusedApply(op, dst, src, 0, rows, 0, scale, ws, dots)
+	var inv []float64
+	if pc {
+		inv = engine.InvDiagonal(e.PC)
+	}
+	engine.FusedApply(op, dst, src, 0, rows, 0, scale, inv, ws, dots)
 	e.spmvEvent()
+	if pc {
+		e.foldedPC()
+	}
 }
 
 // ApplyPC implements engine.Engine.
@@ -166,13 +174,27 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
 }
 
+// foldedPC accounts a diagonal PC application that rode a product's
+// write-back: the PC's flops, but of its bytes only the diagonal's stream —
+// the product is neither written out nor read back (16 bytes per row).
+func (e *Engine) foldedPC() {
+	e.c.PCApply++
+	if e.PC == nil {
+		return
+	}
+	e.c.PCFlops += e.pcFlops
+	bytes := math.Max(0, e.pcBytes-16*float64(e.A.Rows))
+	e.events = append(e.events, event{kind: evPC, flops: e.pcFlops, bytes: bytes})
+}
+
 // PCDiagonal implements engine.Engine.
 func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.PC) }
 
 // SpMVPowers implements engine.Engine for the MatrixPowers ablation:
 // the numerics are the per-product chain (same kernels, same bits); the cost
 // model prices one deep exchange plus the redundant ghost-zone work
-// (Evaluate, case evMPK) and the preconditioner applications as usual.
+// (Evaluate, case evMPK) and the preconditioner applications as usual —
+// folded ones as foldedPC.
 func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
 	if !e.MatrixPowers {
 		return false
@@ -180,16 +202,24 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 	op := e.op()
 	rows, _ := op.Dims()
 	nnz := float64(e.A.NNZ())
-	depth := float64(len(dstR))
+	fold := dstR == nil
+	levels, inv := dstR, []float64(nil) // where each level's product lands
+	if fold {
+		levels, inv = dstU, engine.InvDiagonal(e.PC)
+	}
+	depth := float64(len(levels))
 	e.c.HaloExchanges++
-	e.events = append(e.events, event{kind: evMPK, depth: len(dstR),
+	e.events = append(e.events, event{kind: evMPK, depth: len(levels),
 		flops: 2 * nnz * depth, bytes: (12*nnz + 16*float64(e.A.Rows)) * depth})
-	for j := range dstR {
-		engine.FusedApply(op, dstR[j], src, 0, rows, 0, scale, nil, nil)
+	for j := range levels {
+		engine.FusedApply(op, levels[j], src, 0, rows, 0, scale, inv, nil, nil)
 		e.c.SpMV++
 		e.c.SpMVFlops += 2 * nnz
-		src = dstR[j]
-		if dstU != nil {
+		src = levels[j]
+		switch {
+		case fold:
+			e.foldedPC()
+		case dstU != nil:
 			e.ApplyPC(dstU[j], dstR[j])
 			src = dstU[j]
 		}

@@ -83,24 +83,32 @@ func TestSpMVPowersSimNumericsAndEvent(t *testing.T) {
 	if e.Counters().SpMV != 2 || e.Counters().HaloExchanges != 1 {
 		t.Fatalf("counters %+v", e.Counters())
 	}
-	// Preconditioned, with every r level aliased to one scratch vector (the
-	// one-space solver's call): the u levels are bit-identical to the block
-	// with distinct levels, and the scratch ends holding the last product.
+	// Preconditioned, with M⁻¹ folded into the products (nil dstR, the
+	// one-space solver's call): the u levels and the counters are
+	// bit-identical to the block with r levels, and the folded PC events
+	// carry only the diagonal's stream.
 	pc := NewEngine(a, precond.NewJacobi(a, 0, a.Rows))
 	pc.MatrixPowers = true
 	wantR, wantU := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}, [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
 	pc.SpMVPowers(wantR, wantU, src, 0.37)
-	r := make([]float64, a.Rows)
+	fold := NewEngine(a, precond.NewJacobi(a, 0, a.Rows))
+	fold.MatrixPowers = true
 	gotU := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
-	pc.SpMVPowers([][]float64{r, r}, gotU, src, 0.37)
-	for i := range r {
+	fold.SpMVPowers(nil, gotU, src, 0.37)
+	for i := range gotU[0] {
 		if math.Float64bits(gotU[0][i]) != math.Float64bits(wantU[0][i]) ||
-			math.Float64bits(gotU[1][i]) != math.Float64bits(wantU[1][i]) ||
-			math.Float64bits(r[i]) != math.Float64bits(wantR[1][i]) {
-			t.Fatalf("aliased r levels: row %d differs", i)
+			math.Float64bits(gotU[1][i]) != math.Float64bits(wantU[1][i]) {
+			t.Fatalf("folded block: row %d differs", i)
 		}
 	}
-
+	if *fold.Counters() != *pc.Counters() {
+		t.Fatalf("folded block counters %+v, want %+v", *fold.Counters(), *pc.Counters())
+	}
+	for k, ev := range fold.events {
+		if ev.kind == evPC && ev.bytes != pc.events[k].bytes-16*float64(a.Rows) {
+			t.Fatalf("folded PC event %d: %g bytes, want the unfolded %g less the product's 16 per row", k, ev.bytes, pc.events[k].bytes)
+		}
+	}
 	// The modeled time must include the deep exchange.
 	b := e.Evaluate(CrayXC40(), 9)
 	if b.Halo <= 0 || b.Compute <= 0 {

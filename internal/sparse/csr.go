@@ -330,12 +330,13 @@ func (a *CSR) MulVecRangeInto(y, x []float64, lo, hi int) {
 	a.mulVec(y, x, lo, hi, lo)
 }
 
-// mulRowsScaled is mulRows with the per-row result multiplied by scale —
-// y[i-yoff] = scale·(A·x)[i] — which is bit-identical to mulRows followed by
-// an element-wise scale of y (one IEEE multiply either way), but saves the
-// extra read+write sweep over y.
-func (a *CSR) mulRowsScaled(y, x []float64, r0, r1, yoff int, scale float64) {
-	if scale == 1 {
+// FusedRows is mulRows with the per-row result multiplied by scale and
+// then, for a non-nil inv, by inv[i-yoff] — y[i-yoff] = inv[i-yoff]·scale·
+// (A·x)[i] — which is bit-identical to mulRows followed by element-wise
+// scales of y (one IEEE multiply each either way), but saves the extra
+// read+write sweeps over y. It is the RowKernel FusedProduct drives.
+func (a *CSR) FusedRows(y, x []float64, r0, r1, yoff int, scale float64, inv []float64) {
+	if scale == 1 && inv == nil {
 		a.mulRows(y, x, r0, r1, yoff)
 		return
 	}
@@ -352,20 +353,104 @@ func (a *CSR) mulRowsScaled(y, x []float64, r0, r1, yoff int, scale float64) {
 		for ; k < end; k++ {
 			s0 += a.Val[k] * x[a.Col[k]]
 		}
-		y[i-yoff] = ((s0 + s1) + (s2 + s3)) * scale
+		v := (s0 + s1) + (s2 + s3)
+		if scale != 1 {
+			v *= scale
+		}
+		if inv != nil {
+			v *= inv[i-yoff]
+		}
+		y[i-yoff] = v
 	}
 }
 
-// chunkFusedDots accumulates the local dot partials for rows [r0, r1) of the
-// fused kernel: out[k] += ws[k]·y over the chunk's local index range, with a
-// nil ws[k] meaning y·y. ws and y share local indexing (global row i at
-// i-yoff).
-func chunkFusedDots(out []float64, ws [][]float64, y []float64, r0, r1, yoff int) {
+// RowKernel is an operator's row kernel as the fused dispatcher drives it:
+// FusedRows writes y[i-yoff] = inv[i-yoff]·scale·(A·x)[i] for rows [r0, r1)
+// (a nil inv meaning no row scale), bit-identical to the plain product
+// followed by the element-wise scales.
+type RowKernel interface {
+	FusedRows(y, x []float64, r0, r1, yoff int, scale float64, inv []float64)
+	ChunkPlan() *Chunks
+}
+
+// fusedChunk produces one chunk [r0, r1) of a fused product: rows writes
+// y[i-yoff] = inv[i-yoff]·scale·(A·x)[i] (a nil inv meaning no row scale)
+// and fusedChunk adds each local dot partial out[k] += ws[k]·p of the
+// unscaled product p (nil ws[k] means p·p) as a fixed-association DotRange.
+// Without dots the row scale rides the product's write-back; with dots the
+// chunk is produced unscaled, dotted while hot, then scaled in place — the
+// same bits either way, since every scale is one IEEE multiply per row.
+// Shared by every operator's fused kernel (CSR and the matrix-free
+// stencils), so their dots and row scales agree bit for bit.
+func fusedChunk(rows RowKernel, out []float64, ws [][]float64, y, x []float64, r0, r1, yoff int, scale float64, inv []float64) {
+	if len(ws) == 0 {
+		rows.FusedRows(y, x, r0, r1, yoff, scale, inv)
+		return
+	}
+	rows.FusedRows(y, x, r0, r1, yoff, scale, nil)
 	for k, w := range ws {
 		if w == nil {
 			w = y
 		}
 		out[k] += vec.DotRange(w, y, r0-yoff, r1-yoff)
+	}
+	if inv != nil {
+		for i := r0 - yoff; i < r1-yoff; i++ {
+			y[i] *= inv[i]
+		}
+	}
+}
+
+// FusedProduct is the fused kernels' shared dispatcher over a row-pointer
+// structure (the CSR's own, or a stencil's synthetic one): rows [lo, hi)
+// split into the same nnz-balanced chunks the plain product uses (the
+// kernel's cached plan for the full range), each produced by fusedChunk, and
+// the chunks' dot partials folded in ascending chunk order — so the bits of
+// y and dots depend only on the structure and the row range, never on the
+// worker count. y equals the unfused product scaled exactly; the dots differ
+// from vec.Dot only in chunk geometry (row-work-balanced instead of
+// length-uniform), deterministically.
+func FusedProduct(rowPtr []int, rows RowKernel, y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64) {
+	if len(ws) != len(dots) {
+		panic("sparse: fused product ws/dots length mismatch")
+	}
+	for k := range dots {
+		dots[k] = 0
+	}
+	if lo >= hi {
+		return
+	}
+	total := RowWork(rowPtr, lo, hi)
+	nc := par.NumChunks(total)
+	if nc <= 1 {
+		fusedChunk(rows, dots, ws, y, x, lo, hi, yoff, scale, inv)
+		return
+	}
+	nd := len(ws)
+	var bounds []int
+	if lo == 0 && hi == len(rowPtr)-1 {
+		bounds = rows.ChunkPlan().Bounds
+		nc = len(bounds) - 1
+	}
+	var partials []float64
+	if nd > 0 {
+		partials = make([]float64, nc*nd)
+	}
+	par.Default().ForChunks(nc, func(c int) {
+		var r0, r1 int
+		if bounds != nil {
+			r0, r1 = bounds[c], bounds[c+1]
+		} else {
+			r0 = SearchRow(rowPtr, lo, hi, c*total/nc)
+			r1 = SearchRow(rowPtr, lo, hi, (c+1)*total/nc)
+		}
+		fusedChunk(rows, partials[c*nd:(c+1)*nd], ws, y, x, r0, r1, yoff, scale, inv)
+	})
+	// Ascending chunk order: the fold is a pure function of the geometry.
+	for c := 0; c < nc; c++ {
+		for k := 0; k < nd; k++ {
+			dots[k] += partials[c*nd+k]
+		}
 	}
 }
 
@@ -381,49 +466,17 @@ func chunkFusedDots(out []float64, ws [][]float64, y []float64, r0, r1, yoff int
 // the dots differ from vec.Dot only in chunk geometry (row-work-balanced
 // instead of length-uniform), deterministically.
 func (a *CSR) MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64) {
-	if len(ws) != len(dots) {
-		panic("sparse: MulVecFused ws/dots length mismatch")
-	}
-	for k := range dots {
-		dots[k] = 0
-	}
+	a.MulVecFusedDiag(y, x, lo, hi, yoff, scale, nil, ws, dots)
+}
+
+// MulVecFusedDiag is MulVecFused with the row scale y[i-yoff] *= inv[i-yoff]
+// applied after the dots (engine.FusedOperator): a diagonal preconditioner
+// folded into the product's pass.
+func (a *CSR) MulVecFusedDiag(y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64) {
 	if len(x) < a.Cols {
 		panic(fmt.Sprintf("sparse: MulVecFused x too short: %d < %d", len(x), a.Cols))
 	}
-	if lo >= hi {
-		return
-	}
-	total := a.rowWork(lo, hi)
-	nc := par.NumChunks(total)
-	if nc <= 1 {
-		a.mulRowsScaled(y, x, lo, hi, yoff, scale)
-		chunkFusedDots(dots, ws, y, lo, hi, yoff)
-		return
-	}
-	nd := len(ws)
-	var bounds []int
-	if lo == 0 && hi == a.Rows {
-		bounds = a.ChunkPlan().Bounds
-		nc = len(bounds) - 1
-	}
-	partials := make([]float64, nc*nd)
-	par.Default().ForChunks(nc, func(c int) {
-		var r0, r1 int
-		if bounds != nil {
-			r0, r1 = bounds[c], bounds[c+1]
-		} else {
-			r0 = a.searchRow(lo, hi, c*total/nc)
-			r1 = a.searchRow(lo, hi, (c+1)*total/nc)
-		}
-		a.mulRowsScaled(y, x, r0, r1, yoff, scale)
-		chunkFusedDots(partials[c*nd:(c+1)*nd], ws, y, r0, r1, yoff)
-	})
-	// Ascending chunk order: the fold is a pure function of the geometry.
-	for c := 0; c < nc; c++ {
-		for k := 0; k < nd; k++ {
-			dots[k] += partials[c*nd+k]
-		}
-	}
+	FusedProduct(a.RowPtr, a, y, x, lo, hi, yoff, scale, inv, ws, dots)
 }
 
 // diagInto fills d[i-lo] with a(i,i) for rows [lo, hi) in one linear pass

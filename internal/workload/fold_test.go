@@ -12,6 +12,7 @@ import (
 	"repro/internal/precond"
 	"repro/internal/sim"
 	"repro/internal/sparse"
+	"repro/internal/trace"
 )
 
 // opaquePC hides a preconditioner's engine.DiagonalPC capability, so the same
@@ -33,10 +34,55 @@ func (s foldSpec) String() string {
 	return s.kind
 }
 
+// unfolded hides the engine's M⁻¹ fold: a folded SpMVFusedDots becomes the
+// product into a scratch vector and ApplyPC, a folded powers block keeps its
+// products in scratch levels — the two-pass sequence the fold replaces.
+type unfolded struct {
+	engine.Engine
+	r [][]float64
+}
+
+func (u *unfolded) scratch(k int) [][]float64 {
+	for len(u.r) < k {
+		u.r = append(u.r, make([]float64, u.NLocal()))
+	}
+	return u.r[:k]
+}
+
+func (u *unfolded) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
+	if !pc {
+		u.Engine.SpMVFusedDots(dst, src, scale, false, ws, dots)
+		return
+	}
+	r := u.scratch(1)[0]
+	u.Engine.SpMVFusedDots(r, src, scale, false, ws, dots)
+	u.ApplyPC(dst, r)
+}
+
+func (u *unfolded) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
+	if dstR == nil {
+		dstR = u.scratch(len(dstU))
+	}
+	return u.Engine.SpMVPowers(dstR, dstU, src, scale)
+}
+
 // foldSolve runs one solve of pr with Jacobi, in one space or — twin set —
-// behind opaquePC, and returns the result with the gathered iterate.
+// behind opaquePC, and returns the result with the gathered iterate. A
+// non-nil wrap wraps every rank's engine.
 func foldSolve(t *testing.T, pr Problem, meth krylov.Method, opt krylov.Options, spec foldSpec, twin bool) *krylov.Result {
 	t.Helper()
+	res, _ := wrappedSolve(t, pr, meth, opt, spec, twin, nil)
+	return res
+}
+
+// wrappedSolve is foldSolve with every rank's engine passed through wrap
+// (nil for none); it also returns rank 0's counters.
+func wrappedSolve(t *testing.T, pr Problem, meth krylov.Method, opt krylov.Options, spec foldSpec, twin bool,
+	wrap func(engine.Engine) engine.Engine) (*krylov.Result, trace.Counters) {
+	t.Helper()
+	if wrap == nil {
+		wrap = func(e engine.Engine) engine.Engine { return e }
+	}
 	pcf := func(a *sparse.CSR, lo, hi int) engine.Preconditioner {
 		var pc engine.Preconditioner = precond.NewJacobi(a, lo, hi)
 		if twin {
@@ -59,7 +105,7 @@ func foldSolve(t *testing.T, pr Problem, meth krylov.Method, opt krylov.Options,
 		bs := comm.Scatter(pt, pr.B)
 		results := make([]*krylov.Result, spec.ranks)
 		errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
-			res, err := meth.Solve(e, bs[r], opt)
+			res, err := meth.Solve(wrap(e), bs[r], opt)
 			results[r] = res
 			return err
 		})
@@ -75,13 +121,13 @@ func foldSolve(t *testing.T, pr Problem, meth krylov.Method, opt krylov.Options,
 		}
 		res := *results[0]
 		res.X = comm.Gather(pt, xs)
-		return &res
+		return &res, *engines[0].Counters()
 	}
-	res, err := meth.Solve(e, pr.B, opt)
+	res, err := meth.Solve(wrap(e), pr.B, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
-	return res
+	return res, *e.Counters()
 }
 
 func sameRun(a, b *krylov.Result) bool {
@@ -163,6 +209,42 @@ func TestOneSpaceMatchesTwinSpace(t *testing.T) {
 					}
 					if rel := TrueResidual(pr.A, pr.B, one.X); !(rel <= tol) {
 						t.Errorf("%s: true relres %.3e above %g", id, rel, tol)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldedPowersMatchUnfolded: folding M⁻¹ into each basis vector's
+// product (one pass instead of the product's pass plus ApplyPC's) changes no
+// bit and no counter. Over the catalogue × s ∈ 1..6 × {seq, sim, comm P=1,
+// 2, 3}, PSCG and PIPE-PsCG under Jacobi in one space equal, to the bit, the
+// same solves with the fold hidden behind unfolded — iterate, residual
+// history, iteration count and rank 0's counters.
+func TestFoldedPowersMatchUnfolded(t *testing.T) {
+	problems := []Problem{Poisson7(12), Poisson125(8), Poisson5(24), Ecology2(64), Thermal2(64), Serena(12)}
+	specs := []foldSpec{{"seq", 1}, {"sim", 1}, {"comm", 1}, {"comm", 2}, {"comm", 3}}
+	hide := func(e engine.Engine) engine.Engine { return &unfolded{Engine: e} }
+	for _, pr := range problems {
+		for _, name := range []string{"pscg", "pipe-pscg"} {
+			meth, err := krylov.MethodByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 1; s <= 6; s++ {
+				opt := DefaultOptions(pr)
+				opt.S = s
+				opt.MaxIter = 2000
+				for _, spec := range specs {
+					id := fmt.Sprintf("%s/%s/s=%d/%s", pr.Name, name, s, spec)
+					folded, fc := wrappedSolve(t, pr, meth, opt, spec, false, nil)
+					ref, rc := wrappedSolve(t, pr, meth, opt, spec, false, hide)
+					if !sameRun(folded, ref) || folded.Outer != ref.Outer || folded.Converged != ref.Converged {
+						t.Errorf("%s: folded run differs in bits from the unfolded one", id)
+					}
+					if fc != rc {
+						t.Errorf("%s: counters differ:\n%+v\n%+v", id, fc, rc)
 					}
 				}
 			}
