@@ -155,14 +155,19 @@ perf:
 # tier1: a fuzz run is open-ended exploration, not a gate.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadMatrixMarket -fuzztime 30s -parallel 2 ./internal/sparse
+	$(GO) test -run xxx -fuzz FuzzParseTraceparent -fuzztime 30s -parallel 2 ./internal/obs
 
 # The committed paper records: regenerate all seven tables and figures at
-# paper scale into a fresh directory and diff every results_* file against
-# it. About 6 minutes and 4.4 GB peak RSS on 2 cores, so not part of tier1;
-# TestFiguresGolden pins the formats at a tiny scale there.
+# paper scale into a fresh directory, one figure per process so the peak is
+# the largest figure's (about 3.3 GB, fig4) rather than their sum, and diff
+# every results_* file against it. About 8 minutes on 2 cores, so not part
+# of tier1; TestFiguresGolden pins the formats at a tiny scale there.
+FIGURES := table1 fig1 fig2 table2 fig3 fig4 fig5
+
 results-check:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) run ./cmd/repro -full -out "$$d" && \
+	$(GO) build -o "$$d/repro" ./cmd/repro && \
+	for n in $(FIGURES); do "$$d/repro" -full -out "$$d" $$n || exit 1; done && \
 	for f in results_*; do diff -u "$$f" "$$d/$$f" || exit 1; done && \
 	echo "results-check: all committed records reproduced byte for byte"
 

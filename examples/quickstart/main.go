@@ -19,8 +19,8 @@ func main() {
 	a := g.Laplacian()
 	b := grid.OnesRHS(a)
 
-	// Jacobi preconditioner and a sequential engine (swap in comm.Engine
-	// for real SPMD ranks, or sim.Engine for modeled cluster timing).
+	// Jacobi preconditioner and a sequential engine (comm.Engine runs real
+	// SPMD ranks; sim.NewEngine records around this same Seq for timing).
 	pc := precond.NewJacobi(a, 0, a.Rows)
 	e := engine.NewSeq(a, pc)
 

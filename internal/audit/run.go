@@ -175,9 +175,7 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 			// The sim engine records phase tags at solve time regardless;
 			// spans materialize only at replay (sim.Trace), so there is no
 			// per-run tracer to attach here.
-			se := sim.NewEngine(pr.A, pc)
-			se.Op = pr.Op
-			e = se
+			e = sim.Record(engine.NewSeq(pr.Operator(), pc), pr.A, pc)
 		}
 		res, err := meth.Solve(e, pr.B, opt)
 		if err != nil {

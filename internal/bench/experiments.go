@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -38,8 +39,7 @@ func RunSim(pr workload.Problem, method, pcName string, opt krylov.Options) (*Ru
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine(pr.A, pc)
-	eng.Op = pr.Op
+	eng := sim.Record(engine.NewSeq(pr.Operator(), pc), pr.A, pc)
 	eng.Decomp = pr.Decomp
 	res, err := m.Solve(eng, pr.B, opt)
 	if err != nil {

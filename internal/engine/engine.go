@@ -5,14 +5,15 @@
 // operate on local vector slices, call SpMV/ApplyPC for the communication-
 // aware kernels, compute local dot products themselves, and combine them
 // with AllreduceSum (blocking, PCG-style) or IallreduceSum (non-blocking,
-// the pipelined methods' MPI_Iallreduce). Three engines implement the
-// interface:
+// the pipelined methods' MPI_Iallreduce). Two engines run the numerics and
+// one records around them:
 //
 //   - engine.Seq — one rank, global vectors, no timing: reference numerics.
 //   - comm.Engine — R goroutine ranks with channel-based collectives and a
 //     true asynchronous allreduce (real overlap).
-//   - sim.Engine — one rank running the real numerics while a virtual-clock
-//     cost model prices every kernel for a modeled machine with P ranks.
+//   - sim.Engine — a recorder around an engine.Seq, which runs the numerics
+//     (bit-identical by construction), while a virtual-clock cost model
+//     prices every kernel for a modeled machine with P ranks.
 package engine
 
 import (

@@ -46,6 +46,28 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent: the header and body field it parses are untrusted,
+// so no input may panic it, and whatever it accepts is a valid context whose
+// canonical rendering parses back to the same context. `go test` runs the
+// committed corpus (testdata/fuzz); `make fuzz` explores beyond it.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as an invalid context %+v", s, tc)
+		}
+		if back, ok := ParseTraceparent(tc.Traceparent()); !ok || back != tc {
+			t.Fatalf("%q: Traceparent() %q parses to %+v ok=%v, want %+v", s, tc.Traceparent(), back, ok, tc)
+		}
+	})
+}
+
 func TestIDGenDeterministicAndDistinct(t *testing.T) {
 	a, b := NewIDGen(7), NewIDGen(7)
 	for i := 0; i < 16; i++ {

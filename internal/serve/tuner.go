@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 
@@ -39,6 +40,9 @@ const (
 	// reduction latency: the deep pipeline is not paying for its extra
 	// arithmetic, so the tuner shrinks s instead of keeping the basis depth.
 	tunerLowHidden = 0.05
+	// tunerCap bounds the remembered fingerprints, which are partly client
+	// input: past it the least recently used record is forgotten.
+	tunerCap = 1024
 )
 
 // TunerRecord is the remembered best configuration for one operator
@@ -96,12 +100,18 @@ type Tuner struct {
 	met *Metrics
 
 	mu  sync.Mutex
-	rec map[string]*TunerRecord
+	rec map[string]*list.Element // of *tunerEntry in lru
+	lru list.List                // most recently used at the front
+}
+
+type tunerEntry struct {
+	fp  string
+	rec TunerRecord
 }
 
 // NewTuner builds an empty tuner feeding the given metrics ledger.
 func NewTuner(met *Metrics) *Tuner {
-	return &Tuner{met: met, rec: map[string]*TunerRecord{}}
+	return &Tuner{met: met, rec: map[string]*list.Element{}}
 }
 
 // tuneFingerprint names the tuning unit: the registry's operator key plus the
@@ -118,7 +128,9 @@ func (t *Tuner) Resolve(req SolveRequest) *tuneDecision {
 	fp := tuneFingerprint(req)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if rec, ok := t.rec[fp]; ok {
+	if el, ok := t.rec[fp]; ok {
+		t.lru.MoveToFront(el)
+		rec := &el.Value.(*tunerEntry).rec
 		rec.Jobs++
 		t.met.tunerWarmstarts.Add(1)
 		return &tuneDecision{fp: fp, Method: rec.Method, S: rec.S,
@@ -175,11 +187,18 @@ func (t *Tuner) Record(dec *tuneDecision, res *krylov.Result, driftRatio, hidden
 	}
 
 	t.mu.Lock()
-	if prev, ok := t.rec[dec.fp]; ok {
-		next.Jobs = prev.Jobs
+	if el, ok := t.rec[dec.fp]; ok {
+		t.lru.MoveToFront(el)
+		ent := el.Value.(*tunerEntry)
+		next.Jobs = ent.rec.Jobs + 1
+		ent.rec = next
+	} else {
+		next.Jobs = 1
+		t.rec[dec.fp] = t.lru.PushFront(&tunerEntry{fp: dec.fp, rec: next})
+		if t.lru.Len() > tunerCap {
+			delete(t.rec, t.lru.Remove(t.lru.Back()).(*tunerEntry).fp)
+		}
 	}
-	next.Jobs++
-	t.rec[dec.fp] = &next
 	t.mu.Unlock()
 
 	t.met.tunerRecords.Add(1)
@@ -193,8 +212,8 @@ func (t *Tuner) Snapshot() map[string]TunerRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make(map[string]TunerRecord, len(t.rec))
-	for fp, rec := range t.rec {
-		out[fp] = *rec
+	for fp, el := range t.rec {
+		out[fp] = el.Value.(*tunerEntry).rec
 	}
 	return out
 }

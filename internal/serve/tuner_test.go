@@ -217,6 +217,39 @@ func TestTunerDecisionRules(t *testing.T) {
 	}
 }
 
+// TestTunerEvictsLeastRecentlyUsed: the fingerprint is partly client input,
+// so the tuner keeps at most tunerCap of them. After tunerCap+k distinct
+// records the k least recently used are gone and the newest still
+// warm-starts; the oldest, touched by a warm start, outlives later ones.
+func TestTunerEvictsLeastRecentlyUsed(t *testing.T) {
+	const k = 3
+	tu := NewTuner(NewMetrics())
+	req := func(i int) SolveRequest {
+		return SolveRequest{ProblemSpec: ProblemSpec{Problem: "poisson7", N: 8}, RelTol: float64(i+1) * 1e-12}
+	}
+	conv := &krylov.Result{Converged: true}
+	for i := 0; i < tunerCap+k; i++ {
+		if i == tunerCap {
+			tu.Resolve(req(0)) // a warm start refreshes the oldest fingerprint
+		}
+		tu.Record(tu.Resolve(req(i)), conv, 1, 0.5)
+	}
+	if got := tu.Len(); got != tunerCap {
+		t.Fatalf("Len() = %d after %d distinct records, want the cap %d", got, tunerCap+k, tunerCap)
+	}
+	if !tu.Resolve(req(tunerCap + k - 1)).WarmStart {
+		t.Fatal("the newest fingerprint must still warm-start")
+	}
+	if !tu.Resolve(req(0)).WarmStart {
+		t.Fatal("a fingerprint refreshed by a warm start must outlive later records")
+	}
+	for i := 1; i <= k+1; i++ {
+		if warm := tu.Resolve(req(i)).WarmStart; warm != (i == k+1) {
+			t.Fatalf("fingerprint %d: warm start %v, want only the %d least recently used evicted", i, warm, k)
+		}
+	}
+}
+
 // TestAutoTuneDefaultConfig: with Config.AutoTuneDefault set, an empty-method
 // request runs under the tuner instead of the ladder; an explicit method
 // still wins.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"time"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sparse"
-	"repro/internal/trace"
 )
 
 type eventKind uint8
@@ -42,18 +42,25 @@ type event struct {
 	phase obs.Phase
 }
 
-// Engine runs real numerics on global vectors while recording cost events.
-// It implements engine.Engine with a single actual rank; the modeled rank
-// count is chosen later, at Evaluate time.
+// inner names the embedded engine: an unexported field, so the recorder
+// forwards every call it does not price without exposing a settable one.
+type inner = engine.Engine
+
+// Engine records the cost events of a solve whose numerics and counters
+// belong to the engine it embeds — one rank holding the global vectors, an
+// engine.Seq under NewEngine — so its values and counters are that engine's
+// by construction. It overrides only the calls it prices, each forwarding
+// and then appending its event; the modeled rank count is chosen later, at
+// Evaluate time.
 type Engine struct {
+	inner
+
+	// A is the assembled operator the cost model prices — replay needs its
+	// structure for partition statistics — and PC the preconditioner whose
+	// WorkPerApply prices ApplyPC. Both describe what the inner engine
+	// applies, which may run A matrix-free.
 	A  *sparse.CSR
 	PC engine.Preconditioner
-
-	// Op, when set, is the operator the numerics run through (e.g. a
-	// matrix-free stencil). The cost model still prices A — replay needs the
-	// assembled structure for partition statistics — so A must describe the
-	// same operator. Nil means A itself.
-	Op engine.Operator
 
 	// Decomp, when set, tells the cost model to use an analytic 3D box
 	// decomposition (PETSc DMDA style) instead of 1D row blocks — the
@@ -66,7 +73,6 @@ type Engine struct {
 	// halo exchange per product, as the paper's experiments do.
 	MatrixPowers bool
 
-	c      trace.Counters
 	events []event
 	nextID int
 
@@ -74,25 +80,36 @@ type Engine struct {
 	// (obs.NumPhases when none); Charge stamps it onto evLocal events.
 	curPhase obs.Phase
 
-	pcFlops, pcBytes float64
-	pcP2P, pcAllr    int
+	pcEv event // one ApplyPC, priced by PC.WorkPerApply
 }
 
 var _ engine.Engine = (*Engine)(nil)
 
-// NewEngine returns a recording engine for A with the given preconditioner
-// (nil means identity).
+// NewEngine returns a recorder over engine.NewSeq(a, pc): A with the given
+// preconditioner (nil means identity), applied as the assembled matrix.
 func NewEngine(a *sparse.CSR, pc engine.Preconditioner) *Engine {
-	e := &Engine{A: a, PC: pc, curPhase: obs.NumPhases}
+	return Record(engine.NewSeq(a, pc), a, pc)
+}
+
+// Record returns a recorder over in, which must hold all a.Rows rows (events
+// are priced at global sizes) and apply a — possibly matrix-free — with the
+// preconditioner pc.
+func Record(in engine.Engine, a *sparse.CSR, pc engine.Preconditioner) *Engine {
+	if in.NLocal() != a.Rows {
+		panic(fmt.Sprintf("sim: recording an engine with %d of %d rows", in.NLocal(), a.Rows))
+	}
+	e := &Engine{inner: in, A: a, PC: pc, curPhase: obs.NumPhases, pcEv: event{kind: evPC}}
 	if pc != nil {
-		e.pcFlops, e.pcBytes, e.pcP2P, e.pcAllr = pc.WorkPerApply()
+		e.pcEv.flops, e.pcEv.bytes, e.pcEv.p2pRounds, e.pcEv.allreduces = pc.WorkPerApply()
 	}
 	return e
 }
 
 // BeginPhase implements engine.Engine by tagging subsequent Charge
 // events rather than reading any clock: the previous tag is parked in the
-// returned span and restored by EndPhase, so nested sections compose.
+// returned span and restored by EndPhase, so nested sections compose. The
+// inner engine is not told — the recording, not a wall-clock tracer, is
+// where a sim run's phases live.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
 	prev := e.curPhase
 	e.curPhase = p
@@ -108,168 +125,134 @@ func (e *Engine) EndPhase(sp obs.Span) {
 	}
 }
 
-// NLocal implements engine.Engine (the single real rank holds everything).
-func (e *Engine) NLocal() int { return e.A.Rows }
-
-// NGlobal implements engine.Engine.
-func (e *Engine) NGlobal() int { return e.A.Rows }
-
-// op returns the operator the numerics run through.
-func (e *Engine) op() engine.Operator {
-	if e.Op != nil {
-		return e.Op
-	}
-	return e.A
-}
-
 // spmvEvent appends the modeled cost of one SPMV: 12 bytes per stored
 // nonzero (value + column index) plus streaming the source and destination
 // vectors.
 func (e *Engine) spmvEvent() {
 	nnz := float64(e.A.NNZ())
-	e.c.SpMV++
-	e.c.HaloExchanges++
-	e.c.SpMVFlops += 2 * nnz
 	e.events = append(e.events, event{kind: evSpMV, flops: 2 * nnz,
 		bytes: 12*nnz + 16*float64(e.A.Rows)})
 }
 
-// SpMV implements engine.Engine. The real product runs on the shared worker
-// pool (internal/par); the recorded event carries the modeled cost, which is
-// a function of the matrix only — wall-clock parallelism never leaks into
-// the virtual clock.
+// pcEvent appends the modeled cost of one application of M⁻¹ (none for the
+// identity). A folded one rode a product's write-back: the PC's flops, but
+// of its bytes only the diagonal's stream — the product is neither written
+// out nor read back (16 bytes per row).
+func (e *Engine) pcEvent(folded bool) {
+	if e.PC == nil {
+		return
+	}
+	ev := e.pcEv
+	if folded { // a diagonal M: no internal exchanges
+		ev = event{kind: evPC, flops: ev.flops, bytes: math.Max(0, ev.bytes-16*float64(e.A.Rows))}
+	}
+	e.events = append(e.events, ev)
+}
+
+// SpMV implements engine.Engine. The recorded event carries the modeled
+// cost, a function of the matrix only — how many threads the inner engine
+// runs the product on never leaks into the virtual clock.
 func (e *Engine) SpMV(dst, src []float64) {
-	e.op().MulVec(dst, src)
+	e.inner.SpMV(dst, src)
 	e.spmvEvent()
 }
 
-// SpMVFusedDots implements engine.Engine: same numerics as the fused
-// operator kernel (bit-identical to Seq), priced as one SPMV event — plus,
-// with pc set, the folded PC application (foldedPC). The scale/dot payload
-// is charged by the caller, identically on every engine.
+// SpMVFusedDots implements engine.Engine, priced as one SPMV event plus,
+// with pc set, the folded PC application. The scale/dot payload is charged
+// by the caller, identically on every engine.
 func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
-	op := e.op()
-	rows, _ := op.Dims()
-	var inv []float64
-	if pc {
-		inv = engine.InvDiagonal(e.PC)
-	}
-	engine.FusedApply(op, dst, src, 0, rows, 0, scale, inv, ws, dots)
+	e.inner.SpMVFusedDots(dst, src, scale, pc, ws, dots)
 	e.spmvEvent()
 	if pc {
-		e.foldedPC()
+		e.pcEvent(true)
 	}
 }
 
 // ApplyPC implements engine.Engine.
 func (e *Engine) ApplyPC(dst, src []float64) {
-	e.c.PCApply++
-	if e.PC == nil {
-		copy(dst, src)
-		return
-	}
-	e.PC.Apply(dst, src)
-	e.c.PCFlops += e.pcFlops
-	e.events = append(e.events, event{kind: evPC, flops: e.pcFlops,
-		bytes: e.pcBytes, p2pRounds: e.pcP2P, allreduces: e.pcAllr})
+	e.inner.ApplyPC(dst, src)
+	e.pcEvent(false)
 }
 
-// foldedPC accounts a diagonal PC application that rode a product's
-// write-back: the PC's flops, but of its bytes only the diagonal's stream —
-// the product is neither written out nor read back (16 bytes per row).
-func (e *Engine) foldedPC() {
-	e.c.PCApply++
-	if e.PC == nil {
-		return
-	}
-	e.c.PCFlops += e.pcFlops
-	bytes := math.Max(0, e.pcBytes-16*float64(e.A.Rows))
-	e.events = append(e.events, event{kind: evPC, flops: e.pcFlops, bytes: bytes})
-}
-
-// PCDiagonal implements engine.Engine.
-func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.PC) }
-
-// SpMVPowers implements engine.Engine for the MatrixPowers ablation:
-// the numerics are the per-product chain (same kernels, same bits); the cost
-// model prices one deep exchange plus the redundant ghost-zone work
-// (Evaluate, case evMPK) and the preconditioner applications as usual —
-// folded ones as foldedPC.
+// SpMVPowers implements engine.Engine for the MatrixPowers ablation: the
+// numerics are the per-product chain through the inner engine's
+// SpMVFusedDots (plus this engine's ApplyPC in twin space), so values and
+// counters are those of the loop the caller would run — except
+// HaloExchanges, which counts one per block, the exchange the kernel saves.
+// The cost model prices one deep exchange plus the redundant ghost-zone work
+// (Evaluate, case evMPK) and the preconditioner applications as usual.
 func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
 	if !e.MatrixPowers {
 		return false
 	}
-	op := e.op()
-	rows, _ := op.Dims()
-	nnz := float64(e.A.NNZ())
 	fold := dstR == nil
-	levels, inv := dstR, []float64(nil) // where each level's product lands
+	levels := dstR // where each level's product lands
 	if fold {
-		levels, inv = dstU, engine.InvDiagonal(e.PC)
+		levels = dstU
 	}
-	depth := float64(len(levels))
-	e.c.HaloExchanges++
+	nnz, depth := float64(e.A.NNZ()), float64(len(levels))
 	e.events = append(e.events, event{kind: evMPK, depth: len(levels),
 		flops: 2 * nnz * depth, bytes: (12*nnz + 16*float64(e.A.Rows)) * depth})
+	c := e.Counters()
+	halo := c.HaloExchanges
 	for j := range levels {
-		engine.FusedApply(op, levels[j], src, 0, rows, 0, scale, inv, nil, nil)
-		e.c.SpMV++
-		e.c.SpMVFlops += 2 * nnz
+		e.inner.SpMVFusedDots(levels[j], src, scale, fold, nil, nil)
 		src = levels[j]
 		switch {
 		case fold:
-			e.foldedPC()
+			e.pcEvent(true)
 		case dstU != nil:
 			e.ApplyPC(dstU[j], dstR[j])
 			src = dstU[j]
 		}
 	}
+	c.HaloExchanges = halo + 1
 	return true
 }
 
-// AllreduceSum implements engine.Engine (data is already global).
+// AllreduceSum implements engine.Engine.
 func (e *Engine) AllreduceSum(buf []float64) {
-	e.c.Allreduce++
-	e.c.ReduceWords += len(buf)
+	e.inner.AllreduceSum(buf)
 	e.events = append(e.events, event{kind: evAllreduce, words: len(buf)})
 }
 
+// simRequest records the wait on the inner engine's request once it
+// delivers.
 type simRequest struct {
+	engine.Request
 	e  *Engine
 	id int
 }
 
 func (r simRequest) Wait() {
+	r.Request.Wait()
 	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
 }
 
-// WaitTimeout records the wait; the data is already global, so it cannot
-// time out.
-func (r simRequest) WaitTimeout(time.Duration) error { r.Wait(); return nil }
+func (r simRequest) WaitTimeout(d time.Duration) error {
+	if err := r.Request.WaitTimeout(d); err != nil {
+		return err
+	}
+	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
+	return nil
+}
 
 // IallreduceSum implements engine.Engine.
 func (e *Engine) IallreduceSum(buf []float64) engine.Request {
-	e.c.Iallreduce++
-	e.c.ReduceWords += len(buf)
+	req := e.inner.IallreduceSum(buf)
 	id := e.nextID
 	e.nextID++
 	e.events = append(e.events, event{kind: evIPost, words: len(buf), id: id})
-	return simRequest{e: e, id: id}
+	return simRequest{Request: req, e: e, id: id}
 }
 
 // Charge implements engine.Engine. The event inherits the solver phase open
 // at charge time (see BeginPhase); untagged work is attributed to the
 // recurrence linear combinations at replay, the dominant local vector work.
 func (e *Engine) Charge(flops, bytes float64) {
-	e.c.Flops += flops
+	e.inner.Charge(flops, bytes)
 	e.events = append(e.events, event{kind: evLocal, flops: flops, bytes: bytes, phase: e.curPhase})
 }
-
-// Counters implements engine.Engine.
-func (e *Engine) Counters() *trace.Counters { return &e.c }
-
-// Events returns the number of recorded events (for tests).
-func (e *Engine) Events() int { return len(e.events) }
 
 // Breakdown is the modeled execution time of a recorded run on a machine
 // with p ranks, split by where the time goes.

@@ -1,8 +1,8 @@
 // Package sim implements the virtual-clock cluster simulator that stands in
-// for the paper's Cray XC40. A sim.Engine runs a solver's real numerics once
-// (global vectors, exact kernel sequence) while recording every kernel
-// invocation as a cost event; Evaluate then replays the event stream against
-// a machine model for any rank count P, producing the modeled wall time with
+// for the paper's Cray XC40. A sim.Engine records around an engine.Seq that
+// runs a solver's real numerics once (global vectors, exact kernel sequence),
+// appending every kernel invocation as a cost event; Evaluate then replays
+// the stream on a machine model for any rank count P: modeled wall time with
 // a full breakdown of compute, exposed allreduce, hidden (overlapped)
 // allreduce and halo exchange.
 //

@@ -29,12 +29,8 @@ func (e *Engine) PredictSkew(m Machine, p int) obs.SkewReport {
 	nnz := make([]float64, p)
 	var maxNNZ float64
 	for r := 0; r < p; r++ {
-		for row := pt.Lo(r); row < pt.Hi(r); row++ {
-			nnz[r] += float64(e.A.RowPtr[row+1] - e.A.RowPtr[row])
-		}
-		if nnz[r] > maxNNZ {
-			maxNNZ = nnz[r]
-		}
+		nnz[r] = float64(e.A.RowPtr[pt.Hi(r)] - e.A.RowPtr[pt.Lo(r)])
+		maxNNZ = math.Max(maxNNZ, nnz[r])
 	}
 
 	ns := func(t float64) int64 { return int64(math.Round(t * 1e9)) }

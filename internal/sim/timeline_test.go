@@ -49,7 +49,7 @@ func TestEngineAccessors(t *testing.T) {
 	if e.Counters().PCApply != 1 {
 		t.Fatal("nil PC apply not counted")
 	}
-	if e.Events() != 0 {
+	if len(e.events) != 0 {
 		t.Fatal("identity PC must not record an event")
 	}
 }
@@ -63,7 +63,7 @@ func TestSpMVPowersSimNumericsAndEvent(t *testing.T) {
 		src[i] = float64(i%5) - 2
 	}
 	dst := [][]float64{make([]float64, a.Rows), make([]float64, a.Rows)}
-	if e.SpMVPowers(dst, nil, src, 1) || e.Events() != 0 {
+	if e.SpMVPowers(dst, nil, src, 1) || len(e.events) != 0 {
 		t.Fatal("the powers ablation must be off by default and leave no event")
 	}
 	e.MatrixPowers = true

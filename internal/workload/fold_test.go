@@ -95,9 +95,8 @@ func wrappedSolve(t *testing.T, pr Problem, meth krylov.Method, opt krylov.Optio
 	case "seq":
 		e = engine.NewSeq(pr.Operator(), pcf(pr.A, 0, pr.A.Rows))
 	case "sim":
-		se := sim.NewEngine(pr.A, pcf(pr.A, 0, pr.A.Rows))
-		se.Op = pr.Op
-		e = se
+		pc := pcf(pr.A, 0, pr.A.Rows)
+		e = sim.Record(engine.NewSeq(pr.Operator(), pc), pr.A, pc)
 	default:
 		pt := partition.RowBlockByNNZ(pr.A, spec.ranks)
 		f := comm.NewFabric(spec.ranks, 0)
