@@ -77,11 +77,32 @@ func TestParseConfigRoundTrip(t *testing.T) {
 		"problem=p;method=m;s=x",
 		"problem=p;method=m;bogus=1",
 		"problem=p;method=m;n=4;n=5",
+		"problem=p;method=m;k=-2",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Fatalf("ParseConfig(%q) accepted a malformed config", bad)
 		}
 	}
+}
+
+// FuzzParseConfig: no input panics the parser, and every config it accepts
+// is in the canonical form — its String re-parses to the same Config. `go
+// test` runs the committed corpus (testdata/fuzz); `make fuzz` explores
+// beyond it.
+func FuzzParseConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := ParseConfig(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseConfig(c.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose String %q is refused: %v", s, c, c.String(), err)
+		}
+		if back != c {
+			t.Fatalf("%q parsed to %+v, but its String %q re-parses to %+v", s, c, c.String(), back)
+		}
+	})
 }
 
 // TestAuditBlockAxis covers the multi-RHS audit axis: the generator emits

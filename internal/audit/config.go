@@ -115,8 +115,8 @@ func ParseConfig(s string) (Config, error) {
 			c.S = n
 		case "k":
 			n, err := strconv.Atoi(v)
-			if err != nil {
-				return c, fmt.Errorf("audit: bad k=%q: %v", v, err)
+			if err != nil || n < 0 {
+				return c, fmt.Errorf("audit: bad k=%q (want a non-negative width)", v)
 			}
 			c.K = n
 		case "rr":
@@ -144,9 +144,12 @@ func ParseConfig(s string) (Config, error) {
 	if c.S < 1 {
 		c.S = 1
 	}
-	// K stays 0 when absent: the zero value means "no block axis", and K<=1
-	// configs stringify without a k field, so the zero value is the
+	// K is 0 when absent or 1: the zero value means "no block axis", and
+	// K<=1 configs stringify without a k field, so the zero value is the
 	// canonical single-RHS form and String/ParseConfig round-trip exactly.
+	if c.K == 1 {
+		c.K = 0
+	}
 	return c, nil
 }
 

@@ -165,12 +165,13 @@ func (g Grid) Laplacian() *sparse.CSR {
 	center := len(offs) / 2
 	pts := slices.Insert(offs, center, offset{})
 	n := g.N()
+	sparse.CheckDims(n, n)
 	nnz := 0
 	for _, o := range pts {
 		nnz += inRange(g.Nx, o.dx) * inRange(g.Ny, o.dy) * inRange(g.Nz, o.dz)
 	}
 	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
-		Col: make([]int, nnz), Val: make([]float64, nnz)}
+		Col: make([]int32, nnz), Val: make([]float64, nnz)}
 	p := 0
 	for z := 0; z < g.Nz; z++ {
 		for y := 0; y < g.Ny; y++ {
@@ -180,7 +181,7 @@ func (g Grid) Laplacian() *sparse.CSR {
 					if nx < 0 || nx >= g.Nx || ny < 0 || ny >= g.Ny || nz < 0 || nz >= g.Nz {
 						continue // Dirichlet: neighbor outside keeps weight on diagonal
 					}
-					a.Col[p], a.Val[p] = g.Index(nx, ny, nz), -1
+					a.Col[p], a.Val[p] = int32(g.Index(nx, ny, nz)), -1
 					if k == center {
 						a.Val[p] = diag
 					}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -141,7 +142,7 @@ func laplacianBySort(g Grid) *sparse.CSR {
 	n := g.N()
 	a := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	for _, tr := range ts {
-		a.Col = append(a.Col, tr.col)
+		a.Col = append(a.Col, int32(tr.col))
 		a.Val = append(a.Val, tr.val)
 		a.RowPtr[tr.row+1]++
 	}
@@ -205,6 +206,19 @@ func TestLaplacian2D(t *testing.T) {
 	if got := a9.RowPtr[j+1] - a9.RowPtr[j]; got != 9 {
 		t.Fatalf("9-pt interior nnz = %d", got)
 	}
+}
+
+// TestLaplacianIndexLimitPanics: a grid past sparse.MaxIndex points cannot be
+// held in 32-bit column indices; Laplacian refuses it by name before
+// allocating (1291³ ≈ 2.15e9 points would need 16 GB of row pointers alone).
+func TestLaplacianIndexLimitPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "32-bit index limit") {
+			t.Fatalf("panic %q, want the 32-bit index limit named", msg)
+		}
+	}()
+	NewCube(1291, Star7).Laplacian()
 }
 
 func TestNewCubePanicsOn2D(t *testing.T) {

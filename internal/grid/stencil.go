@@ -11,9 +11,9 @@ import (
 // StencilOp is a matrix-free operator for the Star5/Star7 grid Laplacians:
 // the same SPD operator Grid.Laplacian assembles, applied directly from the
 // grid geometry with no stored values or column indices. Per row the CSR
-// kernel streams ~12 bytes per nonzero (value + column index) on top of the
-// vector traffic; the stencil touches only the vectors, which is the whole
-// win on these bandwidth-bound products.
+// kernel streams 12 bytes per nonzero (8 B value + 4 B int32 column index)
+// on top of the vector traffic; the stencil touches only the vectors, which
+// is the whole win on these bandwidth-bound products.
 //
 // Bit-for-bit contract with the assembled matrix: every row accumulates its
 // terms in exactly the CSR kernel's order — ascending column, 4-way unrolled

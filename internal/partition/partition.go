@@ -104,7 +104,7 @@ func ComputeStats(a *sparse.CSR, pt Partition) Stats {
 		clear(seenHalo)
 		clear(seenNbr)
 		for k := a.RowPtr[lo]; k < a.RowPtr[hi]; k++ {
-			c := a.Col[k]
+			c := int(a.Col[k])
 			if c < lo || c >= hi {
 				if _, ok := seenHalo[c]; !ok {
 					seenHalo[c] = struct{}{}
@@ -153,7 +153,7 @@ func BuildHalos(a *sparse.CSR, pt Partition) []Halo {
 		lo, hi := pt.Lo(r), pt.Hi(r)
 		need := map[int]struct{}{}
 		for k := a.RowPtr[lo]; k < a.RowPtr[hi]; k++ {
-			c := a.Col[k]
+			c := int(a.Col[k])
 			if c < lo || c >= hi {
 				need[c] = struct{}{}
 			}

@@ -163,7 +163,7 @@ func TestBuildHalosCoverAllOffRankColumns(t *testing.T) {
 		}
 		lo, hi := pt.Lo(r), pt.Hi(r)
 		for k := a.RowPtr[lo]; k < a.RowPtr[hi]; k++ {
-			c := a.Col[k]
+			c := int(a.Col[k])
 			if (c < lo || c >= hi) && !have[c] {
 				t.Fatalf("rank %d misses halo col %d", r, c)
 			}

@@ -53,7 +53,7 @@ func RunRows(runs []Run) int {
 // all ranks (dist[i] = row→column hops from the block to off-rank row i,
 // reset over the visited set only), so the cost is one pass over the
 // matrix plus the ghost shells, not a map of every row.
-func BuildPowersPlansCSR(rowPtr, col []int, pt Partition, depth int) []PowersPlan {
+func BuildPowersPlansCSR(rowPtr []int, col []int32, pt Partition, depth int) []PowersPlan {
 	if depth < 1 {
 		panic("partition: powers depth must be ≥ 1")
 	}
@@ -66,7 +66,7 @@ func BuildPowersPlansCSR(rowPtr, col []int, pt Partition, depth int) []PowersPla
 		// distance d and appends them to the frontier.
 		scan := func(from, to int, d int32) {
 			for k := rowPtr[from]; k < rowPtr[to]; k++ {
-				if c := col[k]; (c < lo || c >= hi) && dist[c] == 0 {
+				if c := int(col[k]); (c < lo || c >= hi) && dist[c] == 0 {
 					dist[c] = d
 					ghost = append(ghost, c)
 				}

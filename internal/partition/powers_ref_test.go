@@ -7,12 +7,12 @@ import "sort"
 
 // reachExpand returns, for a set of rows, the set of column indices their
 // matrix rows reference (including themselves).
-func reachExpand(rowPtr, col []int, rows map[int]struct{}) map[int]struct{} {
+func reachExpand(rowPtr []int, col []int32, rows map[int]struct{}) map[int]struct{} {
 	out := make(map[int]struct{}, len(rows)*2)
 	for i := range rows {
 		out[i] = struct{}{}
 		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			out[col[k]] = struct{}{}
+			out[int(col[k])] = struct{}{}
 		}
 	}
 	return out
@@ -26,7 +26,7 @@ type refPowersPlan struct {
 	Extra     [][]int
 }
 
-func buildPowersPlansRef(rowPtr, col []int, pt Partition, depth int) []refPowersPlan {
+func buildPowersPlansRef(rowPtr []int, col []int32, pt Partition, depth int) []refPowersPlan {
 	plans := make([]refPowersPlan, pt.P)
 	for r := 0; r < pt.P; r++ {
 		lo, hi := pt.Lo(r), pt.Hi(r)

@@ -73,7 +73,7 @@ func aggregate(a *sparse.CSR, theta float64) ([]int, int) {
 	rowMax := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] != i {
+			if int(a.Col[k]) != i {
 				if v := math.Abs(a.Val[k]); v > rowMax[i] {
 					rowMax[i] = v
 				}
@@ -81,8 +81,7 @@ func aggregate(a *sparse.CSR, theta float64) ([]int, int) {
 		}
 	}
 	strong := func(i, k int) bool {
-		j := a.Col[k]
-		if j == i {
+		if int(a.Col[k]) == i {
 			return false
 		}
 		return math.Abs(a.Val[k]) >= theta*rowMax[i]
@@ -126,7 +125,7 @@ func aggregate(a *sparse.CSR, theta float64) ([]int, int) {
 		}
 		best, bestW := -1, 0.0
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
+			j := int(a.Col[k])
 			if j != i && agg[j] != -1 && math.Abs(a.Val[k]) > bestW {
 				best, bestW = agg[j], math.Abs(a.Val[k])
 			}
@@ -157,10 +156,10 @@ func smoothedProlongator(a *sparse.CSR, agg []int, nAgg int, omega float64) *spa
 	}
 	// Tentative prolongator in CSR (one entry per row).
 	tb := &sparse.CSR{Rows: n, Cols: nAgg,
-		RowPtr: make([]int, n+1), Col: make([]int, n), Val: make([]float64, n)}
+		RowPtr: make([]int, n+1), Col: make([]int32, n), Val: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		tb.RowPtr[i+1] = i + 1
-		tb.Col[i] = agg[i]
+		tb.Col[i] = int32(agg[i])
 		tb.Val[i] = 1 / math.Sqrt(float64(size[agg[i]]))
 	}
 
@@ -194,7 +193,7 @@ func smoothedProlongator(a *sparse.CSR, agg []int, nAgg int, omega float64) *spa
 			d = 1
 		}
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.Col[k]
+			j := int(a.Col[k])
 			v := -scale * a.Val[k] / d
 			if j == i {
 				v += 1

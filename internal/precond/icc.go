@@ -52,7 +52,7 @@ func factorICC(a *sparse.CSR, shift float64) (*ICC, error) {
 	lb := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
 	for i := 0; i < n; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] <= i {
+			if int(a.Col[k]) <= i {
 				lb.Col = append(lb.Col, a.Col[k])
 				lb.Val = append(lb.Val, a.Val[k])
 			}
@@ -64,11 +64,11 @@ func factorICC(a *sparse.CSR, shift float64) (*ICC, error) {
 	// Row-wise up-looking factorization over the fixed pattern.
 	for i := 0; i < n; i++ {
 		rowStart, rowEnd := lb.RowPtr[i], lb.RowPtr[i+1]
-		if rowEnd == rowStart || lb.Col[rowEnd-1] != i {
+		if rowEnd == rowStart || int(lb.Col[rowEnd-1]) != i {
 			return nil, fmt.Errorf("precond: ICC row %d has no diagonal", i)
 		}
 		for kk := rowStart; kk < rowEnd; kk++ {
-			k := lb.Col[kk]
+			k := int(lb.Col[kk])
 			// s = a_ik - Σ_{j<k} l_ij·l_kj over the shared pattern.
 			s := lb.Val[kk]
 			if k == i {

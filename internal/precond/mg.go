@@ -63,7 +63,7 @@ func (m *MG) finish() error {
 	d := dense.NewMatrix(n, n)
 	for i := 0; i < n; i++ {
 		for k := last.a.RowPtr[i]; k < last.a.RowPtr[i+1]; k++ {
-			d.Set(i, last.a.Col[k], last.a.Val[k])
+			d.Set(i, int(last.a.Col[k]), last.a.Val[k])
 		}
 	}
 	ch, err := dense.FactorCholesky(dense.SymmetrizedCopy(d))

@@ -137,7 +137,7 @@ func (s *SSOR) Apply(dst, src []float64) {
 					i := lo + ii
 					var ax float64
 					for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-						c := a.Col[k]
+						c := int(a.Col[k])
 						if c >= lo && c < hi {
 							ax += a.Val[k] * dst[c-lo]
 						}
@@ -151,7 +151,7 @@ func (s *SSOR) Apply(dst, src []float64) {
 		for i := lo; i < hi; i++ {
 			sum := rhs[i-lo]
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				c := a.Col[k]
+				c := int(a.Col[k])
 				if c >= lo && c < i {
 					sum -= a.Val[k] * y[c-lo]
 				}
@@ -167,7 +167,7 @@ func (s *SSOR) Apply(dst, src []float64) {
 		for i := hi - 1; i >= lo; i-- {
 			sum := y[i-lo]
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				c := a.Col[k]
+				c := int(a.Col[k])
 				if c > i && c < hi {
 					sum -= a.Val[k] * z[c-lo]
 				}

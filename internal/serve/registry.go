@@ -373,7 +373,7 @@ func (g *Registry) Summaries() []EntrySummary {
 		e.mu.Lock()
 		if e.buildErr == nil && e.problem.A != nil {
 			s.N, s.NNZ = e.problem.A.Rows, e.problem.A.NNZ()
-			s.Bytes = 8*(s.N+1) + 16*s.NNZ + 8*s.N
+			s.Bytes = e.problem.A.Bytes() + 8*s.N
 		}
 		e.mu.Unlock()
 		out = append(out, s)

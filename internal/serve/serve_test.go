@@ -529,8 +529,9 @@ func TestUploadThenSolve(t *testing.T) {
 	if len(ml.Resident) == 0 {
 		t.Fatal("no resident entries after a solve")
 	}
-	// 50 rows, 148 nnz: RowPtr, Col, Val and B.
-	if r := ml.Resident[0]; r.Bytes != 8*51+16*148+8*50 {
+	// 50 rows, 148 nnz: RowPtr (8 B each), Col and Val (12 B per entry)
+	// and B (8 B per row).
+	if r := ml.Resident[0]; r.Bytes != 8*51+12*148+8*50 {
 		t.Fatalf("resident %+v: bytes %d", r, r.Bytes)
 	}
 	if !slices.Equal(ml.Builtin, workload.Names) {
@@ -597,8 +598,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		"solverd_queue_depth 0",
 		"solverd_inflight_jobs 0",
 		"solverd_registry_entries 1",
-		// poisson7 n=5: 125 rows, 725 nnz → 8·126 + 16·725 + 8·125.
-		"solverd_registry_bytes 13608",
+		// poisson7 n=5: 125 rows, 725 nnz → 8·126 + 12·725 + 8·125.
+		"solverd_registry_bytes 10708",
 		"solverd_registry_misses_total 1",
 		"solverd_request_seconds_bucket{le=\"+Inf\"} 1",
 		"solverd_request_seconds_count 1",

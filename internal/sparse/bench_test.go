@@ -25,6 +25,68 @@ func tridiag(n int) *CSR {
 	return b.Build()
 }
 
+// box125 assembles the 125-point (5×5×5 box) Laplacian on an n³ grid, the
+// paper's widest stencil and the operator grid.Laplacian builds for Box125:
+// 124 on the diagonal, -1 at every in-range neighbor. Boundary rows keep
+// fewer entries, so their lengths are not multiples of four and the kernels'
+// remainder loops run.
+func box125(n int) *CSR {
+	b := NewBuilder(n*n*n, n*n*n)
+	for z := 0; z < n; z++ {
+		for y := 0; y < n; y++ {
+			for x := 0; x < n; x++ {
+				i := (z*n+y)*n + x
+				for dz := -2; dz <= 2; dz++ {
+					for dy := -2; dy <= 2; dy++ {
+						for dx := -2; dx <= 2; dx++ {
+							nx, ny, nz := x+dx, y+dy, z+dz
+							if nx < 0 || nx >= n || ny < 0 || ny >= n || nz < 0 || nz >= n {
+								continue
+							}
+							v := -1.0
+							if dx == 0 && dy == 0 && dz == 0 {
+								v = 124
+							}
+							b.Add(i, (nz*n+ny)*n+nx, v)
+						}
+					}
+				}
+			}
+		}
+	}
+	return b.Build()
+}
+
+// BenchmarkCSRBox125 times the single- and multi-RHS SPMV on the 125-point
+// operator at 20³ and 32³. Bytes are the cost model's per right-hand side —
+// 12 per stored entry plus 16 per row (read x, write y) — so MB/s compares
+// MulVec and MulMat k=8 on one scale.
+func BenchmarkCSRBox125(b *testing.B) {
+	for _, n := range []int{20, 32} {
+		a := box125(n)
+		a.ChunkPlan()
+		perRHS := int64(12*a.NNZ() + 16*a.Rows)
+		for _, k := range []int{1, 8} {
+			xs, ys := randCols(a.Cols, k, int64(n)), randCols(a.Rows, k, 0)
+			name := fmt.Sprintf("n=%d/MulMat_k=%d", n, k)
+			if k == 1 {
+				name = fmt.Sprintf("n=%d/MulVec", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(k) * perRHS)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if k == 1 {
+						a.MulVec(ys[0], xs[0])
+					} else {
+						a.MulMat(ys, xs)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkSpMVTridiag(b *testing.B) {
 	n := 1 << 16
 	a := tridiag(n)

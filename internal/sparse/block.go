@@ -7,7 +7,7 @@ import (
 )
 
 // Block (multi-RHS) SPMV: y_j = A·x_j for a batch of right-hand-side
-// columns, reading A's Val/Col stream ONCE per row for the whole batch. The
+// columns, streaming A's Val/Col from memory ONCE for the whole batch. The
 // matrix is the memory-bound stream in a CG iteration, so amortizing it over
 // k columns is where block solving's throughput comes from.
 //
@@ -20,46 +20,44 @@ import (
 // solves.
 
 // mulRowsMulti applies rows [r0, r1) of A to every source column, writing
-// ys[j][i-yoff] for row i and column j.
+// ys[j][i-yoff] for row i and column j. The columns go two at a time: a
+// pair's eight partial sums live in registers, and each row's Val/Col run is
+// read once per pair while it sits in L1, so A streams from memory once per
+// block. (Four columns at a time would need sixteen sums, all sixteen amd64
+// XMM registers, before the four loaded values.)
+// An odd last column takes the single-column kernel row by row. Columns index
+// x as uint32, as in mulRows.
 func (a *CSR) mulRowsMulti(ys, xs [][]float64, r0, r1, yoff int) {
-	nrhs := len(xs)
-	// Four accumulators per column, mirroring mulRows' s0..s3; stack space
-	// covers typical batch widths, wider batches spill to one allocation
-	// per chunk.
-	var accBuf [32]float64
-	acc := accBuf[:]
-	if 4*nrhs > len(acc) {
-		acc = make([]float64, 4*nrhs)
-	}
-	acc = acc[:4*nrhs]
+	pairs := len(xs) &^ 1
 	for i := r0; i < r1; i++ {
-		for t := range acc {
-			acc[t] = 0
-		}
-		k := a.RowPtr[i]
-		end := a.RowPtr[i+1]
-		for ; k+4 <= end; k += 4 {
-			v0, c0 := a.Val[k], a.Col[k]
-			v1, c1 := a.Val[k+1], a.Col[k+1]
-			v2, c2 := a.Val[k+2], a.Col[k+2]
-			v3, c3 := a.Val[k+3], a.Col[k+3]
-			for j := 0; j < nrhs; j++ {
-				x := xs[j]
-				aj := acc[4*j : 4*j+4 : 4*j+4]
-				aj[0] += v0 * x[c0]
-				aj[1] += v1 * x[c1]
-				aj[2] += v2 * x[c2]
-				aj[3] += v3 * x[c3]
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+		col, val := a.Col[lo:hi], a.Val[lo:hi]
+		for j := 0; j < pairs; j += 2 {
+			x0, x1 := xs[j], xs[j+1]
+			var s0, s1, s2, s3, t0, t1, t2, t3 float64
+			k := 0
+			for ; k+4 <= len(col); k += 4 {
+				c0, c1, c2, c3 := uint32(col[k]), uint32(col[k+1]), uint32(col[k+2]), uint32(col[k+3])
+				v0, v1, v2, v3 := val[k], val[k+1], val[k+2], val[k+3]
+				s0 += v0 * x0[c0]
+				t0 += v0 * x1[c0]
+				s1 += v1 * x0[c1]
+				t1 += v1 * x1[c1]
+				s2 += v2 * x0[c2]
+				t2 += v2 * x1[c2]
+				s3 += v3 * x0[c3]
+				t3 += v3 * x1[c3]
 			}
-		}
-		for ; k < end; k++ {
-			v, c := a.Val[k], a.Col[k]
-			for j := 0; j < nrhs; j++ {
-				acc[4*j] += v * xs[j][c]
+			for ; k < len(col); k++ {
+				c := uint32(col[k])
+				s0 += val[k] * x0[c]
+				t0 += val[k] * x1[c]
 			}
+			ys[j][i-yoff] = (s0 + s1) + (s2 + s3)
+			ys[j+1][i-yoff] = (t0 + t1) + (t2 + t3)
 		}
-		for j := 0; j < nrhs; j++ {
-			ys[j][i-yoff] = (acc[4*j] + acc[4*j+1]) + (acc[4*j+2] + acc[4*j+3])
+		if pairs < len(xs) {
+			a.mulRows(ys[pairs], xs[pairs], i, i+1, yoff)
 		}
 	}
 }

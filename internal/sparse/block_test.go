@@ -21,7 +21,8 @@ func randCols(n, k int, seed int64) [][]float64 {
 }
 
 // TestMulMatBitIdenticalToMulVec is the block determinism contract: MulMat
-// must match per-column MulVec to the bit, for every batch width, at any
+// must match per-column MulVec to the bit, for every batch width (even widths
+// run in column pairs only, odd ones end on the single-column kernel), at any
 // worker count, over full and partial row ranges.
 func TestMulMatBitIdenticalToMulVec(t *testing.T) {
 	prev := par.Workers()
@@ -30,9 +31,10 @@ func TestMulMatBitIdenticalToMulVec(t *testing.T) {
 	mats := map[string]*CSR{
 		"band20k": bandMatrix(20000, 4), // parallel path
 		"band50":  bandMatrix(50, 3),    // serial path
+		"box125":  box125(20),           // boundary rows of lengths ≢ 0 mod 4
 	}
 	for name, a := range mats {
-		for _, k := range []int{1, 2, 3, 4, 7, 16} {
+		for _, k := range []int{1, 2, 3, 4, 7, 8, 9, 16} {
 			xs := randCols(a.Cols, k, int64(100*a.Rows+k))
 			want := make([][]float64, k)
 			for j := range want {

@@ -7,6 +7,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -17,7 +18,10 @@ import (
 // CSR is a sparse matrix in compressed sparse row format.
 //
 // Row i's nonzeros are Col[RowPtr[i]:RowPtr[i+1]] / Val[RowPtr[i]:RowPtr[i+1]],
-// with column indices strictly increasing within a row.
+// with column indices strictly increasing within a row. Column indices are
+// 32-bit, so a stored entry costs 12 bytes (8 B value + 4 B index) — the
+// figure every SPMV cost model in this repository charges — and no dimension
+// may exceed MaxIndex. RowPtr is int, so the entry count is not bounded.
 //
 // The parallel SPMV caches an nnz-balanced chunk plan on the matrix; callers
 // that mutate the structure (Rows, RowPtr, Col) after the first
@@ -26,7 +30,7 @@ import (
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
-	Col        []int
+	Col        []int32
 	Val        []float64
 
 	plan atomic.Pointer[Chunks]
@@ -35,12 +39,39 @@ type CSR struct {
 // NNZ returns the number of stored nonzeros.
 func (a *CSR) NNZ() int { return len(a.Val) }
 
+// Bytes returns the resident size of the matrix arrays: RowPtr, Col and Val
+// at their element sizes (8 B per row pointer, 12 B per stored entry).
+func (a *CSR) Bytes() int {
+	return 8*len(a.RowPtr) + 4*len(a.Col) + 8*len(a.Val)
+}
+
+// MaxIndex is the largest row or column count a CSR can hold: column indices
+// (and the Builder's pending row indices) are int32.
+const MaxIndex = math.MaxInt32
+
+// CheckDims panics when a rows×cols matrix exceeds MaxIndex in either
+// dimension. Every assembler calls it before allocating, so an oversized
+// operator fails with the limit named rather than with a wrapped index.
+func CheckDims(rows, cols int) {
+	if err := dimsError(rows, cols); err != nil {
+		panic(err.Error())
+	}
+}
+
+// dimsError is CheckDims' verdict as an error, for readers of outside input.
+func dimsError(rows, cols int) error {
+	if rows > MaxIndex || cols > MaxIndex {
+		return fmt.Errorf("sparse: %d×%d matrix exceeds the 32-bit index limit of %d rows and columns", rows, cols, MaxIndex)
+	}
+	return nil
+}
+
 // Dims returns the matrix dimensions (rows, cols).
 func (a *CSR) Dims() (rows, cols int) { return a.Rows, a.Cols }
 
 // Entry is a coordinate-format matrix element used while assembling.
 type Entry struct {
-	Row, Col int
+	Row, Col int32
 	Val      float64
 }
 
@@ -54,8 +85,10 @@ type Builder struct {
 	entries    []Entry
 }
 
-// NewBuilder returns a builder for a rows×cols matrix.
+// NewBuilder returns a builder for a rows×cols matrix. It panics (CheckDims)
+// when either dimension exceeds MaxIndex.
 func NewBuilder(rows, cols int) *Builder {
+	CheckDims(rows, cols)
 	return &Builder{rows: rows, cols: cols}
 }
 
@@ -64,7 +97,7 @@ func (b *Builder) Add(row, col int, val float64) {
 	if row < 0 || row >= b.rows || col < 0 || col >= b.cols {
 		panic(fmt.Sprintf("sparse: entry (%d,%d) outside %d×%d", row, col, b.rows, b.cols))
 	}
-	b.entries = append(b.entries, Entry{row, col, val})
+	b.entries = append(b.entries, Entry{int32(row), int32(col), val})
 }
 
 // Reserve grows the internal entry buffer to hold at least n entries.
@@ -86,7 +119,7 @@ func (b *Builder) Reserve(n int) {
 func (b *Builder) Build() *CSR {
 	nnz := len(b.entries)
 	a := &CSR{Rows: b.rows, Cols: b.cols, RowPtr: make([]int, b.rows+1),
-		Col: make([]int, nnz), Val: make([]float64, nnz)}
+		Col: make([]int32, nnz), Val: make([]float64, nnz)}
 	for _, e := range b.entries {
 		a.RowPtr[e.Row+1]++
 	}
@@ -128,9 +161,9 @@ const sortRowInsertionMax = 64
 // SortRow sorts one CSR row's (col, val) pairs by column, stably: equal
 // columns keep their relative order. It is the one row sort every assembly
 // path shares (Builder.Build, PermuteSym, synth.AssembleLaplacian).
-func SortRow(col []int, val []float64) {
+func SortRow(col []int32, val []float64) {
 	if len(col) > sortRowInsertionMax {
-		if !sort.IntsAreSorted(col) {
+		if !slices.IsSorted(col) {
 			sort.Stable(rowByCol{col, val})
 		}
 		return
@@ -148,7 +181,7 @@ func SortRow(col []int, val []float64) {
 
 // rowByCol is one row's parallel (col, val) arrays as a sort.Interface.
 type rowByCol struct {
-	col []int
+	col []int32
 	val []float64
 }
 
@@ -178,9 +211,9 @@ func FromDense(rows, cols int, data []float64) *CSR {
 // At returns element (i, j), using binary search within the row.
 func (a *CSR) At(i, j int) float64 {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-	k := sort.SearchInts(a.Col[lo:hi], j) + lo
-	if k < hi && a.Col[k] == j {
-		return a.Val[k]
+	k, found := slices.BinarySearch(a.Col[lo:hi], int32(j))
+	if found {
+		return a.Val[k+lo]
 	}
 	return 0
 }
@@ -260,19 +293,23 @@ func (a *CSR) InvalidatePlan() { a.plan.Store(nil) }
 // inner product over a row is 4-way unrolled; rows are never split across
 // chunks, so the per-row accumulation order — and hence the result bit
 // pattern — is independent of the worker count.
+//
+// Columns index x as uint32 (they are never negative): amd64 folds a
+// zero-extending 32-bit load into the scaled address, while a sign-extending
+// one costs two extra address computations per entry.
 func (a *CSR) mulRows(y, x []float64, r0, r1, yoff int) {
+	rowPtr, col, val := a.RowPtr, a.Col, a.Val
 	for i := r0; i < r1; i++ {
 		var s0, s1, s2, s3 float64
-		k := a.RowPtr[i]
-		end := a.RowPtr[i+1]
+		k, end := rowPtr[i], rowPtr[i+1]
 		for ; k+4 <= end; k += 4 {
-			s0 += a.Val[k] * x[a.Col[k]]
-			s1 += a.Val[k+1] * x[a.Col[k+1]]
-			s2 += a.Val[k+2] * x[a.Col[k+2]]
-			s3 += a.Val[k+3] * x[a.Col[k+3]]
+			s0 += val[k] * x[uint32(col[k])]
+			s1 += val[k+1] * x[uint32(col[k+1])]
+			s2 += val[k+2] * x[uint32(col[k+2])]
+			s3 += val[k+3] * x[uint32(col[k+3])]
 		}
 		for ; k < end; k++ {
-			s0 += a.Val[k] * x[a.Col[k]]
+			s0 += val[k] * x[uint32(col[k])]
 		}
 		y[i-yoff] = (s0 + s1) + (s2 + s3)
 	}
@@ -340,18 +377,18 @@ func (a *CSR) FusedRows(y, x []float64, r0, r1, yoff int, scale float64, inv []f
 		a.mulRows(y, x, r0, r1, yoff)
 		return
 	}
+	rowPtr, col, val := a.RowPtr, a.Col, a.Val
 	for i := r0; i < r1; i++ {
 		var s0, s1, s2, s3 float64
-		k := a.RowPtr[i]
-		end := a.RowPtr[i+1]
+		k, end := rowPtr[i], rowPtr[i+1]
 		for ; k+4 <= end; k += 4 {
-			s0 += a.Val[k] * x[a.Col[k]]
-			s1 += a.Val[k+1] * x[a.Col[k+1]]
-			s2 += a.Val[k+2] * x[a.Col[k+2]]
-			s3 += a.Val[k+3] * x[a.Col[k+3]]
+			s0 += val[k] * x[uint32(col[k])]
+			s1 += val[k+1] * x[uint32(col[k+1])]
+			s2 += val[k+2] * x[uint32(col[k+2])]
+			s3 += val[k+3] * x[uint32(col[k+3])]
 		}
 		for ; k < end; k++ {
-			s0 += a.Val[k] * x[a.Col[k]]
+			s0 += val[k] * x[uint32(col[k])]
 		}
 		v := (s0 + s1) + (s2 + s3)
 		if scale != 1 {
@@ -486,7 +523,7 @@ func (a *CSR) diagInto(d []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d[i-lo] = 0
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c := a.Col[k]
+			c := int(a.Col[k])
 			if c >= i {
 				if c == i {
 					d[i-lo] = a.Val[k]
@@ -524,7 +561,7 @@ func (a *CSR) Diag() []float64 {
 func (a *CSR) Transpose() *CSR {
 	t := &CSR{Rows: a.Cols, Cols: a.Rows,
 		RowPtr: make([]int, a.Cols+1),
-		Col:    make([]int, a.NNZ()),
+		Col:    make([]int32, a.NNZ()),
 		Val:    make([]float64, a.NNZ()),
 	}
 	// Count entries per column of A.
@@ -540,7 +577,7 @@ func (a *CSR) Transpose() *CSR {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			c := a.Col[k]
 			p := next[c]
-			t.Col[p] = i
+			t.Col[p] = int32(i)
 			t.Val[p] = a.Val[k]
 			next[c]++
 		}
@@ -560,7 +597,7 @@ func Mul(a, b *CSR) *CSR {
 	for i := range mark {
 		mark[i] = -1
 	}
-	var cols []int
+	var cols []int32
 	for i := 0; i < a.Rows; i++ {
 		cols = cols[:0]
 		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
@@ -576,7 +613,7 @@ func Mul(a, b *CSR) *CSR {
 				acc[cb] += av * b.Val[kb]
 			}
 		}
-		sort.Ints(cols)
+		slices.Sort(cols)
 		for _, cb := range cols {
 			c.Col = append(c.Col, cb)
 			c.Val = append(c.Val, acc[cb])
@@ -608,10 +645,10 @@ func Add(a *CSR, alpha float64, b *CSR) *CSR {
 	bb.Reserve(a.NNZ() + b.NNZ())
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			bb.Add(i, a.Col[k], a.Val[k])
+			bb.Add(i, int(a.Col[k]), a.Val[k])
 		}
 		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
-			bb.Add(i, b.Col[k], alpha*b.Val[k])
+			bb.Add(i, int(b.Col[k]), alpha*b.Val[k])
 		}
 	}
 	return bb.Build()
@@ -619,10 +656,11 @@ func Add(a *CSR, alpha float64, b *CSR) *CSR {
 
 // Identity returns the n×n identity matrix.
 func Identity(n int) *CSR {
-	a := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), Col: make([]int, n), Val: make([]float64, n)}
+	CheckDims(n, n)
+	a := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), Col: make([]int32, n), Val: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		a.RowPtr[i+1] = i + 1
-		a.Col[i] = i
+		a.Col[i] = int32(i)
 		a.Val[i] = 1
 	}
 	return a
@@ -657,7 +695,7 @@ func (a *CSR) GershgorinMax() float64 {
 	for i := 0; i < a.Rows; i++ {
 		var center, radius float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] == i {
+			if int(a.Col[k]) == i {
 				center = a.Val[k]
 			} else {
 				radius += math.Abs(a.Val[k])

@@ -6,15 +6,17 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func denseOf(a *CSR) []float64 {
 	d := make([]float64, a.Rows*a.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d[i*a.Cols+a.Col[k]] += a.Val[k]
+			d[i*a.Cols+int(a.Col[k])] += a.Val[k]
 		}
 	}
 	return d
@@ -104,10 +106,10 @@ func TestBuildMatchesSortedBuild(t *testing.T) {
 			}
 		}
 		// Drop third and later copies of a coordinate, keeping the order.
-		seen := map[[2]int]int{}
+		seen := map[[2]int32]int{}
 		kept := b.entries[:0]
 		for _, e := range b.entries {
-			key := [2]int{e.Row, e.Col}
+			key := [2]int32{e.Row, e.Col}
 			if seen[key] < 2 {
 				seen[key]++
 				kept = append(kept, e)
@@ -155,12 +157,12 @@ func TestSortRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, n := range []int{0, 1, 2, 7, sortRowInsertionMax, sortRowInsertionMax + 1, 500} {
 		for _, span := range []int{3, 10 * n} {
-			col, val := make([]int, n), make([]float64, n)
+			col, val := make([]int32, n), make([]float64, n)
 			for k := range col {
-				col[k], val[k] = rng.Intn(span+1), float64(k)
+				col[k], val[k] = rng.Int31n(int32(span+1)), float64(k)
 			}
 			type pair struct {
-				c int
+				c int32
 				v float64
 			}
 			want := make([]pair, n)
@@ -185,6 +187,40 @@ func TestBuilderOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewBuilder(2, 2).Add(2, 0, 1)
+}
+
+// TestBuilderIndexLimitPanics: a dimension past MaxIndex cannot be held in
+// the 32-bit column indices, so the Builder refuses it by name before
+// allocating anything, in either dimension.
+func TestBuilderIndexLimitPanics(t *testing.T) {
+	for _, dims := range [][2]int{{MaxIndex + 1, 1}, {1, MaxIndex + 1}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "32-bit index limit") {
+					t.Fatalf("%v: panic %q, want the 32-bit index limit named", dims, msg)
+				}
+			}()
+			NewBuilder(dims[0], dims[1]).Build()
+		}()
+	}
+	NewBuilder(2, MaxIndex).Build() // at the limit: fine
+}
+
+// TestBytesMatchesElementSizes pins CSR.Bytes to the element sizes of the
+// slices it holds, so a change of index or value type cannot leave the byte
+// count (the service's registry_bytes) behind.
+func TestBytesMatchesElementSizes(t *testing.T) {
+	a := randomCSR(rand.New(rand.NewSource(34)), 7, 9, 0.4)
+	want := len(a.RowPtr)*int(unsafe.Sizeof(a.RowPtr[0])) +
+		len(a.Col)*int(unsafe.Sizeof(a.Col[0])) +
+		len(a.Val)*int(unsafe.Sizeof(a.Val[0]))
+	if got := a.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d, element sizes give %d", got, want)
+	}
+	if got, want := a.Bytes(), 12*a.NNZ()+8*(a.Rows+1); got != want {
+		t.Fatalf("Bytes() = %d, want 12 B per entry + 8 B per row pointer = %d", got, want)
+	}
 }
 
 func TestBuildEmptyRows(t *testing.T) {

@@ -23,7 +23,9 @@ import (
 // entries actually read, and a size line whose rows or cols exceed its
 // declared entry count is refused before anything is allocated for it. Every
 // matrix this repository solves is square with a stored diagonal, so it
-// declares at least one entry per row and per column.
+// declares at least one entry per row and per column. A size line past
+// MaxIndex rows or columns is refused the same way: CSR column indices are
+// 32-bit.
 func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	br := bufio.NewReader(r)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -76,6 +78,9 @@ func readMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: bad dimensions %d×%d", rows, cols)
+	}
+	if err := dimsError(rows, cols); err != nil {
+		return nil, err
 	}
 	if symmetry == "symmetric" && rows != cols {
 		return nil, fmt.Errorf("sparse: symmetric matrix must be square, got %d×%d", rows, cols)

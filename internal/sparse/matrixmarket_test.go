@@ -113,6 +113,22 @@ func TestReadMatrixMarketHeaderCannotSizeAllocation(t *testing.T) {
 	}
 }
 
+// TestReadMatrixMarketRefusesIndexOverflow: a size line past the 32-bit
+// index limit, in rows or in columns, is an error naming the limit — not a
+// panic from the Builder, and not a wrapped column index.
+func TestReadMatrixMarketRefusesIndexOverflow(t *testing.T) {
+	for _, src := range []string{
+		"%%MatrixMarket matrix coordinate real general\n2147483648 2147483648 2147483648\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate real general\n2147483648 1 2147483648\n1 1 1\n",
+		"%%MatrixMarket matrix coordinate pattern general\n1 4294967297 4294967297\n1 1\n",
+	} {
+		_, err := ReadMatrixMarket(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "32-bit index limit") {
+			t.Errorf("%q: got %v, want the 32-bit index limit named", src, err)
+		}
+	}
+}
+
 // TestReadMatrixMarketRefusesBadEntries: indices outside the declared shape
 // and a non-square symmetric file are errors, not panics.
 func TestReadMatrixMarketRefusesBadEntries(t *testing.T) {
@@ -196,8 +212,8 @@ func FuzzReadMatrixMarket(f *testing.F) {
 				t.Fatalf("RowPtr falls at row %d", i)
 			}
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-				c := a.Col[k]
-				if c < 0 || c >= a.Cols || (k > a.RowPtr[i] && c <= a.Col[k-1]) {
+				c := int(a.Col[k])
+				if c < 0 || c >= a.Cols || (k > a.RowPtr[i] && c <= int(a.Col[k-1])) {
 					t.Fatalf("row %d: column %d out of range or order", i, c)
 				}
 				w, ok := want[[2]int{i, c}]

@@ -1,6 +1,9 @@
 package sparse
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // RCMOrder returns the reverse Cuthill–McKee ordering of A's symmetric
 // sparsity graph as a permutation with perm[new] = old. The ordering is
@@ -19,7 +22,7 @@ func RCMOrder(a *CSR) []int {
 	for i := 0; i < n; i++ {
 		d := 0
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] != i {
+			if int(a.Col[k]) != i {
 				d++
 			}
 		}
@@ -44,18 +47,18 @@ func RCMOrder(a *CSR) []int {
 			head++
 			level = level[:0]
 			for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-				c := a.Col[k]
+				c := int(a.Col[k])
 				if c == v || c >= n || seen[c] {
 					continue
 				}
 				seen[c] = true
 				level = append(level, c)
 			}
-			sort.Slice(level, func(i, j int) bool {
-				if deg[level[i]] != deg[level[j]] {
-					return deg[level[i]] < deg[level[j]]
+			slices.SortFunc(level, func(u, w int) int {
+				if c := cmp.Compare(deg[u], deg[w]); c != 0 {
+					return c
 				}
-				return level[i] < level[j]
+				return cmp.Compare(u, w)
 			})
 			dst = append(dst, level...)
 		}
@@ -77,7 +80,7 @@ func RCMOrder(a *CSR) []int {
 			for h := levelStart; h < levelEnd; h++ {
 				v := q[h]
 				for k := a.RowPtr[v]; k < a.RowPtr[v+1]; k++ {
-					c := a.Col[k]
+					c := int(a.Col[k])
 					if c == v || c >= n || seen[c] {
 						continue
 					}
@@ -157,12 +160,12 @@ func PermuteSym(a *CSR, perm []int) *CSR {
 	inv := InversePerm(perm)
 	n := a.Rows
 	b := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1),
-		Col: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
+		Col: make([]int32, a.NNZ()), Val: make([]float64, a.NNZ())}
 	p := 0
 	for i, old := range perm {
 		lo := p
 		for k := a.RowPtr[old]; k < a.RowPtr[old+1]; k++ {
-			b.Col[p], b.Val[p] = inv[a.Col[k]], a.Val[k]
+			b.Col[p], b.Val[p] = int32(inv[a.Col[k]]), a.Val[k]
 			p++
 		}
 		SortRow(b.Col[lo:p], b.Val[lo:p])
@@ -198,7 +201,7 @@ func (a *CSR) Bandwidth() int {
 	bw := 0
 	for i := 0; i < a.Rows; i++ {
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			d := i - a.Col[k]
+			d := i - int(a.Col[k])
 			if d < 0 {
 				d = -d
 			}

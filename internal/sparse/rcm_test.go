@@ -158,7 +158,7 @@ func TestChunkPlanInvalidation(t *testing.T) {
 	a.Col = a.Col[:n]
 	a.Val = a.Val[:n]
 	for i := 0; i < n; i++ {
-		a.Col[i] = i
+		a.Col[i] = int32(i)
 		a.Val[i] = d[i]
 		a.RowPtr[i+1] = i + 1
 	}

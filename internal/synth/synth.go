@@ -81,7 +81,7 @@ func (f *fillingEmitter) Diag(i int, w float64) { f.diag[i] += w }
 
 func (f *fillingEmitter) place(row, col int, v float64) {
 	p := f.next[row]
-	f.a.Col[p] = col
+	f.a.Col[p] = int32(col)
 	f.a.Val[p] = v
 	f.next[row] = p + 1
 }
@@ -92,6 +92,7 @@ func (f *fillingEmitter) place(row, col int, v float64) {
 // twice — a counting pass and a filling pass — so it must be deterministic.
 // Every row receives a diagonal entry.
 func AssembleLaplacian(n int, generate func(EdgeEmitter)) *sparse.CSR {
+	sparse.CheckDims(n, n)
 	cnt := &countingEmitter{nnz: make([]int, n), hasD: make([]bool, n)}
 	generate(cnt)
 
@@ -100,7 +101,7 @@ func AssembleLaplacian(n int, generate func(EdgeEmitter)) *sparse.CSR {
 		a.RowPtr[i+1] = a.RowPtr[i] + cnt.nnz[i] + 1 // +1 for the diagonal
 	}
 	nnz := a.RowPtr[n]
-	a.Col = make([]int, nnz)
+	a.Col = make([]int32, nnz)
 	a.Val = make([]float64, nnz)
 
 	fill := &fillingEmitter{a: a, next: make([]int, n), diag: make([]float64, n)}
@@ -116,7 +117,7 @@ func AssembleLaplacian(n int, generate func(EdgeEmitter)) *sparse.CSR {
 		if d == 0 {
 			d = 1 // isolated vertex: keep the matrix nonsingular
 		}
-		a.Col[lo] = i
+		a.Col[lo] = int32(i)
 		a.Val[lo] = d
 		sparse.SortRow(a.Col[lo:hi], a.Val[lo:hi])
 	}

@@ -2,8 +2,11 @@ package synth
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sparse"
 )
 
 func TestSplitmixDeterministic(t *testing.T) {
@@ -60,6 +63,19 @@ func TestAssembleLaplacianIsolatedVertex(t *testing.T) {
 	}
 }
 
+// TestAssembleLaplacianIndexLimitPanics: a graph past sparse.MaxIndex
+// vertices is refused by name before the generator runs or anything is
+// allocated.
+func TestAssembleLaplacianIndexLimitPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "32-bit index limit") {
+			t.Fatalf("panic %q, want the 32-bit index limit named", msg)
+		}
+	}()
+	AssembleLaplacian(sparse.MaxIndex+1, func(em EdgeEmitter) { t.Fatal("generator ran") })
+}
+
 func TestAssembleLaplacianRowsSorted(t *testing.T) {
 	a := AssembleLaplacian(6, func(em EdgeEmitter) {
 		em.Edge(0, 5, 1)
@@ -102,7 +118,7 @@ func checkSPDSmoke(t *testing.T, m Matrix) {
 		var off float64
 		var diag float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.Col[k] == i {
+			if int(a.Col[k]) == i {
 				diag = a.Val[k]
 			} else {
 				off += math.Abs(a.Val[k])
