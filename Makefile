@@ -141,11 +141,14 @@ bench-check:
 # Assembly runs 5 iterations (the 125-point 32³ operator, the 7-point 48³ one
 # and a scattered Builder): a slide back to a global sort shows as ~10×. The
 # CSR kernels run MulVec and the k=8 MulMat on the 125-point 20³ and 32³
-# operators at the cost model's 12 B per entry.
+# operators at the cost model's 12 B per entry; Box125 runs the same products
+# through the assembled matrix and the matrix-free box kernel side by side at
+# 12³, 20³ and 32³.
 # cmd/perfreport produces the committed BENCH_pr6.json.
 perf:
 	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep|BasisVector' -benchtime=100x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'Laplacian' -benchtime=5x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'Box125' -benchtime=20x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'BuilderBuild' -benchtime=5x -count=3 -run xxx ./internal/sparse
 	$(GO) test -bench 'CSRBox125' -benchtime=20x -count=3 -run xxx ./internal/sparse
 	$(GO) test -bench 'SStepSweep' -benchtime=100x -count=3 -run xxx ./internal/vec
@@ -154,13 +157,14 @@ perf:
 	$(GO) test -bench 'PoolContended' -benchtime=2000x -count=3 -run xxx ./internal/par
 
 # Native fuzzing of the untrusted-input parsers (MatrixMarket uploads, W3C
-# traceparent headers, audit repro lines) beyond their committed seed
-# corpora (testdata/fuzz, which plain `go test` already runs). Not part of
-# tier1: a fuzz run is open-ended exploration, not a gate.
+# traceparent headers, audit repro lines, solve request bodies) beyond their
+# committed seed corpora (testdata/fuzz, which plain `go test` already runs).
+# Not part of tier1: a fuzz run is open-ended exploration, not a gate.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadMatrixMarket -fuzztime 30s -parallel 2 ./internal/sparse
 	$(GO) test -run xxx -fuzz FuzzParseTraceparent -fuzztime 30s -parallel 2 ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 30s -parallel 2 ./internal/audit
+	$(GO) test -run xxx -fuzz FuzzSolveRequest -fuzztime 30s -parallel 2 ./internal/serve
 
 # The committed paper records: regenerate all seven tables and figures at
 # paper scale into a fresh directory, one figure per process so the peak is

@@ -79,7 +79,7 @@ func sameBits(t *testing.T, tag string, got, want *krylov.Result) {
 // must agree bit for bit.
 func TestStencilSolveBitIdenticalToCSR(t *testing.T) {
 	methods := []string{"pcg", "scg", "pscg", "scg-s", "pipe-scg", "pipe-pscg"}
-	for _, name := range []string{"poisson7", "poisson5"} {
+	for _, name := range []string{"poisson7", "poisson5", "poisson125"} {
 		pr, err := workload.ProblemByName(name, 7, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -159,6 +159,36 @@ func TestSpMVPowersMatchesPerProduct(t *testing.T) {
 	}
 }
 
+// TestSpMVPowersBoxStencil: the kernel's ghost-row runs and rank-local rows
+// through the matrix-free Box125 operator give the assembled matrix's bits,
+// folded and unfolded, on a column of 5×6 planes deep enough to engage.
+func TestSpMVPowersBoxStencil(t *testing.T) {
+	g := grid.Grid{Nx: 5, Ny: 6, Nz: 48, Stencil: grid.Box125}
+	a := g.Laplacian()
+	op, ok := g.MatrixFree()
+	if !ok {
+		t.Fatal("no matrix-free Box125 operator")
+	}
+	x := sinVector(a.Rows)
+	for _, p := range []int{2, 3} {
+		pt := partition.RowBlock(a.Rows, p)
+		xs := Scatter(pt, x)
+		for _, fold := range []bool{false, true} {
+			csr := NewEngines(NewFabric(p, 0), a, pt, jacobiPC)
+			box := NewEnginesOp(NewFabric(p, 0), a, op, pt, jacobiPC)
+			wantR, wantU := powersBlock(t, csr, xs, 3, true, 0.37, true, fold)
+			gotR, gotU := powersBlock(t, box, xs, 3, true, 0.37, true, fold)
+			sameLevels(t, "r", gotR, wantR)
+			sameLevels(t, "u", gotU, wantU)
+			for r := range box {
+				if c, w := *box[r].Counters(), *csr[r].Counters(); c != w || c.HaloExchanges != 1 {
+					t.Fatalf("p=%d rank %d fold=%v: counters %+v, CSR %+v", p, r, fold, c, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSpMVPowersDeclines: each condition of the engage rule, asked directly.
 func TestSpMVPowersDeclines(t *testing.T) {
 	thin := thinGrid()

@@ -139,3 +139,44 @@ func BenchmarkBasisVector(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBox125 times the paper's 125-point operator through the
+// assembled CSR and the matrix-free box kernel, single-RHS (MulVec) and as
+// a k=8 block (MulMat), at 12³, 20³ and 32³. Bytes are the CSR's per
+// right-hand side — 12 per stored entry plus 16 per row — on both sides, so
+// MB/s reads as the CSR-equivalent rate and the two rows compare directly.
+func BenchmarkBox125(b *testing.B) {
+	for _, n := range []int{12, 20, 32} {
+		g := NewCube(n, Box125)
+		a := g.Laplacian()
+		op, ok := g.MatrixFree()
+		if !ok {
+			b.Fatal("no matrix-free operator")
+		}
+		a.ChunkPlan()
+		op.ChunkPlan()
+		perRHS := int64(12*a.NNZ() + 16*a.Rows)
+		for _, k := range []int{1, 8} {
+			xs, ys := make([][]float64, k), make([][]float64, k)
+			for j := range xs {
+				xs[j], ys[j] = benchVec(a.Rows, int64(j+5)), make([]float64, a.Rows)
+			}
+			for _, side := range []struct {
+				name string
+				vec  func(y, x []float64)
+				mat  func(ys, xs [][]float64)
+			}{{"csr", a.MulVec, a.MulMat}, {"stencil", op.MulVec, op.MulMat}} {
+				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, side.name), func(b *testing.B) {
+					b.SetBytes(int64(k) * perRHS)
+					for i := 0; i < b.N; i++ {
+						if k == 1 {
+							side.vec(ys[0], xs[0])
+						} else {
+							side.mat(ys, xs)
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -23,8 +23,11 @@ func fillRand(x []float64, rng *rand.Rand) {
 	}
 }
 
+// stencilGrids are the shapes every stencil bit-identity test runs. The box
+// grids take cubes from one point up (every clipped slice width, axes with
+// no full-width point) and non-cubic ones whose axes clip differently.
 func stencilGrids() []Grid {
-	return []Grid{
+	grids := []Grid{
 		NewCube(7, Star7),
 		{Nx: 5, Ny: 4, Nz: 3, Stencil: Star7},
 		{Nx: 13, Ny: 4, Nz: 3, Stencil: Star7}, // long interior runs
@@ -36,6 +39,16 @@ func stencilGrids() []Grid {
 		{Nx: 6, Ny: 2, Nz: 1, Stencil: Star5},
 		{Nx: 1, Ny: 5, Nz: 1, Stencil: Star5},
 	}
+	for _, st := range []Stencil{Box125, Box27} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 20} {
+			grids = append(grids, NewCube(n, st))
+		}
+		// The last grid's x-interior runs span three scratch blocks.
+		for _, d := range [][3]int{{11, 6, 5}, {5, 3, 7}, {7, 1, 4}, {2, 9, 3}, {140, 3, 5}} {
+			grids = append(grids, Grid{Nx: d[0], Ny: d[1], Nz: d[2], Stencil: st})
+		}
+	}
+	return grids
 }
 
 // TestStencilStructureMatchesCSR pins the synthetic row-pointer array — and

@@ -80,8 +80,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // submit decodes a SolveRequest and applies admission control, translating
-// the manager's typed errors into 429 + Retry-After (queue full) and 503
-// (draining).
+// the manager's typed errors into 400 (outside the request limits), 429 +
+// Retry-After (queue full) and 503 (draining).
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	var req SolveRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSolveBodyBytes)).Decode(&req); err != nil {
@@ -108,6 +108,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 		return nil, false
 	case errors.Is(err, ErrDraining):
 		apiError(w, http.StatusServiceUnavailable, "%v", err)
+		return nil, false
+	case errors.Is(err, ErrInvalidRequest):
+		apiError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	case err != nil:
 		apiError(w, http.StatusInternalServerError, "%v", err)

@@ -80,6 +80,50 @@ func (r SolveRequest) withDefaults() SolveRequest {
 	return r
 }
 
+// Request limits: a submission past any of them is refused before the
+// registry builds anything. A grid problem's operator is assembled in memory
+// in proportion to its rows (a poisson125 request with n=1000 asks for about
+// 1.2·10¹¹ stored entries), so its rows are bounded; s and ranks size the
+// solver's basis and the in-process rank goroutines.
+const (
+	// MaxGridRows bounds a grid problem's unknowns: n ≤ 256 for the 3D
+	// problems (poisson125, poisson7), n ≤ 4096 for poisson5.
+	MaxGridRows = 1 << 24
+	// MaxS bounds the s-step depth s ∈ [1, MaxS].
+	MaxS = 16
+	// MaxRanks bounds the rank count ranks ∈ [1, MaxRanks].
+	MaxRanks = 64
+)
+
+// ErrInvalidRequest marks a submission refused by validate; the HTTP layer
+// answers it with 400.
+var ErrInvalidRequest = errors.New("serve: invalid request")
+
+// gridDims is the dimension of each grid problem's n×…×n grid.
+var gridDims = map[string]int{"poisson125": 3, "poisson7": 3, "poisson5": 2}
+
+// validate checks a request, after withDefaults, against the request limits
+// and names the limit it breaks.
+func (r SolveRequest) validate() error {
+	if d := gridDims[r.Problem]; d > 0 {
+		n, rows := r.normalized().N, 1
+		for range d {
+			if rows > MaxGridRows/n {
+				return fmt.Errorf("%w: %s n=%d has more than MaxGridRows=%d rows",
+					ErrInvalidRequest, r.Problem, n, MaxGridRows)
+			}
+			rows *= n
+		}
+	}
+	if r.S < 1 || r.S > MaxS {
+		return fmt.Errorf("%w: s=%d outside [1, MaxS=%d]", ErrInvalidRequest, r.S, MaxS)
+	}
+	if r.Ranks < 1 || r.Ranks > MaxRanks {
+		return fmt.Errorf("%w: ranks=%d outside [1, MaxRanks=%d]", ErrInvalidRequest, r.Ranks, MaxRanks)
+	}
+	return nil
+}
+
 // JobState is a job's lifecycle phase. Terminal states are JobConverged,
 // JobFailed and JobCanceled; every accepted job reaches exactly one of them.
 type JobState string
@@ -457,6 +501,9 @@ func (m *Manager) Submit(req SolveRequest) (*Job, error) {
 		req.Method = MethodAuto
 	}
 	req = req.withDefaults()
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
 
 	m.drainMu.Lock()
 	if m.draining {

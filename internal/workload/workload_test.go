@@ -341,6 +341,59 @@ func TestCatalogueCSRPinned(t *testing.T) {
 	}
 }
 
+// productHash hashes the bits of the operator's product with a fixed
+// vector that mixes signs, magnitudes and exact zeros of both signs.
+func productHash(op engine.Operator) string {
+	n, _ := op.Dims()
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		switch i % 7 {
+		case 0:
+			x[i] = 0
+		case 3:
+			x[i] = math.Copysign(0, -1)
+		default:
+			x[i] = math.Ldexp(float64(i%11)-5.5, i%9-4) / 3
+		}
+	}
+	op.MulVec(y, x)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range y {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestPoisson125StencilPinned pins the 125-point product to the bit at three
+// sizes: the hashes were taken from the assembled matrix's product, and the
+// problem's matrix-free operator must give the same bits.
+func TestPoisson125StencilPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		hash string
+	}{{6, "b1d98b20b5732e69"}, {12, "5d3e5e76dbaca074"}, {20, "129f232ade5bc433"}} {
+		pr := workload.Poisson125(c.n)
+		if got := productHash(pr.A); got != c.hash {
+			t.Errorf("n=%d: CSR product hash %s, want %s", c.n, got, c.hash)
+		}
+		if got := productHash(pr.Operator()); got != c.hash {
+			t.Errorf("n=%d: stencil product hash %s, want %s", c.n, got, c.hash)
+		}
+	}
+}
+
+// TestPoisson125MatrixFree: the paper's workload applies the Box125 stencil
+// at every grid size, from one point up.
+func TestPoisson125MatrixFree(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 24} {
+		if pr := workload.Poisson125(n); pr.Op == nil {
+			t.Errorf("Poisson125(%d) has no matrix-free operator", n)
+		}
+	}
+}
+
 // TestReorderedUnpermute pins Problem.Perm's contract (perm[new] = old): the
 // reordered system's solution, unpermuted, solves the source system.
 func TestReorderedUnpermute(t *testing.T) {
