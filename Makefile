@@ -146,7 +146,7 @@ bench-check:
 # 12³, 20³ and 32³.
 # cmd/perfreport produces the committed BENCH_pr6.json.
 perf:
-	$(GO) test -bench 'SpMV3D|SpMV2D|PowersStep|BasisVector' -benchtime=100x -count=3 -run xxx ./internal/grid
+	$(GO) test -bench 'SpMV3D|SpMV2D|Star7Lines|PowersStep|BasisVector' -benchtime=100x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'Laplacian' -benchtime=5x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'Box125' -benchtime=20x -count=3 -run xxx ./internal/grid
 	$(GO) test -bench 'BuilderBuild' -benchtime=5x -count=3 -run xxx ./internal/sparse
@@ -157,14 +157,16 @@ perf:
 	$(GO) test -bench 'PoolContended' -benchtime=2000x -count=3 -run xxx ./internal/par
 
 # Native fuzzing of the untrusted-input parsers (MatrixMarket uploads, W3C
-# traceparent headers, audit repro lines, solve request bodies) beyond their
-# committed seed corpora (testdata/fuzz, which plain `go test` already runs).
+# traceparent headers, audit repro lines, solve request bodies, Retry-After
+# values) beyond their committed seed corpora (testdata/fuzz, which plain
+# `go test` already runs).
 # Not part of tier1: a fuzz run is open-ended exploration, not a gate.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadMatrixMarket -fuzztime 30s -parallel 2 ./internal/sparse
 	$(GO) test -run xxx -fuzz FuzzParseTraceparent -fuzztime 30s -parallel 2 ./internal/obs
 	$(GO) test -run xxx -fuzz FuzzParseConfig -fuzztime 30s -parallel 2 ./internal/audit
 	$(GO) test -run xxx -fuzz FuzzSolveRequest -fuzztime 30s -parallel 2 ./internal/serve
+	$(GO) test -run xxx -fuzz FuzzParseRetryAfter -fuzztime 30s -parallel 2 ./cmd/solverbench
 
 # The committed paper records: regenerate all seven tables and figures at
 # paper scale into a fresh directory, one figure per process so the peak is

@@ -36,9 +36,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -333,16 +335,19 @@ func rhsBurst(cfg benchConfig, req serve.SolveRequest, k int) error {
 // ok=false so the caller falls back to its own schedule — the old parser
 // conflated "0", "-5" and garbage into the same fallback, so a server
 // explicitly waiving the wait was made to pay the exponential backoff anyway.
+// A delta too long for a Duration (past about 292 years, or past the int
+// range) clamps to the longest Duration rather than wrapping negative.
 func parseRetryAfter(value string, now time.Time) (time.Duration, bool) {
 	value = strings.TrimSpace(value)
 	if value == "" {
 		return 0, false
 	}
-	if secs, err := strconv.Atoi(value); err == nil {
+	// Atoi saturates an out-of-range value and reports ErrRange.
+	if secs, err := strconv.Atoi(value); err == nil || errors.Is(err, strconv.ErrRange) {
 		if secs < 0 {
 			return 0, false
 		}
-		return time.Duration(secs) * time.Second, true
+		return time.Duration(min(secs, int(math.MaxInt64/time.Second))) * time.Second, true
 	}
 	if when, err := http.ParseTime(value); err == nil {
 		d := when.Sub(now)

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"math"
 	"net/http"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -32,6 +34,9 @@ func TestParseRetryAfter(t *testing.T) {
 		{"rfc 850 date", now.Add(30 * time.Second).Format(time.RFC850), 30 * time.Second, true},
 		{"asctime date", now.Add(45 * time.Second).Format(time.ANSIC), 45 * time.Second, true},
 		{"truncated date rejected", "Sun, 09 Aug", 0, false},
+		{"delta overflowing a Duration clamps", "9223372037", math.MaxInt64 / time.Second * time.Second, true},
+		{"delta past the int range clamps", "99999999999999999999", math.MaxInt64 / time.Second * time.Second, true},
+		{"negative past the int range rejected", "-99999999999999999999", 0, false},
 	}
 	for _, tc := range cases {
 		got, ok := parseRetryAfter(tc.value, now)
@@ -40,6 +45,24 @@ func TestParseRetryAfter(t *testing.T) {
 				tc.name, tc.value, got, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// FuzzParseRetryAfter: no header value panics the parser, an accepted value
+// is never a negative wait (a wrapped Duration would retry at once), and
+// delta-seconds that fit a Duration round-trip. `go test` runs the committed
+// corpus (testdata/fuzz); `make fuzz` explores beyond it.
+func FuzzParseRetryAfter(f *testing.F) {
+	f.Add("120", uint32(120))
+	f.Fuzz(func(t *testing.T, value string, secs uint32) {
+		now := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
+		if d, ok := parseRetryAfter(value, now); ok && d < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, ok: a negative wait", value, d)
+		}
+		v := strconv.FormatUint(uint64(secs), 10)
+		if d, ok := parseRetryAfter(v, now); !ok || d != time.Duration(secs)*time.Second {
+			t.Fatalf("parseRetryAfter(%q) = (%v, %v), want (%ds, true)", v, d, ok, secs)
+		}
+	})
 }
 
 // TestRetrySleep checks the fallback and clamping around the parser: a valid

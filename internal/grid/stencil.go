@@ -23,13 +23,20 @@ import (
 // identical to the assembled matrix's RowPtr. A solve through a StencilOp
 // produces the same bits as one through Grid.Laplacian() at any worker
 // count.
+//
+// The star stencils walk a row range one grid line at a time: interior
+// lines through the line kernels line7/line5, and the line ends and
+// boundary lines through term lists built once per (z, y) window (starShape)
+// — the boundary lines' x-interior runs through the T-term line kernel
+// lineT. The box stencils take stencil_box.go.
 type StencilOp struct {
 	g      Grid
 	n      int
 	r      int // box radius (1 Box27, 2 Box125); 0 for the star stencils
 	diag   float64
-	rowPtr []int // synthetic prefix-nnz: chunk-plan parity with the CSR form
-	shapes []boxShape
+	rowPtr []int       // synthetic prefix-nnz: chunk-plan parity with the CSR form
+	shapes []boxShape  // the box stencils' line shapes
+	star   []starShape // the star stencils' term lists, by (z, y) window
 
 	plan atomic.Pointer[sparse.Chunks]
 }
@@ -76,6 +83,8 @@ func NewStencilOp(g Grid) (*StencilOp, error) {
 	}
 	if r > 0 {
 		s.buildShapes()
+	} else {
+		s.buildStar()
 	}
 	return s, nil
 }
@@ -131,95 +140,70 @@ func (s *StencilOp) ChunkPlan() *sparse.Chunks {
 // immutable, so this only drops the cached plan.
 func (s *StencilOp) InvalidatePlan() { s.plan.Store(nil) }
 
-// row7 applies one Star7 row with boundary handling, in the CSR kernel's
-// exact accumulation order (ascending column, unrolled batch + remainder).
-func (s *StencilOp) row7(x []float64, i, xi, yi, zi int) float64 {
+// starRow is the term list of one Star7/Star5 row shape: the offsets of its
+// present neighbours from the row's point and their coefficients, in the
+// CSR's ascending column order.
+type starRow struct {
+	n   int
+	off [7]int
+	c   [7]float64
+}
+
+// starShape holds the term lists shared by every grid line with the same y
+// and z window: an x-interior point, the x = 0 point (no i−1), the x = nx−1
+// point (no i+1), and the one point of an nx = 1 line.
+type starShape struct {
+	in, lo, hi, one starRow
+}
+
+// axisWindow is the window of position p on a length-n axis: 0 interior,
+// bit 0 set at the low end (no p−1), bit 1 at the high end (no p+1); an
+// axis of length 1 is both.
+func axisWindow(n, p int) int {
+	w := 0
+	if p == 0 {
+		w |= 1
+	}
+	if p == n-1 {
+		w |= 2
+	}
+	return w
+}
+
+// buildStar fills s.star with the term lists of every (z window, y window).
+// A 2D grid's z window is always "both", so it gets no z terms.
+func (s *StencilOp) buildStar() {
 	g := s.g
 	nx, nxy := g.Nx, g.Nx*g.Ny
-	var cols [7]int
-	var vals [7]float64
-	cnt := 0
-	if zi > 0 {
-		cols[cnt], vals[cnt] = i-nxy, -1
-		cnt++
+	s.star = make([]starShape, 16)
+	for zw := range 4 {
+		for yw := range 4 {
+			sh := &s.star[zw*4+yw]
+			for xw, r := range []*starRow{&sh.in, &sh.lo, &sh.hi, &sh.one} {
+				// Each term is present unless its axis window lacks that side.
+				for _, t := range [7]struct {
+					w, side, off int
+					c            float64
+				}{{zw, 1, -nxy, -1}, {yw, 1, -nx, -1}, {xw, 1, -1, -1}, {0, 1, 0, s.diag},
+					{xw, 2, 1, -1}, {yw, 2, nx, -1}, {zw, 2, nxy, -1}} {
+					if t.w&t.side == 0 {
+						r.off[r.n], r.c[r.n] = t.off, t.c
+						r.n++
+					}
+				}
+			}
+		}
 	}
-	if yi > 0 {
-		cols[cnt], vals[cnt] = i-nx, -1
-		cnt++
-	}
-	if xi > 0 {
-		cols[cnt], vals[cnt] = i-1, -1
-		cnt++
-	}
-	cols[cnt], vals[cnt] = i, s.diag
-	cnt++
-	if xi < nx-1 {
-		cols[cnt], vals[cnt] = i+1, -1
-		cnt++
-	}
-	if yi < g.Ny-1 {
-		cols[cnt], vals[cnt] = i+nx, -1
-		cnt++
-	}
-	if zi < g.Nz-1 {
-		cols[cnt], vals[cnt] = i+nxy, -1
-		cnt++
-	}
-	return accumRow(&vals, &cols, cnt, x)
-}
-
-// row5 is row7's 2D counterpart.
-func (s *StencilOp) row5(x []float64, i, xi, yi int) float64 {
-	g := s.g
-	nx := g.Nx
-	var cols [7]int
-	var vals [7]float64
-	cnt := 0
-	if yi > 0 {
-		cols[cnt], vals[cnt] = i-nx, -1
-		cnt++
-	}
-	if xi > 0 {
-		cols[cnt], vals[cnt] = i-1, -1
-		cnt++
-	}
-	cols[cnt], vals[cnt] = i, s.diag
-	cnt++
-	if xi < nx-1 {
-		cols[cnt], vals[cnt] = i+1, -1
-		cnt++
-	}
-	if yi < g.Ny-1 {
-		cols[cnt], vals[cnt] = i+nx, -1
-		cnt++
-	}
-	return accumRow(&vals, &cols, cnt, x)
-}
-
-// accumRow is the CSR inner loop verbatim: 4-way unrolled batches, remainder
-// into s0, combined as (s0+s1)+(s2+s3).
-func accumRow(vals *[7]float64, cols *[7]int, cnt int, x []float64) float64 {
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+4 <= cnt; k += 4 {
-		s0 += vals[k] * x[cols[k]]
-		s1 += vals[k+1] * x[cols[k+1]]
-		s2 += vals[k+2] * x[cols[k+2]]
-		s3 += vals[k+3] * x[cols[k+3]]
-	}
-	for ; k < cnt; k++ {
-		s0 += vals[k] * x[cols[k]]
-	}
-	return (s0 + s1) + (s2 + s3)
 }
 
 // FusedRows applies rows [r0, r1) (sparse.RowKernel), writing y[i-yoff] =
 // inv[i-yoff]·scale·(A·x)[i]; a nil inv skips its multiply, and v·1 is v to
 // the bit, so the bits match the plain product exactly. The range is walked
-// one grid line (fixed y and z) at a time: the points strictly inside an
-// interior line go through the line kernel, the rest — the two ends of an
-// interior line and every point of a boundary line — gather through the
-// generic CSR-order accumulator. The box stencils take boxRows.
+// one grid line (fixed y and z) at a time, in three parts: the x = 0 point
+// through its term list, the x-interior run through a line kernel — line7 or
+// line5 on an interior line, lineT on a boundary line — and the x = nx−1
+// point through its list. A run cut mid-line starts or stops inside the
+// x-interior part. The box stencils take boxRows.
 func (s *StencilOp) FusedRows(y, x []float64, r0, r1, yoff int, scale float64, inv []float64) {
 	if s.r > 0 {
 		s.boxRows(y, x, r0, r1, yoff, scale, inv)
@@ -227,53 +211,125 @@ func (s *StencilOp) FusedRows(y, x []float64, r0, r1, yoff int, scale float64, i
 	}
 	g := s.g
 	nx, ny := g.Nx, g.Ny
-	for i := r0; i < r1; {
-		xi := i % nx
-		t := i / nx
-		yi, zi := t%ny, t/ny
-		start := i - xi // the line's first point
+	l := r0 / nx // the line, at (y, z) = (yi, zi)
+	yi, zi := l%ny, l/ny
+	for i := r0; i < r1; l, yi = l+1, yi+1 {
+		if yi == ny {
+			yi, zi = 0, zi+1
+		}
+		start := l * nx // the line's first point
 		end := min(start+nx, r1)
-		interior := yi > 0 && yi < ny-1
-		if g.Stencil == Star7 {
-			interior = interior && zi > 0 && zi < g.Nz-1
+		sh := &s.star[axisWindow(g.Nz, zi)*4+axisWindow(ny, yi)]
+		if nx == 1 {
+			sh.one.point(y, x, i, yoff, scale, inv)
+			i++
+			continue
 		}
-		a, b := end, end // the interior run [a, b) of the segment
-		if interior {
-			a, b = max(i, start+1), min(end, start+nx-1)
-			if a > b {
-				a, b = end, end
+		if i == start {
+			sh.lo.point(y, x, i, yoff, scale, inv)
+			i++
+		}
+		if b := min(end, start+nx-1); i < b {
+			switch {
+			case sh.in.n == 7:
+				line7(y, x, i, b, yoff, nx, nx*ny, s.diag, scale, inv)
+			case sh.in.n == 5 && g.Stencil == Star5:
+				line5(y, x, i, b, yoff, nx, s.diag, scale, inv)
+			default:
+				lineT(y, x, i, b, yoff, &sh.in, scale, inv)
 			}
+			i = b
 		}
-		s.edge(y, x, i, a, yoff, yi, zi, scale, inv)
-		if a < b {
-			if g.Stencil == Star7 {
-				line7(y, x, a, b, yoff, nx, nx*ny, s.diag, scale, inv)
-			} else {
-				line5(y, x, a, b, yoff, nx, s.diag, scale, inv)
-			}
+		if i < end {
+			sh.hi.point(y, x, i, yoff, scale, inv)
+			i++
 		}
-		s.edge(y, x, b, end, yoff, yi, zi, scale, inv)
-		i = end
 	}
 }
 
-// edge applies rows [lo, hi) of one line (grid coordinates yi, zi) through
-// the generic accumulator.
-func (s *StencilOp) edge(y, x []float64, lo, hi, yoff, yi, zi int, scale float64, inv []float64) {
-	for i := lo; i < hi; i++ {
-		var v float64
-		if s.g.Stencil == Star7 {
-			v = s.row7(x, i, i%s.g.Nx, yi, zi)
-		} else {
-			v = s.row5(x, i, i%s.g.Nx, yi)
+// point applies row i through the term list, in the CSR kernel's order:
+// term t into s_{t mod 4} while t < 4⌊T/4⌋, the rest into s0, combined as
+// (s0+s1)+(s2+s3).
+func (r *starRow) point(y, x []float64, i, yoff int, scale float64, inv []float64) {
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+4 <= r.n; k += 4 {
+		s0 += r.c[k] * x[i+r.off[k]]
+		s1 += r.c[k+1] * x[i+r.off[k+1]]
+		s2 += r.c[k+2] * x[i+r.off[k+2]]
+		s3 += r.c[k+3] * x[i+r.off[k+3]]
+	}
+	for ; k < r.n; k++ {
+		s0 += r.c[k] * x[i+r.off[k]]
+	}
+	v := ((s0 + s1) + (s2 + s3)) * scale
+	if inv != nil {
+		v *= inv[i-yoff]
+	}
+	y[i-yoff] = v
+}
+
+// lineT is the line kernel of a boundary line's x-interior run [a, b): the
+// T = r.n terms of its rows (3 ≤ T ≤ 6) in the CSR order, one loop per T,
+// each term a contiguous slice of x cut to the run's length. The inv
+// multiply is a second pass over the run's output: (v·scale)·inv either way,
+// so the bits are those of the one-pass form.
+func lineT(y, x []float64, a, b, yoff int, r *starRow, scale float64, inv []float64) {
+	out := y[a-yoff : b-yoff]
+	n := len(out)
+	o := &r.off
+	c0, c1, c2, c3, c4, c5 := r.c[0], r.c[1], r.c[2], r.c[3], r.c[4], r.c[5]
+	t0, t1, t2 := x[a+o[0]:][:n], x[a+o[1]:][:n], x[a+o[2]:][:n]
+	switch r.n {
+	case 3:
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += c0 * t0[k]
+			s0 += c1 * t1[k]
+			s0 += c2 * t2[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
 		}
-		if scale != 1 {
-			v *= scale
+	case 4:
+		t3 := x[a+o[3]:][:n]
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += c0 * t0[k]
+			s1 += c1 * t1[k]
+			s2 += c2 * t2[k]
+			s3 += c3 * t3[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
 		}
-		if inv != nil {
-			v *= inv[i-yoff]
+	case 5:
+		t3, t4 := x[a+o[3]:][:n], x[a+o[4]:][:n]
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += c0 * t0[k]
+			s1 += c1 * t1[k]
+			s2 += c2 * t2[k]
+			s3 += c3 * t3[k]
+			s0 += c4 * t4[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
 		}
-		y[i-yoff] = v
+	case 6:
+		t3, t4, t5 := x[a+o[3]:][:n], x[a+o[4]:][:n], x[a+o[5]:][:n]
+		for k := range out {
+			var s0, s1, s2, s3 float64
+			s0 += c0 * t0[k]
+			s1 += c1 * t1[k]
+			s2 += c2 * t2[k]
+			s3 += c3 * t3[k]
+			s0 += c4 * t4[k]
+			s0 += c5 * t5[k]
+			out[k] = ((s0 + s1) + (s2 + s3)) * scale
+		}
+	default:
+		panic(fmt.Sprintf("grid: no line kernel for %d terms", r.n))
+	}
+	if inv != nil {
+		iv := inv[a-yoff:][:n]
+		for k := range out {
+			out[k] *= iv[k]
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/vec"
 )
 
@@ -178,5 +179,34 @@ func BenchmarkBox125(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkStar7Lines times the fused Star7 product with a scale and a
+// diagonal row scale folded in — the one-space s-step basis vector — on one
+// worker at 16³, 24³, 32³ and 48³, reported in ns per row. The small cubes
+// are mostly boundary lines and line ends, so this is the benchmark of the
+// term-list path as much as of the interior line kernel.
+func BenchmarkStar7Lines(b *testing.B) {
+	defer par.SetWorkers(0)
+	par.SetWorkers(1)
+	for _, n := range []int{16, 24, 32, 48} {
+		op, ok := NewCube(n, Star7).MatrixFree()
+		if !ok {
+			b.Fatal("no matrix-free operator")
+		}
+		rows, _ := op.Dims()
+		x, y := benchVec(rows, 6), make([]float64, rows)
+		inv := make([]float64, rows)
+		for i := range inv {
+			inv[i] = 1 / op.diag
+		}
+		op.ChunkPlan()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op.MulVecFusedDiag(y, x, 0, rows, 0, 0.8, inv, nil, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
 	}
 }

@@ -23,7 +23,8 @@ func fillRand(x []float64, rng *rand.Rand) {
 	}
 }
 
-// stencilGrids are the shapes every stencil bit-identity test runs. The box
+// stencilGrids are the shapes every stencil bit-identity test runs. The star
+// grids cover every (z, y) line window and x point window. The box
 // grids take cubes from one point up (every clipped slice width, axes with
 // no full-width point) and non-cubic ones whose axes clip differently.
 func stencilGrids() []Grid {
@@ -38,6 +39,19 @@ func stencilGrids() []Grid {
 		NewSquare(9, Star5),
 		{Nx: 6, Ny: 2, Nz: 1, Stencil: Star5},
 		{Nx: 1, Ny: 5, Nz: 1, Stencil: Star5},
+	}
+	// Every star line window and every point window: axis lengths 1, 2
+	// and 3 (a Star7 grid needs Nz > 1).
+	for nz := 1; nz <= 3; nz++ {
+		for ny := 1; ny <= 3; ny++ {
+			for nx := 1; nx <= 3; nx++ {
+				st := Star7
+				if nz == 1 {
+					st = Star5
+				}
+				grids = append(grids, Grid{Nx: nx, Ny: ny, Nz: nz, Stencil: st})
+			}
+		}
 	}
 	for _, st := range []Stencil{Box125, Box27} {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 20} {

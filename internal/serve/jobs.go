@@ -84,7 +84,8 @@ func (r SolveRequest) withDefaults() SolveRequest {
 // registry builds anything. A grid problem's operator is assembled in memory
 // in proportion to its rows (a poisson125 request with n=1000 asks for about
 // 1.2·10¹¹ stored entries), so its rows are bounded; s and ranks size the
-// solver's basis and the in-process rank goroutines.
+// solver's basis and the in-process rank goroutines; maxiter bounds how long
+// one job may hold a worker.
 const (
 	// MaxGridRows bounds a grid problem's unknowns: n ≤ 256 for the 3D
 	// problems (poisson125, poisson7), n ≤ 4096 for poisson5.
@@ -93,6 +94,9 @@ const (
 	MaxS = 16
 	// MaxRanks bounds the rank count ranks ∈ [1, MaxRanks].
 	MaxRanks = 64
+	// MaxIterLimit bounds the iteration cap maxiter ≤ MaxIterLimit (the
+	// default is 100000).
+	MaxIterLimit = 1_000_000
 )
 
 // ErrInvalidRequest marks a submission refused by validate; the HTTP layer
@@ -120,6 +124,9 @@ func (r SolveRequest) validate() error {
 	}
 	if r.Ranks < 1 || r.Ranks > MaxRanks {
 		return fmt.Errorf("%w: ranks=%d outside [1, MaxRanks=%d]", ErrInvalidRequest, r.Ranks, MaxRanks)
+	}
+	if r.MaxIter > MaxIterLimit {
+		return fmt.Errorf("%w: maxiter=%d above MaxIterLimit=%d", ErrInvalidRequest, r.MaxIter, MaxIterLimit)
 	}
 	return nil
 }

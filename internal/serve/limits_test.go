@@ -31,6 +31,9 @@ func TestSolveRequestLimits(t *testing.T) {
 		{"s=17", SolveRequest{ProblemSpec: spec("poisson7", 8), S: MaxS + 1}, "MaxS"},
 		{"ranks at the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), Ranks: MaxRanks}, ""},
 		{"ranks=65", SolveRequest{ProblemSpec: spec("poisson7", 8), Ranks: MaxRanks + 1}, "MaxRanks"},
+		{"maxiter at the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: MaxIterLimit}, ""},
+		{"maxiter past the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: MaxIterLimit + 1}, "MaxIterLimit"},
+		{"negative maxiter takes the default", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: -1}, ""},
 	} {
 		err := c.req.withDefaults().validate()
 		switch {
@@ -46,6 +49,7 @@ func TestSolveRequestLimits(t *testing.T) {
 		{ProblemSpec: spec("poisson125", 1000), Method: "pcg"},
 		{ProblemSpec: spec("poisson7", 8), Method: "pipe-pscg", S: 64},
 		{ProblemSpec: spec("poisson7", 8), Method: "pcg", Ranks: 1000},
+		{ProblemSpec: spec("poisson7", 8), Method: "pcg", MaxIter: 1 << 40},
 	} {
 		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
 			resp := postJSON(t, ts.URL+path, req)
@@ -63,7 +67,7 @@ func TestSolveRequestLimits(t *testing.T) {
 
 // FuzzSolveRequest decodes a body the way submit does, applies the defaults
 // and validates: no input panics, and an accepted request is within the
-// limits. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
+// limits, maxiter included. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
 // explores beyond it.
 func FuzzSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -79,8 +83,9 @@ func FuzzSolveRequest(f *testing.F) {
 		if m, ok := maxN[req.Problem]; ok && req.normalized().N > m {
 			t.Fatalf("%s: accepted %s n=%d (max %d)", body, req.Problem, req.normalized().N, m)
 		}
-		if req.S < 1 || req.S > MaxS || req.Ranks < 1 || req.Ranks > MaxRanks {
-			t.Fatalf("%s: accepted s=%d ranks=%d", body, req.S, req.Ranks)
+		if req.S < 1 || req.S > MaxS || req.Ranks < 1 || req.Ranks > MaxRanks ||
+			req.MaxIter < 1 || req.MaxIter > MaxIterLimit {
+			t.Fatalf("%s: accepted s=%d ranks=%d maxiter=%d", body, req.S, req.Ranks, req.MaxIter)
 		}
 	})
 }

@@ -2,11 +2,11 @@ package vec
 
 import "repro/internal/par"
 
-// sweepTile is the row count of one LC sub-tile. A chunk's LC stages run
-// tile by tile so that a block written by one stage is still in cache when a
-// later stage of the same tile reads it (an s=3 PIPE-PsCG tile touches 43
-// vectors × 4 KiB). The dot stage is not tiled: its 4-way association is
-// anchored at the chunk's first row.
+// sweepTile is the row count of one sub-tile. A chunk's stages run tile by
+// tile so that a block written by one stage is still in cache when a later
+// stage of the same tile reads it (an s=3 PIPE-PsCG tile touches 43 vectors
+// × 4 KiB), the dots included. It is a multiple of 4, so the dots' 4-way
+// lanes, carried from tile to tile, stay anchored at the chunk's first row.
 const sweepTile = 512
 
 // BlockLC is the in-place direction-block recurrence
@@ -42,66 +42,20 @@ type DotPair struct {
 	Out     int
 }
 
-// rangeDot returns the pair's dot over [lo, hi) with the package's 4-way
-// association.
-func (d DotPair) rangeDot(lo, hi int) float64 {
-	switch {
-	case d.W == nil && d.Y == nil:
-		return dotRange(d.X, d.X, lo, hi)
-	case d.W == nil:
-		return dotRange(d.X, d.Y, lo, hi)
-	case d.Y == nil:
-		return sqRangeW(d.X, d.W, lo, hi)
-	}
-	return dotRangeW(d.X, d.W, d.Y, lo, hi)
-}
-
-// dotRangeW is dotRange of the row-scaled w∘x against y.
-func dotRangeW(x, w, y []float64, lo, hi int) float64 {
-	var s0, s1, s2, s3 float64
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		s0 += w[i] * x[i] * y[i]
-		s1 += w[i+1] * x[i+1] * y[i+1]
-		s2 += w[i+2] * x[i+2] * y[i+2]
-		s3 += w[i+3] * x[i+3] * y[i+3]
-	}
-	for ; i < hi; i++ {
-		s0 += w[i] * x[i] * y[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// sqRangeW is dotRange of the row-scaled w∘x against itself.
-func sqRangeW(x, w []float64, lo, hi int) float64 {
-	var s0, s1, s2, s3 float64
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		t0, t1, t2, t3 := w[i]*x[i], w[i+1]*x[i+1], w[i+2]*x[i+2], w[i+3]*x[i+3]
-		s0 += t0 * t0
-		s1 += t1 * t1
-		s2 += t2 * t2
-		s3 += t3 * t3
-	}
-	for ; i < hi; i++ {
-		t := w[i] * x[i]
-		s0 += t * t
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
 // Sweep is one fused pass over the rows of a set of equal-length vectors: a
-// single parallel region in which every chunk first runs the LC lists over
-// its rows — all Blocks, then all Updates, tile by tile — and then the Dots
-// over the whole chunk, on the values the LCs just wrote. Either list may be
-// empty. Callers fill the exported lists (reslicing them to reuse their
-// backing arrays) and call Run; the compiled plans and block scratch are
-// owned by the Sweep and reused, so a warmed-up Sweep allocates nothing.
+// single parallel region in which every chunk walks its rows tile by tile,
+// running the LC lists — all Blocks, then all Updates — and then the Dots on
+// the values the LCs just wrote. Either list may be empty. Callers fill the
+// exported lists (reslicing them to reuse their backing arrays) and call
+// Run; the compiled plans, block scratch and dot lanes are owned by the
+// Sweep and reused, so a warmed-up Sweep allocates nothing.
 //
 // Determinism. The LCs are elementwise with a fixed term order. The region is
-// a par.RangeReduce, the reduction Dot itself runs: every dot is dotRange
-// over the par chunk, folded over chunks in ascending order, so each entry is
-// bit-identical to Dot(X, Y) evaluated after the LCs, for any worker count.
+// a par.RangeReduce, the reduction Dot itself runs: every dot is dotRange's
+// association over the par chunk — four lanes carried across the chunk's
+// tiles, the len mod 4 tail into lane 0 in its last tile — folded over
+// chunks in ascending order, so each entry is bit-identical to Dot(X, Y)
+// evaluated after the LCs, for any worker count.
 //
 // Rows are independent: an LC may read what an earlier LC of the same list
 // order wrote, and a Base may be a vector that a later Update overwrites. A
@@ -125,6 +79,12 @@ type Sweep struct {
 	maxS    int
 	oldRows []float64
 	oldCols [][]float64
+
+	// The dot stage: the pairs grouped by shared operand, and per chunk
+	// every pair's four lanes.
+	groups []dotGroup
+	lanes  [][4]float64
+
 	chunkFn func(chunk, lo, hi int, slot []float64)
 }
 
@@ -133,9 +93,13 @@ type Sweep struct {
 // Dots is empty.
 func (sw *Sweep) Run(n int, out []float64) {
 	sw.compile(n, len(out))
-	if need := par.NumChunks(n) * sw.maxS * sweepTile; cap(sw.oldRows) < need {
+	nc := par.NumChunks(n)
+	if need := nc * sw.maxS * sweepTile; cap(sw.oldRows) < need {
 		sw.oldRows = make([]float64, need)
 		sw.oldCols = make([][]float64, need/sweepTile)
+	}
+	if need := nc * len(sw.Dots); cap(sw.lanes) < need {
+		sw.lanes = make([][4]float64, need)
 	}
 	if sw.chunkFn == nil {
 		sw.chunkFn = sw.chunk
@@ -184,28 +148,236 @@ func (sw *Sweep) compile(n, nout int) {
 		}
 		sw.upOff = append(sw.upOff, len(sw.upCols))
 	}
-	for _, d := range sw.Dots {
+	sw.groups = sw.groups[:0]
+	for k, d := range sw.Dots {
 		if len(d.X) != n || d.Y != nil && len(d.Y) != n || d.W != nil && len(d.W) != n ||
 			d.Out < 0 || d.Out >= nout {
 			panic("vec: Sweep dot shape mismatch")
 		}
+		sw.group(k, d)
 	}
 }
 
-// chunk is the region body: LC stages tile by tile, then the dot stage.
+// chunk is the region body: each tile's LC stages, then the tile's dots,
+// every dot's four lanes carried from tile to tile in the chunk's scratch;
+// the chunk ends by folding each dot's lanes into its slot entry, in Dots
+// order.
 func (sw *Sweep) chunk(c, lo, hi int, slot []float64) {
+	nd := len(sw.Dots)
+	lanes := sw.lanes[c*nd : (c+1)*nd]
+	clear(lanes)
 	for t := lo; t < hi; t += sweepTile {
-		sw.lcTile(c, t, min(t+sweepTile, hi))
+		e := min(t+sweepTile, hi)
+		sw.lcTile(c, t, e)
+		for g := range sw.groups {
+			sw.groups[g].tile(lanes, t, e)
+		}
 	}
-	dotStage(sw.Dots, lo, hi, slot)
+	for k, d := range sw.Dots {
+		l := &lanes[k]
+		slot[d.Out] += (l[0] + l[1]) + (l[2] + l[3])
+	}
 }
 
-// dotStage accumulates every pair's dot over rows [lo, hi) into its slot
-// entry.
-func dotStage(dots []DotPair, lo, hi int, slot []float64) {
-	for _, d := range dots {
-		slot[d.Out] += d.rangeDot(lo, hi)
+// dotGroup is up to three pairs that share one operand X and weight W (the
+// same backing vectors), or one nil-Y pair alone. Its kernel forms each
+// row's t = W[i]·X[i] once — X[i] itself when W is nil — and adds t·Y[i]
+// into every pair's lanes, t·t for the nil-Y pair: (w·x)·y is the weighted
+// pair's dot term to the bit.
+type dotGroup struct {
+	x, w []float64
+	ys   [3][]float64
+	dot  [3]int // the pairs' indices into Dots, whose lanes they fill
+	n    int
+}
+
+// group adds pair k to an open group with its operand, or starts one.
+func (sw *Sweep) group(k int, d DotPair) {
+	if d.Y != nil {
+		for g := range sw.groups {
+			o := &sw.groups[g]
+			if o.n < 3 && o.ys[0] != nil && sameSlice(o.x, d.X) &&
+				(o.w == nil && d.W == nil || sameSlice(o.w, d.W)) {
+				o.ys[o.n], o.dot[o.n] = d.Y, k
+				o.n++
+				return
+			}
+		}
 	}
+	sw.groups = append(sw.groups, dotGroup{x: d.X, w: d.W, ys: [3][]float64{d.Y}, dot: [3]int{k}, n: 1})
+}
+
+// tile adds rows [lo, hi) of the group's pairs into their lanes.
+func (g *dotGroup) tile(lanes [][4]float64, lo, hi int) {
+	x := g.x[lo:hi]
+	var w, y0 []float64
+	if g.w != nil {
+		w = g.w[lo:hi]
+	}
+	if g.ys[0] != nil {
+		y0 = g.ys[0][lo:hi]
+	}
+	switch g.n {
+	case 1:
+		dotLanes1(&lanes[g.dot[0]], x, w, y0)
+	case 2:
+		dotLanes2(&lanes[g.dot[0]], &lanes[g.dot[1]], x, w, y0, g.ys[1][lo:hi])
+	default:
+		dotLanes3(&lanes[g.dot[0]], &lanes[g.dot[1]], &lanes[g.dot[2]], x, w, y0, g.ys[1][lo:hi], g.ys[2][lo:hi])
+	}
+}
+
+// term is row i's t: w[i]·x[i], or x[i] when w is nil.
+func term(x, w []float64, i int) float64 {
+	if w == nil {
+		return x[i]
+	}
+	return w[i] * x[i]
+}
+
+// dotLanes1 adds one pair's rows into its four lanes l with the package's
+// dot association: row i into lane i mod 4, the len mod 4 tail into lane 0.
+// Only a chunk's last tile has a tail, so the lanes stay anchored at the
+// chunk's first row. The row's term is t·y, t·t when y is nil.
+func dotLanes1(l *[4]float64, x, w, y []float64) {
+	s0, s1, s2, s3 := l[0], l[1], l[2], l[3]
+	i := 0
+	switch {
+	case w == nil:
+		if y == nil {
+			y = x
+		}
+		y = y[:len(x)]
+		for ; i < len(x)-3; i += 4 {
+			s0 += x[i] * y[i]
+			s1 += x[i+1] * y[i+1]
+			s2 += x[i+2] * y[i+2]
+			s3 += x[i+3] * y[i+3]
+		}
+	case y == nil:
+		w = w[:len(x)]
+		for ; i < len(x)-3; i += 4 {
+			t0, t1, t2, t3 := w[i]*x[i], w[i+1]*x[i+1], w[i+2]*x[i+2], w[i+3]*x[i+3]
+			s0 += t0 * t0
+			s1 += t1 * t1
+			s2 += t2 * t2
+			s3 += t3 * t3
+		}
+	default:
+		w, y = w[:len(x)], y[:len(x)]
+		for ; i < len(x)-3; i += 4 {
+			s0 += w[i] * x[i] * y[i]
+			s1 += w[i+1] * x[i+1] * y[i+1]
+			s2 += w[i+2] * x[i+2] * y[i+2]
+			s3 += w[i+3] * x[i+3] * y[i+3]
+		}
+	}
+	for ; i < len(x); i++ {
+		t := term(x, w, i)
+		if y != nil {
+			s0 += t * y[i]
+		} else {
+			s0 += t * t
+		}
+	}
+	l[0], l[1], l[2], l[3] = s0, s1, s2, s3
+}
+
+// dotLanes2 is dotLanes1 for two Ys against one t.
+func dotLanes2(la, lb *[4]float64, x, w, ya, yb []float64) {
+	ya, yb = ya[:len(x)], yb[:len(x)]
+	a0, a1, a2, a3 := la[0], la[1], la[2], la[3]
+	b0, b1, b2, b3 := lb[0], lb[1], lb[2], lb[3]
+	i := 0
+	if w == nil {
+		for ; i < len(x)-3; i += 4 {
+			a0 += x[i] * ya[i]
+			b0 += x[i] * yb[i]
+			a1 += x[i+1] * ya[i+1]
+			b1 += x[i+1] * yb[i+1]
+			a2 += x[i+2] * ya[i+2]
+			b2 += x[i+2] * yb[i+2]
+			a3 += x[i+3] * ya[i+3]
+			b3 += x[i+3] * yb[i+3]
+		}
+	} else {
+		w = w[:len(x)]
+		for ; i < len(x)-3; i += 4 {
+			t := w[i] * x[i]
+			a0 += t * ya[i]
+			b0 += t * yb[i]
+			t = w[i+1] * x[i+1]
+			a1 += t * ya[i+1]
+			b1 += t * yb[i+1]
+			t = w[i+2] * x[i+2]
+			a2 += t * ya[i+2]
+			b2 += t * yb[i+2]
+			t = w[i+3] * x[i+3]
+			a3 += t * ya[i+3]
+			b3 += t * yb[i+3]
+		}
+	}
+	for ; i < len(x); i++ {
+		t := term(x, w, i)
+		a0 += t * ya[i]
+		b0 += t * yb[i]
+	}
+	la[0], la[1], la[2], la[3] = a0, a1, a2, a3
+	lb[0], lb[1], lb[2], lb[3] = b0, b1, b2, b3
+}
+
+// dotLanes3 is dotLanes1 for three Ys against one t.
+func dotLanes3(la, lb, lc *[4]float64, x, w, ya, yb, yc []float64) {
+	ya, yb, yc = ya[:len(x)], yb[:len(x)], yc[:len(x)]
+	a0, a1, a2, a3 := la[0], la[1], la[2], la[3]
+	b0, b1, b2, b3 := lb[0], lb[1], lb[2], lb[3]
+	c0, c1, c2, c3 := lc[0], lc[1], lc[2], lc[3]
+	i := 0
+	if w == nil {
+		for ; i < len(x)-3; i += 4 {
+			a0 += x[i] * ya[i]
+			b0 += x[i] * yb[i]
+			c0 += x[i] * yc[i]
+			a1 += x[i+1] * ya[i+1]
+			b1 += x[i+1] * yb[i+1]
+			c1 += x[i+1] * yc[i+1]
+			a2 += x[i+2] * ya[i+2]
+			b2 += x[i+2] * yb[i+2]
+			c2 += x[i+2] * yc[i+2]
+			a3 += x[i+3] * ya[i+3]
+			b3 += x[i+3] * yb[i+3]
+			c3 += x[i+3] * yc[i+3]
+		}
+	} else {
+		w = w[:len(x)]
+		for ; i < len(x)-3; i += 4 {
+			t := w[i] * x[i]
+			a0 += t * ya[i]
+			b0 += t * yb[i]
+			c0 += t * yc[i]
+			t = w[i+1] * x[i+1]
+			a1 += t * ya[i+1]
+			b1 += t * yb[i+1]
+			c1 += t * yc[i+1]
+			t = w[i+2] * x[i+2]
+			a2 += t * ya[i+2]
+			b2 += t * yb[i+2]
+			c2 += t * yc[i+2]
+			t = w[i+3] * x[i+3]
+			a3 += t * ya[i+3]
+			b3 += t * yb[i+3]
+			c3 += t * yc[i+3]
+		}
+	}
+	for ; i < len(x); i++ {
+		t := term(x, w, i)
+		a0 += t * ya[i]
+		b0 += t * yb[i]
+		c0 += t * yc[i]
+	}
+	la[0], la[1], la[2], la[3] = a0, a1, a2, a3
+	lb[0], lb[1], lb[2], lb[3] = b0, b1, b2, b3
+	lc[0], lc[1], lc[2], lc[3] = c0, c1, c2, c3
 }
 
 func (sw *Sweep) lcTile(c, lo, hi int) {
@@ -270,7 +442,6 @@ func blockLC3(dst Multi, base [][]float64, b []float64, lo, hi int) {
 
 // runDots is a dots-only sweep for the package's one-shot dot kernels.
 func runDots(n int, out []float64, dots []DotPair) {
-	par.Default().RangeReduce(out, n, func(_, lo, hi int, slot []float64) {
-		dotStage(dots, lo, hi, slot)
-	})
+	sw := Sweep{Dots: dots}
+	sw.Run(n, out)
 }

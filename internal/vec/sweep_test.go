@@ -256,7 +256,7 @@ func TestSweepMatchesPerKernelReference(t *testing.T) {
 	defer par.SetWorkers(0)
 	rng := rand.New(rand.NewSource(13))
 	var sw Sweep
-	for _, n := range []int{1, 3, 511, 4096, 4097, 110592} {
+	for _, n := range []int{1, 3, 511, 512, 513, 4096, 4097, 110592} {
 		for s := 1; s <= 6; s++ {
 			big := n == 110592 // 48³, the benchmark's size: 27 chunks
 			if big && (raceEnabled || s != 3 && s != 4) {
@@ -322,13 +322,14 @@ func TestSweepMatchesPerKernelReference(t *testing.T) {
 
 // TestSweepWeightedDots: a weighted pair is the plain dot of the row-scaled
 // vector W∘X, and a nil Y squares it, bit for bit — alone, beside plain
-// pairs, and after the LCs of a one-space sweep — across chunk-boundary
-// sizes and pool sizes.
+// pairs, in groups that share one X (1, 2, 3, 4 and 7 Ys, weighted and
+// plain pairs on the same X), and after the LCs of a one-space sweep —
+// across tile-, lane- and chunk-boundary sizes and pool sizes.
 func TestSweepWeightedDots(t *testing.T) {
 	defer par.SetWorkers(0)
 	rng := rand.New(rand.NewSource(17))
 	var sw Sweep
-	for _, n := range []int{1, 3, 511, 4096, 4097, 20000} {
+	for _, n := range []int{1, 3, 511, 512, 513, 4096, 4097, 20000} {
 		x, y, w := randVec(rng, n), randVec(rng, n), randVec(rng, n)
 		wx := make([]float64, n)
 		for i := range wx {
@@ -346,6 +347,50 @@ func TestSweepWeightedDots(t *testing.T) {
 			want := []float64{Dot(wx, y), Dot(wx, wx), Dot(x, y), Dot(x, x)}
 			if i := bitsEqual(out, want); i >= 0 {
 				t.Fatalf("n=%d w=%d: pair %d = %x, want %x", n, workers, i, out[i], want[i])
+			}
+		}
+	}
+
+	// Shared operands: one X against k Ys through two weights and none,
+	// with the squares of each, interleaved so the groups fill out of order.
+	for _, n := range []int{1, 3, 511, 512, 513, 4097} {
+		x, w1, w2 := randVec(rng, n), randVec(rng, n), randVec(rng, n)
+		for _, k := range []int{1, 2, 3, 4, 7} {
+			ys := randMulti(rng, n, k)
+			var want []float64
+			sw.Dots = sw.Dots[:0]
+			add := func(w, y []float64) {
+				xs := x
+				if w != nil {
+					xs = make([]float64, n)
+					for i := range xs {
+						xs[i] = w[i] * x[i]
+					}
+				}
+				ref := y
+				if ref == nil {
+					ref = xs
+				}
+				sw.Dots = append(sw.Dots, DotPair{X: x, W: w, Y: y, Out: len(want)})
+				want = append(want, Dot(xs, ref))
+			}
+			for j := range ys {
+				add(w1, ys[j])
+				add(nil, ys[j])
+				if j%2 == 0 {
+					add(w2, ys[j])
+				}
+			}
+			add(w1, nil)
+			add(nil, nil)
+			add(nil, x)
+			for _, workers := range []int{1, 2, 4} {
+				par.SetWorkers(workers)
+				out := make([]float64, len(want))
+				sw.Run(n, out)
+				if i := bitsEqual(out, want); i >= 0 {
+					t.Fatalf("n=%d k=%d w=%d: shared-X pair %d = %x, want %x", n, k, workers, i, out[i], want[i])
+				}
 			}
 		}
 	}

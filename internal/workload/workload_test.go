@@ -384,6 +384,35 @@ func TestPoisson125StencilPinned(t *testing.T) {
 	}
 }
 
+// TestPoisson7StencilPinned is the star stencils' TestPoisson125StencilPinned:
+// product hashes of Poisson7 and Poisson5, taken from the assembled matrix's
+// product, which the matrix-free operator must give to the bit.
+func TestPoisson7StencilPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pr   func(int) workload.Problem
+		n    int
+		hash string
+	}{
+		{"poisson7", workload.Poisson7, 6, "082cbaa6b1b03559"},
+		{"poisson7", workload.Poisson7, 16, "bf30e4445a694912"},
+		{"poisson7", workload.Poisson7, 24, "a0dd181a6703671b"},
+		{"poisson5", workload.Poisson5, 9, "90300b319d07265d"},
+		{"poisson5", workload.Poisson5, 64, "736ec880d3b3caed"},
+	} {
+		pr := c.pr(c.n)
+		if pr.Op == nil {
+			t.Fatalf("%s(%d) has no matrix-free operator", c.name, c.n)
+		}
+		if got := productHash(pr.A); got != c.hash {
+			t.Errorf("%s n=%d: CSR product hash %s, want %s", c.name, c.n, got, c.hash)
+		}
+		if got := productHash(pr.Operator()); got != c.hash {
+			t.Errorf("%s n=%d: stencil product hash %s, want %s", c.name, c.n, got, c.hash)
+		}
+	}
+}
+
 // TestPoisson125MatrixFree: the paper's workload applies the Box125 stencil
 // at every grid size, from one point up.
 func TestPoisson125MatrixFree(t *testing.T) {
