@@ -48,10 +48,11 @@ loc:
 		$$(find . -name '*_test.go' ! -path './.*' | xargs cat | wc -l)
 
 # Seeded fault-injection suite under the race detector: the injector, the
-# deadline/ack-resend/checksum machinery, the mailbox leak check, and the
-# chaos matrix over solvers × fault scenarios × rank counts.
+# deadline/ack-resend/checksum machinery, the mailbox leak check, the chaos
+# matrix over solvers × fault scenarios × rank counts, and the escalation
+# goldens (SolveLadder and Hybrid pinned on seq and comm P=1).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Resilience|Ladder|Leak|Timeout|Deadlock|Straggler|Checksum|RecoverPolicy|Injector|SendBufferReuse|RunErr|CloseCancels' ./internal/comm ./internal/krylov
+	$(GO) test -race -run 'Chaos|Fault|Resilience|Ladder|Leak|Timeout|Deadlock|Straggler|Checksum|RecoverPolicy|Injector|SendBufferReuse|RunErr|CloseCancels|EscalationGoldens' ./internal/comm ./internal/krylov
 
 # Solver-service smoke: a real daemon on an ephemeral port, 32 concurrent
 # closed-loop clients over 4 registry entries, zero lost jobs, graceful
@@ -83,7 +84,8 @@ variant-audit:
 	$(GO) test -race -count=1 -run 'TestVariant|TestShrinkKeepsCadenceValid' ./internal/audit
 
 # Timeline export smoke: an instrumented PIPE-PsCG solve at P=4 plus a
-# stagnation-recovery demo, written as Chrome trace-event JSON and validated
+# breakdown-restart demo (its log line must show recovery spans > 0),
+# written as Chrome trace-event JSON and validated
 # (well-formed complete events, every phase present on every rank, overlap
 # ledger attached).
 timeline:

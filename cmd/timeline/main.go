@@ -6,10 +6,13 @@
 //     count, with injected hop latency so the overlap structure is visible —
 //     posted reductions ride as "overlap" events carrying their measured
 //     hidden fraction.
-//   - pid 1: a stagnation-recovery demo — PIPE-PsCG driven below its
-//     attainable accuracy with the recovery policy armed, so the trace also
-//     covers the recovery phase. Stagnation decisions depend only on
-//     globally reduced values, so every rank recovers at the same step.
+//   - pid 1: a breakdown-restart demo — PIPE-PsCG driven below its
+//     attainable accuracy, so its s-step Gram matrix turns singular and the
+//     solver rebuilds the basis from the current iterate while the restarts
+//     still make progress (three times at the defaults, before the
+//     divergence guard ends the run); the trace also covers the recovery
+//     phase. Breakdown is decided on globally reduced values, so every rank
+//     restarts at the same step.
 //
 // With -stitch the command instead merges flight-recorder dumps from every
 // hop of a routed solve — solverbench (-trace-out), solverouter and each
@@ -84,23 +87,18 @@ func main() {
 		*method, res.Converged, res.Iterations, res.RelRes, merged.HiddenFraction())
 	events := obs.AppendChromeEvents(nil, 0, sums)
 
-	// Recovery demo: a tolerance below the recurrence's attainable accuracy
-	// plateaus the residual, the stagnation guard fires (improvement < 1%
-	// over a 2-check window), and the recovery policy restores the best
-	// iterate and rebuilds the basis instead of stopping.
+	// Breakdown-restart demo: a tolerance below the recurrence's attainable
+	// accuracy drives the Gram matrix singular; each breakdown that comes
+	// after a 1 % gain rebuilds the basis instead of stopping.
 	ropt := workload.DefaultOptions(pr)
 	ropt.RelTol = 1e-30
-	ropt.Recover = true
-	ropt.MaxRecoveries = 2
-	ropt.StagnationWindow = 2
-	ropt.StagnationFactor = 0.99
 	rsums, rres, err := tracedSolve(pr, *ranks, *hop, krylov.Method{Solve: krylov.PIPEPSCG}, ropt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rmerged := obs.MergeSummaries(rsums)
-	log.Printf("pid 1: recovery demo stagnated=%v iters=%d recovery spans=%d",
-		rres.Stagnated, rres.Iterations, rmerged.Phases[obs.PhaseRecovery].Count)
+	log.Printf("pid 1: breakdown-restart demo brokedown=%v diverged=%v iters=%d recovery spans=%d",
+		rres.BrokeDown, rres.Diverged, rres.Iterations, rmerged.Phases[obs.PhaseRecovery].Count)
 	events = obs.AppendChromeEvents(events, 1, rsums)
 
 	f, err := os.Create(*out)

@@ -58,7 +58,7 @@ func DefaultParams() AuditParams {
 	return AuditParams{
 		MaxIter:          800,
 		DriftEvery:       4,
-		DriftFactor:      25,
+		DriftFactor:      workload.DriftLimit,
 		DriftFloor:       1e-10,
 		GramTol:          1e-10,
 		CrossIterRatio:   2.0,

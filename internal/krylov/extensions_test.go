@@ -191,7 +191,7 @@ func TestMCGRRBeatsPlainPipelinedFloor(t *testing.T) {
 // TestReplaceCadence pins the variant family's residual-replacement cadence
 // through the ResidualReplacements counter: ReplaceEvery fires on every
 // multiple of itself (1-based iterations), PIPEMCGRR falls back to
-// defaultReplaceEvery, and PIPEPRCG does not replace unless asked.
+// DefaultReplaceEvery, and PIPEPRCG does not replace unless asked.
 func TestReplaceCadence(t *testing.T) {
 	a, b := testProblem(t)
 	for _, tc := range []struct {
@@ -202,7 +202,7 @@ func TestReplaceCadence(t *testing.T) {
 	}{
 		{"pipe-m-cg-rr/every=5", PIPEMCGRR, 5, 5},
 		{"pipe-m-cg-rr/every=2", PIPEMCGRR, 2, 2},
-		{"pipe-m-cg-rr/default", PIPEMCGRR, 0, defaultReplaceEvery},
+		{"pipe-m-cg-rr/default", PIPEMCGRR, 0, DefaultReplaceEvery},
 		{"pipe-pr-cg/default", PIPEPRCG, 0, 0},
 		{"pipe-pr-cg/every=5", PIPEPRCG, 5, 5},
 	} {

@@ -34,71 +34,20 @@ func PIPECG3(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	return solveSStep(e, b, opt, cfg)
 }
 
-// Hybrid is the paper's Hybrid-pipelined method (§VI-B): PIPE-PsCG advances
-// the solution until the residual stagnates (s-step recurrences round off
-// near tight tolerances), then PIPECG-OATI restarts from the attained
-// iterate and finishes to the requested tolerance.
-func Hybrid(e engine.Engine, b []float64, opt Options) (*Result, error) {
-	stage1 := opt
-	if stage1.StagnationWindow == 0 {
-		stage1.StagnationWindow = 8
-	}
-	if stage1.StagnationFactor == 0 {
-		stage1.StagnationFactor = 0.999
-	}
-	r1, err := PIPEPSCG(e, b, stage1)
-	if err != nil {
-		return r1, err
-	}
-	r1.Method = "hybrid-pipelined"
-	if r1.Converged || (!r1.Stagnated && !r1.BrokeDown && !r1.Diverged) {
-		return r1, nil // finished (or hit MaxIter) without needing stage 2
-	}
-
-	// Stage 2: PIPECG-OATI seeded with the stage-1 best iterate. If the
-	// s=2 recurrences also hit their accuracy floor, a final PIPECG stage
-	// (plain two-term recurrences, numerically the most robust pipelined
-	// method) finishes the solve.
-	merged := r1
-	for _, stage := range []Solver{PIPECGOATI, PIPECG} {
-		if merged.Converged {
-			break
-		}
-		next := opt
-		next.X0 = merged.X
-		next.StagnationWindow, next.StagnationFactor = 0, 0
-		next.MaxIter = opt.MaxIter - merged.Iterations
-		if next.MaxIter <= 0 {
-			break
-		}
-		r2, err := stage(e, b, next)
-		if err != nil {
-			return merged, err
-		}
-		merged = mergeResults(merged, r2)
-	}
-	return merged, nil
+// hybridRungs are Hybrid's stages: PIPE-PsCG stops once its recurrences
+// stagnate (no 0.1 % gain over 8 checks), PIPECG-OATI finishes, and should
+// its s=2 recurrences also hit their floor, plain PIPECG — the most robust
+// pipelined method — does.
+var hybridRungs = []Rung{
+	{Name: "pipe-pscg", Solve: PIPEPSCG, stall: stagnation{window: 8, factor: 0.999}},
+	{Name: "pipecg-oati", Solve: PIPECGOATI},
+	{Name: "pipecg", Solve: PIPECG},
 }
 
-// mergeResults concatenates a follow-on stage onto an accumulated hybrid
-// result, offsetting the stage's iteration numbering.
-func mergeResults(acc, r2 *Result) *Result {
-	out := &Result{
-		Method:     "hybrid-pipelined",
-		X:          r2.X,
-		Iterations: acc.Iterations + r2.Iterations,
-		Outer:      acc.Outer + r2.Outer,
-		Converged:  r2.Converged,
-		Stagnated:  r2.Stagnated,
-		BrokeDown:  r2.BrokeDown,
-		Diverged:   r2.Diverged,
-		RelRes:     r2.RelRes,
-	}
-	out.History = append(out.History, acc.History...)
-	for _, h := range r2.History {
-		out.History = append(out.History, HistPoint{
-			Iteration: h.Iteration + acc.Iterations, RelRes: h.RelRes,
-			ReduceIndex: h.ReduceIndex})
-	}
-	return out
+// Hybrid is the paper's Hybrid-pipelined method (§VI-B): PIPE-PsCG until
+// the residual stagnates, then PIPECG-OATI from the attained iterate. It
+// escalates through hybridRungs; running out of budget or rungs is no error.
+func Hybrid(e engine.Engine, b []float64, opt Options) (*Result, error) {
+	res, _, err := escalate(e, b, opt, "hybrid-pipelined", hybridRungs)
+	return res, err
 }

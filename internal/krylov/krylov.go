@@ -78,12 +78,6 @@ type Options struct {
 	S       int      // block size for the s-step methods
 	Norm    NormMode // which residual norm the test uses
 	X0      []float64
-	// StagnationWindow and StagnationFactor drive the stagnation detector
-	// used by the Hybrid method: stop when the best relative residual has
-	// not improved by at least (1 - StagnationFactor) over the last
-	// StagnationWindow checks. Zero values disable detection.
-	StagnationWindow int
-	StagnationFactor float64
 	// ReplaceEvery enables periodic residual replacement in the pipelined
 	// methods: every ReplaceEvery iterations the recurrence residual (and
 	// its derived quantities) is recomputed from r = b - A·x, arresting
@@ -91,17 +85,6 @@ type Options struct {
 	// tight tolerances (the Cools–Cornelis–Vanroose remedy the paper's
 	// §V alludes to). 0 disables replacement.
 	ReplaceEvery int
-	// Recover turns the breakdown/divergence/stagnation guards from hard
-	// stops into a recovery policy: the solver restores the best iterate,
-	// recomputes the true residual r = b − A·x, rebuilds the Krylov basis
-	// and continues, and a detected comm-level corruption forces a residual
-	// replacement. Every recovery is recorded in trace.Counters. See also
-	// SolveLadder, which adds the method-degradation rungs on top.
-	Recover bool
-	// MaxRecoveries caps in-solver recovery events (0 means 8 when Recover
-	// is set). A recovery is only retried while the best relative residual
-	// keeps improving, so a hard accuracy floor still terminates the run.
-	MaxRecoveries int
 	// WaitDeadline bounds each non-blocking reduction wait
 	// (engine.Request.WaitTimeout): instead of blocking forever on a lost
 	// collective, the solver returns the backend's typed error. 0 means
@@ -123,6 +106,20 @@ type Options struct {
 	// back into the engine — it runs between kernels and anything it charges
 	// or reduces would desynchronize the counter ledger across engines.
 	Observe func(hp HistPoint, x []float64)
+
+	// recover and stall are a Rung's policy, set by escalate only: recover
+	// arms the s-step guard recovery and forced replacement (sstep.go),
+	// stall the monitor's stagnation stop.
+	recover bool
+	stall   stagnation
+}
+
+// stagnation is the monitor's stagnation rule: stop once the best relative
+// residual of the last window checks is not below factor × the check before
+// them. A zero window disables it.
+type stagnation struct {
+	window int
+	factor float64
 }
 
 // Defaults returns the options the paper's experiments use: rtol 1e-5, s=3,
@@ -157,7 +154,7 @@ type Result struct {
 }
 
 // monitor owns the convergence test ‖·‖ < max(rtol·‖b‖, atol) (§VI-E) and
-// the residual history, plus the stagnation detector of the Hybrid method.
+// the residual history, plus the stagnation detector of Hybrid's first rung.
 type monitor struct {
 	e          engine.Engine
 	rtol, atol float64
@@ -195,7 +192,7 @@ func newMonitor(e engine.Engine, b []float64, opt Options) *monitor {
 	return &monitor{
 		e:    e,
 		rtol: opt.RelTol, atol: opt.AbsTol, bnorm: math.Sqrt(buf[0]),
-		window: opt.StagnationWindow, factor: opt.StagnationFactor,
+		window: opt.stall.window, factor: opt.stall.factor,
 		progress: opt.Progress, observe: opt.Observe,
 	}
 }

@@ -23,7 +23,7 @@ import (
 //	          cheaper one-overlapped-SPMV pipelined variant, stabilized by
 //	          recomputing r = b − A·x (and the vectors derived from it) on
 //	          the rk_replace cadence Options.ReplaceEvery (every
-//	          defaultReplaceEvery iterations when unset).
+//	          DefaultReplaceEvery iterations when unset).
 //
 // Shared state, in the exemplars' naming generalized to a preconditioner M:
 //
@@ -34,12 +34,12 @@ import (
 // With M = I the recurrences reduce verbatim to the unpreconditioned
 // exemplars (z ≡ r, q ≡ s, w ≡ A·r, u ≡ A·s).
 
-// defaultReplaceEvery is the residual-replacement cadence PIPEMCGRR falls
+// DefaultReplaceEvery is the residual-replacement cadence PIPEMCGRR falls
 // back to when ReplaceEvery is not set. PIPEMCGRR
 // without replacement is not returned to callers at all: its ν-prediction
 // alone is less stable than PIPECG's recurrences, and the replacement IS
 // the method.
-const defaultReplaceEvery = 50
+const DefaultReplaceEvery = 50
 
 // PIPEPRCG is the pipelined predict-and-recompute preconditioned CG.
 func PIPEPRCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
@@ -54,14 +54,14 @@ func PIPEMCGRR(e engine.Engine, b []float64, opt Options) (*Result, error) {
 
 // replaceCadence resolves the residual-replacement cadence for the variant
 // family: ReplaceEvery > 0 as given, else the variant's own default
-// (PIPEMCGRR replaces every defaultReplaceEvery iterations; PIPEPRCG —
+// (PIPEMCGRR replaces every DefaultReplaceEvery iterations; PIPEPRCG —
 // self-stabilizing through its recomputed dots — never, 0).
 func replaceCadence(opt Options, meurant bool) int {
 	if opt.ReplaceEvery > 0 {
 		return opt.ReplaceEvery
 	}
 	if meurant {
-		return defaultReplaceEvery
+		return DefaultReplaceEvery
 	}
 	return 0
 }

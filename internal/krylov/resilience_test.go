@@ -97,7 +97,7 @@ func TestRecoverPolicyTerminates(t *testing.T) {
 	opt.S = 6
 	opt.RelTol = 1e-14 // unattainable
 	opt.MaxIter = 50000
-	opt.Recover = true
+	opt.recover = true
 
 	type out struct {
 		res *Result

@@ -491,6 +491,26 @@ func (st *sstepState) advance(b []float64, co scalarwork.Coeffs, recompute bool)
 	return st.reduce()
 }
 
+// maxRecoveries caps each in-solver recovery path of one solve.
+const maxRecoveries = 8
+
+// recoveryBudget gates one recovery path: at most maxRecoveries uses, each
+// only at a relative residual 1 % below the previous use's (last starts at
+// +Inf), so a hard accuracy floor still terminates the run.
+type recoveryBudget struct {
+	used int
+	last float64
+}
+
+// take reports whether the path may recover at rel, and spends a use if so.
+func (rb *recoveryBudget) take(rel float64) bool {
+	if rb.used == maxRecoveries || !(rel < 0.99*rb.last) {
+		return false
+	}
+	rb.used, rb.last = rb.used+1, rel
+	return true
+}
+
 // solveSStep is the shared skeleton of the s-step family.
 func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Result, error) {
 	if opt.S < 1 {
@@ -506,42 +526,12 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	// The pipelined variants overlap powers s+1..2s with the reduction.
 	req := st.bootstrap(b)
 
-	// restart re-seeds the Krylov basis from the current iterate after a
-	// singular Gram matrix (loss of block independence). Progress since
-	// the previous restart gates retries, so a hard accuracy floor still
-	// terminates.
-	restarts := 0
-	lastRestartRel := math.Inf(1)
-
-	// reseed rebuilds the basis state from the current iterate: the common
-	// tail of every recovery path (breakdown restart, divergence/stagnation
-	// recovery). It recomputes the true residual via bootstrap, which is a
-	// residual replacement by construction.
-	reseed := func() {
-		sp := e.BeginPhase(obs.PhaseRecovery)
-		st.sw.Reset()
-		st.qU.Zero()
-		for k := range st.aqU {
-			st.aqU[k].Zero()
-		}
-		for k := range st.aqR {
-			st.aqR[k].Zero()
-		}
-		e.EndPhase(sp)
-		req = st.bootstrap(b)
-	}
-
-	// Recovery policy (Options.Recover): how many times the guards may
-	// restart the solve instead of stopping it, gated on progress.
-	maxRec := 0
-	if opt.Recover {
-		maxRec = opt.MaxRecoveries
-		if maxRec <= 0 {
-			maxRec = 8
-		}
-	}
-	recoveries := 0
-	lastRecoveryRel := math.Inf(1)
+	// Three recovery paths share recovered: the breakdown restart (a
+	// singular Gram matrix) reseeds from the current iterate, the guard
+	// recovery (a divergence or stagnation stop under opt.recover) from the
+	// best one, each under its own budget; a comm-detected corruption only
+	// forces the next advance through a residual replacement.
+	restarts, guards := recoveryBudget{last: math.Inf(1)}, recoveryBudget{last: math.Inf(1)}
 	corruptSeen := e.Counters().CommCorruptions
 	forceReplace := false
 
@@ -550,6 +540,35 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 	// when the run stops without converging, hand back the best iterate.
 	bestX := make([]float64, st.n)
 	bestRel := math.Inf(1)
+
+	// recovered records one recovery event under a recovery span; with
+	// reseed set it rebuilds the basis from the current iterate — restored
+	// to the best one, guards re-armed there, with restore set — and
+	// bootstrap's true residual makes that a residual replacement.
+	recovered := func(reseed, restore bool) {
+		sp := e.BeginPhase(obs.PhaseRecovery)
+		c := e.Counters()
+		c.Recoveries++
+		if reseed {
+			c.ResidualReplacements++
+			if restore {
+				mon.rearm(bestRel)
+				copy(st.x, bestX)
+			}
+			st.sw.Reset()
+			st.qU.Zero()
+			for k := range st.aqU {
+				st.aqU[k].Zero()
+			}
+			for k := range st.aqR {
+				st.aqR[k].Zero()
+			}
+		}
+		e.EndPhase(sp)
+		if reseed {
+			req = st.bootstrap(b)
+		}
+	}
 
 	for res.Iterations < opt.MaxIter {
 		if cfg.pipelined {
@@ -565,21 +584,9 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 			copy(bestX, st.x)
 		}
 		if stop {
-			if !conv && opt.Recover && (mon.diverged || mon.stagnat) &&
-				recoveries < maxRec && bestRel < 0.99*lastRecoveryRel {
-				// Graceful degradation instead of a hard stop: restore the
-				// best iterate, recompute the true residual, rebuild the
-				// basis and re-arm the guards.
-				recoveries++
-				lastRecoveryRel = bestRel
-				sp := e.BeginPhase(obs.PhaseRecovery)
-				c := e.Counters()
-				c.Recoveries++
-				c.ResidualReplacements++
-				mon.rearm(bestRel)
-				copy(st.x, bestX)
-				e.EndPhase(sp)
-				reseed()
+			if !conv && opt.recover && (mon.diverged || mon.stagnat) && guards.take(bestRel) {
+				// Graceful degradation instead of a hard stop.
+				recovered(true, true)
 				continue
 			}
 			res.Converged = conv
@@ -592,27 +599,21 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 		// recurrence state even after the payload was repaired downstream;
 		// under the recovery policy the next residual advance is forced
 		// through the classical r = b − A·x path.
-		if opt.Recover {
+		if opt.recover {
 			if cc := e.Counters().CommCorruptions; cc > corruptSeen {
 				corruptSeen = cc
 				forceReplace = true
-				e.Counters().Recoveries++
+				recovered(false, false)
 			}
 		}
 
 		coeffs, err := st.sw.Step(st.pay, st.buf)
 		if err != nil {
 			if errors.Is(err, scalarwork.ErrBreakdown) {
-				rel := mon.relres()
-				if restarts < 8 && rel < 0.99*lastRestartRel {
+				if restarts.take(mon.relres()) {
 					// Still making progress: rebuild the basis from the
 					// current iterate and continue.
-					restarts++
-					lastRestartRel = rel
-					c := e.Counters()
-					c.Recoveries++
-					c.ResidualReplacements++
-					reseed()
+					recovered(true, false)
 					continue
 				}
 				res.BrokeDown = true

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/krylov"
+	"repro/internal/workload"
 )
 
 // MethodAuto is the request method that delegates solver selection to the
@@ -15,11 +16,12 @@ import (
 // feeds the next decision for that fingerprint.
 const MethodAuto = "auto"
 
-// Tuner knobs. The drift threshold matches audit.DefaultParams().DriftFactor
-// so the serve-side signal and the offline differential harness flag the same
-// runs; the cadence floor stops the tightening loop from degenerating into
-// replacement-every-iteration (which would abandon the pipelined recurrences
-// entirely rather than stabilize them).
+// Tuner knobs. The drift threshold is workload.DriftLimit, the offline
+// differential harness's too, so both flag the same runs; a switch onto the
+// replacement variant records krylov.DefaultReplaceEvery, the cadence that
+// variant runs at unset. The cadence floor stops the tightening loop from
+// degenerating into replacement-every-iteration (which would abandon the
+// pipelined recurrences entirely rather than stabilize them).
 const (
 	// tunerColdStartMethod is what an unknown fingerprint runs first: the
 	// paper's headline pipelined s-step method, at the request's s.
@@ -27,15 +29,8 @@ const (
 	// tunerStableMethod is the stability fallback: pipelined CG with periodic
 	// residual replacement (Meurant recurrences + the rk_replace policy).
 	tunerStableMethod = "pipe-m-cg-rr"
-	// tunerDriftLimit flags a run whose true residual ‖b−A·x‖/‖b‖ exceeded
-	// this multiple of the recurrence residual at any audited check.
-	tunerDriftLimit = 25.0
 	// tunerMinCadence bounds cadence tightening from below.
 	tunerMinCadence = 6
-	// tunerDefaultCadence is the cadence recorded when switching a drifting
-	// operator onto the replacement variant, and the effective cadence a
-	// ReplaceEvery=0 record tightens from (krylov's method default is 50).
-	tunerDefaultCadence = 50
 	// tunerLowHidden flags a run whose overlap ledger hid almost none of its
 	// reduction latency: the deep pipeline is not paying for its extra
 	// arithmetic, so the tuner shrinks s instead of keeping the basis depth.
@@ -85,9 +80,9 @@ type tuneDecision struct {
 // Decision rule, evaluated when an auto job finishes:
 //
 //   - Unhealthy (did not converge, or the out-of-band drift probe measured
-//     the true residual > tunerDriftLimit × the recurrence residual): switch
-//     to the residual-replacement variant; if already on it, halve the
-//     replacement cadence (floor tunerMinCadence).
+//     the true residual > workload.DriftLimit × the recurrence residual):
+//     switch to the residual-replacement variant; if already on it, halve
+//     the replacement cadence (floor tunerMinCadence).
 //   - Healthy but the overlap ledger hid < tunerLowHidden of the reduction
 //     latency at s > 1: keep the method, halve s — the pipeline depth is pure
 //     arithmetic overhead when there is nothing left to hide.
@@ -145,7 +140,7 @@ func (t *Tuner) Resolve(req SolveRequest) *tuneDecision {
 // nothing (cancellation is operational, not numerical) and are not recorded.
 func (t *Tuner) Record(dec *tuneDecision, res *krylov.Result, driftRatio, hidden float64) {
 	converged := res != nil && res.Converged
-	drifted := finiteF(driftRatio) && driftRatio > tunerDriftLimit
+	drifted := finiteF(driftRatio) && driftRatio > workload.DriftLimit
 	next := TunerRecord{Method: dec.Method, S: dec.S, ReplaceEvery: dec.ReplaceEvery}
 	if finiteF(driftRatio) && driftRatio > 0 {
 		next.DriftRatio = driftRatio
@@ -166,7 +161,7 @@ func (t *Tuner) Record(dec *tuneDecision, res *krylov.Result, driftRatio, hidden
 			// Already on replacement: tighten the cadence.
 			cur := dec.ReplaceEvery
 			if cur <= 0 {
-				cur = tunerDefaultCadence
+				cur = krylov.DefaultReplaceEvery
 			}
 			if cur/2 >= tunerMinCadence {
 				next.ReplaceEvery = cur / 2
@@ -176,7 +171,7 @@ func (t *Tuner) Record(dec *tuneDecision, res *krylov.Result, driftRatio, hidden
 		} else {
 			next.Method = tunerStableMethod
 			next.S = 1
-			next.ReplaceEvery = tunerDefaultCadence
+			next.ReplaceEvery = krylov.DefaultReplaceEvery
 		}
 	case hidden >= 0 && hidden < tunerLowHidden && dec.S > 1:
 		next.Switched = true

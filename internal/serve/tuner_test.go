@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/krylov"
+	"repro/internal/workload"
 )
 
 // TestTunerSwitchesDriftingOperatorAndWarmStarts is the tentpole acceptance
@@ -59,8 +60,8 @@ func TestTunerSwitchesDriftingOperatorAndWarmStarts(t *testing.T) {
 	if rec.Method != tunerStableMethod || !rec.Switched {
 		t.Fatalf("record after failure = %+v, want a switch to %q", rec, tunerStableMethod)
 	}
-	if rec.S != 1 || rec.ReplaceEvery != tunerDefaultCadence {
-		t.Fatalf("switch recorded {s=%d, rr=%d}, want {s=1, rr=%d}", rec.S, rec.ReplaceEvery, tunerDefaultCadence)
+	if rec.S != 1 || rec.ReplaceEvery != krylov.DefaultReplaceEvery {
+		t.Fatalf("switch recorded {s=%d, rr=%d}, want {s=1, rr=%d}", rec.S, rec.ReplaceEvery, krylov.DefaultReplaceEvery)
 	}
 
 	// Job 2: same fingerprint. Warm-starts onto the recorded replacement
@@ -163,8 +164,8 @@ func TestTunerDecisionRules(t *testing.T) {
 			name:  "converged but drifted past the limit switches",
 			dec:   tuneDecision{fp: "a", Method: tunerColdStartMethod, S: 6},
 			res:   conv,
-			drift: tunerDriftLimit * 4, hidden: 0.8,
-			want: TunerRecord{Method: tunerStableMethod, S: 1, ReplaceEvery: tunerDefaultCadence, Switched: true},
+			drift: workload.DriftLimit * 4, hidden: 0.8,
+			want: TunerRecord{Method: tunerStableMethod, S: 1, ReplaceEvery: krylov.DefaultReplaceEvery, Switched: true},
 		},
 		{
 			name: "failing replacement config halves its cadence",
@@ -182,7 +183,7 @@ func TestTunerDecisionRules(t *testing.T) {
 			name: "default-cadence replacement failure tightens from the default",
 			dec:  tuneDecision{fp: "d", Method: tunerStableMethod, S: 1},
 			res:  fail, drift: 0, hidden: 0.8,
-			want: TunerRecord{Method: tunerStableMethod, S: 1, ReplaceEvery: tunerDefaultCadence / 2, Switched: true},
+			want: TunerRecord{Method: tunerStableMethod, S: 1, ReplaceEvery: krylov.DefaultReplaceEvery / 2, Switched: true},
 		},
 		{
 			name: "healthy run with nothing hidden halves s",

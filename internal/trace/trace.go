@@ -36,7 +36,7 @@ type Counters struct {
 	// and instead repaired itself.
 	Recoveries           int // total recovery events (restarts, forced replacements, stepdowns)
 	ResidualReplacements int // r = b − A·x recomputed outside the normal schedule
-	LadderStepdowns      int // degradation-ladder method switches (PIPE-PsCG → PsCG → PCG)
+	LadderStepdowns      int // escalation rung switches (resilience ladder, Hybrid)
 
 	// Comm-level fault counters, folded in by fault-tracking runtimes: recv
 	// deadline expiries, payloads recovered from the retransmit store, and
@@ -205,7 +205,9 @@ func (c *Counters) TotalAllreduces() int { return c.Allreduce + c.Iallreduce }
 
 // RecoveryEvents totals every recovery action across both resilience layers:
 // solver-level restarts/replacements/stepdowns plus comm-level resends and
-// repaired corruptions. A fault-free run reports 0.
+// repaired corruptions. A fault-free run is not always at 0: an s-step solve
+// pushed past its attainable accuracy restarts on basis breakdown, and
+// Hybrid counts its stage switches.
 func (c *Counters) RecoveryEvents() int {
 	return c.Recoveries + c.CommResends + c.CommCorruptions
 }

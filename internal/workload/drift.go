@@ -8,6 +8,11 @@ import (
 	"repro/internal/vec"
 )
 
+// DriftLimit bounds the drift ratio, true over recurrence residual at one
+// check: past it the service's tuner moves the operator onto residual
+// replacement and the audit flags the run (its default DriftFactor).
+const DriftLimit = 25.0
+
 // DriftProbe samples a solve's true residual ‖b−A·x‖/‖b‖ out of band and
 // tracks how far it sits above the recurrence residual the monitor reported
 // at the same check — the stability signal the service's tuner records and

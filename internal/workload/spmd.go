@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/comm"
@@ -38,7 +39,8 @@ func DefaultTracer(rank int) *obs.Tracer { return obs.New(rank) }
 // Outcome is everything one SPMD solve leaves behind.
 type Outcome struct {
 	// Res is rank 0's result carrying the gathered global iterate; nil
-	// unless every rank returned a result without error.
+	// unless every rank returned a result, without error or with an
+	// exhausted ladder's *krylov.LadderError.
 	Res *krylov.Result
 	// Ranks, Errs and Counters are indexed by rank; Summaries too, and is
 	// nil when no Tracer was set.
@@ -126,9 +128,11 @@ func (s SPMD) Run(pr Problem, meth krylov.Method, b []float64, opt krylov.Option
 	}
 	out.Leak = f.Close()
 
+	// Every rank reaches the ladder's verdict on the same reduced values.
 	xs := make([][]float64, ranks)
 	for r, res := range out.Ranks {
-		if res == nil || out.Errs[r] != nil {
+		var le *krylov.LadderError
+		if res == nil || out.Errs[r] != nil && !errors.As(out.Errs[r], &le) {
 			return out, nil
 		}
 		xs[r] = res.X

@@ -146,6 +146,34 @@ func TestSPMDHooksFireOnRankZeroOnly(t *testing.T) {
 	}
 }
 
+// TestSPMDGathersExhaustedLadder: a ladder that runs out of budget returns
+// its best merged iterate with a *krylov.LadderError on every rank, and the
+// multi-rank run still gathers it, as the single-rank run returns it.
+func TestSPMDGathersExhaustedLadder(t *testing.T) {
+	pr := workload.Poisson7(12)
+	opt := workload.DefaultOptions(pr)
+	opt.RelTol, opt.MaxIter = 1e-30, 300
+	out, err := workload.SPMD{Fabric: comm.NewFabric(2, 0), PC: "jacobi"}.Run(pr, method(t, "ladder"), pr.B, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range out.Errs {
+		var le *krylov.LadderError
+		if !errors.As(err, &le) {
+			t.Fatalf("rank %d error = %v, want a *krylov.LadderError", r, err)
+		}
+	}
+	if out.Res == nil {
+		t.Fatal("the exhausted ladder's result was not gathered")
+	}
+	if out.Res.Iterations != out.Ranks[0].Iterations || out.Res.Iterations == 0 {
+		t.Fatalf("gathered %d iterations, rank 0 ran %d", out.Res.Iterations, out.Ranks[0].Iterations)
+	}
+	if len(out.Res.X) != pr.A.Rows {
+		t.Fatalf("gathered x has %d rows, want %d", len(out.Res.X), pr.A.Rows)
+	}
+}
+
 // TestRankPCRefusesWholeMatrixPCs: a preconditioner that is not rank-local is
 // an error — with the sentence the CLI and the service print — unless the
 // method ignores its preconditioner, which then runs with identity.
