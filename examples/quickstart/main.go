@@ -20,7 +20,7 @@ func main() {
 	b := grid.OnesRHS(a)
 
 	// Jacobi preconditioner and a sequential engine (comm.Engine runs real
-	// SPMD ranks; sim.NewEngine records around this same Seq for timing).
+	// SPMD ranks; sim.NewEngine records through such a Seq for timing).
 	pc := precond.NewJacobi(a, 0, a.Rows)
 	e := engine.NewSeq(a, pc)
 

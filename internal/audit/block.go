@@ -55,7 +55,7 @@ func AuditBlock(cfg Config, ap AuditParams) ([]Violation, int) {
 	opt.MaxIter = ap.MaxIter
 	opt.Norm = krylov.NormUnpreconditioned
 
-	newEngine := func() (engine.Engine, error) {
+	newEngine := func() (*engine.Seq, error) {
 		pc, err := workload.PC(workload.EffectivePC(meth, cfg.PC), pr)
 		if err != nil {
 			return nil, err

@@ -14,8 +14,7 @@
 // the shared base engine, in ascending column order:
 //
 //   - k SPMVs of the same operator become ONE block SPMV (engine.BlockSpMV:
-//     one read of A, one packed halo round) when the base has the
-//     capability, else per-column applications;
+//     one read of A, one packed halo round), which every base has;
 //   - k same-shaped reductions become ONE allreduce of the concatenated
 //     payloads (vec.Pack → reduce → vec.Unpack), blocking or posted;
 //   - mixed batches (columns at different algorithmic points, e.g. after a
@@ -39,9 +38,9 @@
 //  2. an allreduce of concatenated payloads reduces each column's words
 //     exactly as its solo allreduce would (element-wise sum is independent
 //     per word; Pack/Unpack are bit-transparent);
-//  3. colEngine mirrors the solo engine's counter increments per column
-//     (flop charges are measured as deltas on the base ledger), so
-//     monitor checkpoints land at identical ReduceIndex values.
+//  3. colEngine books per column on its own engine.Meter what the solo
+//     engine books (flop charges are measured as deltas on the base
+//     ledger), so monitor checkpoints land at identical ReduceIndex values.
 //
 // Deflation falls out of the design: a converged (or failed) column's
 // goroutine simply returns and deregisters, the rendezvous width shrinks,
@@ -98,7 +97,7 @@ type Result struct {
 // rank body), with the same column order everywhere; batch composition is a
 // deterministic function of the columns' algorithmic state, so the ranks'
 // collective sequences stay aligned.
-func Solve(base engine.Engine, solver krylov.Solver, cols []Column) []Result {
+func Solve(base engine.BlockSpMV, solver krylov.Solver, cols []Column) []Result {
 	res := make([]Result, len(cols))
 	if len(cols) == 0 {
 		return res
@@ -146,7 +145,7 @@ func Solve(base engine.Engine, solver krylov.Solver, cols []Column) []Result {
 		<-done
 	}
 	for i := range res {
-		res[i].Counters = g.cols[i].c
+		res[i].Counters = g.cols[i].C
 	}
 	for _, p := range panics {
 		if p != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/vec"
 )
 
@@ -28,8 +27,7 @@ const (
 // mutex, in ascending column order, then wakes everyone. The base engine is
 // therefore only ever driven by one goroutine at a time.
 type gang struct {
-	base engine.Engine
-	blk  engine.BlockSpMV // base's optional block-SPMV capability (nil if absent)
+	base engine.BlockSpMV
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -45,10 +43,9 @@ type gang struct {
 	poison any
 }
 
-func newGang(base engine.Engine, k int) *gang {
+func newGang(base engine.BlockSpMV, k int) *gang {
 	g := &gang{base: base, active: k}
 	g.cond = sync.NewCond(&g.mu)
-	g.blk, _ = base.(engine.BlockSpMV)
 	g.cols = make([]*colEngine, k)
 	for i := range g.cols {
 		g.cols[i] = &colEngine{g: g, idx: i}
@@ -129,10 +126,8 @@ func (g *gang) executeAllLocked() {
 	if uniform && len(batch) > 1 {
 		switch kind {
 		case opSpMV:
-			if g.blk != nil {
-				g.executeBlockSpMV(batch)
-				return
-			}
+			g.executeBlockSpMV(batch)
+			return
 		case opAllreduce:
 			g.executeBlockAllreduce(batch)
 			return
@@ -161,7 +156,7 @@ func (g *gang) executeBlockSpMV(batch []*colEngine) {
 		dsts[i], srcs[i] = ce.dst, ce.src
 	}
 	before := g.base.Counters().SpMVFlops
-	g.blk.SpMVBlock(dsts, srcs)
+	g.base.SpMVBlock(dsts, srcs)
 	per := (g.base.Counters().SpMVFlops - before) / float64(len(batch))
 	for _, ce := range batch {
 		ce.flopsDelta = per
@@ -275,14 +270,15 @@ func (r *sharedReq) WaitTimeout(d time.Duration) error {
 }
 
 // colEngine is one column's view of the shared base engine: every call
-// parks its operands and enters the gang rendezvous, then mirrors onto the
-// column's private ledger exactly the increments a solo engine would have
-// booked — so a column's Counters (and with them the ReduceIndex values in
-// its history) match a solo solve to the bit.
+// parks its operands and enters the gang rendezvous, then books on the
+// column's own Meter exactly what a solo engine would have booked — so a
+// column's Counters (and with them the ReduceIndex values in its history)
+// match a solo solve to the bit. The Meter has no tracer: the base engine
+// spans the calls it runs.
 type colEngine struct {
+	engine.Meter
 	g   *gang
 	idx int
-	c   trace.Counters
 
 	// pending op slots, written by the column's goroutine before
 	// rendezvous and read by the executor under the gang mutex.
@@ -305,31 +301,20 @@ var _ engine.Engine = (*colEngine)(nil)
 func (ce *colEngine) NLocal() int  { return ce.g.base.NLocal() }
 func (ce *colEngine) NGlobal() int { return ce.g.base.NGlobal() }
 
-// Charge books local vector work on the column's own ledger — no
-// rendezvous; it never touches the base engine.
-func (ce *colEngine) Charge(flops, bytes float64) { ce.c.Flops += flops }
-
-func (ce *colEngine) Counters() *trace.Counters { return &ce.c }
-
 func (ce *colEngine) SpMV(dst, src []float64) {
 	ce.kind, ce.dst, ce.src = opSpMV, dst, src
 	ce.g.rendezvous(ce)
 	ce.dst, ce.src = nil, nil
-	ce.c.SpMV++
-	ce.c.HaloExchanges++
-	ce.c.SpMVFlops += ce.flopsDelta
+	ce.BookProducts(obs.Span{}, 1, ce.flopsDelta)
 }
 
 func (ce *colEngine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
 	ce.kind, ce.dst, ce.src, ce.scale, ce.pc, ce.ws, ce.dots = opFused, dst, src, scale, pc, ws, dots
 	ce.g.rendezvous(ce)
 	ce.dst, ce.src, ce.ws, ce.dots = nil, nil, nil, nil
-	ce.c.SpMV++
-	ce.c.HaloExchanges++
-	ce.c.SpMVFlops += ce.flopsDelta
+	ce.BookProducts(obs.Span{}, 1, ce.flopsDelta)
 	if pc {
-		ce.c.PCApply++
-		ce.c.PCFlops += ce.pcFlopsDelta
+		ce.BookPC(obs.Span{}, ce.pcFlopsDelta, true)
 	}
 }
 
@@ -344,36 +329,35 @@ func (ce *colEngine) ApplyPC(dst, src []float64) {
 	ce.kind, ce.dst, ce.src = opPC, dst, src
 	ce.g.rendezvous(ce)
 	ce.dst, ce.src = nil, nil
-	ce.c.PCApply++
-	ce.c.PCFlops += ce.flopsDelta
+	ce.BookPC(obs.Span{}, ce.flopsDelta, false)
 }
 
 // PCDiagonal answers for the base engine's preconditioner — no rendezvous;
 // the diagonal is read-only and shared by every column.
 func (ce *colEngine) PCDiagonal() ([]float64, bool) { return ce.g.base.PCDiagonal() }
 
+// AllreduceSum books the column's reduction once the batch delivered it; a
+// failed batch poisons the gang and unwinds before anything is booked.
 func (ce *colEngine) AllreduceSum(buf []float64) {
 	ce.kind, ce.buf = opAllreduce, buf
 	ce.g.rendezvous(ce)
 	ce.buf = nil
-	ce.c.Allreduce++
-	ce.c.ReduceWords += len(buf)
+	ce.BookReduce(obs.Span{}, len(buf), nil)
 }
 
 func (ce *colEngine) IallreduceSum(buf []float64) engine.Request {
 	ce.kind, ce.buf = opIallreduce, buf
 	ce.g.rendezvous(ce)
 	ce.buf = nil
-	ce.c.Iallreduce++
-	ce.c.ReduceWords += len(buf)
 	req := ce.req
 	ce.req = nil
-	return req
+	return ce.BookPost(obs.Span{}, req, len(buf))
 }
 
 // BeginPhase / EndPhase forward solver-level spans (gram, local_dots,
-// recurrence_lc...) to the base tracer, which is mutex-protected and safe
-// under concurrent column goroutines. Spans never touch numerics, so
-// tracing on or off leaves the gang's results bit-identical.
+// recurrence_lc...) to the base engine — its tracer, which is
+// mutex-protected and safe under concurrent column goroutines. Spans never
+// touch numerics, so tracing on or off leaves the gang's results
+// bit-identical.
 func (ce *colEngine) BeginPhase(p obs.Phase) obs.Span { return ce.g.base.BeginPhase(p) }
 func (ce *colEngine) EndPhase(sp obs.Span)            { ce.g.base.EndPhase(sp) }

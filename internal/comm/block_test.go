@@ -12,8 +12,8 @@ import (
 // one packed halo message per neighbor per round, every column bit-identical
 // to the scalar SpMV path, at several rank counts and widths — including
 // width changes between rounds (the gang's batch shrinks as columns
-// converge) and interleaved scalar exchanges (so the separate block send
-// buffers never contaminate scalar payloads).
+// converge) and interleaved scalar exchanges (so the send buffers the block
+// rounds grow never leak into scalar payloads).
 func TestSpMVBlockBitIdenticalAcrossRanks(t *testing.T) {
 	g := grid.NewCube(9, grid.Star7)
 	a := g.Laplacian()

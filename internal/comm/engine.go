@@ -16,36 +16,34 @@ import (
 // engine.Engine: local vectors are slices of length NLocal(), SpMV performs
 // halo exchange with neighbor ranks, and the reductions run on the fabric.
 type Engine struct {
+	// Meter books every call on this rank's counters and optional tracer
+	// (real wall clock; set it with SetTracer).
+	engine.Meter
+
 	f    *Fabric
 	rank int
 	a    *sparse.CSR     // shared, read-only: partition/halo structure + cost accounting
 	op   engine.Operator // shared, read-only: the operator the numerics apply
-	pt   partition.Partition
-	halo partition.Halo
 	pc   engine.Preconditioner
 
-	lo, hi  int
-	scratch []float64 // full-length source buffer for SpMV
-	c       trace.Counters
+	lo, hi int
+	flops  float64 // one product's SPMV flops over the owned rows
 
-	// shallow is the SpMV's ghost exchange, built from halo (which the block
-	// path still reads); see ghostExchange for the send-buffer discipline.
+	// cols are the full-length source buffers a ghost exchange stages
+	// into, one per column of a block; cols[0] is the scalar products'.
+	cols [][]float64
+
+	// shallow is the products' ghost exchange (scalar and block); see
+	// ghostExchange for the send-buffer discipline.
 	shallow ghostExchange
 
 	collSeq int // collective sequence counter, advanced identically on all ranks
 	haloSeq int
 
-	// tr is this rank's optional observability tracer (real wall clock).
-	// Nil means no tracing; every instrumentation site is nil-safe.
-	tr *obs.Tracer
-
 	// matrix powers kernel state — see powers.go.
 	pcf    PCFactory
 	powers *powersPlans          // shared by the fabric's engines
 	deep   map[int]*deepExchange // this rank's exchange state, by depth
-
-	// block (multi-RHS) SPMV scratch — see block.go.
-	block blockState
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -79,10 +77,11 @@ func NewEnginesOp(f *Fabric, a *sparse.CSR, op engine.Operator, pt partition.Par
 	powers := &powersPlans{a: a, pt: pt, diagonal: true}
 	engines := make([]*Engine, pt.P)
 	for r := range engines {
+		lo, hi := pt.Lo(r), pt.Hi(r)
 		e := &Engine{
-			f: f, rank: r, a: a, op: op, pt: pt, halo: halos[r],
-			lo: pt.Lo(r), hi: pt.Hi(r),
-			scratch: make([]float64, a.Cols),
+			f: f, rank: r, a: a, op: op, lo: lo, hi: hi,
+			flops:   2 * float64(a.RowPtr[hi]-a.RowPtr[lo]),
+			cols:    [][]float64{make([]float64, a.Cols)},
 			shallow: newGhostExchange(halos[r].Send, halos[r].Recv),
 			pcf:     pcf, powers: powers,
 		}
@@ -101,16 +100,7 @@ func (e *Engine) Rank() int { return e.rank }
 
 // SetTracer attaches an observability tracer to this rank. Call before the
 // SPMD launch; the tracer records on the real (monotonic wall) clock.
-func (e *Engine) SetTracer(tr *obs.Tracer) { e.tr = tr }
-
-// Tracer returns the attached tracer (nil when tracing is off).
-func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
-// BeginPhase implements engine.Engine.
-func (e *Engine) BeginPhase(p obs.Phase) obs.Span { return e.tr.Begin(p) }
-
-// EndPhase implements engine.Engine.
-func (e *Engine) EndPhase(sp obs.Span) { e.tr.End(sp) }
+func (e *Engine) SetTracer(tr *obs.Tracer) { e.Tr = tr }
 
 // NLocal implements engine.Engine.
 func (e *Engine) NLocal() int { return e.hi - e.lo }
@@ -127,7 +117,7 @@ type ghostPeer struct {
 }
 
 // ghostExchange is one rank's side of a recurring ghost exchange — the
-// SpMV's shallow halo, or a matrix powers plan's deep one: peers in
+// products' shallow halo, or a matrix powers plan's deep one: peers in
 // ascending rank order and the count of rounds done. Send buffers alternate
 // by that count, so a round allocates nothing: a rank cannot start round
 // n+2 of an exchange before a neighbor has consumed its payload of round n,
@@ -135,6 +125,14 @@ type ghostPeer struct {
 // neighbor only sends after its own receives of n finished. (That needs
 // every neighbor sent to to be received from as well: true of a halo over a
 // structurally symmetric matrix, checked for deep plans by worthwhile.)
+//
+// A round carries k source columns back to back (column-major: column 0's
+// rows, then column 1's, ...) — k = 1 for a scalar or deep round, the batch
+// width for a block product — as a prefix of the parity buffer, which grows
+// (both parities at once) to the widest round seen. Both sides derive the
+// layout from the peer lists and k alone; a gang's batch composition is a
+// deterministic function of its columns' algorithms, so k agrees on every
+// rank.
 type ghostExchange struct {
 	send, recv []ghostPeer
 	count      int
@@ -154,22 +152,34 @@ func newGhostExchange(send, recv map[int][]int) ghostExchange {
 	return x
 }
 
-// exchangeGhosts stages src into the global-indexed scratch buffer and swaps
-// ghost values with the exchange's neighbors in one message round (one
-// halo_wait span).
-func (e *Engine) exchangeGhosts(x *ghostExchange, src []float64) {
-	copy(e.scratch[e.lo:e.hi], src)
+// exchangeGhosts stages each source column into its full-length buffer in
+// cols and swaps ghost values with the exchange's neighbors in one message
+// round (one halo_wait span).
+func (e *Engine) exchangeGhosts(x *ghostExchange, srcs ...[]float64) {
+	for len(e.cols) < len(srcs) {
+		e.cols = append(e.cols, make([]float64, len(e.cols[0])))
+	}
+	for j, src := range srcs {
+		copy(e.cols[j][e.lo:e.hi], src)
+	}
 
-	halo := e.tr.Begin(obs.PhaseHaloWait)
+	halo := e.Tr.Begin(obs.PhaseHaloWait)
 	seq := e.haloSeq
 	e.haloSeq++
 	parity := x.count & 1
 	x.count++
 	for i := range x.send {
 		p := &x.send[i]
-		out := p.bufs[parity]
-		for k, row := range p.idx {
-			out[k] = src[row-e.lo]
+		n := len(p.idx)
+		if len(p.bufs[parity]) < n*len(srcs) {
+			p.bufs = [2][]float64{make([]float64, n*len(srcs)), make([]float64, n*len(srcs))}
+		}
+		out := p.bufs[parity][:n*len(srcs)]
+		for j, src := range srcs {
+			seg := out[j*n : (j+1)*n]
+			for k, row := range p.idx {
+				seg[k] = src[row-e.lo]
+			}
 		}
 		e.f.send(e.rank, p.rank, kindHalo, seq, out)
 	}
@@ -179,19 +189,15 @@ func (e *Engine) exchangeGhosts(x *ghostExchange, src []float64) {
 		if err != nil {
 			panic(commPanic{err})
 		}
-		for k, col := range p.idx {
-			e.scratch[col] = in[k]
+		n := len(p.idx)
+		for j := range srcs {
+			dst, seg := e.cols[j], in[j*n:(j+1)*n]
+			for k, col := range p.idx {
+				dst[col] = seg[k]
+			}
 		}
 	}
-	e.tr.End(halo)
-}
-
-// countSpMV accounts one local SPMV against this rank's owned rows.
-func (e *Engine) countSpMV() {
-	localNNZ := e.a.RowPtr[e.hi] - e.a.RowPtr[e.lo]
-	e.c.SpMV++
-	e.c.HaloExchanges++
-	e.c.SpMVFlops += 2 * float64(localNNZ)
+	e.Tr.End(halo)
 }
 
 // SpMV implements engine.Engine: exchanges halo values with neighbors, then
@@ -202,10 +208,9 @@ func (e *Engine) SpMV(dst, src []float64) {
 	// Local rows through the shared parallel kernel layer. All ranks of this
 	// process share one worker pool (see internal/par), so R ranks never
 	// fan out to R×W goroutines.
-	sp := e.tr.Begin(obs.PhaseSpMV)
-	e.op.MulVecRangeInto(dst, e.scratch, e.lo, e.hi)
-	e.tr.End(sp)
-	e.countSpMV()
+	sp := e.Tr.Begin(obs.PhaseSpMV)
+	e.op.MulVecRangeInto(dst, e.cols[0], e.lo, e.hi)
+	e.BookProducts(sp, 1, e.flops)
 }
 
 // SpMVFusedDots implements engine.Engine: the same halo exchange as SpMV,
@@ -219,34 +224,23 @@ func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws []
 	if pc {
 		inv = engine.InvDiagonal(e.pc)
 	}
-	sp := e.tr.Begin(obs.PhaseSpMV)
-	engine.FusedApply(e.op, dst, e.scratch, e.lo, e.hi, e.lo, scale, inv, ws, dots)
-	e.tr.End(sp)
-	e.countSpMV()
+	sp := e.Tr.Begin(obs.PhaseSpMV)
+	e.op.MulVecFusedDiag(dst, e.cols[0], e.lo, e.hi, e.lo, scale, inv, ws, dots)
+	e.BookProducts(sp, 1, e.flops)
 	if pc {
-		e.countPC()
+		e.BookPC(obs.Span{}, engine.PCFlops(e.pc), true)
 	}
 }
 
 // ApplyPC implements engine.Engine.
 func (e *Engine) ApplyPC(dst, src []float64) {
-	sp := e.tr.Begin(obs.PhasePCApply)
-	defer e.tr.End(sp)
+	sp := e.Tr.Begin(obs.PhasePCApply)
 	if e.pc == nil {
 		copy(dst, src)
 	} else {
 		e.pc.Apply(dst, src)
 	}
-	e.countPC()
-}
-
-// countPC accounts one application of M⁻¹ on this rank's rows.
-func (e *Engine) countPC() {
-	e.c.PCApply++
-	if e.pc != nil {
-		flops, _, _, _ := e.pc.WorkPerApply()
-		e.c.PCFlops += flops
-	}
+	e.BookPC(sp, engine.PCFlops(e.pc), false)
 }
 
 // PCDiagonal implements engine.Engine.
@@ -255,37 +249,26 @@ func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.pc) }
 // AllreduceSum implements engine.Engine. A fabric failure (deadline
 // exhausted with nothing recoverable) surfaces as a typed panic that
 // comm.RunErr converts back into the *FaultError. The whole call is one
-// allreduce_wait span and a blocking ledger entry: nothing overlaps it.
+// allreduce_wait span and, once it completed, a blocking ledger entry:
+// nothing overlaps it.
 func (e *Engine) AllreduceSum(buf []float64) {
-	sp := e.tr.Begin(obs.PhaseAllreduceWait)
+	sp := e.Tr.Begin(obs.PhaseAllreduceWait)
 	seq := e.collSeq
 	e.collSeq++
-	err := e.f.allreduceSum(e.rank, seq, buf)
-	e.tr.EndBlocking(sp, len(buf))
-	if err != nil {
+	if err := e.BookReduce(sp, len(buf), e.f.allreduceSum(e.rank, seq, buf)); err != nil {
 		panic(commPanic{err})
 	}
-	e.c.Allreduce++
-	e.c.ReduceWords += len(buf)
 }
 
 // IallreduceSum implements engine.Engine. The post is its own (short) span;
-// the returned request is wrapped so its eventual wait feeds the overlap
-// ledger with the measured post→complete interval and residual wait.
+// the returned request books its eventual wait with the measured
+// post→complete interval and residual wait.
 func (e *Engine) IallreduceSum(buf []float64) engine.Request {
-	sp := e.tr.Begin(obs.PhaseIallreducePost)
-	h := e.tr.Post(len(buf))
+	sp := e.Tr.Begin(obs.PhaseIallreducePost)
 	seq := e.collSeq
 	e.collSeq++
-	e.c.Iallreduce++
-	e.c.ReduceWords += len(buf)
-	req := e.f.iallreduceSum(e.rank, seq, buf)
-	e.tr.End(sp)
-	return engine.TraceRequest(req, e.tr, h)
+	return e.BookPost(sp, e.f.iallreduceSum(e.rank, seq, buf), len(buf))
 }
-
-// Charge implements engine.Engine.
-func (e *Engine) Charge(flops, bytes float64) { e.c.Flops += flops }
 
 // Counters implements engine.Engine. Comm-level fault statistics (timeouts,
 // resends, checksum repairs) observed by this rank's fabric traffic are
@@ -294,11 +277,11 @@ func (e *Engine) Charge(flops, bytes float64) { e.c.Flops += flops }
 func (e *Engine) Counters() *trace.Counters {
 	if e.f.tracking() {
 		st := e.f.Stats(e.rank)
-		e.c.CommTimeouts = st.Timeouts
-		e.c.CommResends = st.Resends
-		e.c.CommCorruptions = st.ChecksumFailures
+		e.C.CommTimeouts = st.Timeouts
+		e.C.CommResends = st.Resends
+		e.C.CommCorruptions = st.ChecksumFailures
 	}
-	return &e.c
+	return &e.C
 }
 
 // Barrier synchronizes all ranks.

@@ -140,19 +140,19 @@ func (e *Engine) newDeepExchange(plan *partition.PowersPlan) *deepExchange {
 	return dx
 }
 
-// mulRows writes y[i-lo] = inv[i-lo]·scale·(A·scratch)[i] for rows
-// [lo, hi) through the row kernels SpMV (scale 1, nil inv) and
-// SpMVFusedDots use; a nil inv is no row scale.
+// mulRows writes y[i-lo] = inv[i-lo]·scale·(A·u)[i] for rows [lo, hi),
+// u being the staged source, through the row kernels SpMV (scale 1, nil
+// inv) and SpMVFusedDots use; a nil inv is no row scale.
 func (e *Engine) mulRows(y []float64, lo, hi int, scale float64, inv []float64) {
 	if scale == 1 && inv == nil {
-		e.op.MulVecRangeInto(y, e.scratch, lo, hi)
+		e.op.MulVecRangeInto(y, e.cols[0], lo, hi)
 		return
 	}
-	engine.FusedApply(e.op, y, e.scratch, lo, hi, lo, scale, inv, nil, nil)
+	e.op.MulVecFusedDiag(y, e.cols[0], lo, hi, lo, scale, inv, nil, nil)
 }
 
 // SpMVPowers implements engine.Engine. After the single deep exchange
-// the scratch buffer holds u on the local rows and on every ghost row a
+// the source buffer holds u on the local rows and on every ghost row a
 // later level reads; each level applies the local rows straight into the
 // caller's vectors and the level's ghost runs into ghostR, and only then —
 // all reads of the old u done — overwrites u in place with M⁻¹ of both.
@@ -170,15 +170,15 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 		return false
 	}
 	e.exchangeGhosts(&dx.ghostExchange, src)
-	e.c.HaloExchanges++
+	e.BookPowers(depth)
 
-	localFlops := 2 * float64(e.a.RowPtr[e.hi]-e.a.RowPtr[e.lo])
+	u0 := e.cols[0]
 	for j := 0; j < depth; j++ {
 		var ghosts ghostLevel // the last level recomputes nothing
 		if j < depth-1 {
 			ghosts = dx.levels[j]
 		}
-		sp := e.tr.Begin(obs.PhaseSpMV)
+		sp := e.Tr.Begin(obs.PhaseSpMV)
 		e.mulRows(levels[j], e.lo, e.hi, scale, inv)
 		off := 0
 		for _, g := range ghosts.runs {
@@ -189,14 +189,12 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 			e.mulRows(dx.ghostR[off:], g.Lo, g.Hi, scale, ginv)
 			off += g.Hi - g.Lo
 		}
-		e.tr.End(sp)
-		e.c.SpMV++
-		e.c.SpMVFlops += localFlops + ghosts.flops
+		e.BookProducts(sp, 1, e.flops+ghosts.flops)
 
 		u := levels[j]
 		switch {
 		case fold:
-			e.countPC()
+			e.BookPC(obs.Span{}, engine.PCFlops(e.pc), true)
 		case dstU != nil:
 			u = dstU[j]
 			e.ApplyPC(u, dstR[j])
@@ -204,14 +202,14 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 		if j == depth-1 {
 			break
 		}
-		copy(e.scratch[e.lo:e.hi], u)
+		copy(u0[e.lo:e.hi], u)
 		off = 0
 		for _, g := range ghosts.runs {
 			r := dx.ghostR[off : off+g.Hi-g.Lo]
 			if !fold && dstU != nil && g.inv != nil {
-				vec.MulInto(e.scratch[g.Lo:g.Hi], r, g.inv)
+				vec.MulInto(u0[g.Lo:g.Hi], r, g.inv)
 			} else {
-				copy(e.scratch[g.Lo:g.Hi], r)
+				copy(u0[g.Lo:g.Hi], r)
 			}
 			off += len(r)
 		}

@@ -1,19 +1,24 @@
 // Package engine defines the runtime abstraction the Krylov solvers are
-// written against, plus the reference sequential implementation.
+// written against, the Meter every engine books its calls through, and the
+// reference sequential implementation.
 //
 // Solvers are written once, in SPMD style, as the per-rank program: they
 // operate on local vector slices, call SpMV/ApplyPC for the communication-
 // aware kernels, compute local dot products themselves, and combine them
 // with AllreduceSum (blocking, PCG-style) or IallreduceSum (non-blocking,
-// the pipelined methods' MPI_Iallreduce). Two engines run the numerics and
-// one records around them:
+// the pipelined methods' MPI_Iallreduce). Three engines implement it, each
+// embedding a Meter that books every call the same way:
 //
 //   - engine.Seq — one rank, global vectors, no timing: reference numerics.
 //   - comm.Engine — R goroutine ranks with channel-based collectives and a
 //     true asynchronous allreduce (real overlap).
-//   - sim.Engine — a recorder around an engine.Seq, which runs the numerics
-//     (bit-identical by construction), while a virtual-clock cost model
-//     prices every kernel for a modeled machine with P ranks.
+//   - blockcg's column views — one solver's view of a gang of solvers that
+//     share one base engine.
+//
+// sim.Engine is an engine.Seq whose Meter carries a Recorder: the Seq runs
+// the numerics (bit-identical by construction) and the recorder appends
+// each booked call's cost event, which a virtual-clock cost model prices
+// for a modeled machine with P ranks.
 package engine
 
 import (
@@ -59,9 +64,9 @@ type Preconditioner interface {
 // range reproduces, bit for bit, the rows another instance produces there —
 // what lets a rank apply M⁻¹ to ghost rows it recomputes
 // (Engine.SpMVPowers) — M⁻¹ can ride a product's write-back
-// (FusedApply), and every r-space quantity of a preconditioned solver is a
-// row scale r = D·u of its u-space twin (Engine.PCDiagonal). The slices are
-// shared and read-only.
+// (Operator.MulVecFusedDiag), and every r-space quantity of a
+// preconditioned solver is a row scale r = D·u of its u-space twin
+// (Engine.PCDiagonal). The slices are shared and read-only.
 type DiagonalPC interface {
 	Diagonal() []float64
 	InvDiagonal() []float64
@@ -171,66 +176,15 @@ type Engine interface {
 	EndPhase(sp obs.Span)
 }
 
-// TraceRequest wraps a pending reduction so its wait is measured against the
-// tracer's overlap ledger: BeginWait when the solver blocks, EndWait when the
-// reduction delivers, AbortWait when the wait fails (deadline, fabric fault)
-// so a reduction that never completed cannot pollute the hidden-fraction
-// statistics. With a nil tracer the request is returned unwrapped.
-func TraceRequest(req Request, tr *obs.Tracer, h int) Request {
-	if tr == nil {
-		return req
-	}
-	return tracedRequest{req: req, tr: tr, h: h}
-}
-
-type tracedRequest struct {
-	req Request
-	tr  *obs.Tracer
-	h   int
-}
-
-func (r tracedRequest) Wait() {
-	r.tr.BeginWait(r.h)
-	ok := false
-	defer func() {
-		if !ok {
-			r.tr.AbortWait(r.h)
-		}
-	}()
-	r.req.Wait()
-	ok = true
-	r.tr.EndWait(r.h)
-}
-
-func (r tracedRequest) WaitTimeout(d time.Duration) error {
-	r.tr.BeginWait(r.h)
-	ok := false
-	defer func() {
-		if !ok {
-			r.tr.AbortWait(r.h)
-		}
-	}()
-	if err := r.req.WaitTimeout(d); err != nil {
-		return err // the deferred AbortWait drops the wait from the ledger
-	}
-	ok = true
-	r.tr.EndWait(r.h)
-	return nil
-}
-
 // Seq is the single-rank reference engine: global vectors, immediate
-// reductions, no cost model beyond counters.
+// reductions, no cost model beyond the counters its Meter books.
 type Seq struct {
+	Meter
 	A  Operator
 	PC Preconditioner
-	C  trace.Counters
-
-	// Tr is the optional observability tracer. Nil (the default) means no
-	// tracing: every instrumentation site degrades to a nil check.
-	Tr *obs.Tracer
 }
 
-var _ Engine = (*Seq)(nil)
+var _ BlockSpMV = (*Seq)(nil)
 
 // NewSeq returns a sequential engine for the operator a with the given
 // preconditioner (nil means identity — the unpreconditioned methods).
@@ -244,26 +198,17 @@ func (e *Seq) NLocal() int { rows, _ := e.A.Dims(); return rows }
 // NGlobal implements Engine.
 func (e *Seq) NGlobal() int { return e.NLocal() }
 
-// BeginPhase implements Engine.
-func (e *Seq) BeginPhase(p obs.Phase) obs.Span { return e.Tr.Begin(p) }
-
-// EndPhase implements Engine.
-func (e *Seq) EndPhase(sp obs.Span) { e.Tr.End(sp) }
-
 // SpMV implements Engine. The product runs on the shared worker pool (see
 // internal/par); the counters record modeled work and are unaffected by how
 // many OS threads execute it.
 func (e *Seq) SpMV(dst, src []float64) {
 	sp := e.Tr.Begin(obs.PhaseSpMV)
 	e.A.MulVec(dst, src)
-	e.Tr.End(sp)
-	e.C.SpMV++
-	e.C.HaloExchanges++
-	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
+	e.BookProducts(sp, 1, 2*float64(e.A.NNZ()))
 }
 
 // SpMVFusedDots implements Engine: one traced SPMV span covering the
-// fused product, scale, local dots and folded PC. Counted as a single SPMV
+// fused product, scale, local dots and folded PC. Booked as a single SPMV
 // (plus the PC application when folded); the caller charges the scale/dot
 // payload.
 func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
@@ -273,14 +218,20 @@ func (e *Seq) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]f
 	if pc {
 		inv = InvDiagonal(e.PC)
 	}
-	FusedApply(e.A, dst, src, 0, rows, 0, scale, inv, ws, dots)
-	e.Tr.End(sp)
-	e.C.SpMV++
-	e.C.HaloExchanges++
-	e.C.SpMVFlops += 2 * float64(e.A.NNZ())
+	e.A.MulVecFusedDiag(dst, src, 0, rows, 0, scale, inv, ws, dots)
+	e.BookProducts(sp, 1, 2*float64(e.A.NNZ()))
 	if pc {
-		e.countPC()
+		e.BookPC(obs.Span{}, PCFlops(e.PC), true)
 	}
+}
+
+// SpMVBlock implements BlockSpMV: one read of the operator for the batch,
+// booked as len(srcs) products over a single logical halo exchange,
+// mirroring how the distributed backend pays one message round for it.
+func (e *Seq) SpMVBlock(dsts, srcs [][]float64) {
+	sp := e.Tr.Begin(obs.PhaseBlockSpMV)
+	e.A.MulMat(dsts, srcs)
+	e.BookProducts(sp, len(srcs), 2*float64(e.A.NNZ())*float64(len(srcs)))
 }
 
 // SpMVPowers implements Engine: one rank has no exchange to save.
@@ -289,22 +240,12 @@ func (e *Seq) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) b
 // ApplyPC implements Engine.
 func (e *Seq) ApplyPC(dst, src []float64) {
 	sp := e.Tr.Begin(obs.PhasePCApply)
-	defer e.Tr.End(sp)
 	if e.PC == nil {
 		copy(dst, src)
 	} else {
 		e.PC.Apply(dst, src)
 	}
-	e.countPC()
-}
-
-// countPC accounts one application of M⁻¹.
-func (e *Seq) countPC() {
-	e.C.PCApply++
-	if e.PC != nil {
-		flops, _, _, _ := e.PC.WorkPerApply()
-		e.C.PCFlops += flops
-	}
+	e.BookPC(sp, PCFlops(e.PC), false)
 }
 
 // PCDiagonal implements Engine.
@@ -315,10 +256,7 @@ func (e *Seq) PCDiagonal() ([]float64, bool) { return Diagonal(e.PC) }
 // fraction 0 by construction) so per-method reduction mixes stay comparable
 // across runtimes.
 func (e *Seq) AllreduceSum(buf []float64) {
-	sp := e.Tr.Begin(obs.PhaseAllreduceWait)
-	e.Tr.EndBlocking(sp, len(buf))
-	e.C.Allreduce++
-	e.C.ReduceWords += len(buf)
+	e.BookReduce(e.Tr.Begin(obs.PhaseAllreduceWait), len(buf), nil)
 }
 
 type seqRequest struct{}
@@ -327,18 +265,7 @@ func (seqRequest) Wait() {}
 
 func (seqRequest) WaitTimeout(time.Duration) error { return nil }
 
-// IallreduceSum implements Engine.
+// IallreduceSum implements Engine: the reduction is complete at its post.
 func (e *Seq) IallreduceSum(buf []float64) Request {
-	sp := e.Tr.Begin(obs.PhaseIallreducePost)
-	h := e.Tr.Post(len(buf))
-	e.Tr.End(sp)
-	e.C.Iallreduce++
-	e.C.ReduceWords += len(buf)
-	return TraceRequest(seqRequest{}, e.Tr, h)
+	return e.BookPost(e.Tr.Begin(obs.PhaseIallreducePost), seqRequest{}, len(buf))
 }
-
-// Charge implements Engine.
-func (e *Seq) Charge(flops, bytes float64) { e.C.Flops += flops }
-
-// Counters implements Engine.
-func (e *Seq) Counters() *trace.Counters { return &e.C }

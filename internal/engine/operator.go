@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"repro/internal/grid"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // Operator is the linear operator the engines apply. *sparse.CSR is the
@@ -10,7 +10,9 @@ import (
 // implement the same contract without storing the matrix. The three MulVec
 // forms mirror the CSR kernels: global product, global-indexed row range
 // (rank-local SPMV into a global vector), and local-indexed row range (the
-// SPMD runtime's form, y[i-lo] = (A·x)[i]).
+// SPMD runtime's form, y[i-lo] = (A·x)[i]). The fused and block kernels
+// are part of the contract: every operator runs them, so no engine carries a
+// fallback.
 //
 // The chunk-plan hooks expose the parallel execution geometry: ChunkPlan
 // returns the cached full-range nnz-balanced plan (a pure function of the
@@ -38,56 +40,36 @@ type Operator interface {
 	ChunkPlan() *sparse.Chunks
 	// InvalidatePlan drops the cached chunk plan.
 	InvalidatePlan()
-}
 
-// FusedOperator is an optional Operator capability: the cache-blocked fused
-// SPMV + local-dot kernel. MulVecFused computes y[i-yoff] = scale·(A·x)[i]
-// for rows [lo, hi) and dots[k] = ws[k]·y over the produced range (nil ws[k]
-// means y·y), dotting each chunk of y while it is still cache-hot instead of
-// re-reading it in separate Scale/Dot sweeps. MulVecFusedDiag does the same
-// and then, still chunk by chunk, scales the rows: y[i-yoff] ends holding
-// inv[i-yoff]·scale·(A·x)[i] — a diagonal preconditioner folded into the
-// product — while the dots still see the unscaled product. Its bits equal
-// MulVecFused followed by y[i] *= inv[i]; a nil inv is MulVecFused.
-type FusedOperator interface {
-	Operator
+	// MulVecFused is the cache-blocked fused SPMV + local-dot kernel: it
+	// computes y[i-yoff] = scale·(A·x)[i] for rows [lo, hi) and dots[k] =
+	// ws[k]·y over the produced range (nil ws[k] means y·y), dotting each
+	// chunk of y while it is still cache-hot instead of re-reading it in
+	// separate Scale/Dot sweeps. yoff is 0 (global y) or lo (local y).
 	MulVecFused(y, x []float64, lo, hi, yoff int, scale float64, ws [][]float64, dots []float64)
+	// MulVecFusedDiag does the same and then, still chunk by chunk, scales
+	// the rows: y[i-yoff] ends holding inv[i-yoff]·scale·(A·x)[i] — a
+	// diagonal preconditioner folded into the product — while the dots
+	// still see the unscaled product. Its bits equal MulVecFused followed
+	// by y[i] *= inv[i]; a nil inv is MulVecFused.
 	MulVecFusedDiag(y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64)
+
+	// MulMat computes ys[j] = A·xs[j] for every column j with one read of
+	// the operator, and MulMatRangeInto ys[j][i-lo] = (A·xs[j])[i] for rows
+	// [lo, hi) — local-length destinations, the distributed row-block
+	// shape. Each column is bit-identical, at any worker count, to the
+	// MulVec form: the kernels replicate the scalar accumulation order per
+	// column over the same chunk plans, which is what lets the block solver
+	// guarantee that a width-k gang solve equals k independent solves.
+	MulMat(ys, xs [][]float64)
+	MulMatRangeInto(ys, xs [][]float64, lo, hi int)
 }
 
-// FusedApply routes the fused product through the operator's fused kernel
-// when it has one, and otherwise emulates it with the basic kernels:
-// product, element-wise scale, one vec.Dot per ws entry, then the row scale
-// by inv (nil for none). The emulation is deterministic but folds its dots
-// over vec's length-uniform chunk geometry rather than the operator's
-// work-balanced plan, so mixing fused and unfused operators for the same
-// logical run changes bits; engines in a run always share one operator,
-// which keeps every rank on one path. yoff must be 0 (global y) or lo
-// (local y), matching the MulVec forms; inv shares y's indexing.
-func FusedApply(op Operator, y, x []float64, lo, hi, yoff int, scale float64, inv []float64, ws [][]float64, dots []float64) {
-	if f, ok := op.(FusedOperator); ok {
-		f.MulVecFusedDiag(y, x, lo, hi, yoff, scale, inv, ws, dots)
-		return
-	}
-	if yoff == 0 {
-		op.MulVecRange(y, x, lo, hi)
-	} else {
-		op.MulVecRangeInto(y, x, lo, hi)
-	}
-	local := y[lo-yoff : hi-yoff]
-	if scale != 1 {
-		vec.Scale(local, scale)
-	}
-	for k, w := range ws {
-		src := local
-		if w != nil {
-			src = w[lo-yoff : hi-yoff]
-		}
-		dots[k] = vec.Dot(src, local)
-	}
-	if inv != nil {
-		vec.MulInto(local, local, inv[lo-yoff:hi-yoff])
-	}
-}
+// FusedOperator names the fused kernels' contract, now part of Operator.
+type FusedOperator = Operator
 
-var _ FusedOperator = (*sparse.CSR)(nil)
+// The two operator families: the assembled matrix and the stencils.
+var (
+	_ Operator = (*sparse.CSR)(nil)
+	_ Operator = (*grid.StencilOp)(nil)
+)

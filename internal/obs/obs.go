@@ -519,11 +519,16 @@ func (t *Tracer) EndWait(h int) {
 
 // AbortWait drops handle h without recording a ledger entry — the deadline
 // path, where the reduction never completed and its timings would be lies.
+// A wait that had begun keeps its allreduce_wait span: the time was spent.
 func (t *Tracer) AbortWait(h int) {
 	if t == nil {
 		return
 	}
+	now := t.clock()
 	t.mu.Lock()
+	if pd, ok := t.pending[h]; ok && pd.waiting {
+		t.addSpanLocked(PhaseAllreduceWait, pd.waitStartNS, now)
+	}
 	delete(t.pending, h)
 	t.mu.Unlock()
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -43,22 +42,24 @@ type event struct {
 }
 
 // inner names the embedded engine: an unexported field, so the recorder
-// forwards every call it does not price without exposing a settable one.
-type inner = engine.Engine
+// forwards every call without exposing a settable one.
+type inner = engine.Seq
 
 // Engine records the cost events of a solve whose numerics and counters
-// belong to the engine it embeds — one rank holding the global vectors, an
-// engine.Seq under NewEngine — so its values and counters are that engine's
-// by construction. It overrides only the calls it prices, each forwarding
-// and then appending its event; the modeled rank count is chosen later, at
-// Evaluate time.
+// belong to the engine.Seq it embeds — one rank holding the global vectors —
+// so its values and counters are that Seq's by construction. Record makes
+// the engine the Seq's engine.Recorder: the Seq's Meter tells it every call
+// it books, and the engine appends the call's cost event. The engine itself
+// overrides only the phase calls, which tag events instead of reading a
+// clock, and SpMVPowers, the matrix powers ablation; the modeled rank count
+// is chosen later, at Evaluate time.
 type Engine struct {
-	inner
+	*inner
 
 	// A is the assembled operator the cost model prices — replay needs its
 	// structure for partition statistics — and PC the preconditioner whose
-	// WorkPerApply prices ApplyPC. Both describe what the inner engine
-	// applies, which may run A matrix-free.
+	// WorkPerApply prices ApplyPC. Both describe what the Seq applies,
+	// which may run A matrix-free.
 	A  *sparse.CSR
 	PC engine.Preconditioner
 
@@ -83,7 +84,7 @@ type Engine struct {
 	pcEv event // one ApplyPC, priced by PC.WorkPerApply
 }
 
-var _ engine.Engine = (*Engine)(nil)
+var _ engine.BlockSpMV = (*Engine)(nil)
 
 // NewEngine returns a recorder over engine.NewSeq(a, pc): A with the given
 // preconditioner (nil means identity), applied as the assembled matrix.
@@ -91,25 +92,27 @@ func NewEngine(a *sparse.CSR, pc engine.Preconditioner) *Engine {
 	return Record(engine.NewSeq(a, pc), a, pc)
 }
 
-// Record returns a recorder over in, which must hold all a.Rows rows (events
-// are priced at global sizes) and apply a — possibly matrix-free — with the
-// preconditioner pc.
-func Record(in engine.Engine, a *sparse.CSR, pc engine.Preconditioner) *Engine {
-	if in.NLocal() != a.Rows {
-		panic(fmt.Sprintf("sim: recording an engine with %d of %d rows", in.NLocal(), a.Rows))
+// Record returns a recorder over seq, which must be fresh (nothing booked
+// yet), hold all a.Rows rows (events are priced at global sizes) and apply
+// a — possibly matrix-free — with the preconditioner pc. It installs the
+// recorder as seq's Meter.Rec.
+func Record(seq *engine.Seq, a *sparse.CSR, pc engine.Preconditioner) *Engine {
+	if seq.NLocal() != a.Rows {
+		panic(fmt.Sprintf("sim: recording an engine with %d of %d rows", seq.NLocal(), a.Rows))
 	}
-	e := &Engine{inner: in, A: a, PC: pc, curPhase: obs.NumPhases, pcEv: event{kind: evPC}}
+	e := &Engine{inner: seq, A: a, PC: pc, curPhase: obs.NumPhases, pcEv: event{kind: evPC}}
 	if pc != nil {
 		e.pcEv.flops, e.pcEv.bytes, e.pcEv.p2pRounds, e.pcEv.allreduces = pc.WorkPerApply()
 	}
+	seq.Rec = (*recorder)(e)
 	return e
 }
 
 // BeginPhase implements engine.Engine by tagging subsequent Charge
 // events rather than reading any clock: the previous tag is parked in the
 // returned span and restored by EndPhase, so nested sections compose. The
-// inner engine is not told — the recording, not a wall-clock tracer, is
-// where a sim run's phases live.
+// Seq is not told — the recording, not a wall-clock tracer, is where a sim
+// run's phases live.
 func (e *Engine) BeginPhase(p obs.Phase) obs.Span {
 	prev := e.curPhase
 	e.curPhase = p
@@ -125,62 +128,13 @@ func (e *Engine) EndPhase(sp obs.Span) {
 	}
 }
 
-// spmvEvent appends the modeled cost of one SPMV: 12 bytes per stored
-// nonzero (value + column index) plus streaming the source and destination
-// vectors.
-func (e *Engine) spmvEvent() {
-	nnz := float64(e.A.NNZ())
-	e.events = append(e.events, event{kind: evSpMV, flops: 2 * nnz,
-		bytes: 12*nnz + 16*float64(e.A.Rows)})
-}
-
-// pcEvent appends the modeled cost of one application of M⁻¹ (none for the
-// identity). A folded one rode a product's write-back: the PC's flops, but
-// of its bytes only the diagonal's stream — the product is neither written
-// out nor read back (16 bytes per row).
-func (e *Engine) pcEvent(folded bool) {
-	if e.PC == nil {
-		return
-	}
-	ev := e.pcEv
-	if folded { // a diagonal M: no internal exchanges
-		ev = event{kind: evPC, flops: ev.flops, bytes: math.Max(0, ev.bytes-16*float64(e.A.Rows))}
-	}
-	e.events = append(e.events, ev)
-}
-
-// SpMV implements engine.Engine. The recorded event carries the modeled
-// cost, a function of the matrix only — how many threads the inner engine
-// runs the product on never leaks into the virtual clock.
-func (e *Engine) SpMV(dst, src []float64) {
-	e.inner.SpMV(dst, src)
-	e.spmvEvent()
-}
-
-// SpMVFusedDots implements engine.Engine, priced as one SPMV event plus,
-// with pc set, the folded PC application. The scale/dot payload is charged
-// by the caller, identically on every engine.
-func (e *Engine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
-	e.inner.SpMVFusedDots(dst, src, scale, pc, ws, dots)
-	e.spmvEvent()
-	if pc {
-		e.pcEvent(true)
-	}
-}
-
-// ApplyPC implements engine.Engine.
-func (e *Engine) ApplyPC(dst, src []float64) {
-	e.inner.ApplyPC(dst, src)
-	e.pcEvent(false)
-}
-
 // SpMVPowers implements engine.Engine for the MatrixPowers ablation: the
-// numerics are the per-product chain through the inner engine's
-// SpMVFusedDots (plus this engine's ApplyPC in twin space), so values and
-// counters are those of the loop the caller would run — except
-// HaloExchanges, which counts one per block, the exchange the kernel saves.
-// The cost model prices one deep exchange plus the redundant ghost-zone work
-// (Evaluate, case evMPK) and the preconditioner applications as usual.
+// numerics are the per-product chain through the Seq's SpMVFusedDots (plus
+// its ApplyPC in twin space), so values and counters are those of the loop
+// the caller would run — except HaloExchanges, which the Seq's Meter books
+// once for the block, the exchange the kernel saves. The cost model prices
+// one deep exchange plus the redundant ghost-zone work (Evaluate, case
+// evMPK) and the preconditioner applications as usual.
 func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
 	if !e.MatrixPowers {
 		return false
@@ -190,68 +144,80 @@ func (e *Engine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64
 	if fold {
 		levels = dstU
 	}
-	nnz, depth := float64(e.A.NNZ()), float64(len(levels))
-	e.events = append(e.events, event{kind: evMPK, depth: len(levels),
-		flops: 2 * nnz * depth, bytes: (12*nnz + 16*float64(e.A.Rows)) * depth})
-	c := e.Counters()
-	halo := c.HaloExchanges
+	e.BookPowers(len(levels))
 	for j := range levels {
-		e.inner.SpMVFusedDots(levels[j], src, scale, fold, nil, nil)
+		e.SpMVFusedDots(levels[j], src, scale, fold, nil, nil)
 		src = levels[j]
-		switch {
-		case fold:
-			e.pcEvent(true)
-		case dstU != nil:
+		if !fold && dstU != nil {
 			e.ApplyPC(dstU[j], dstR[j])
 			src = dstU[j]
 		}
 	}
-	c.HaloExchanges = halo + 1
 	return true
 }
 
-// AllreduceSum implements engine.Engine.
-func (e *Engine) AllreduceSum(buf []float64) {
-	e.inner.AllreduceSum(buf)
-	e.events = append(e.events, event{kind: evAllreduce, words: len(buf)})
-}
+// recorder is the Engine as its Seq's Meter sees it: the same fields, with
+// the engine.Recorder methods, each appending the call's cost event.
+type recorder Engine
 
-// simRequest records the wait on the inner engine's request once it
-// delivers.
-type simRequest struct {
-	engine.Request
-	e  *Engine
-	id int
-}
-
-func (r simRequest) Wait() {
-	r.Request.Wait()
-	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
-}
-
-func (r simRequest) WaitTimeout(d time.Duration) error {
-	if err := r.Request.WaitTimeout(d); err != nil {
-		return err
+// Products implements engine.Recorder: one event per product, each priced
+// as 12 bytes per stored nonzero (value + column index) plus streaming the
+// source and destination vectors. The cost is a function of the matrix
+// only — how many threads the Seq runs the product on never leaks into the
+// virtual clock.
+func (r *recorder) Products(k int) {
+	nnz := float64(r.A.NNZ())
+	for ; k > 0; k-- {
+		r.events = append(r.events, event{kind: evSpMV, flops: 2 * nnz,
+			bytes: 12*nnz + 16*float64(r.A.Rows)})
 	}
-	r.e.events = append(r.e.events, event{kind: evIWait, id: r.id})
-	return nil
 }
 
-// IallreduceSum implements engine.Engine.
-func (e *Engine) IallreduceSum(buf []float64) engine.Request {
-	req := e.inner.IallreduceSum(buf)
-	id := e.nextID
-	e.nextID++
-	e.events = append(e.events, event{kind: evIPost, words: len(buf), id: id})
-	return simRequest{Request: req, e: e, id: id}
+// Powers implements engine.Recorder: one evMPK event for the block.
+func (r *recorder) Powers(depth int) {
+	nnz, d := float64(r.A.NNZ()), float64(depth)
+	r.events = append(r.events, event{kind: evMPK, depth: depth,
+		flops: 2 * nnz * d, bytes: (12*nnz + 16*float64(r.A.Rows)) * d})
 }
 
-// Charge implements engine.Engine. The event inherits the solver phase open
-// at charge time (see BeginPhase); untagged work is attributed to the
+// PCApply implements engine.Recorder: the modeled cost of one application of M⁻¹
+// (none for the identity). A folded one rode a product's write-back: the
+// PC's flops, but of its bytes only the diagonal's stream — the product is
+// neither written out nor read back (16 bytes per row).
+func (r *recorder) PCApply(folded bool) {
+	if r.PC == nil {
+		return
+	}
+	ev := r.pcEv
+	if folded { // a diagonal M: no internal exchanges
+		ev = event{kind: evPC, flops: ev.flops, bytes: math.Max(0, ev.bytes-16*float64(r.A.Rows))}
+	}
+	r.events = append(r.events, ev)
+}
+
+// Allreduce implements engine.Recorder.
+func (r *recorder) Allreduce(words int) {
+	r.events = append(r.events, event{kind: evAllreduce, words: words})
+}
+
+// Post implements engine.Recorder.
+func (r *recorder) Post(words int) int {
+	id := r.nextID
+	r.nextID++
+	r.events = append(r.events, event{kind: evIPost, words: words, id: id})
+	return id
+}
+
+// Wait implements engine.Recorder.
+func (r *recorder) Wait(id int) {
+	r.events = append(r.events, event{kind: evIWait, id: id})
+}
+
+// Charge implements engine.Recorder. The event inherits the solver phase
+// open at charge time (see BeginPhase); untagged work is attributed to the
 // recurrence linear combinations at replay, the dominant local vector work.
-func (e *Engine) Charge(flops, bytes float64) {
-	e.inner.Charge(flops, bytes)
-	e.events = append(e.events, event{kind: evLocal, flops: flops, bytes: bytes, phase: e.curPhase})
+func (r *recorder) Charge(flops, bytes float64) {
+	r.events = append(r.events, event{kind: evLocal, flops: flops, bytes: bytes, phase: r.curPhase})
 }
 
 // Breakdown is the modeled execution time of a recorded run on a machine
