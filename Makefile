@@ -94,8 +94,8 @@ variant-audit:
 # (well-formed complete events, every phase present on every rank, overlap
 # ledger attached).
 timeline:
-	$(GO) run ./cmd/timeline -o /tmp/repro-timeline.json
-	$(GO) run ./cmd/timeline -check /tmp/repro-timeline.json
+	$(GO) run ./cmd/repro timeline -problem poisson7 -n 24 -ranks 4 -latency 200us -o /tmp/repro-timeline.json
+	$(GO) run ./cmd/repro timeline -check /tmp/repro-timeline.json
 
 # Distributed-tracing smoke: a client-originated traced job through a real
 # solverouter against two real solverd shards, all four flight dumps
@@ -107,7 +107,7 @@ timeline:
 # pins trace_id continuity across the retry.
 trace-smoke:
 	$(GO) test -race -run 'TestTraceSmoke|TestFailoverTracePropagation' -v -count=1 ./internal/cluster
-	$(GO) run ./cmd/timeline -check /tmp/repro-trace-smoke.json
+	$(GO) run ./cmd/repro timeline -check /tmp/repro-trace-smoke.json
 
 # Multi-RHS coalescing smoke: a real daemon with batching on, a burst of
 # seeded jobs behind a queue plug so the coalescer sees a full backlog,

@@ -117,7 +117,7 @@ func main() {
 	// covering the job's full closed-loop lifetime (including backpressure
 	// retries), with the trace context carried in the request body so the
 	// router and shard spans parent under it. The bench's own spans land in a
-	// flight dump cmd/timeline -stitch merges with the server-side dumps.
+	// flight dump repro timeline -stitch merges with the server-side dumps.
 	var tracer *benchTracer
 	if *traceOut != "" {
 		seed := *traceSeed
@@ -203,7 +203,7 @@ func main() {
 // benchTracer originates one trace per bench job. begin stamps the request's
 // TraceParent with a fresh root context and returns the closure that records
 // the client_submit span (submission through final accounted outcome) into
-// the bench's flight recorder; write lands the dump for cmd/timeline -stitch.
+// the bench's flight recorder; write lands the dump for repro timeline -stitch.
 type benchTracer struct {
 	ids    *obs.IDGen
 	flight *obs.FlightRecorder

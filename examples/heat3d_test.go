@@ -1,8 +1,4 @@
-// Heat3d: an implicit thermal simulation — the kind of application the
-// paper's introduction motivates. Each backward-Euler time step solves
-// (I + dt·L)·T_new = T_old with the 125-point operator; the solve uses
-// PIPE-PsCG with a geometric multigrid preconditioner.
-package main
+package examples
 
 import (
 	"fmt"
@@ -16,7 +12,11 @@ import (
 	"repro/internal/sparse"
 )
 
-func main() {
+// Example_heat3d is an implicit thermal simulation — the kind of application
+// the paper's introduction motivates. Each backward-Euler time step solves
+// (I + dt·L)·T_new = T_old with the 125-point operator; the solve uses
+// PIPE-PsCG with a geometric multigrid preconditioner.
+func Example_heat3d() {
 	const (
 		n     = 20   // 20³ grid
 		dt    = 5e-3 // time step
@@ -67,4 +67,14 @@ func main() {
 		fmt.Printf("%4d   %8.3f   %8.4f   %5d\n", step, peak, mean, res.Iterations)
 	}
 	fmt.Println("peak temperature decays as the blob diffuses — physics sanity check passed")
+
+	// Output:
+	// implicit heat stepping on 20³ grid, 125-pt operator, MG(3 levels) + PIPE-PsCG
+	// step   peak T     mean T     iters
+	//    1     86.157     5.2715       6
+	//    2     74.872     5.2322       6
+	//    3     65.590     5.1825       6
+	//    4     57.891     5.1231       6
+	//    5     51.451     5.0545       6
+	// peak temperature decays as the blob diffuses — physics sanity check passed
 }

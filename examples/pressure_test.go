@@ -1,9 +1,4 @@
-// Pressure: an OpenFOAM-motif pressure Poisson solve (the paper's §VI-E
-// points out OpenFOAM solves these at rtol 1e-2) on a heterogeneous 2D
-// conductance field, run SPMD on the goroutine runtime with real
-// non-blocking allreduces — the Hybrid-pipelined method finishing at a
-// tighter tolerance than the s-step recurrences alone support.
-package main
+package examples
 
 import (
 	"fmt"
@@ -15,7 +10,12 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// Example_pressure is an OpenFOAM-motif pressure Poisson solve (the paper's
+// §VI-E points out OpenFOAM solves these at rtol 1e-2) on a heterogeneous 2D
+// conductance field, run SPMD on the goroutine runtime with real
+// non-blocking allreduces — the Hybrid-pipelined method finishing at a
+// tighter tolerance than the s-step recurrences alone support.
+func Example_pressure() {
 	const ranks = 4
 
 	// A heterogeneous conductance grid (ecology2-like, reduced scale).
@@ -41,8 +41,7 @@ func main() {
 	res := out.Res
 	fmt.Printf("%s: converged=%v in %d iterations, relres=%.3e\n",
 		res.Method, res.Converged, res.Iterations, res.RelRes)
-	fmt.Printf("wall time %v with real overlapped allreduces (rank-0 counters: %s)\n",
-		out.Elapsed.Round(time.Millisecond), &out.Counters[0])
+	fmt.Printf("rank-0 counters: %s\n", &out.Counters[0])
 
 	// The driver reassembled the global pressure field; report its range.
 	lo, hi := res.X[0], res.X[0]
@@ -55,4 +54,10 @@ func main() {
 		}
 	}
 	fmt.Printf("pressure field range: [%.4f, %.4f]\n", lo, hi)
+
+	// Output:
+	// pressure Poisson: ecology2 stand-in, N=3844 nnz=18972, 4 SPMD ranks
+	// hybrid-pipelined: converged=true in 21 iterations, relres=8.622e-03
+	// rank-0 counters: iter=21 spmv=28 pc=28 allr=1 iallr=8 words=161 flops=1.27e+06
+	// pressure field range: [-0.0000, 1.0482]
 }

@@ -95,7 +95,7 @@ func fetchFlight(t *testing.T, base string) obs.FlightDump {
 // attempt → queue wait → solve → per-rank phase timelines, with intact
 // parent linkage, no orphan spans, and the core phases present per rank. The
 // stitched artifact is written to /tmp/repro-trace-smoke.json so the
-// Makefile can revalidate it with `timeline -check`.
+// Makefile can revalidate it with `repro timeline -check`.
 func TestTraceSmoke(t *testing.T) {
 	tc := newTraceCluster(t, 2, 77)
 
@@ -202,7 +202,7 @@ func TestTraceSmoke(t *testing.T) {
 		}
 	}
 
-	// Persist the artifact for `timeline -check` (the trace-smoke target).
+	// Persist the artifact for `repro timeline -check` (the trace-smoke target).
 	f, err := os.Create("/tmp/repro-trace-smoke.json")
 	if err != nil {
 		t.Fatal(err)

@@ -55,11 +55,11 @@ func measuredOverlap(t *testing.T, solve Solver, hop time.Duration) obs.Summary 
 }
 
 // TestMeasuredOverlapEfficiency is the acceptance pin for the overlap
-// ledger: on the comm runtime with injected hop latency (the cmd/overlap
-// defaults), the hidden fraction MEASURED for PIPE-PsCG — not inferred from
-// counters — must clearly exceed PCG's, and PCG's must be exactly zero (a
-// method with only blocking reductions has nothing to hide, by definition
-// of the ledger).
+// ledger: on the comm runtime with injected hop latency (a hop of the
+// repro overlap sweep), the hidden fraction MEASURED for PIPE-PsCG — not
+// inferred from counters — must clearly exceed PCG's, and PCG's must be
+// exactly zero (a method with only blocking reductions has nothing to
+// hide, by definition of the ledger).
 func TestMeasuredOverlapEfficiency(t *testing.T) {
 	const hop = 200 * time.Microsecond
 

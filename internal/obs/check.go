@@ -1,9 +1,9 @@
 package obs
 
-// Trace validation shared by `cmd/timeline -check` and the trace-smoke
+// Trace validation shared by `repro timeline -check` and the trace-smoke
 // test. Two trace shapes exist:
 //
-//   - legacy single-process timelines (cmd/timeline's default mode): only
+//   - legacy single-process timelines (repro timeline's default mode): only
 //     "phase"/"overlap" events, with every core phase required on every
 //     rank track — the contract frozen in PR 5;
 //   - stitched cross-process traces (StitchDumps): "span" events carry the

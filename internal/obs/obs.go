@@ -92,7 +92,7 @@ func Phases() []Phase {
 }
 
 // CorePhases returns the phases every backend emits on every rank of every
-// solve — the set completeness validators (cmd/timeline) may require.
+// solve — the set completeness validators (repro timeline) may require.
 // Block phases (PhaseBlockSpMV, PhaseBlockGram) are excluded: they appear
 // only when a multi-RHS gang runs on the engine.
 func CorePhases() []Phase {

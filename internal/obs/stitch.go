@@ -3,7 +3,7 @@ package obs
 // Stitching: turn the flight-recorder dumps of every participant in a
 // request (bench client, router, daemons) into ONE Chrome trace on a shared
 // wall-clock axis — pid = hop, tid = rank. Span events carry the
-// distributed tree (trace/span/parent IDs in args, so `timeline -check`
+// distributed tree (trace/span/parent IDs in args, so `repro timeline -check`
 // can validate linkage); the daemon that ran the solve contributes its
 // per-rank phase timeline, shifted from tracer-relative nanoseconds onto
 // the wall axis via the anchor captured when the tracers were created.

@@ -265,7 +265,7 @@ func (m *Manager) run(j *Job) {
 }
 
 // runSeq executes the job on the sequential reference engine — the default
-// path, whose iterate is bit-identical to `pipescg -runtime seq`.
+// path, whose iterate is bit-identical to `repro solve -runtime seq`.
 func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
 	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
 	pcName := workload.EffectivePC(meth, j.Req.PC)

@@ -2,7 +2,7 @@
 // that keeps operators (matrix + partition + preconditioner) resident across
 // solves and executes jobs against them under admission control.
 //
-// The one-shot CLIs (cmd/pipescg, cmd/chaos) rebuild everything per run; the
+// The one-shot CLI (repro solve) rebuilds everything per run; the
 // regime the paper's pipelined s-step methods target — solves issued
 // continuously against long-lived operators, as in PIPELCG-style persistent
 // solver contexts — needs the opposite: build once, solve many. The package

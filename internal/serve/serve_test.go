@@ -80,7 +80,7 @@ func TestSolveSyncConverges(t *testing.T) {
 	}
 }
 
-// cliSolve runs poisson7 n=6 under Jacobi the way cmd/pipescg -runtime seq
+// cliSolve runs poisson7 n=6 under Jacobi the way repro solve -runtime seq
 // does — same problem, PC, options and solver on a fresh engine — the solo
 // baseline the daemon's results are compared against.
 func cliSolve(t *testing.T, method string) *krylov.Result {
@@ -110,7 +110,7 @@ func cliSolve(t *testing.T, method string) *krylov.Result {
 // TestServeBitIdentical is the acceptance gate: a solve submitted through
 // the daemon produces a bit-identical iterate to the same problem run
 // through the CLI path (engine.NewSeq + the bench solver registry, exactly
-// what cmd/pipescg -runtime seq executes).
+// what repro solve -runtime seq executes).
 func TestServeBitIdentical(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 	for _, method := range []string{"pipe-pscg", "pcg", "ladder"} {
