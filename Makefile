@@ -19,7 +19,7 @@ test:
 # parallel, and the kernel packages saturate the worker pool — co-scheduling
 # them with the timing-sensitive serve drain smoke makes its deadline flaky.
 race:
-	$(GO) test -race ./internal/par/... ./internal/comm/... ./internal/serve/... ./internal/cluster/... ./internal/audit/... ./internal/obs/... ./internal/blockcg/... ./internal/workload/...
+	$(GO) test -race ./internal/par/... ./internal/engine/... ./internal/comm/... ./internal/serve/... ./internal/cluster/... ./internal/audit/... ./internal/obs/... ./internal/blockcg/... ./internal/workload/...
 	$(GO) test -race ./internal/sparse/... ./internal/grid/... ./internal/vec/...
 
 # The arm64 pass compiles the kernel packages without their amd64 assembly,
@@ -54,10 +54,11 @@ loc:
 
 # Seeded fault-injection suite under the race detector: the injector, the
 # deadline/ack-resend/checksum machinery, the mailbox leak check, the chaos
-# matrix over solvers × fault scenarios × rank counts, and the escalation
-# goldens (SolveLadder and Hybrid pinned on seq and comm P=1).
+# matrix over solvers × fault scenarios × rank counts, the escalation
+# goldens (SolveLadder and Hybrid pinned on seq and comm P=1), and the one
+# unwinding rule of a failed wait (engine.Abort through the Meter).
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Resilience|Ladder|Leak|Timeout|Deadlock|Straggler|Checksum|RecoverPolicy|Injector|SendBufferReuse|RunErr|CloseCancels|EscalationGoldens' ./internal/comm ./internal/krylov
+	$(GO) test -race -run 'Chaos|Fault|Resilience|Ladder|Leak|Timeout|Deadlock|Straggler|Checksum|RecoverPolicy|Injector|SendBufferReuse|RunErr|CloseCancels|EscalationGoldens' ./internal/engine ./internal/comm ./internal/krylov
 
 # Solver-service smoke: a real daemon on an ephemeral port, 32 concurrent
 # closed-loop clients over 4 registry entries, zero lost jobs, graceful

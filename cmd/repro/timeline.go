@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/comm"
@@ -52,7 +51,6 @@ func timeline(c *config, path string, log io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opt.WaitDeadline = 10 * time.Second
 	out, err := c.spmd(comm.NewFabric(c.ranks, c.latency), workload.DefaultTracer, pr, c.methods[0], opt)
 	if err != nil {
 		return err

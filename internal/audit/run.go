@@ -189,11 +189,13 @@ func Execute(cfg Config, spec EngineSpec, ap AuditParams) (*Run, error) {
 		if ranks < 1 {
 			ranks = 1
 		}
-		driver := workload.SPMD{Fabric: comm.NewFabric(ranks, 0), PC: cfg.PC}
+		// A lost collective fails the run within one receive deadline
+		// instead of hanging the sweep.
+		f := comm.NewFabric(ranks, 0).WithRecvTimeout(10*time.Second, 0)
+		driver := workload.SPMD{Fabric: f, PC: cfg.PC}
 		if ap.Trace {
 			driver.Tracer = workload.DefaultTracer
 		}
-		opt.WaitDeadline = 10 * time.Second
 		out, err := driver.Run(pr, meth, pr.B, opt)
 		if err != nil {
 			return nil, err

@@ -72,16 +72,12 @@ type Column struct {
 	// cancellation wrapper. A wrapper that embeds the engine.Engine it is
 	// given forwards every call and overrides only what it intercepts.
 	Wrap func(engine.Engine) engine.Engine
-	// Recover, when non-nil, translates a panic unwinding this column's
-	// solver into an error (e.g. the serving layer's cancellation panic).
-	// Returning a nil error — or a nil Recover — re-panics the value on
-	// Solve's caller goroutine after all columns have settled.
-	Recover func(p any) error
 }
 
-// Result is one column's outcome: the solver result (nil when the column
-// panicked), its error, and the column's own counter ledger — per column
-// bit-identical to what a solo solve on the same base engine would report.
+// Result is one column's outcome: the solver result (nil when an
+// engine.Abort unwound the column, whose error Err then holds), its error,
+// and the column's own counter ledger — per column bit-identical to what a
+// solo solve on the same base engine would report.
 type Result struct {
 	Res      *krylov.Result
 	Err      error
@@ -90,8 +86,11 @@ type Result struct {
 
 // Solve runs solver once per column against the shared base engine, with
 // every batchable engine call shared across the columns still running. It
-// returns one Result per column, in order. See the package documentation
-// for the determinism contract.
+// returns one Result per column, in order. An engine.Abort unwinding a
+// column (a canceled job, a fabric fault poisoning the gang) becomes that
+// column's Err; any other panic is re-panicked on the caller once every
+// column has settled. See the package documentation for the determinism
+// contract.
 //
 // On a distributed backend, Solve must be called once per rank (inside the
 // rank body), with the same column order everywhere; batch composition is a
@@ -108,34 +107,12 @@ func Solve(base engine.BlockSpMV, solver krylov.Solver, cols []Column) []Result 
 	for i := range cols {
 		go func(i int) {
 			defer func() { done <- i }()
+			defer engine.Recover(&res[i].Err, func(p any) { panics[i] = p })
 			ce := g.cols[i]
 			var e engine.Engine = ce
 			if cols[i].Wrap != nil {
 				e = cols[i].Wrap(e)
 			}
-			// Registered before g.done so it also catches a poison panic
-			// unwinding from the deregistration path (deferred calls run
-			// last-in-first-out).
-			defer func() {
-				p := recover()
-				if p == nil {
-					return
-				}
-				if res[i].Res != nil || res[i].Err != nil {
-					// The solver already finished; this panic unwound from
-					// the deregistration path executing ANOTHER column's
-					// batch (a poisoned gang). The faulting column reports
-					// the same value — don't clobber a settled result.
-					return
-				}
-				if cols[i].Recover != nil {
-					if err := cols[i].Recover(p); err != nil {
-						res[i].Err = err
-						return
-					}
-				}
-				panics[i] = p
-			}()
 			defer g.done(ce)
 			r, err := solver(e, cols[i].B, cols[i].Opt)
 			res[i].Res, res[i].Err = r, err

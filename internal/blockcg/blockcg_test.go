@@ -271,20 +271,20 @@ func TestGangTracingBitIdentity(t *testing.T) {
 
 // cancelWrap is a serve-style engine wrapper: it embeds the engine it is
 // given, so everything is forwarded, and overrides the two product calls to
-// panic a typed value once its column has performed enough SPMVs — modeling
-// a per-job cancellation firing mid-gang.
+// unwind with an engine.Abort once its column has performed enough SPMVs —
+// modeling a per-job cancellation firing mid-gang.
 type cancelWrap struct {
 	engine.Engine
 	after int
 	n     int
 }
 
-type testCancel struct{}
+var errCanceled = errors.New("canceled")
 
 func (c *cancelWrap) poll() {
 	c.n++
 	if c.n > c.after {
-		panic(testCancel{})
+		panic(engine.Abort{Err: errCanceled})
 	}
 }
 
@@ -299,8 +299,8 @@ func (c *cancelWrap) SpMVFusedDots(dst, src []float64, scale float64, pc bool, w
 }
 
 // TestGangColumnCancel: every column runs under the wrapper, as every service
-// job does; one is canceled mid-solve via the wrapper's panic, its Recover
-// hook translates the panic to an error, and the surviving columns still
+// job does; one is canceled mid-solve by the wrapper's engine.Abort, which
+// Solve records as that column's error, and the surviving columns still
 // finish bit-identical to their solo solves. The pipe-pscg case runs on a
 // problem larger than one par grain, where a wrapper that lost the fused
 // SPMV on the way through would fold its dots over other chunks and drift.
@@ -334,7 +334,6 @@ func TestGangColumnCancel(t *testing.T) {
 				t.Fatal(err)
 			}
 			base := engine.NewSeq(pr.Operator(), pc)
-			errCanceled := errors.New("canceled")
 			cols := make([]blockcg.Column, k)
 			for j := range cols {
 				after := math.MaxInt
@@ -342,13 +341,7 @@ func TestGangColumnCancel(t *testing.T) {
 					after = 5
 				}
 				cols[j] = blockcg.Column{B: rhs[j], Opt: opt,
-					Wrap: func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: after} },
-					Recover: func(p any) error {
-						if _, ok := p.(testCancel); ok {
-							return errCanceled
-						}
-						return nil
-					}}
+					Wrap: func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: after} }}
 			}
 			results := blockcg.Solve(base, solver, cols)
 			if !errors.Is(results[1].Err, errCanceled) {

@@ -2,7 +2,6 @@ package blockcg
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -80,12 +79,15 @@ func (g *gang) rendezvous(ce *colEngine) {
 
 // done deregisters a finished column. If its exit completes a rendezvous
 // (everyone still running is already parked), the departing column executes
-// the batch on its way out.
+// the batch on its way out. A panic out of that batch is not the departing
+// column's: it poisons the gang, and every column of the batch unwinds with
+// it.
 func (g *gang) done(ce *colEngine) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.active--
 	if g.poison == nil && g.active > 0 && g.arrived == g.active {
+		defer func() { recover() }()
 		g.executeAllLocked()
 	}
 }
@@ -237,7 +239,6 @@ type sharedReq struct {
 	concat []float64
 	parts  [][]float64
 	done   bool
-	err    error
 }
 
 func (r *sharedReq) Wait() {
@@ -249,24 +250,6 @@ func (r *sharedReq) Wait() {
 	r.req.Wait()
 	vec.Unpack(r.parts, r.concat)
 	r.done = true
-}
-
-// WaitTimeout forwards the deadline to the base request. A timeout settles
-// the shared request: every column sees the same error, mirroring how k solo
-// solves would each see their own reduction time out.
-func (r *sharedReq) WaitTimeout(d time.Duration) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.done {
-		return r.err
-	}
-	if err := r.req.WaitTimeout(d); err != nil {
-		r.done, r.err = true, err
-		return err
-	}
-	vec.Unpack(r.parts, r.concat)
-	r.done = true
-	return nil
 }
 
 // colEngine is one column's view of the shared base engine: every call

@@ -187,7 +187,7 @@ func (e *Engine) exchangeGhosts(x *ghostExchange, srcs ...[]float64) {
 		p := &x.recv[i]
 		in, err := e.f.recv(e.rank, p.rank, kindHalo, seq)
 		if err != nil {
-			panic(commPanic{err})
+			panic(engine.Abort{Err: err})
 		}
 		n := len(p.idx)
 		for j := range srcs {
@@ -247,7 +247,7 @@ func (e *Engine) ApplyPC(dst, src []float64) {
 func (e *Engine) PCDiagonal() ([]float64, bool) { return engine.Diagonal(e.pc) }
 
 // AllreduceSum implements engine.Engine. A fabric failure (deadline
-// exhausted with nothing recoverable) surfaces as a typed panic that
+// exhausted with nothing recoverable) unwinds as an engine.Abort that
 // comm.RunErr converts back into the *FaultError. The whole call is one
 // allreduce_wait span and, once it completed, a blocking ledger entry:
 // nothing overlaps it.
@@ -256,7 +256,7 @@ func (e *Engine) AllreduceSum(buf []float64) {
 	seq := e.collSeq
 	e.collSeq++
 	if err := e.BookReduce(sp, len(buf), e.f.allreduceSum(e.rank, seq, buf)); err != nil {
-		panic(commPanic{err})
+		panic(engine.Abort{Err: err})
 	}
 }
 
@@ -289,7 +289,7 @@ func (e *Engine) Barrier() {
 	seq := e.collSeq
 	e.collSeq++
 	if err := e.f.barrier(e.rank, seq); err != nil {
-		panic(commPanic{err})
+		panic(engine.Abort{Err: err})
 	}
 }
 
@@ -327,11 +327,6 @@ func Run(engines []*Engine, body func(rank int, e *Engine)) {
 	wg.Wait()
 }
 
-// commPanic wraps a fabric error so it can unwind a rank's solver stack from
-// inside an engine kernel (whose interface has no error return) and be
-// recovered by RunErr.
-type commPanic struct{ err error }
-
 // RunErr is the fault-tolerant SPMD launch: like Run, but each rank's body
 // may return an error, and a fabric failure that unwinds a rank (deadline
 // exhausted, mismatched collective) is recovered and reported as that rank's
@@ -344,15 +339,9 @@ func RunErr(engines []*Engine, body func(rank int, e *Engine) error) []error {
 	for r, e := range engines {
 		go func(r int, e *Engine) {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if cp, ok := p.(commPanic); ok {
-						errs[r] = cp.err
-					} else {
-						errs[r] = fmt.Errorf("comm: rank %d panic: %v", r, p)
-					}
-				}
-			}()
+			defer engine.Recover(&errs[r], func(p any) {
+				errs[r] = fmt.Errorf("comm: rank %d panic: %v", r, p)
+			})
 			errs[r] = body(r, e)
 		}(r, e)
 	}

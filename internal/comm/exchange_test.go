@@ -168,8 +168,8 @@ func TestBlockExchangeAllocFree(t *testing.T) {
 
 // TestTimeoutReductionsStayOffLedger: a reduction that never completes keeps
 // its allreduce_wait span but enters neither the counters nor the overlap
-// ledger — a blocking one whose peer deserts, and a posted one whose wait
-// fails; the post itself is counted, as it happened.
+// ledger — a blocking one whose peer deserts, and a posted one whose Wait
+// unwinds the same way; the post itself is counted, as it happened.
 func TestTimeoutReductionsStayOffLedger(t *testing.T) {
 	a := grid.NewSquare(6, grid.Star5).Laplacian()
 	const p = 2
@@ -185,9 +185,10 @@ func TestTimeoutReductionsStayOffLedger(t *testing.T) {
 			}
 			buf := []float64{1, 2, 3}
 			if posted {
-				return e.IallreduceSum(buf).WaitTimeout(time.Second)
+				e.IallreduceSum(buf).Wait()
+			} else {
+				e.AllreduceSum(buf)
 			}
-			e.AllreduceSum(buf)
 			return nil
 		})
 		var fe *FaultError

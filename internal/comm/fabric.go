@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // message kinds, part of the matching key so collectives, halo exchange and
@@ -112,6 +114,14 @@ type sentKey struct {
 	k  key
 }
 
+// parked is a pristine payload in the retransmit store. clean marks a
+// message the injector did not drop, delay or corrupt: it is on its way, so
+// a receiver waits for it instead of resending it.
+type parked struct {
+	data  []float64
+	clean bool
+}
+
 // Fabric connects P ranks. It is safe for concurrent use by all ranks.
 type Fabric struct {
 	p          int
@@ -127,7 +137,7 @@ type Fabric struct {
 	closed  bool
 	timers  map[int]*time.Timer
 	timerID int
-	sent    map[sentKey][]float64 // pristine payloads until acked
+	sent    map[sentKey]parked // pristine payloads until acked
 	status  []rankStatus
 	stats   []FaultStats
 
@@ -208,9 +218,10 @@ func (f *Fabric) WithFault(fc *FaultConfig) *Fabric {
 }
 
 // WithRecvTimeout arms the deadline-aware receive path: a receive waits up to
-// d, then tries to recover the payload from the retransmit store, and retries
-// the wait up to `retries` times before returning a typed *FaultError with
-// the deadlock diagnostic. d ≤ 0 restores block-forever semantics.
+// one hop plus d, then tries to recover the payload from the retransmit
+// store, and retries the wait up to `retries` times before returning a typed
+// *FaultError with the deadlock diagnostic. d ≤ 0 restores block-forever
+// semantics.
 func (f *Fabric) WithRecvTimeout(d time.Duration, retries int) *Fabric {
 	f.recvTimeout, f.recvRetries = d, retries
 	f.syncTracking()
@@ -230,7 +241,7 @@ func (f *Fabric) syncTracking() {
 	}
 	f.mu.Lock()
 	if f.sent == nil {
-		f.sent = map[sentKey][]float64{}
+		f.sent = map[sentKey]parked{}
 	}
 	f.mu.Unlock()
 	for _, mb := range f.boxes {
@@ -271,14 +282,19 @@ func (f *Fabric) TotalStats() FaultStats {
 // recoverable.
 func (f *Fabric) send(from, to, kind, seq int, data []float64) {
 	k := key{from, kind, seq}
+	dec := faultDecision{corruptWord: -1}
+	if f.fault != nil {
+		dec = f.fault.decide(from, to, kind, seq)
+	}
 	if f.tracking() {
-		pristine := append([]float64(nil), data...)
+		p := parked{data: append([]float64(nil), data...),
+			clean: !dec.drop && dec.delay == 0 && dec.corruptWord < 0}
 		f.mu.Lock()
 		if f.closed {
 			f.mu.Unlock()
 			return
 		}
-		f.sent[sentKey{to, k}] = pristine
+		f.sent[sentKey{to, k}] = p
 		f.mu.Unlock()
 	}
 	wire := data
@@ -287,10 +303,7 @@ func (f *Fabric) send(from, to, kind, seq int, data []float64) {
 		// wire image independent of the (possibly reused) sender buffer.
 		wire = append(data[:len(data):len(data)], math.Float64frombits(checksum(data)))
 	}
-	var dec faultDecision
-	dec.corruptWord = -1
 	if f.fault != nil {
-		dec = f.fault.decide(from, to, kind, seq)
 		f.mu.Lock()
 		st := &f.stats[from]
 		if dec.drop {
@@ -370,11 +383,19 @@ func (f *Fabric) takeSent(me int, k key) ([]float64, bool) {
 		return nil, false
 	}
 	sk := sentKey{me, k}
-	data, ok := f.sent[sk]
+	p, ok := f.sent[sk]
 	if ok {
 		delete(f.sent, sk)
 	}
-	return data, ok
+	return p.data, ok
+}
+
+// inFlight reports whether the message parked for (me, k) is a clean one
+// still on its way.
+func (f *Fabric) inFlight(me int, k key) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.sent[sentKey{me, k}].clean
 }
 
 // verify strips and checks the checksum word. It returns the payload and
@@ -402,8 +423,12 @@ func (f *Fabric) setStatus(rank int, st rankStatus) {
 // fabric, or up to the configured deadline+retries on an imperfect one, in
 // which case the pristine payload is recovered from the retransmit store
 // (resend) or a typed *FaultError carrying the deadlock diagnostic is
-// returned. Checksummed payloads that fail verification are repaired from
-// the store when possible and counted either way.
+// returned. Hop latency alone costs no timeout: a message arrives no sooner
+// than a hop after it is sent, so each deadline runs a hop past the
+// configured one, and a message the injector left alone is never resent —
+// once it is sent the receiver waits for it.
+// Checksummed payloads that fail verification are repaired from the store
+// when possible and counted either way.
 func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 	k := key{from, kind, seq}
 	mb := f.boxes[me]
@@ -435,13 +460,18 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 	f.setStatus(me, rankStatus{waiting: true, from: from, kind: kind, seq: seq})
 	defer f.setStatus(me, rankStatus{})
 
-	timer := time.NewTimer(f.recvTimeout)
+	deadline := f.hopLatency + f.recvTimeout
+	timer := time.NewTimer(deadline)
 	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
+	for attempt := 0; ; {
 		select {
 		case wire := <-ch:
 			return accept(wire), nil
 		case <-timer.C:
+			if f.inFlight(me, k) {
+				timer.Reset(deadline)
+				continue
+			}
 			f.mu.Lock()
 			f.stats[me].Timeouts++
 			closed := f.closed
@@ -451,8 +481,9 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 					Msg: fmt.Sprintf("fabric closed while waiting (%s,seq=%d,from=%d)", kindName(kind), seq, from)}
 			}
 			if pristine, ok := f.takeSent(me, k); ok {
-				// The sender did send; the copy was dropped, corrupted or is
-				// crawling. Recover the parked pristine payload (resend).
+				// The sender did send; the injector dropped, corrupted or
+				// delayed the copy. Recover the parked pristine payload
+				// (resend).
 				f.mu.Lock()
 				f.stats[me].Resends++
 				f.mu.Unlock()
@@ -462,7 +493,8 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 			if attempt >= f.recvRetries {
 				return nil, f.deadlockError(me, from, kind, seq)
 			}
-			timer.Reset(f.recvTimeout)
+			attempt++
+			timer.Reset(deadline)
 		}
 	}
 }
@@ -480,7 +512,7 @@ func (f *Fabric) deadlockError(me, from, kind, seq int) *FaultError {
 	}
 	return &FaultError{Kind: k, Rank: me, Msg: fmt.Sprintf(
 		"gave up waiting (%s,seq=%d,from=%d) after %d×%v; rank status: %s",
-		kindName(kind), seq, from, f.recvRetries+1, f.recvTimeout, formatStatuses(sts))}
+		kindName(kind), seq, from, f.recvRetries+1, f.hopLatency+f.recvTimeout, formatStatuses(sts))}
 }
 
 // Close tears the fabric down: cancels every pending delivery timer, rejects
@@ -670,27 +702,12 @@ type Request struct {
 }
 
 // Wait blocks until the reduction has completed and the buffer passed to
-// iallreduceSum holds the global sums. A fabric failure surfaces as a typed
-// panic that comm.RunErr converts back into an error.
+// iallreduceSum holds the global sums. A fabric failure unwinds as an
+// engine.Abort that comm.RunErr converts back into an error.
 func (r *Request) Wait() {
 	<-r.done
 	if r.err != nil {
-		panic(commPanic{r.err})
-	}
-}
-
-// WaitTimeout is the deadline variant of Wait: it returns a *FaultError of
-// kind FaultTimeout when the reduction has not completed within d, or the
-// fabric failure that ended it.
-func (r *Request) WaitTimeout(d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-r.done:
-		return r.err
-	case <-timer.C:
-		return &FaultError{Kind: FaultTimeout, Rank: -1,
-			Msg: fmt.Sprintf("iallreduce incomplete after %v", d)}
+		panic(engine.Abort{Err: r.err})
 	}
 }
 

@@ -182,7 +182,8 @@ func (k FaultKind) String() string {
 }
 
 // FaultError is the typed error every deadline-aware primitive returns (and
-// the engine panics with, for comm.RunErr to recover): a chaos run either
+// the engine unwinds with inside an engine.Abort, for comm.RunErr to
+// recover): a chaos run either
 // converges or surfaces one of these — never a frozen process.
 type FaultError struct {
 	Kind FaultKind

@@ -264,36 +264,6 @@ func TestStragglerAllreduce(t *testing.T) {
 	}
 }
 
-// TestRequestWaitTimeout: the deadline variant of Wait must report an
-// incomplete reduction as a typed timeout, and the reduction must still be
-// usable once it completes.
-func TestRequestWaitTimeout(t *testing.T) {
-	const p = 2
-	f := NewFabric(p, 20*time.Millisecond) // slow hops
-	var wg sync.WaitGroup
-	wg.Add(p)
-	for r := 0; r < p; r++ {
-		go func(r int) {
-			defer wg.Done()
-			buf := []float64{1}
-			req := f.iallreduceSum(r, 0, buf)
-			err := req.WaitTimeout(time.Millisecond)
-			var fe *FaultError
-			if !errors.As(err, &fe) || fe.Kind != FaultTimeout {
-				t.Errorf("rank %d: want FaultTimeout, got %v", r, err)
-			}
-			if err := req.WaitTimeout(5 * time.Second); err != nil {
-				t.Errorf("rank %d: completed wait failed: %v", r, err)
-			}
-			if buf[0] != p {
-				t.Errorf("rank %d: sum %g want %d", r, buf[0], p)
-			}
-		}(r)
-	}
-	wg.Wait()
-	f.Close()
-}
-
 // TestSpMVSendBufferReuse: repeated halo exchanges through the reused
 // per-neighbor double buffers must keep matching the sequential product.
 func TestSpMVSendBufferReuse(t *testing.T) {

@@ -22,8 +22,6 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -31,15 +29,34 @@ import (
 // Request is a pending non-blocking reduction.
 type Request interface {
 	// Wait blocks until the reduced values are available in the buffer
-	// passed to IallreduceSum.
+	// passed to IallreduceSum. A reduction that cannot complete unwinds
+	// with an Abort, as a failed blocking call does.
 	Wait()
-	// WaitTimeout bounds the wait and returns an error (typed by the
-	// backend, e.g. *comm.FaultError) when the reduction has not completed
-	// within d — the solver-side belt over the fabric's own receive
-	// deadlines. After a nil return the buffer holds the global sums,
-	// exactly as after Wait. Backends whose reductions complete at the post
-	// (seq, sim) return nil.
-	WaitTimeout(d time.Duration) error
+}
+
+// Abort is the panic an engine call unwinds a solver with when the solve
+// cannot go on: a fabric fault, a canceled job. Kernels have no error
+// return, so the error travels up the solver's stack to the boundary that
+// started the solve — a comm rank, a gang column, a service job — where
+// Recover turns it back into an error.
+type Abort struct{ Err error }
+
+// Recover is the recovery of an Abort, deferred at a solve's boundary: it
+// stores an Abort's Err in *err and hands any other panic value to other,
+// or re-panics it when other is nil.
+func Recover(err *error, other func(p any)) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	if a, ok := p.(Abort); ok {
+		*err = a.Err
+		return
+	}
+	if other == nil {
+		panic(p)
+	}
+	other(p)
 }
 
 // Preconditioner applies M⁻¹ to a vector. Implementations live in
@@ -262,8 +279,6 @@ func (e *Seq) AllreduceSum(buf []float64) {
 type seqRequest struct{}
 
 func (seqRequest) Wait() {}
-
-func (seqRequest) WaitTimeout(time.Duration) error { return nil }
 
 // IallreduceSum implements Engine: the reduction is complete at its post.
 func (e *Seq) IallreduceSum(buf []float64) Request {

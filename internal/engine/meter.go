@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -155,27 +153,20 @@ func (m *Meter) BookPost(sp obs.Span, req Request, words int) Request {
 
 // meteredRequest books the wait on a posted reduction: BeginWait when the
 // solver blocks, then EndWait and the recorder's Wait when the reduction
-// delivers, or AbortWait when the wait fails (deadline, fabric fault).
+// delivers, or AbortWait when the wait unwinds (a fabric fault).
 type meteredRequest struct {
 	req   Request
 	m     *Meter
 	h, id int
 }
 
-// Wait settles in a deferred call: a failed comm Wait unwinds as a panic.
+// Wait settles in a deferred call: a failed Wait unwinds with an Abort.
 func (r meteredRequest) Wait() {
 	r.m.Tr.BeginWait(r.h)
 	ok := false
 	defer func() { r.settle(ok) }()
 	r.req.Wait()
 	ok = true
-}
-
-func (r meteredRequest) WaitTimeout(d time.Duration) error {
-	r.m.Tr.BeginWait(r.h)
-	err := r.req.WaitTimeout(d)
-	r.settle(err == nil)
-	return err
 }
 
 func (r meteredRequest) settle(ok bool) {

@@ -47,8 +47,7 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		chargeDots(e, n, 1)
 		e.EndPhase(sp)
 		e.AllreduceSum(normBuf)
-		if stop, conv := mon.check(math.Sqrt(math.Abs(normBuf[0])), i); stop {
-			res.Converged = conv
+		if stop, _ := mon.check(math.Sqrt(math.Abs(normBuf[0])), i); stop {
 			break
 		}
 
@@ -88,10 +87,7 @@ func PCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		res.Iterations++
 	}
 	res.Outer = res.Iterations
-	res.History = mon.hist
-	res.RelRes = mon.relres()
-	e.Counters().Iterations = res.Iterations
-	return res, nil
+	return mon.finish(res), nil
 }
 
 // normTermPCG returns the squared norm term for the selected mode. The
@@ -152,15 +148,10 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		e.ApplyPC(m, w)
 		e.SpMV(nn, m)
 
-		if err := waitReduce(req, opt.WaitDeadline); err != nil {
-			res.History = mon.hist
-			res.RelRes = mon.relres()
-			return res, err
-		}
+		req.Wait()
 		gamma = buf[0]
 		delta := buf[1]
-		if stop, conv := mon.check(math.Sqrt(math.Abs(buf[2])), i); stop {
-			res.Converged = conv
+		if stop, _ := mon.check(math.Sqrt(math.Abs(buf[2])), i); stop {
 			break
 		}
 
@@ -202,8 +193,5 @@ func PIPECG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		res.Iterations++
 	}
 	res.Outer = res.Iterations
-	res.History = mon.hist
-	res.RelRes = mon.relres()
-	e.Counters().Iterations = res.Iterations
-	return res, nil
+	return mon.finish(res), nil
 }

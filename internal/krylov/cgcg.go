@@ -49,9 +49,7 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		e.AllreduceSum(buf)
 		gamma = buf[0]
 		delta := buf[1]
-		if stop, conv := mon.check(math.Sqrt(math.Abs(buf[2])), i); stop {
-			res.Converged = conv
-			res.Diverged = mon.diverged
+		if stop, _ := mon.check(math.Sqrt(math.Abs(buf[2])), i); stop {
 			break
 		}
 
@@ -82,8 +80,5 @@ func CGCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		res.Iterations++
 	}
 	res.Outer = res.Iterations
-	res.History = mon.hist
-	res.RelRes = mon.relres()
-	e.Counters().Iterations = res.Iterations
-	return res, nil
+	return mon.finish(res), nil
 }

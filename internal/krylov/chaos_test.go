@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -232,6 +233,56 @@ func TestChaosBitIdenticalWhenDisabled(t *testing.T) {
 					t.Fatalf("x[%d]: %g vs %g — tracking must not perturb numerics",
 						i, plain.x[i], tracked.x[i])
 				}
+			}
+		})
+	}
+}
+
+// deserter is rank 1's engine in TestFaultDesertedPostedWait: it runs the
+// solve until its first posted reduction, then leaves without posting.
+type deserter struct{ engine.Engine }
+
+var errDeserted = errors.New("rank deserted")
+
+func (d deserter) IallreduceSum([]float64) engine.Request {
+	panic(engine.Abort{Err: errDeserted})
+}
+
+// TestFaultDesertedPostedWait: a rank whose peer deserts a posted reduction
+// unwinds out of its next wait on the peer — the posted wait itself for
+// GROPPCG, whose rank-local PC is all it overlaps — like any engine fault:
+// comm.RunErr reports the fabric's typed *FaultError for it and the
+// deserter's own Abort error for the peer, and nothing hangs.
+func TestFaultDesertedPostedWait(t *testing.T) {
+	a := poisson12()
+	for _, name := range []string{"groppcg", "pipecg", "pipe-pr-cg", "pipe-pscg"} {
+		t.Run(name, func(t *testing.T) {
+			m, err := MethodByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt := partition.RowBlockByNNZ(a.m, 2)
+			f := comm.NewFabric(2, 0).WithRecvTimeout(20*time.Millisecond, 3)
+			engines := comm.NewEngines(f, a.m, pt, jacobiFactory)
+			bs := comm.Scatter(pt, a.b)
+			errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
+				var re engine.Engine = e
+				if r == 1 {
+					re = deserter{e}
+				}
+				_, err := m.Solve(re, bs[r], Defaults())
+				return err
+			})
+			f.Close()
+			var fe *comm.FaultError
+			if !errors.As(errs[0], &fe) {
+				t.Errorf("rank 0: want a typed *comm.FaultError, got %v", errs[0])
+			}
+			if !errors.Is(errs[1], errDeserted) {
+				t.Errorf("rank 1: want the deserter's error, got %v", errs[1])
+			}
+			if name == "groppcg" && engines[0].Counters().Iallreduce != 1 {
+				t.Errorf("groppcg rank 0 posted %d reductions, want the one it waited on", engines[0].Counters().Iallreduce)
 			}
 		})
 	}

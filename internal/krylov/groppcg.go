@@ -52,12 +52,8 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 	gamma := gBuf[0]
 
 	res := &Result{Method: "groppcg", X: x}
-	if stop, conv := mon.check(math.Sqrt(math.Abs(gBuf[1])), 0); stop {
-		res.Converged = conv
-		res.Diverged = mon.diverged
-		res.History = mon.hist
-		res.RelRes = mon.relres()
-		return res, nil
+	if stop, _ := mon.check(math.Sqrt(math.Abs(gBuf[1])), 0); stop {
+		return mon.finish(res), nil
 	}
 	buf := make([]float64, 2)
 	for i := 0; i < opt.MaxIter; i++ {
@@ -68,11 +64,7 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		e.EndPhase(sp)
 		req := e.IallreduceSum(buf[:1])
 		e.ApplyPC(q, s)
-		if err := waitReduce(req, opt.WaitDeadline); err != nil {
-			res.History = mon.hist
-			res.RelRes = mon.relres()
-			return res, err
-		}
+		req.Wait()
 		delta := buf[0]
 
 		alpha := gamma / delta
@@ -91,17 +83,11 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		e.EndPhase(sp)
 		req = e.IallreduceSum(buf)
 		e.SpMV(w, u)
-		if err := waitReduce(req, opt.WaitDeadline); err != nil {
-			res.History = mon.hist
-			res.RelRes = mon.relres()
-			return res, err
-		}
+		req.Wait()
 		gammaNew := buf[0]
 
 		res.Iterations++
-		if stop, conv := mon.check(math.Sqrt(math.Abs(buf[1])), res.Iterations); stop {
-			res.Converged = conv
-			res.Diverged = mon.diverged
+		if stop, _ := mon.check(math.Sqrt(math.Abs(buf[1])), res.Iterations); stop {
 			break
 		}
 
@@ -114,8 +100,5 @@ func GROPPCG(e engine.Engine, b []float64, opt Options) (*Result, error) {
 		e.EndPhase(sp)
 	}
 	res.Outer = res.Iterations
-	res.History = mon.hist
-	res.RelRes = mon.relres()
-	e.Counters().Iterations = res.Iterations
-	return res, nil
+	return mon.finish(res), nil
 }

@@ -34,7 +34,6 @@ package krylov
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -88,26 +87,16 @@ type Options struct {
 	// tight tolerances (the Cools–Cornelis–Vanroose remedy the paper's
 	// §V alludes to). 0 disables replacement.
 	ReplaceEvery int
-	// WaitDeadline bounds each non-blocking reduction wait
-	// (engine.Request.WaitTimeout): instead of blocking forever on a lost
-	// collective, the solver returns the backend's typed error. 0 means
-	// wait indefinitely.
-	WaitDeadline time.Duration
-	// Progress, when non-nil, is invoked after every convergence check with
-	// the history point just recorded — the live-streaming hook a serving
-	// layer uses to emit per-iteration events without waiting for Result.
-	// It runs on the solver goroutine and must be cheap and non-blocking;
-	// it observes the solve and must not mutate it. On an SPMD runtime every
-	// rank calls it, so a process-wide consumer should install it on one
-	// rank only.
-	Progress func(HistPoint)
 	// Observe, when non-nil, is invoked after every convergence check with
 	// the history point just recorded and a read-only view of the rank-local
-	// iterate the checked residual norm corresponds to. It is the
-	// out-of-band audit hook (internal/audit recomputes the true residual
-	// ‖b−A·x‖ through it): the callback must not mutate x and must not call
-	// back into the engine — it runs between kernels and anything it charges
-	// or reduces would desynchronize the counter ledger across engines.
+	// iterate the checked residual norm corresponds to: the hook a serving
+	// layer streams per-iteration events through and an auditor recomputes
+	// the true residual ‖b−A·x‖ through. It runs on the solver goroutine
+	// between kernels and must be cheap and non-blocking; it must not mutate
+	// x and must not call back into the engine — anything it charged or
+	// reduced would desynchronize the counter ledger across engines. On an
+	// SPMD runtime every rank calls it, so a process-wide consumer should
+	// install it on one rank only.
 	Observe func(hp HistPoint, x []float64)
 
 	// recover and stall are a Rung's policy, set by escalate only: recover
@@ -163,6 +152,7 @@ type monitor struct {
 	rtol, atol float64
 	bnorm      float64
 	hist       []HistPoint
+	converged  bool
 	// stagnation detection
 	window  int
 	factor  float64
@@ -173,8 +163,6 @@ type monitor struct {
 	// on ill-conditioned systems past their attainable accuracy.
 	bestRel  float64
 	diverged bool
-	// progress is Options.Progress: the per-check streaming callback.
-	progress func(HistPoint)
 	// observe is Options.Observe; x is the solver's iterate slice (stable
 	// for the whole solve), handed to observe alongside each history point.
 	observe func(HistPoint, []float64)
@@ -196,7 +184,7 @@ func newMonitor(e engine.Engine, b []float64, opt Options) *monitor {
 		e:    e,
 		rtol: opt.RelTol, atol: opt.AbsTol, bnorm: math.Sqrt(buf[0]),
 		window: opt.stall.window, factor: opt.stall.factor,
-		progress: opt.Progress, observe: opt.Observe,
+		observe: opt.Observe,
 	}
 }
 
@@ -213,10 +201,7 @@ func (m *monitor) check(norm float64, iter int) (stop, converged bool) {
 		ridx = m.e.Counters().TotalAllreduces()
 	}
 	m.hist = append(m.hist, HistPoint{Iteration: iter, RelRes: rel, ReduceIndex: ridx})
-	if m.progress != nil {
-		m.progress(m.hist[len(m.hist)-1])
-	}
-	if m.observe != nil && m.x != nil {
+	if m.observe != nil {
 		m.observe(m.hist[len(m.hist)-1], m.x)
 	}
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
@@ -224,6 +209,7 @@ func (m *monitor) check(norm float64, iter int) (stop, converged bool) {
 		return true, false
 	}
 	if norm < math.Max(m.rtol*m.bnorm, m.atol) {
+		m.converged = true
 		return true, true
 	}
 	if m.bestRel == 0 || rel < m.bestRel {
@@ -271,6 +257,16 @@ func (m *monitor) relres() float64 {
 	return m.hist[len(m.hist)-1].RelRes
 }
 
+// finish records how the solve stopped on res — the stop flags, the last
+// relative residual and the history — and books res.Iterations on the
+// engine's counters. Every solver ends through it.
+func (m *monitor) finish(res *Result) *Result {
+	res.Converged, res.Stagnated, res.Diverged = m.converged, m.stagnat, m.diverged
+	res.RelRes, res.History = m.relres(), m.hist
+	m.e.Counters().Iterations = res.Iterations
+	return res
+}
+
 // rearm clears the stop flags after a recovery restart and re-anchors the
 // divergence guard and the stagnation window at the restored iterate. A
 // non-finite or non-positive rel (a best value harvested from a poisoned
@@ -287,17 +283,6 @@ func (m *monitor) rearm(rel float64) {
 
 // isFinite reports whether v is neither NaN nor ±Inf.
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// waitReduce completes a non-blocking reduction, honoring the configured
-// deadline. On a deadline the backend's typed error is returned and the
-// reduction buffer must be considered unusable.
-func waitReduce(req engine.Request, deadline time.Duration) error {
-	if deadline > 0 {
-		return req.WaitTimeout(deadline)
-	}
-	req.Wait()
-	return nil
-}
 
 // chargeAxpys accounts k axpy-like updates of length n: 2 flops and 24 bytes
 // per element (read x, read+write y).

@@ -32,7 +32,6 @@ func measuredOverlap(t *testing.T, solve Solver, hop time.Duration) obs.Summary 
 	errs := comm.RunErr(engines, func(r int, e *comm.Engine) error {
 		opt := Defaults()
 		opt.RelTol = 1e-7
-		opt.WaitDeadline = 10 * time.Second
 		res, err := solve(e, bs[r], opt)
 		if err == nil && !res.Converged {
 			t.Errorf("rank %d did not converge", r)

@@ -114,10 +114,7 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 
 	res := &Result{Method: method, X: x}
 	for i := 0; i < opt.MaxIter; i++ {
-		if stop, conv := mon.check(norm, i); stop {
-			res.Converged = conv
-			res.Stagnated = mon.stagnat
-			res.Diverged = mon.diverged
+		if stop, _ := mon.check(norm, i); stop {
 			break
 		}
 		alpha := nu / mu
@@ -180,20 +177,13 @@ func pipePRCG(e engine.Engine, b []float64, opt Options, meurant bool) (*Result,
 			e.SpMV(w, z)
 		}
 
-		if err := waitReduce(req, opt.WaitDeadline); err != nil {
-			res.History = mon.hist
-			res.RelRes = mon.relres()
-			return res, err
-		}
+		req.Wait()
 		mu, del, gam, nu = buf[0], buf[1], buf[2], buf[3]
 		norm = math.Sqrt(math.Abs(buf[4]))
 		res.Iterations++
 	}
 	res.Outer = res.Iterations
-	res.History = mon.hist
-	res.RelRes = mon.relres()
-	e.Counters().Iterations = res.Iterations
-	return res, nil
+	return mon.finish(res), nil
 }
 
 // localPRDots fills the fused 5-slot reduction buffer with the rank-local

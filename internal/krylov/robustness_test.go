@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -211,5 +212,29 @@ func TestFaultInjectionNaNPreconditioner(t *testing.T) {
 		if res.Iterations > 300 {
 			t.Fatalf("%s: guards should stop quickly, ran %d iterations", tc.name, res.Iterations)
 		}
+	}
+}
+
+// TestNonFiniteResidualFlagsDiverged: a right-hand side with a NaN entry
+// makes the first checked residual non-finite, and every method must report
+// that stop as a divergence — the flag the service, LadderError and the
+// audit's non-finite-history invariant read. The ladder alone also returns
+// its *LadderError.
+func TestNonFiniteResidualFlagsDiverged(t *testing.T) {
+	a, b := testProblem(t)
+	b = append([]float64(nil), b...)
+	b[len(b)/2] = math.NaN()
+	for _, m := range Methods {
+		t.Run(m.Name, func(t *testing.T) {
+			e := engine.NewSeq(a, precond.NewJacobi(a, 0, a.Rows))
+			res, err := m.Solve(e, b, Defaults())
+			var le *LadderError
+			if err != nil && !(m.Name == "ladder" && errors.As(err, &le)) {
+				t.Fatal(err)
+			}
+			if res.Converged || !res.Diverged {
+				t.Fatalf("converged=%v diverged=%v, want false, true", res.Converged, res.Diverged)
+			}
+		})
 	}
 }

@@ -572,11 +572,7 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 
 	for res.Iterations < opt.MaxIter {
 		if cfg.pipelined {
-			if err := waitReduce(req, opt.WaitDeadline); err != nil {
-				res.RelRes = mon.relres()
-				res.History = mon.hist
-				return res, err
-			}
+			req.Wait()
 		}
 		stop, conv := mon.check(math.Sqrt(math.Abs(st.norm2(opt.Norm))), res.Iterations)
 		if rel := mon.relres(); rel < bestRel {
@@ -589,9 +585,6 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 				recovered(true, true)
 				continue
 			}
-			res.Converged = conv
-			res.Stagnated = mon.stagnat
-			res.Diverged = mon.diverged
 			break
 		}
 
@@ -640,14 +633,11 @@ func solveSStep(e engine.Engine, b []float64, opt Options, cfg sstepConfig) (*Re
 		res.Outer++
 	}
 
-	if !res.Converged && bestRel < math.Inf(1) && bestRel < mon.relres() {
+	mon.finish(res)
+	if !res.Converged && bestRel < res.RelRes {
 		copy(st.x, bestX)
 		res.RelRes = bestRel
-	} else {
-		res.RelRes = mon.relres()
 	}
-	res.History = mon.hist
-	e.Counters().Iterations = res.Iterations
 	return res, nil
 }
 

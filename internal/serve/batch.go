@@ -120,19 +120,13 @@ func (m *Manager) runBatch(batch []*Job) {
 		// colEng is this column's engine view; the progress hook runs on the
 		// column's own goroutine, so reading its per-column ledger is safe.
 		var colEng engine.Engine
-		opt.Progress = j.progressHook(&colEng)
+		opt.Observe = j.progressHook(&colEng)
 		cols[i] = blockcg.Column{
 			B:   rhsFor(pr, j.Req.RHSSeed),
 			Opt: opt,
 			Wrap: func(e engine.Engine) engine.Engine {
 				colEng = e
 				return &cancelEngine{Engine: e, ctx: ctx}
-			},
-			Recover: func(p any) error {
-				if cp, ok := p.(cancelPanic); ok {
-					return cp.err
-				}
-				return nil // not ours: re-panics after the gang settles
 			},
 		}
 	}

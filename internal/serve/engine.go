@@ -35,18 +35,14 @@ func jobTracer(rank int) *obs.Tracer {
 // the audit sweep's own.
 const driftProbeEvery = 4
 
-// cancelPanic unwinds a solver whose job context ended. The engine interface
-// has no error returns on kernels, so cancellation travels the same way the
-// comm fabric's fault errors do: a typed panic recovered at the job (or
-// rank) boundary.
-type cancelPanic struct{ err error }
-
 // cancelEngine wraps an engine so every kernel call observes the job
 // context: the products, ApplyPC and both reductions poll ctx and unwind
-// with a cancelPanic once it is done. Cancellation therefore lands within
-// one solver iteration. Everything else the embedded engine forwards itself,
-// and the wrapper adds no arithmetic — the numerics (and the bit-identity
-// guarantee against the CLI path) are untouched.
+// with an engine.Abort carrying ctx.Err() once it is done — the way a
+// fabric fault unwinds — recovered at the job, column or rank boundary.
+// Cancellation therefore lands within one solver iteration. Everything else
+// the embedded engine forwards itself, and the wrapper adds no arithmetic —
+// the numerics (and the bit-identity guarantee against the CLI path) are
+// untouched.
 type cancelEngine struct {
 	engine.Engine
 	ctx context.Context
@@ -57,7 +53,7 @@ var _ engine.Engine = (*cancelEngine)(nil)
 func (e *cancelEngine) poll() {
 	select {
 	case <-e.ctx.Done():
-		panic(cancelPanic{e.ctx.Err()})
+		panic(engine.Abort{Err: e.ctx.Err()})
 	default:
 	}
 }
@@ -162,12 +158,13 @@ func solveOptions(pr workload.Problem, req SolveRequest) krylov.Options {
 	return opt
 }
 
-// progressHook returns the job's per-iteration progress emitter. Events carry
-// the recovery ledger alongside the residual, so a stream shows degradation
-// as it happens; *eng is the engine whose counters hold that ledger, set by
-// the runner before the solve starts.
-func (j *Job) progressHook(eng *engine.Engine) func(krylov.HistPoint) {
-	return func(hp krylov.HistPoint) {
+// progressHook returns the job's per-iteration progress emitter, an
+// Options.Observe hook that reads only the history point. Events carry the
+// recovery ledger alongside the residual, so a stream shows degradation as
+// it happens; *eng is the engine whose counters hold that ledger, set by the
+// runner before the solve starts.
+func (j *Job) progressHook(eng *engine.Engine) func(krylov.HistPoint, []float64) {
+	return func(hp krylov.HistPoint, _ []float64) {
 		ev := Event{Type: "progress", Job: j.ID,
 			Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
 		// The monitor records the history point (and fires this hook) BEFORE
@@ -255,7 +252,7 @@ func (m *Manager) run(j *Job) {
 		opt.Norm = krylov.NormUnpreconditioned
 	}
 	var progressEng engine.Engine
-	opt.Progress = j.progressHook(&progressEng)
+	opt.Observe = j.progressHook(&progressEng)
 
 	if j.Req.Ranks <= 1 {
 		m.runSeq(j, ctx, entry, pr, meth, opt, &progressEng)
@@ -287,14 +284,23 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.
 	// recomputes the true residual through the raw CSR kernel — never the
 	// engine, so the job's counter ledger (and its bit-identity with the CLI
 	// path) is untouched. The max true/recurrence ratio is the tuner's
-	// stability signal and lands on the result event as DriftRatio.
+	// stability signal and lands on the result event as DriftRatio. Neither
+	// it nor the progress emitter touches the engine, so their order is free.
 	var probe *workload.DriftProbe
 	if j.tuneDecision() != nil {
 		probe = workload.NewDriftProbe(pr.A, b, driftProbeEvery)
-		opt.Observe = probe.Observe
+		progress := opt.Observe
+		opt.Observe = func(hp krylov.HistPoint, x []float64) {
+			progress(hp, x)
+			probe.Observe(hp, x)
+		}
 	}
 
-	res, err := solveRecovering(wrapped, b, meth.Solve, opt)
+	var res *krylov.Result
+	func() {
+		defer engine.Recover(&err, nil)
+		res, err = meth.Solve(wrapped, b, opt)
+	}()
 	unpermuteResult(res, pr)
 	if probe != nil {
 		j.mu.Lock()
@@ -315,9 +321,10 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.
 // runComm executes the job on the in-process goroutine-rank runtime through
 // the shared SPMD driver — the same function the CLIs and the audit call —
 // with the entry's cached nnz-balanced partition, a fresh fabric, and the
-// shared kernel pool underneath. The fabric gets a receive deadline and the
-// solver a wait deadline so a rank unwound by cancellation can never
-// deadlock its peers.
+// shared kernel pool underneath. The fabric gets a receive deadline so a
+// rank unwound by cancellation can never deadlock its peers: a peer waiting
+// on it fails within the deadline, and comm.RunErr recovers every rank's
+// engine.Abort as that rank's error.
 func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
 	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
 	ranks := j.Req.Ranks
@@ -328,7 +335,6 @@ func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload
 		// end against a known-degraded rank.
 		f = f.WithFault(m.cfg.testFabricFault)
 	}
-	opt.WaitDeadline = 10 * time.Second
 	// Every rank solves behind the cancellation wrapper; rank 0, the one
 	// rank that streams progress, lends its counters to the progress hook.
 	solve := meth.Solve
@@ -336,7 +342,7 @@ func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload
 		if e.(*comm.Engine).Rank() == 0 {
 			*progressEng = e
 		}
-		return solveRecovering(&cancelEngine{Engine: e, ctx: ctx}, b, solve, opt)
+		return solve(&cancelEngine{Engine: e, ctx: ctx}, b, opt)
 	}
 	tracer := func(rank int) *obs.Tracer {
 		if rank == 0 {
@@ -397,23 +403,6 @@ func unpermuteResult(res *krylov.Result, pr workload.Problem) {
 	if res != nil {
 		res.X = pr.Unpermute(res.X)
 	}
-}
-
-// solveRecovering invokes the solver, converting a cancellation unwind back
-// into an error. Other panics propagate (seq path) or are captured by
-// comm.RunErr (comm path).
-func solveRecovering(e engine.Engine, b []float64, solver krylov.Solver,
-	opt krylov.Options) (res *krylov.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			cp, ok := p.(cancelPanic)
-			if !ok {
-				panic(p)
-			}
-			res, err = nil, cp.err
-		}
-	}()
-	return solver(e, b, opt)
 }
 
 // classify maps a solve outcome onto the job's terminal state and emits the

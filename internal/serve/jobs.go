@@ -754,8 +754,10 @@ func (m *Manager) Drain(ctx context.Context) {
 	case <-finished:
 	case <-ctx.Done():
 		// Deadline: cancel everything still alive. Cancellation reaches the
-		// solver through the engine wrapper at its next kernel call, so the
-		// jobs unwind promptly; wait for them.
+		// solver through the engine wrapper at its next kernel call, which
+		// unwinds it with an engine.Abort; a rank of a ranks>1 job blocked
+		// on a peer that already unwound waits out the fabric's receive
+		// deadline first. Wait for them all.
 		for _, j := range m.List() {
 			if st := j.State(); st == JobQueued || st == JobRunning {
 				j.Cancel()

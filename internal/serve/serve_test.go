@@ -379,6 +379,39 @@ func TestJobTimeoutCancels(t *testing.T) {
 	}
 }
 
+// TestCommJobTimeoutCancelsMidSolve: a ranks=2 job whose budget runs out
+// while its ranks are solving ends canceled. Each rank's cancellation
+// wrapper unwinds it with an engine.Abort, a peer blocked on a canceled rank
+// fails within the fabric deadline, and comm.RunErr hands both back as the
+// ranks' errors.
+func TestCommJobTimeoutCancelsMidSolve(t *testing.T) {
+	s, _ := newTestServer(t, Config{
+		Workers: 1, QueueDepth: 4,
+		// Rank 1's messages straggle by up to 5 ms, so the solve runs for
+		// several times the job's budget.
+		testFabricFault: &comm.FaultConfig{Seed: 3, StragglerRank: 1, StragglerJitter: 5 * time.Millisecond},
+	})
+	j, err := s.Jobs.Submit(SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 16},
+		Method:      "pcg", Ranks: 2, RelTol: 1e-13, TimeoutMS: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-j.Done():
+	case <-time.After(30 * time.Second):
+		t.Fatal("job did not finish")
+	}
+	if st := j.State(); st != JobCanceled {
+		_, jerr := j.Result()
+		t.Fatalf("state=%s (err %v), want canceled", st, jerr)
+	}
+	if c := j.Counters(); c.SpMV < 2 {
+		t.Fatalf("the job was canceled before its solve ran: %+v", c)
+	}
+}
+
 // waitFor polls cond for up to 5 seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -71,8 +71,8 @@ func (o *Outcome) FirstErr() (rank int, err error) {
 
 // Run solves pr's system for the right-hand side b with meth on every rank
 // of the fabric: it builds the engines, attaches the tracers, scatters b,
-// launches the ranks under comm.RunErr with Progress and Observe silenced on
-// every rank but 0 (the checks are collective-consistent, so one rank's view
+// launches the ranks under comm.RunErr with Observe silenced on every rank
+// but 0 (the checks are collective-consistent, so one rank's view
 // is the solve's view), collects what each rank left behind, closes the
 // fabric and gathers the iterate. A method that ignores its preconditioner
 // runs with none. The error is a refused assembly (a preconditioner that is
@@ -98,7 +98,7 @@ func (s SPMD) Run(pr Problem, meth krylov.Method, b []float64, opt krylov.Option
 	}
 	bs := comm.Scatter(pt, b)
 	quiet := opt
-	quiet.Progress, quiet.Observe = nil, nil
+	quiet.Observe = nil
 
 	out := &Outcome{Ranks: make([]*krylov.Result, ranks), Counters: make([]trace.Counters, ranks)}
 	start := time.Now()
