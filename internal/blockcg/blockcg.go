@@ -67,11 +67,10 @@ type Column struct {
 	B []float64
 	// Opt are this column's solver options (tolerance, s, progress hook...).
 	Opt krylov.Options
-	// Wrap, when non-nil, wraps the column's engine view before the solver
-	// runs on it — the hook the serving layer uses to install its per-job
-	// cancellation wrapper. A wrapper that embeds the engine.Engine it is
-	// given forwards every call and overrides only what it intercepts.
-	Wrap func(engine.Engine) engine.Engine
+	// Engine, when non-nil, receives the column's engine view before the
+	// solver runs, so a progress hook in Opt can read the column's live
+	// counter ledger.
+	Engine *engine.Engine
 }
 
 // Result is one column's outcome: the solver result (nil when an
@@ -87,10 +86,10 @@ type Result struct {
 // Solve runs solver once per column against the shared base engine, with
 // every batchable engine call shared across the columns still running. It
 // returns one Result per column, in order. An engine.Abort unwinding a
-// column (a canceled job, a fabric fault poisoning the gang) becomes that
-// column's Err; any other panic is re-panicked on the caller once every
-// column has settled. See the package documentation for the determinism
-// contract.
+// column (a progress hook canceling its job, a fabric fault poisoning the
+// gang) becomes that column's Err; any other panic is re-panicked on the
+// caller once every column has settled. See the package documentation for
+// the determinism contract.
 //
 // On a distributed backend, Solve must be called once per rank (inside the
 // rank body), with the same column order everywhere; batch composition is a
@@ -109,12 +108,11 @@ func Solve(base engine.BlockSpMV, solver krylov.Solver, cols []Column) []Result 
 			defer func() { done <- i }()
 			defer engine.Recover(&res[i].Err, func(p any) { panics[i] = p })
 			ce := g.cols[i]
-			var e engine.Engine = ce
-			if cols[i].Wrap != nil {
-				e = cols[i].Wrap(e)
+			if cols[i].Engine != nil {
+				*cols[i].Engine = ce
 			}
 			defer g.done(ce)
-			r, err := solver(e, cols[i].B, cols[i].Opt)
+			r, err := solver(ce, cols[i].B, cols[i].Opt)
 			res[i].Res, res[i].Err = r, err
 		}(i)
 	}

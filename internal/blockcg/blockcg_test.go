@@ -3,7 +3,6 @@ package blockcg_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -269,41 +267,13 @@ func TestGangTracingBitIdentity(t *testing.T) {
 	}
 }
 
-// cancelWrap is a serve-style engine wrapper: it embeds the engine it is
-// given, so everything is forwarded, and overrides the two product calls to
-// unwind with an engine.Abort once its column has performed enough SPMVs —
-// modeling a per-job cancellation firing mid-gang.
-type cancelWrap struct {
-	engine.Engine
-	after int
-	n     int
-}
-
 var errCanceled = errors.New("canceled")
 
-func (c *cancelWrap) poll() {
-	c.n++
-	if c.n > c.after {
-		panic(engine.Abort{Err: errCanceled})
-	}
-}
-
-func (c *cancelWrap) SpMV(dst, src []float64) {
-	c.poll()
-	c.Engine.SpMV(dst, src)
-}
-
-func (c *cancelWrap) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
-	c.poll()
-	c.Engine.SpMVFusedDots(dst, src, scale, pc, ws, dots)
-}
-
-// TestGangColumnCancel: every column runs under the wrapper, as every service
-// job does; one is canceled mid-solve by the wrapper's engine.Abort, which
-// Solve records as that column's error, and the surviving columns still
-// finish bit-identical to their solo solves. The pipe-pscg case runs on a
-// problem larger than one par grain, where a wrapper that lost the fused
-// SPMV on the way through would fold its dots over other chunks and drift.
+// TestGangColumnCancel: one column is canceled mid-solve by its progress
+// hook, which unwinds with an engine.Abort after a few convergence checks
+// as a service job's hook does once its deadline passes; Solve records it
+// as that column's error, and the surviving columns still finish
+// bit-identical to their solo solves.
 func TestGangColumnCancel(t *testing.T) {
 	for _, tc := range []struct {
 		method string
@@ -314,9 +284,6 @@ func TestGangColumnCancel(t *testing.T) {
 	} {
 		t.Run(tc.method, func(t *testing.T) {
 			pr, method := tc.pr, tc.method
-			if method == "pipe-pscg" && len(pr.B) <= par.Grain() {
-				t.Fatalf("%d rows against a par grain of %d", len(pr.B), par.Grain())
-			}
 			const k = 3
 			opt := workload.DefaultOptions(pr)
 			opt.S = 3
@@ -336,12 +303,13 @@ func TestGangColumnCancel(t *testing.T) {
 			base := engine.NewSeq(pr.Operator(), pc)
 			cols := make([]blockcg.Column, k)
 			for j := range cols {
-				after := math.MaxInt
-				if j == 1 {
-					after = 5
+				cols[j] = blockcg.Column{B: rhs[j], Opt: opt}
+			}
+			checks := 0
+			cols[1].Opt.Observe = func(krylov.HistPoint, []float64) {
+				if checks++; checks > 5 {
+					panic(engine.Abort{Err: errCanceled})
 				}
-				cols[j] = blockcg.Column{B: rhs[j], Opt: opt,
-					Wrap: func(e engine.Engine) engine.Engine { return &cancelWrap{Engine: e, after: after} }}
 			}
 			results := blockcg.Solve(base, solver, cols)
 			if !errors.Is(results[1].Err, errCanceled) {

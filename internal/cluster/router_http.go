@@ -171,11 +171,24 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPa
 				},
 			})
 		}
+		// retry books a failed attempt on sh and, when another try remains,
+		// counts it and backs off. It reports false once the client is gone.
+		retry := func() bool {
+			sh.breaker.Failure()
+			sh.up.Store(false)
+			if try+1 == maxAttempts {
+				return true
+			}
+			rt.met.retries.Add(1)
+			if !resubmitted {
+				resubmitted = true
+				rt.met.requeued.Add(1)
+			}
+			return rt.backoff(ctx, try+1)
+		}
 		resp, err := rt.send(ctx, sh, http.MethodPost, pathAndQuery, abody)
 		if err != nil {
 			endAttempt("transport_error")
-			sh.breaker.Failure()
-			sh.up.Store(false)
 			rt.log.Warn("cluster: submit failed, failing over",
 				"shard", sh.name, "key", req.JobKey, "attempt", attempts, "error", err)
 			rt.flight.RecordEvent(obs.FlightEvent{
@@ -186,15 +199,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPa
 					"attempt": fmt.Sprintf("%d", attempts),
 				},
 			})
-			if try+1 < maxAttempts {
-				rt.met.retries.Add(1)
-				if !resubmitted {
-					resubmitted = true
-					rt.met.requeued.Add(1)
-				}
-				if !rt.backoff(ctx, try+1) {
-					return // client gone
-				}
+			if !retry() {
+				return // client gone
 			}
 			continue
 		}
@@ -228,8 +234,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPa
 			// Upstream died mid-stream: resubmit the same key and keep
 			// appending the replacement job's events to the open response.
 			endAttempt("stream_lost")
-			sh.breaker.Failure()
-			sh.up.Store(false)
 			rt.flight.RecordEvent(obs.FlightEvent{
 				UnixNS: time.Now().UnixNano(), Kind: "failover",
 				TraceID: routeCtx.TraceID.String(),
@@ -238,15 +242,10 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPa
 					"attempt": fmt.Sprintf("%d", attempts), "phase": "stream",
 				},
 			})
+			if !retry() {
+				return
+			}
 			if try+1 < maxAttempts {
-				rt.met.retries.Add(1)
-				if !resubmitted {
-					resubmitted = true
-					rt.met.requeued.Add(1)
-				}
-				if !rt.backoff(ctx, try+1) {
-					return
-				}
 				continue
 			}
 			rt.streamError(w, "cluster: upstream lost mid-stream, retries exhausted")
@@ -261,17 +260,8 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request, upstreamPa
 		}
 		// Body read failed before anything was committed: retry.
 		endAttempt("relay_failed")
-		sh.breaker.Failure()
-		sh.up.Store(false)
-		if try+1 < maxAttempts {
-			rt.met.retries.Add(1)
-			if !resubmitted {
-				resubmitted = true
-				rt.met.requeued.Add(1)
-			}
-			if !rt.backoff(ctx, try+1) {
-				return
-			}
+		if !retry() {
+			return
 		}
 	}
 	if committed {

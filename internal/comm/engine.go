@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -332,6 +333,13 @@ func Run(engines []*Engine, body func(rank int, e *Engine)) {
 // exhausted, mismatched collective) is recovered and reported as that rank's
 // error instead of crashing the process. Any other panic is also captured —
 // a chaos run must end with a verdict per rank, never a dead process.
+//
+// A rank whose body unwinds for a reason of its own — an engine.Abort not
+// carrying the fabric's *FaultError (a canceled job), or any other panic —
+// will never send again, so it wakes the fabric: every peer blocked in a
+// receive, now or later, fails with a FaultClosed that wraps this rank's
+// error. A rank the fabric itself failed wakes nothing (its peers meet the
+// same deadline), and neither does a rank that returns, error or not.
 func RunErr(engines []*Engine, body func(rank int, e *Engine) error) []error {
 	errs := make([]error, len(engines))
 	var wg sync.WaitGroup
@@ -339,10 +347,18 @@ func RunErr(engines []*Engine, body func(rank int, e *Engine) error) []error {
 	for r, e := range engines {
 		go func(r int, e *Engine) {
 			defer wg.Done()
+			unwound := true
+			defer func() {
+				var fe *FaultError
+				if unwound && !errors.As(errs[r], &fe) {
+					e.f.leave(r, errs[r])
+				}
+			}()
 			defer engine.Recover(&errs[r], func(p any) {
 				errs[r] = fmt.Errorf("comm: rank %d panic: %v", r, p)
 			})
 			errs[r] = body(r, e)
+			unwound = false
 		}(r, e)
 	}
 	wg.Wait()

@@ -25,7 +25,9 @@
 // payloads detect in-flight corruption, and an exhausted deadline produces a
 // typed *FaultError carrying every rank's current collective status instead
 // of a frozen process. With neither option set the fabric is bit-identical
-// to the perfect interconnect.
+// to the perfect interconnect. Deadline or not, a rank that unwinds under
+// RunErr wakes every receive blocked on the fabric with a FaultClosed error,
+// so no peer waits on a rank that left.
 package comm
 
 import (
@@ -133,6 +135,16 @@ type Fabric struct {
 
 	boxes []*mailbox
 
+	// done closes once: when a rank's body unwinds (RunErr) or the fabric
+	// closes. Every blocked receive selects on it, so no peer waits on a
+	// rank that will never send again. leaver and left are the rank whose
+	// unwind closed it (-1 for Close) and that rank's error, written before
+	// the close and read only after it.
+	done     chan struct{}
+	doneOnce sync.Once
+	leaver   int
+	left     error
+
 	mu      sync.Mutex
 	closed  bool
 	timers  map[int]*time.Timer
@@ -194,6 +206,7 @@ func NewFabric(p int, hopLatency time.Duration) *Fabric {
 	f := &Fabric{
 		p: p, hopLatency: hopLatency,
 		boxes:   make([]*mailbox, p),
+		done:    make(chan struct{}),
 		timers:  map[int]*time.Timer{},
 		status:  make([]rankStatus, p),
 		stats:   make([]FaultStats, p),
@@ -419,15 +432,15 @@ func (f *Fabric) setStatus(rank int, st rankStatus) {
 	f.mu.Unlock()
 }
 
-// recv blocks until the matching message arrives — forever on a perfect
-// fabric, or up to the configured deadline+retries on an imperfect one, in
-// which case the pristine payload is recovered from the retransmit store
-// (resend) or a typed *FaultError carrying the deadlock diagnostic is
-// returned. Hop latency alone costs no timeout: a message arrives no sooner
-// than a hop after it is sent, so each deadline runs a hop past the
-// configured one, and a message the injector left alone is never resent —
-// once it is sent the receiver waits for it.
-// Checksummed payloads that fail verification are repaired from the store
+// recv blocks until the matching message arrives or done closes (a rank
+// unwound, or the fabric closed: a FaultClosed error). On an imperfect
+// fabric the configured deadline+retries also end the wait: the pristine
+// payload is recovered from the retransmit store (resend) or a typed
+// *FaultError carrying the deadlock diagnostic is returned. Hop latency
+// alone costs no timeout: a message arrives no sooner than a hop after it
+// is sent, so each deadline runs a hop past the configured one, and a
+// message the injector left alone is never resent — once it is sent the
+// receiver waits for it. Checksummed payloads that fail verification are repaired from the store
 // when possible and counted either way.
 func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 	k := key{from, kind, seq}
@@ -454,7 +467,12 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 	}
 
 	if f.recvTimeout <= 0 {
-		return accept(<-ch), nil
+		select {
+		case wire := <-ch:
+			return accept(wire), nil
+		case <-f.done:
+			return nil, f.closedError(me, from, kind, seq)
+		}
 	}
 
 	f.setStatus(me, rankStatus{waiting: true, from: from, kind: kind, seq: seq})
@@ -467,6 +485,8 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 		select {
 		case wire := <-ch:
 			return accept(wire), nil
+		case <-f.done:
+			return nil, f.closedError(me, from, kind, seq)
 		case <-timer.C:
 			if f.inFlight(me, k) {
 				timer.Reset(deadline)
@@ -474,12 +494,7 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 			}
 			f.mu.Lock()
 			f.stats[me].Timeouts++
-			closed := f.closed
 			f.mu.Unlock()
-			if closed {
-				return nil, &FaultError{Kind: FaultClosed, Rank: me,
-					Msg: fmt.Sprintf("fabric closed while waiting (%s,seq=%d,from=%d)", kindName(kind), seq, from)}
-			}
 			if pristine, ok := f.takeSent(me, k); ok {
 				// The sender did send; the injector dropped, corrupted or
 				// delayed the copy. Recover the parked pristine payload
@@ -499,6 +514,26 @@ func (f *Fabric) recv(me, from, kind, seq int) ([]float64, error) {
 	}
 }
 
+// leave closes done on behalf of rank (-1: the fabric closed), whose error
+// err every woken receive wraps. Only the first call counts.
+func (f *Fabric) leave(rank int, err error) {
+	f.doneOnce.Do(func() {
+		f.leaver, f.left = rank, err
+		close(f.done)
+	})
+}
+
+// closedError is what a receive woken by done returns: a FaultClosed naming
+// the rank that left and wrapping its error.
+func (f *Fabric) closedError(me, from, kind, seq int) *FaultError {
+	where := fmt.Sprintf("(%s,seq=%d,from=%d)", kindName(kind), seq, from)
+	if f.leaver < 0 {
+		return &FaultError{Kind: FaultClosed, Rank: me, Msg: "fabric closed while waiting " + where}
+	}
+	return &FaultError{Kind: FaultClosed, Rank: me, Err: f.left,
+		Msg: fmt.Sprintf("rank %d left while waiting %s", f.leaver, where)}
+}
+
 // deadlockError snapshots every rank's current wait and classifies the hang:
 // ranks stuck on different collectives is a mismatched-collective bug; ranks
 // stuck on the same one means the peer truly never sent.
@@ -515,11 +550,13 @@ func (f *Fabric) deadlockError(me, from, kind, seq int) *FaultError {
 		kindName(kind), seq, from, f.recvRetries+1, f.hopLatency+f.recvTimeout, formatStatuses(sts))}
 }
 
-// Close tears the fabric down: cancels every pending delivery timer, rejects
-// further sends, drains the mailboxes, and reports messages that were sent
-// but never received (the mailbox leak) as a *FaultError of kind FaultLeak.
-// Closing an already-closed fabric is a no-op returning nil.
+// Close tears the fabric down: wakes any receive still blocked, cancels
+// every pending delivery timer, rejects further sends, drains the
+// mailboxes, and reports messages that were sent but never received (the
+// mailbox leak) as a *FaultError of kind FaultLeak. Closing an
+// already-closed fabric is a no-op returning nil.
 func (f *Fabric) Close() error {
+	f.leave(-1, nil)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()

@@ -160,7 +160,8 @@ const (
 	// different collectives (kind/seq skew) — an SPMD divergence bug or a
 	// fault-driven control-flow split, not a slow network.
 	FaultMismatch
-	// FaultClosed: an operation ran on a closed fabric.
+	// FaultClosed: a receive was woken because a rank's body unwound
+	// (RunErr) or the fabric closed.
 	FaultClosed
 	// FaultLeak: Close found messages sent but never received.
 	FaultLeak
@@ -189,15 +190,24 @@ type FaultError struct {
 	Kind FaultKind
 	Rank int    // rank that observed the failure (-1 when not rank-specific)
 	Msg  string // diagnostic detail, including per-rank collective status
+	Err  error  // FaultClosed: the error of the rank that left, if any
 }
 
 // Error implements error.
 func (e *FaultError) Error() string {
-	if e.Rank >= 0 {
-		return fmt.Sprintf("comm: %s on rank %d: %s", e.Kind, e.Rank, e.Msg)
+	msg := e.Msg
+	if e.Err != nil {
+		msg += ": " + e.Err.Error()
 	}
-	return fmt.Sprintf("comm: %s: %s", e.Kind, e.Msg)
+	if e.Rank >= 0 {
+		return fmt.Sprintf("comm: %s on rank %d: %s", e.Kind, e.Rank, msg)
+	}
+	return fmt.Sprintf("comm: %s: %s", e.Kind, msg)
 }
+
+// Unwrap returns the leaving rank's error, so errors.Is sees through a
+// FaultClosed to the cause (a canceled job's context error, say).
+func (e *FaultError) Unwrap() error { return e.Err }
 
 // kindName labels a message kind in diagnostics.
 func kindName(kind int) string {

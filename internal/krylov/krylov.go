@@ -94,9 +94,12 @@ type Options struct {
 	// the true residual ‖b−A·x‖ through. It runs on the solver goroutine
 	// between kernels and must be cheap and non-blocking; it must not mutate
 	// x and must not call back into the engine — anything it charged or
-	// reduced would desynchronize the counter ledger across engines. On an
-	// SPMD runtime every rank calls it, so a process-wide consumer should
-	// install it on one rank only.
+	// reduced would desynchronize the counter ledger across engines. It may
+	// stop the solve by panicking with an engine.Abort, which unwinds to the
+	// boundary that started the solve: every solver checks after its posted
+	// reduction's Wait, so no reduction is left in flight. On an SPMD
+	// runtime every rank calls it, so a process-wide consumer should install
+	// it on one rank only.
 	Observe func(hp HistPoint, x []float64)
 
 	// recover and stall are a Rung's policy, set by escalate only: recover

@@ -21,10 +21,9 @@ import (
 // TestBatchSmoke and solverbench -rhs).
 //
 // Per-job concerns stay per job: deadlines are enforced by the same
-// cancelEngine wrapper the solo path uses (installed through the gang's
-// per-column Wrap hook), and a column whose deadline fires simply deflates
-// out of the batch — the survivors' batches shrink, their numerics do not
-// change.
+// progress hook the solo path uses, and a column whose deadline fires
+// simply deflates out of the batch — the survivors' batches shrink, their
+// numerics do not change.
 func (m *Manager) runBatch(batch []*Job) {
 	for _, j := range batch {
 		defer func(j *Job) { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }(j)
@@ -120,15 +119,8 @@ func (m *Manager) runBatch(batch []*Job) {
 		// colEng is this column's engine view; the progress hook runs on the
 		// column's own goroutine, so reading its per-column ledger is safe.
 		var colEng engine.Engine
-		opt.Observe = j.progressHook(&colEng)
-		cols[i] = blockcg.Column{
-			B:   rhsFor(pr, j.Req.RHSSeed),
-			Opt: opt,
-			Wrap: func(e engine.Engine) engine.Engine {
-				colEng = e
-				return &cancelEngine{Engine: e, ctx: ctx}
-			},
-		}
+		opt.Observe = j.progressHook(ctx, &colEng)
+		cols[i] = blockcg.Column{B: rhsFor(pr, j.Req.RHSSeed), Opt: opt, Engine: &colEng}
 	}
 
 	out := blockcg.Solve(eng, meth.Solve, cols)

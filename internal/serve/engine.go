@@ -35,50 +35,6 @@ func jobTracer(rank int) *obs.Tracer {
 // the audit sweep's own.
 const driftProbeEvery = 4
 
-// cancelEngine wraps an engine so every kernel call observes the job
-// context: the products, ApplyPC and both reductions poll ctx and unwind
-// with an engine.Abort carrying ctx.Err() once it is done — the way a
-// fabric fault unwinds — recovered at the job, column or rank boundary.
-// Cancellation therefore lands within one solver iteration. Everything else
-// the embedded engine forwards itself, and the wrapper adds no arithmetic —
-// the numerics (and the bit-identity guarantee against the CLI path) are
-// untouched.
-type cancelEngine struct {
-	engine.Engine
-	ctx context.Context
-}
-
-var _ engine.Engine = (*cancelEngine)(nil)
-
-func (e *cancelEngine) poll() {
-	select {
-	case <-e.ctx.Done():
-		panic(engine.Abort{Err: e.ctx.Err()})
-	default:
-	}
-}
-
-func (e *cancelEngine) SpMV(dst, src []float64) { e.poll(); e.Engine.SpMV(dst, src) }
-
-func (e *cancelEngine) ApplyPC(dst, src []float64) { e.poll(); e.Engine.ApplyPC(dst, src) }
-
-func (e *cancelEngine) AllreduceSum(buf []float64) { e.poll(); e.Engine.AllreduceSum(buf) }
-
-func (e *cancelEngine) IallreduceSum(buf []float64) engine.Request {
-	e.poll()
-	return e.Engine.IallreduceSum(buf)
-}
-
-func (e *cancelEngine) SpMVFusedDots(dst, src []float64, scale float64, pc bool, ws [][]float64, dots []float64) {
-	e.poll()
-	e.Engine.SpMVFusedDots(dst, src, scale, pc, ws, dots)
-}
-
-func (e *cancelEngine) SpMVPowers(dstR, dstU [][]float64, src []float64, scale float64) bool {
-	e.poll()
-	return e.Engine.SpMVPowers(dstR, dstU, src, scale)
-}
-
 // saneRel sanitizes a residual norm for the JSON event boundary:
 // encoding/json refuses NaN and ±Inf, and an encoder error inside the NDJSON
 // stream drops the event and tears the stream down. A non-finite norm comes
@@ -159,12 +115,20 @@ func solveOptions(pr workload.Problem, req SolveRequest) krylov.Options {
 }
 
 // progressHook returns the job's per-iteration progress emitter, an
-// Options.Observe hook that reads only the history point. Events carry the
-// recovery ledger alongside the residual, so a stream shows degradation as
-// it happens; *eng is the engine whose counters hold that ledger, set by the
-// runner before the solve starts.
-func (j *Job) progressHook(eng *engine.Engine) func(krylov.HistPoint, []float64) {
+// Options.Observe hook that reads only the history point. It is also the
+// job's cancellation point: once ctx is done it unwinds the solve with an
+// engine.Abort carrying ctx.Err(), recovered at the job, column or rank
+// boundary. Every solver checks convergence after its posted reduction's
+// Wait, so the unwind leaves no reduction in flight, and cancellation lands
+// within one (outer) iteration. Events carry the recovery ledger alongside
+// the residual, so a stream shows degradation as it happens; *eng is the
+// engine whose counters hold that ledger, set by the runner before the
+// solve starts.
+func (j *Job) progressHook(ctx context.Context, eng *engine.Engine) func(krylov.HistPoint, []float64) {
 	return func(hp krylov.HistPoint, _ []float64) {
+		if err := ctx.Err(); err != nil {
+			panic(engine.Abort{Err: err})
+		}
 		ev := Event{Type: "progress", Job: j.ID,
 			Iteration: hp.Iteration, ReduceIndex: hp.ReduceIndex}
 		// The monitor records the history point (and fires this hook) BEFORE
@@ -252,7 +216,7 @@ func (m *Manager) run(j *Job) {
 		opt.Norm = krylov.NormUnpreconditioned
 	}
 	var progressEng engine.Engine
-	opt.Observe = j.progressHook(&progressEng)
+	opt.Observe = j.progressHook(ctx, &progressEng)
 
 	if j.Req.Ranks <= 1 {
 		m.runSeq(j, ctx, entry, pr, meth, opt, &progressEng)
@@ -277,7 +241,6 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.
 	j.setAnchor(time.Now())
 	eng.Tr = jobTracer(0)
 	*progressEng = eng
-	wrapped := &cancelEngine{Engine: eng, ctx: ctx}
 
 	b := rhsFor(pr, j.Req.RHSSeed)
 	// Auto jobs carry the drift probe: every few monitor checks it
@@ -299,7 +262,7 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.
 	var res *krylov.Result
 	func() {
 		defer engine.Recover(&err, nil)
-		res, err = meth.Solve(wrapped, b, opt)
+		res, err = meth.Solve(eng, b, opt)
 	}()
 	unpermuteResult(res, pr)
 	if probe != nil {
@@ -321,28 +284,27 @@ func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.
 // runComm executes the job on the in-process goroutine-rank runtime through
 // the shared SPMD driver — the same function the CLIs and the audit call —
 // with the entry's cached nnz-balanced partition, a fresh fabric, and the
-// shared kernel pool underneath. The fabric gets a receive deadline so a
-// rank unwound by cancellation can never deadlock its peers: a peer waiting
-// on it fails within the deadline, and comm.RunErr recovers every rank's
-// engine.Abort as that rank's error.
+// shared kernel pool underneath. Cancellation unwinds rank 0, the one rank
+// whose progress hook runs, and comm.RunErr then wakes every peer blocked on
+// it with a typed fabric error, so the fabric needs no receive deadline.
 func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
 	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
 	ranks := j.Req.Ranks
-	f := comm.NewFabric(ranks, 0).WithRecvTimeout(2*time.Second, 3)
+	f := comm.NewFabric(ranks, 0)
 	if m.cfg.testFabricFault != nil {
 		// Test hook: inject fabric faults (e.g. the PR 2 straggler jitter)
 		// into service solves so the skew detector can be validated end to
 		// end against a known-degraded rank.
 		f = f.WithFault(m.cfg.testFabricFault)
 	}
-	// Every rank solves behind the cancellation wrapper; rank 0, the one
-	// rank that streams progress, lends its counters to the progress hook.
+	// Rank 0, the one rank that streams progress, lends its counters to the
+	// progress hook.
 	solve := meth.Solve
 	meth.Solve = func(e engine.Engine, b []float64, opt krylov.Options) (*krylov.Result, error) {
 		if e.(*comm.Engine).Rank() == 0 {
 			*progressEng = e
 		}
-		return solve(&cancelEngine{Engine: e, ctx: ctx}, b, opt)
+		return solve(e, b, opt)
 	}
 	tracer := func(rank int) *obs.Tracer {
 		if rank == 0 {

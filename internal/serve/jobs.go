@@ -645,7 +645,7 @@ func coalescible(r SolveRequest) bool { return r.Ranks <= 1 && r.Method != Metho
 // cadence (a gang shares one solver loop, so a per-column cadence cannot be
 // honored). RHSSeed is deliberately excluded — distinct right-hand sides are
 // exactly what a block solve batches — as are TimeoutMS (deadlines stay per
-// job under the gang's cancellation wrappers) and IncludeX/JobKey (response
+// job through each column's progress hook) and IncludeX/JobKey (response
 // shaping).
 func coalesceKey(r SolveRequest) string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g|%d|%d",
@@ -754,10 +754,9 @@ func (m *Manager) Drain(ctx context.Context) {
 	case <-finished:
 	case <-ctx.Done():
 		// Deadline: cancel everything still alive. Cancellation reaches the
-		// solver through the engine wrapper at its next kernel call, which
-		// unwinds it with an engine.Abort; a rank of a ranks>1 job blocked
-		// on a peer that already unwound waits out the fabric's receive
-		// deadline first. Wait for them all.
+		// solver at its next convergence check, whose progress hook unwinds
+		// it with an engine.Abort; the peers of a ranks>1 job's unwound rank
+		// 0 wake on the fabric at once. Wait for them all.
 		for _, j := range m.List() {
 			if st := j.State(); st == JobQueued || st == JobRunning {
 				j.Cancel()

@@ -380,10 +380,10 @@ func TestJobTimeoutCancels(t *testing.T) {
 }
 
 // TestCommJobTimeoutCancelsMidSolve: a ranks=2 job whose budget runs out
-// while its ranks are solving ends canceled. Each rank's cancellation
-// wrapper unwinds it with an engine.Abort, a peer blocked on a canceled rank
-// fails within the fabric deadline, and comm.RunErr hands both back as the
-// ranks' errors.
+// while its ranks are solving ends canceled within a second of submission.
+// Rank 0's progress hook unwinds it with an engine.Abort at its next
+// convergence check, comm.RunErr wakes rank 1 out of the collective it is
+// blocked in, and both come back as the ranks' errors.
 func TestCommJobTimeoutCancelsMidSolve(t *testing.T) {
 	s, _ := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 4,
@@ -391,6 +391,7 @@ func TestCommJobTimeoutCancelsMidSolve(t *testing.T) {
 		// several times the job's budget.
 		testFabricFault: &comm.FaultConfig{Seed: 3, StragglerRank: 1, StragglerJitter: 5 * time.Millisecond},
 	})
+	submitted := time.Now()
 	j, err := s.Jobs.Submit(SolveRequest{
 		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 16},
 		Method:      "pcg", Ranks: 2, RelTol: 1e-13, TimeoutMS: 100,
@@ -403,12 +404,44 @@ func TestCommJobTimeoutCancelsMidSolve(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job did not finish")
 	}
+	if took := time.Since(submitted); took > time.Second {
+		t.Fatalf("a 100 ms job took %v to end", took)
+	}
 	if st := j.State(); st != JobCanceled {
 		_, jerr := j.Result()
 		t.Fatalf("state=%s (err %v), want canceled", st, jerr)
 	}
 	if c := j.Counters(); c.SpMV < 2 {
 		t.Fatalf("the job was canceled before its solve ran: %+v", c)
+	}
+}
+
+// TestDrainCancelsCommJob: a drain whose budget runs out while a ranks=2
+// job is solving cancels the job and returns within a second of the budget.
+func TestDrainCancelsCommJob(t *testing.T) {
+	s := New(Config{
+		Workers: 1, QueueDepth: 4,
+		testFabricFault: &comm.FaultConfig{Seed: 3, StragglerRank: 1, StragglerJitter: 5 * time.Millisecond},
+	})
+	j, err := s.Jobs.Submit(SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "poisson7", N: 16},
+		Method:      "pcg", Ranks: 2, RelTol: 1e-13,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return j.State() == JobRunning })
+	const budget = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	s.Jobs.Drain(ctx)
+	if took := time.Since(start); took > budget+time.Second {
+		t.Fatalf("drain on a %v budget took %v", budget, took)
+	}
+	if st := j.State(); st != JobCanceled {
+		_, jerr := j.Result()
+		t.Fatalf("state=%s (err %v), want canceled", st, jerr)
 	}
 }
 

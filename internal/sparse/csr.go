@@ -688,26 +688,6 @@ func (a *CSR) IsSymmetric(tol float64) bool {
 	return true
 }
 
-// GershgorinMax returns an upper bound on the spectrum from Gershgorin disks:
-// max_i (a_ii + Σ_{j≠i} |a_ij|).
-func (a *CSR) GershgorinMax() float64 {
-	bound := math.Inf(-1)
-	for i := 0; i < a.Rows; i++ {
-		var center, radius float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.Col[k]) == i {
-				center = a.Val[k]
-			} else {
-				radius += math.Abs(a.Val[k])
-			}
-		}
-		if v := center + radius; v > bound {
-			bound = v
-		}
-	}
-	return bound
-}
-
 // RowNNZRange returns the minimum, maximum and mean nonzeros per row.
 func (a *CSR) RowNNZRange() (min, max int, mean float64) {
 	if a.Rows == 0 {

@@ -348,14 +348,11 @@ func TestAddScaleIdentity(t *testing.T) {
 	}
 }
 
-func TestDiagAndGershgorin(t *testing.T) {
+func TestDiag(t *testing.T) {
 	a := FromDense(2, 2, []float64{4, -1, -1, 3})
 	d := a.Diag()
 	if d[0] != 4 || d[1] != 3 {
 		t.Fatalf("diag = %v", d)
-	}
-	if g := a.GershgorinMax(); g != 5 {
-		t.Fatalf("gershgorin = %g want 5", g)
 	}
 }
 

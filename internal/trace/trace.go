@@ -219,16 +219,6 @@ func (c *Counters) RecoveryString() string {
 		c.CommTimeouts, c.CommResends, c.CommCorruptions)
 }
 
-// FlopsPerN returns the VMA/dot flops normalized by problem size and
-// PCG-equivalent iterations — directly comparable to the "FLOPS (×N)"
-// column of Table I divided by s.
-func (c *Counters) FlopsPerN(n int) float64 {
-	if n == 0 || c.Iterations == 0 {
-		return 0
-	}
-	return c.Flops / float64(n) / float64(c.Iterations)
-}
-
 // String summarizes the counters.
 func (c *Counters) String() string {
 	return fmt.Sprintf("iter=%d spmv=%d pc=%d allr=%d iallr=%d words=%d flops=%.3g",

@@ -219,19 +219,6 @@ func TestCountersBasics(t *testing.T) {
 	}
 }
 
-func TestFlopsPerN(t *testing.T) {
-	c := Counters{Flops: 1200, Iterations: 3}
-	if got := c.FlopsPerN(100); got != 4 {
-		t.Fatalf("FlopsPerN = %g want 4", got)
-	}
-	if (&Counters{}).FlopsPerN(100) != 0 {
-		t.Fatal("zero iterations must give 0")
-	}
-	if (&Counters{Iterations: 1}).FlopsPerN(0) != 0 {
-		t.Fatal("zero n must give 0")
-	}
-}
-
 func TestString(t *testing.T) {
 	c := Counters{SpMV: 2, PCApply: 1, Allreduce: 3, Iterations: 4}
 	s := c.String()

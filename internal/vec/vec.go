@@ -172,17 +172,6 @@ func MulInto(dst, x, w []float64) {
 	})
 }
 
-// MaxAbs returns max_i |x[i]| (the infinity norm).
-func MaxAbs(x []float64) float64 {
-	var m float64
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // Multi is a block of s vectors of equal length n (an N×s multivector).
 // Columns are stored as separate contiguous slices.
 type Multi [][]float64
@@ -221,16 +210,6 @@ func (m Multi) Clone() Multi {
 func (m Multi) Zero() {
 	for j := range m {
 		Zero(m[j])
-	}
-}
-
-// CopyFrom copies src's columns into m.
-func (m Multi) CopyFrom(src Multi) {
-	if len(m) != len(src) {
-		panic("vec: Multi.CopyFrom column count mismatch")
-	}
-	for j := range m {
-		Copy(m[j], src[j])
 	}
 }
 

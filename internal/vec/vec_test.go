@@ -32,11 +32,11 @@ func TestAxpyAxpby(t *testing.T) {
 	}
 }
 
-func TestCopySubScaleZeroMaxAbs(t *testing.T) {
+func TestCopySubScaleZero(t *testing.T) {
 	d := make([]float64, 3)
 	Copy(d, []float64{1, -5, 2})
-	if MaxAbs(d) != 5 {
-		t.Fatal("MaxAbs")
+	if d[0] != 1 || d[1] != -5 || d[2] != 2 {
+		t.Fatal("Copy")
 	}
 	Scale(d, 2)
 	if d[1] != -10 {
@@ -48,7 +48,7 @@ func TestCopySubScaleZeroMaxAbs(t *testing.T) {
 		t.Fatal("Sub")
 	}
 	Zero(d)
-	if MaxAbs(d) != 0 {
+	if d[0] != 0 || d[1] != 0 || d[2] != 0 {
 		t.Fatal("Zero")
 	}
 }
@@ -77,11 +77,7 @@ func TestMultiBasics(t *testing.T) {
 	if empty.N() != 0 {
 		t.Fatal("empty N")
 	}
-	m2 := NewMulti(4, 3)
-	m2.CopyFrom(m)
-	if m2[1][2] != 7 {
-		t.Fatal("CopyFrom")
-	}
+	m2 := m.Clone()
 	m2.Zero()
 	if m2[1][2] != 0 {
 		t.Fatal("Multi.Zero")
