@@ -120,6 +120,89 @@ func TestCoalesceDeterministic(t *testing.T) {
 	}
 }
 
+// TestShrunkBatchObservesLatencyOnce: a coalesced batch whose other member
+// was canceled while queued runs its survivor as a solo solve. Every
+// finished job is observed exactly once in the latency histogram, the
+// survivor included; it runs at width 1, is tallied as one solo execution,
+// and hashes equal to its solo baseline.
+func TestShrunkBatchObservesLatencyOnce(t *testing.T) {
+	req := SolveRequest{
+		ProblemSpec: ProblemSpec{Problem: "poisson125", N: 8},
+		Method:      "pcg",
+	}
+	want := soloHashes(t, req, []uint64{11})
+
+	release := make(chan struct{})
+	holding := make(chan struct{})
+	cfg := Config{Workers: 1, QueueDepth: 8, CoalesceWidth: 8}
+	cfg.testHookBeforeRun = func(j *Job) {
+		if j.Req.Method == "pscg" { // the plug
+			close(holding)
+			<-release
+		}
+	}
+	s, ts := newTestServer(t, cfg)
+	plug := req
+	plug.Method = "pscg" // different coalesce key: never joins the batch
+	pj, err := s.Jobs.Submit(plug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-holding
+
+	var jobs []*Job
+	for _, seed := range []uint64{11, 22} {
+		r := req
+		r.RHSSeed = seed
+		j, err := s.Jobs.Submit(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	survivor, canceled := jobs[0], jobs[1]
+	canceled.Cancel()
+	close(release)
+	for _, j := range []*Job{pj, survivor, canceled} {
+		<-j.Done()
+	}
+	// Wait for the worker to leave the batch, so nothing it still does after
+	// the last Done can land after the scrape.
+	for deadline := time.Now().Add(10 * time.Second); s.Jobs.InFlight() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("worker did not finish the batch")
+		}
+	}
+
+	if st := canceled.State(); st != JobCanceled {
+		t.Errorf("canceled batch member: state %s, want canceled", st)
+	}
+	if st := survivor.State(); st != JobConverged {
+		t.Fatalf("survivor: state %s, want converged", st)
+	}
+	if w := survivor.BatchWidth(); w != 1 {
+		t.Errorf("survivor: width %d, want 1", w)
+	}
+	if got := survivor.XHash(); got != want[11] {
+		t.Errorf("survivor: x_hash %s, want solo %s", got, want[11])
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body := readAll(t, resp)
+	for _, wantLine := range []string{
+		"solverd_request_seconds_count 3",           // plug, survivor, canceled member
+		`solverd_jobs_batched_total{mode="solo"} 2`, // the plug's execution and the survivor's
+		`solverd_jobs_batched_total{mode="coalesced"} 0`,
+	} {
+		if !strings.Contains(body, wantLine+"\n") {
+			t.Errorf("metrics missing %q", wantLine)
+		}
+	}
+}
+
 // TestBatchSmoke is the end-to-end coalescing acceptance run (`make
 // batch-smoke` runs it under the race detector): a real daemon on an
 // ephemeral port, a held worker so a burst of 24 same-key jobs with distinct

@@ -9,10 +9,12 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/blockcg"
 	"repro/internal/comm"
 	"repro/internal/engine"
 	"repro/internal/krylov"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -143,71 +145,131 @@ func (j *Job) progressHook(ctx context.Context, eng *engine.Engine) func(krylov.
 	}
 }
 
-// setAnchor pins the instant the solve's tracers were built (their clock
-// zero) on the wall axis, so the stitcher can place rank-relative phase
-// events in the cross-process trace.
-func (j *Job) setAnchor(t time.Time) {
-	j.mu.Lock()
-	j.anchorNS = t.UnixNano()
-	j.mu.Unlock()
+// outcome is what one job's execution leaves behind: the solver result and
+// error, one counter ledger per rank (the job reports rank 0's), the
+// per-rank tracer summaries and their merge, a multi-rank solve's skew
+// analysis, the drift
+// probe's max true/recurrence ratio, the wall instant the tracers' clock
+// zero maps to (for the stitcher), and the tuner's decision for an auto
+// job. A job that never reached the solver carries at most its error and
+// decision.
+type outcome struct {
+	res      *krylov.Result
+	err      error
+	ledgers  []trace.Counters
+	sums     []obs.Summary
+	sum      obs.Summary
+	skew     *obs.SkewReport
+	drift    float64
+	anchorNS int64
+	tune     *tuneDecision
 }
 
-// run executes one accepted job end to end: pin the operator, check a
-// preconditioner out of its pool, solve under the job deadline, classify the
-// outcome, and fold the job's counters into the service aggregate.
-func (m *Manager) run(j *Job) {
-	defer func() { m.met.ObserveLatency(time.Since(j.submitted).Seconds()) }()
-
-	ctx, cancelTimeout := m.deadlineContext(j)
-	defer cancelTimeout()
-
-	// A job cancelled while queued never touches the registry.
-	if ctx.Err() != nil {
-		m.finishJob(j, JobCanceled, nil, ctx.Err())
+// run executes one batch off the queue — a solo job, a coalesced gang or a
+// multi-rank job — through one lifecycle: admit, start, resolve and
+// execute, settle.
+func (m *Manager) run(batch []*Job) {
+	// Admit: each deadline is anchored at the job's own submission, so
+	// queue wait counts; a job canceled while queued never touches the
+	// registry.
+	var jobs []*Job
+	var ctxs []context.Context
+	for _, j := range batch {
+		ctx, cancel := m.deadlineContext(j)
+		defer cancel()
+		if ctx.Err() != nil {
+			m.finishJob(j, ctx, outcome{})
+			continue
+		}
+		jobs, ctxs = append(jobs, j), append(ctxs, ctx)
+	}
+	if len(jobs) == 0 {
 		return
 	}
 
-	j.mu.Lock()
-	j.state = JobRunning
-	j.runStart = time.Now()
-	j.batchWidth = 1
-	j.mu.Unlock()
-	m.met.noteBatch(1)
-
-	// Method "auto" delegates selection to the stability tuner: the decision
-	// (made once, here — never mid-solve) names the concrete method, s and
-	// replacement cadence this job runs, from the fingerprint's record when
-	// one exists. The start event carries it so a streaming client sees the
-	// selection before the first progress line.
-	method := j.Req.Method
-	startEv := Event{Type: "start", Job: j.ID, State: JobRunning, Method: method}
+	// Start. Members share the coalesce key, so the head's request is the
+	// batch's. Method "auto" (never coalesced) delegates selection to the
+	// stability tuner: the decision, made once here and never mid-solve,
+	// names the method, s and replacement cadence the job runs, and the
+	// start event carries it ahead of the first progress line.
+	req, width := jobs[0].Req, len(jobs)
+	m.met.noteBatch(width)
+	outs := make([]outcome, width)
+	method := req.Method
 	if method == MethodAuto {
-		dec := m.tuner.Resolve(j.Req)
-		j.mu.Lock()
-		j.tune = dec
-		j.mu.Unlock()
-		method = dec.Method
-		startEv.TunedMethod = dec.Method
-		startEv.TunerWarmStart = dec.WarmStart
+		outs[0].tune = m.tuner.Resolve(req)
+		method = outs[0].tune.Method
 	}
-	j.emit(startEv)
+	for i, j := range jobs {
+		j.mu.Lock()
+		j.state = JobRunning
+		j.runStart = time.Now()
+		j.batchWidth = width
+		j.mu.Unlock()
+		ev := Event{Type: "start", Job: j.ID, State: JobRunning, Method: req.Method}
+		if width > 1 {
+			ev.BatchWidth = width
+		}
+		if dec := outs[i].tune; dec != nil {
+			ev.TunedMethod, ev.TunerWarmStart = dec.Method, dec.WarmStart
+		}
+		j.emit(ev)
+	}
 
-	entry, err := m.reg.Acquire(j.Req.ProblemSpec)
+	if err := m.execute(jobs, ctxs, outs, method); err != nil {
+		for i := range outs {
+			outs[i].err = err
+		}
+	}
+
+	// Settle. A batch runs under one set of rank tracers (a gang's columns
+	// share one), so its summary joins the service aggregate once; every
+	// rank's ledger joins as it is.
+	m.met.AddObs(outs[0].sum)
+	for i, j := range jobs {
+		o := outs[i]
+		for r := range o.ledgers {
+			m.met.AddCounters(&o.ledgers[r])
+		}
+		if sk := o.skew; sk != nil {
+			// Purely observational (it reads finished summaries): exported
+			// as solverd_rank_skew and, past the threshold, flagged in the
+			// flight recorder.
+			m.met.noteSkew(*sk)
+			if sk.StragglerRank >= 0 && sk.MaxScore >= m.cfg.SkewThreshold {
+				m.flight.RecordEvent(obs.FlightEvent{
+					UnixNS: time.Now().UnixNano(), Kind: "rank_skew", TraceID: j.TraceID(),
+					Attrs: map[string]string{
+						"job":            j.ID,
+						"straggler_rank": fmt.Sprintf("%d", sk.StragglerRank),
+						"score":          fmt.Sprintf("%.3f", sk.MaxScore),
+					},
+				})
+			}
+		}
+		m.finishJob(j, ctxs[i], o)
+	}
+}
+
+// execute resolves the batch — the registry entry, the method, the solver
+// options with the tuner's overrides and an auto job's drift probe, each
+// once — and runs it in one of two shapes, filling one outcome per job. The
+// error is a resolve failure, which reached no solver.
+func (m *Manager) execute(jobs []*Job, ctxs []context.Context, outs []outcome, method string) error {
+	req := jobs[0].Req
+	entry, err := m.reg.Acquire(req.ProblemSpec)
 	if err != nil {
-		m.finishJob(j, JobFailed, nil, err)
-		return
+		return err
 	}
 	defer m.reg.Release(entry)
 	pr := entry.Problem()
-
 	meth, err := krylov.MethodByName(method)
 	if err != nil {
-		m.finishJob(j, JobFailed, nil, err)
-		return
+		return err
 	}
 
-	opt := solveOptions(pr, j.Req)
-	if dec := j.tuneDecision(); dec != nil {
+	opt := solveOptions(pr, req)
+	if dec := outs[0].tune; dec != nil {
 		opt.S = dec.S
 		opt.ReplaceEvery = dec.ReplaceEvery
 		// Match the audit harness: under the unpreconditioned norm the drift
@@ -215,177 +277,168 @@ func (m *Manager) run(j *Job) {
 		// estimate the same quantity, so their ratio is a clean drift signal.
 		opt.Norm = krylov.NormUnpreconditioned
 	}
-	var progressEng engine.Engine
-	opt.Observe = j.progressHook(ctx, &progressEng)
-
-	if j.Req.Ranks <= 1 {
-		m.runSeq(j, ctx, entry, pr, meth, opt, &progressEng)
-	} else {
-		m.runComm(j, ctx, entry, pr, meth, opt, &progressEng)
+	// engs[i] is the engine whose counters job i's progress events read; the
+	// shape sets it before the solve starts.
+	engs := make([]engine.Engine, len(jobs))
+	bs := make([][]float64, len(jobs))
+	opts := make([]krylov.Options, len(jobs))
+	for i, j := range jobs {
+		bs[i] = rhsFor(pr, j.Req.RHSSeed)
+		opts[i] = opt
+		opts[i].Observe = j.progressHook(ctxs[i], &engs[i])
 	}
-}
-
-// runSeq executes the job on the sequential reference engine — the default
-// path, whose iterate is bit-identical to `repro solve -runtime seq`.
-func (m *Manager) runSeq(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
-	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
-	pcName := workload.EffectivePC(meth, j.Req.PC)
-	pc, err := entry.AcquirePC(pcName)
-	if err != nil {
-		m.finishJob(j, JobFailed, nil, err)
-		return
-	}
-	defer entry.ReleasePC(pcName, pc)
-
-	eng := engine.NewSeq(pr.Operator(), pc)
-	j.setAnchor(time.Now())
-	eng.Tr = jobTracer(0)
-	*progressEng = eng
-
-	b := rhsFor(pr, j.Req.RHSSeed)
-	// Auto jobs carry the drift probe: every few monitor checks it
-	// recomputes the true residual through the raw CSR kernel — never the
-	// engine, so the job's counter ledger (and its bit-identity with the CLI
-	// path) is untouched. The max true/recurrence ratio is the tuner's
-	// stability signal and lands on the result event as DriftRatio. Neither
-	// it nor the progress emitter touches the engine, so their order is free.
+	// A single-rank auto job carries the drift probe: every few monitor
+	// checks it recomputes the true residual through the raw CSR kernel —
+	// never the engine, so the counter ledger and the bit-identity with the
+	// CLI path are untouched. Its max true/recurrence ratio is the tuner's
+	// stability signal.
 	var probe *workload.DriftProbe
-	if j.tuneDecision() != nil {
-		probe = workload.NewDriftProbe(pr.A, b, driftProbeEvery)
-		progress := opt.Observe
-		opt.Observe = func(hp krylov.HistPoint, x []float64) {
+	if outs[0].tune != nil && req.Ranks <= 1 {
+		probe = workload.NewDriftProbe(pr.A, bs[0], driftProbeEvery)
+		progress := opts[0].Observe
+		opts[0].Observe = func(hp krylov.HistPoint, x []float64) {
 			progress(hp, x)
 			probe.Observe(hp, x)
 		}
 	}
 
-	var res *krylov.Result
-	func() {
-		defer engine.Recover(&err, nil)
-		res, err = meth.Solve(eng, b, opt)
-	}()
-	unpermuteResult(res, pr)
-	if probe != nil {
-		j.mu.Lock()
-		j.driftRatio = probe.MaxRatio
-		j.mu.Unlock()
+	if req.Ranks > 1 {
+		m.executeRanks(&outs[0], entry, meth, req, bs[0], opts[0], &engs[0])
+	} else {
+		executeSeq(outs, entry, meth, workload.EffectivePC(meth, req.PC), bs, opts, engs)
 	}
-	sum := eng.Tr.Summary()
-	j.mu.Lock()
-	j.counters = *eng.Counters()
-	j.obsSum = sum
-	j.rankSums = []obs.Summary{sum}
-	j.mu.Unlock()
-	m.met.AddCounters(eng.Counters())
-	m.met.AddObs(sum)
-	m.classify(j, ctx, res, err)
+	if probe != nil {
+		outs[0].drift = probe.MaxRatio
+	}
+	return nil
 }
 
-// runComm executes the job on the in-process goroutine-rank runtime through
-// the shared SPMD driver — the same function the CLIs and the audit call —
-// with the entry's cached nnz-balanced partition, a fresh fabric, and the
-// shared kernel pool underneath. Cancellation unwinds rank 0, the one rank
-// whose progress hook runs, and comm.RunErr then wakes every peer blocked on
-// it with a typed fabric error, so the fabric needs no receive deadline.
-func (m *Manager) runComm(j *Job, ctx context.Context, entry *Entry, pr workload.Problem,
-	meth krylov.Method, opt krylov.Options, progressEng *engine.Engine) {
-	ranks := j.Req.Ranks
-	f := comm.NewFabric(ranks, 0)
+// executeSeq runs a single-rank batch on one sequential engine with one
+// preconditioner checkout and one tracer. A width-1 batch calls the solver
+// directly under engine.Recover, its iterate bit-identical to `repro solve
+// -runtime seq`, and skips the rendezvous a one-column gang would pay for
+// nothing (1.03–1.14× the direct median time, DESIGN §4.12). A wider batch
+// runs as a blockcg gang: the columns share every SPMV and reduction, each
+// bit-identical to its solo solve, and the gang serializes base-engine
+// calls, so the one PC instance serves one column's buffers at a time.
+func executeSeq(outs []outcome, entry *Entry, meth krylov.Method, pcName string,
+	bs [][]float64, opts []krylov.Options, engs []engine.Engine) {
+	pc, err := entry.AcquirePC(pcName)
+	if err != nil {
+		for i := range outs {
+			outs[i].err = err
+		}
+		return
+	}
+	defer entry.ReleasePC(pcName, pc)
+
+	pr := entry.Problem()
+	eng := engine.NewSeq(pr.Operator(), pc)
+	anchorNS := time.Now().UnixNano()
+	eng.Tr = jobTracer(0)
+	if len(outs) == 1 {
+		engs[0] = eng
+		o := &outs[0]
+		func() {
+			defer engine.Recover(&o.err, nil)
+			o.res, o.err = meth.Solve(eng, bs[0], opts[0])
+		}()
+		o.ledgers = []trace.Counters{*eng.Counters()}
+	} else {
+		cols := make([]blockcg.Column, len(outs))
+		for i := range cols {
+			cols[i] = blockcg.Column{B: bs[i], Opt: opts[i], Engine: &engs[i]}
+		}
+		for i, r := range blockcg.Solve(eng, meth.Solve, cols) {
+			outs[i].res, outs[i].err, outs[i].ledgers = r.Res, r.Err, []trace.Counters{r.Counters}
+		}
+	}
+	sum := eng.Tr.Summary()
+	sums := []obs.Summary{sum}
+	for i := range outs {
+		unpermuteResult(outs[i].res, pr)
+		outs[i].sums, outs[i].sum, outs[i].anchorNS = sums, sum, anchorNS
+	}
+}
+
+// executeRanks runs a ranks > 1 job on the in-process goroutine-rank
+// runtime through the shared SPMD driver — the function the CLIs and the
+// audit call — with the entry's cached nnz-balanced partition and a fresh
+// fabric. Cancellation unwinds rank 0, the one rank whose progress hook
+// runs, and comm.RunErr then wakes every peer blocked on it with a typed
+// fabric error, so the fabric needs no receive deadline.
+func (m *Manager) executeRanks(o *outcome, entry *Entry, meth krylov.Method, req SolveRequest,
+	b []float64, opt krylov.Options, eng *engine.Engine) {
+	f := comm.NewFabric(req.Ranks, 0)
 	if m.cfg.testFabricFault != nil {
-		// Test hook: inject fabric faults (e.g. the PR 2 straggler jitter)
-		// into service solves so the skew detector can be validated end to
-		// end against a known-degraded rank.
+		// Test hook: inject fabric faults (e.g. straggler jitter) so the
+		// skew detector is validated end to end against a degraded rank.
 		f = f.WithFault(m.cfg.testFabricFault)
 	}
-	// Rank 0, the one rank that streams progress, lends its counters to the
-	// progress hook.
+	// Rank 0, the one rank that streams progress, lends its engine to the
+	// progress hook; its tracer's clock zero anchors the solve span.
 	solve := meth.Solve
 	meth.Solve = func(e engine.Engine, b []float64, opt krylov.Options) (*krylov.Result, error) {
 		if e.(*comm.Engine).Rank() == 0 {
-			*progressEng = e
+			*eng = e
 		}
 		return solve(e, b, opt)
 	}
 	tracer := func(rank int) *obs.Tracer {
 		if rank == 0 {
-			j.setAnchor(time.Now())
+			o.anchorNS = time.Now().UnixNano()
 		}
 		return jobTracer(rank)
 	}
-	out, err := workload.SPMD{Fabric: f, Part: entry.Partition(ranks), PC: j.Req.PC, Tracer: tracer}.
-		Run(pr, meth, rhsFor(pr, j.Req.RHSSeed), opt)
+	pr := entry.Problem()
+	out, err := workload.SPMD{Fabric: f, Part: entry.Partition(req.Ranks), PC: req.PC, Tracer: tracer}.
+		Run(pr, meth, b, opt)
 	if err != nil {
-		m.finishJob(j, JobFailed, nil, fmt.Errorf("serve: ranks>1 supports %w", err))
+		o.err = fmt.Errorf("serve: ranks>1 supports %w", err)
 		return
 	}
-
-	sum := obs.MergeSummaries(out.Summaries)
-	// Per-rank skew analysis: purely observational (it reads finished
-	// summaries), exported as solverd_rank_skew and, past the threshold,
-	// flagged in the flight recorder.
-	skew := obs.AnalyzeSkewTransit(out.Summaries, out.TransitNS)
-	j.mu.Lock()
-	j.counters = out.Counters[0]
-	j.obsSum = sum
-	j.rankSums = out.Summaries
-	j.skew = &skew
-	j.mu.Unlock()
-	m.met.noteSkew(skew)
-	if skew.StragglerRank >= 0 && skew.MaxScore >= m.cfg.SkewThreshold {
-		m.flight.RecordEvent(obs.FlightEvent{
-			UnixNS: time.Now().UnixNano(), Kind: "rank_skew", TraceID: j.TraceID(),
-			Attrs: map[string]string{
-				"job":            j.ID,
-				"straggler_rank": fmt.Sprintf("%d", skew.StragglerRank),
-				"score":          fmt.Sprintf("%.3f", skew.MaxScore),
-			},
-		})
-	}
-	// Service-level aggregate folds every rank's counters and spans.
-	for r := range out.Counters {
-		m.met.AddCounters(&out.Counters[r])
-	}
-	m.met.AddObs(sum)
 	if out.Leak != nil {
 		// A cancelled SPMD solve legitimately leaves mailbox entries behind;
 		// count it, don't fail the drain.
 		m.met.fabricLeaks.Add(1)
 	}
-
-	_, firstErr := out.FirstErr()
-	unpermuteResult(out.Res, pr)
-	m.classify(j, ctx, out.Res, firstErr)
+	skew := obs.AnalyzeSkewTransit(out.Summaries, out.TransitNS)
+	_, o.err = out.FirstErr()
+	o.res, o.ledgers, o.sums, o.skew = out.Res, out.Counters, out.Summaries, &skew
+	o.sum = obs.MergeSummaries(out.Summaries)
+	unpermuteResult(o.res, pr)
 }
 
 // unpermuteResult maps a solve's iterate back to the operator's source row
-// ordering when the registry reordered the system (RCM on uploads). It runs
-// before classify, so XHash and any returned X are in the ordering the
-// client uploaded.
+// ordering when the registry reordered the system (RCM on uploads), so XHash
+// and any returned X are in the ordering the client uploaded.
 func unpermuteResult(res *krylov.Result, pr workload.Problem) {
 	if res != nil {
 		res.X = pr.Unpermute(res.X)
 	}
 }
 
-// classify maps a solve outcome onto the job's terminal state and emits the
-// result event.
-func (m *Manager) classify(j *Job, ctx context.Context, res *krylov.Result, err error) {
+// finishJob classifies a job's outcome into its terminal state — canceled
+// once its context is done, failed on an error or without convergence —
+// records it, observes the job's latency (once: every job finishes here
+// exactly once), tallies metrics and emits the result event (with the
+// iterate's bit-fingerprint, and the iterate itself when the submission asked
+// for it; otherwise the iterate is dropped here).
+func (m *Manager) finishJob(j *Job, ctx context.Context, o outcome) {
+	res, err := o.res, o.err
+	state := JobFailed
 	switch {
 	case ctx.Err() != nil:
-		m.finishJob(j, JobCanceled, res, ctx.Err())
+		state, err = JobCanceled, ctx.Err()
 	case err != nil:
-		m.finishJob(j, JobFailed, res, err)
 	case res != nil && res.Converged:
-		m.finishJob(j, JobConverged, res, nil)
+		state = JobConverged
 	default:
-		m.finishJob(j, JobFailed, res, fmt.Errorf("serve: solve ended without convergence"))
+		err = fmt.Errorf("serve: solve ended without convergence")
 	}
-}
+	duration := time.Since(j.submitted)
+	m.met.ObserveLatency(duration.Seconds())
 
-// finishJob records the terminal state, tallies metrics and emits the result
-// event (with the iterate's bit-fingerprint, and the iterate itself when the
-// submission asked for it; otherwise the iterate is dropped here).
-func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err error) {
 	ev := Event{Type: "result", Job: j.ID, State: state}
 	if res != nil {
 		ev.Method = res.Method
@@ -412,14 +465,16 @@ func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err erro
 	}
 	j.mu.Lock()
 	j.res, j.err, j.xHash = res, err, ev.XHash
-	overlap := j.obsSum.Overlap
+	if len(o.ledgers) > 0 {
+		j.counters = o.ledgers[0]
+	}
+	j.obsSum = o.sum
 	if j.batchWidth > 1 {
 		ev.BatchWidth = j.batchWidth
 	}
-	dec, drift := j.tune, j.driftRatio
 	runStart, coalesceAt, coalesceNS := j.runStart, j.coalesceAt, j.coalesceNS
-	anchorNS, rankSums, skew := j.anchorNS, j.rankSums, j.skew
 	j.mu.Unlock()
+	overlap, dec, drift := o.sum.Overlap, o.tune, o.drift
 	if overlap.Posted > 0 {
 		ev.OverlapEfficiency = overlap.HiddenFraction()
 	}
@@ -449,7 +504,7 @@ func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err erro
 		"job", j.ID, "trace_id", j.TraceID(),
 		"method", j.Req.Method, "ranks", j.Req.Ranks,
 		"outcome", string(state),
-		"duration", time.Since(j.submitted).Round(time.Microsecond),
+		"duration", duration.Round(time.Microsecond),
 	}
 	if res != nil {
 		attrs = append(attrs, "iterations", res.Iterations)
@@ -489,23 +544,23 @@ func (m *Manager) finishJob(j *Job, state JobState, res *krylov.Result, err erro
 		})
 	}
 	solveSpanID := ""
-	if anchorNS != 0 {
+	if o.anchorNS != 0 {
 		solveSpanID = m.ids.NewSpanID().String()
 		sa := map[string]string{"ranks": fmt.Sprintf("%d", j.Req.Ranks)}
-		if skew != nil && skew.StragglerRank >= 0 {
-			sa["skew_max"] = fmt.Sprintf("%.3f", skew.MaxScore)
-			sa["skew_rank"] = fmt.Sprintf("%d", skew.StragglerRank)
+		if sk := o.skew; sk != nil && sk.StragglerRank >= 0 {
+			sa["skew_max"] = fmt.Sprintf("%.3f", sk.MaxScore)
+			sa["skew_rank"] = fmt.Sprintf("%d", sk.StragglerRank)
 		}
 		spans = append(spans, obs.TraceSpan{
 			TraceID: traceID, SpanID: solveSpanID, ParentID: jobSpanID,
 			Name: "solve", Service: "solverd",
-			StartUnixNS: anchorNS, EndUnixNS: now.UnixNano(), Attrs: sa,
+			StartUnixNS: o.anchorNS, EndUnixNS: now.UnixNano(), Attrs: sa,
 		})
 	}
 	m.flight.RecordJob(obs.JobRecord{
 		Job: j.ID, TraceID: traceID, Outcome: string(state),
 		Spans: spans, SolveSpanID: solveSpanID,
-		AnchorUnixNS: anchorNS, Ranks: rankSums,
+		AnchorUnixNS: o.anchorNS, Ranks: o.sums,
 	})
 
 	j.finish(state, ev)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"time"
 
 	"repro/internal/workload"
 )
@@ -101,9 +100,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	j, err := s.Jobs.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		// Retry after roughly one queued job's drain time; 1s floor keeps
-		// clients from hammering.
-		w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
+		// Retry after roughly one queued job's drain time, a whole second so
+		// clients do not hammer.
+		w.Header().Set("Retry-After", "1")
 		apiError(w, http.StatusTooManyRequests, "%v", err)
 		return nil, false
 	case errors.Is(err, ErrDraining):

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -85,7 +86,7 @@ func (r SolveRequest) withDefaults() SolveRequest {
 // in proportion to its rows (a poisson125 request with n=1000 asks for about
 // 1.2·10¹¹ stored entries), so its rows are bounded; s and ranks size the
 // solver's basis and the in-process rank goroutines; maxiter bounds how long
-// one job may hold a worker.
+// one job may hold a worker; timeout_ms must fit a time.Duration.
 const (
 	// MaxGridRows bounds a grid problem's unknowns: n ≤ 256 for the 3D
 	// problems (poisson125, poisson7), n ≤ 4096 for poisson5.
@@ -97,6 +98,9 @@ const (
 	// MaxIterLimit bounds the iteration cap maxiter ≤ MaxIterLimit (the
 	// default is 100000).
 	MaxIterLimit = 1_000_000
+	// MaxTimeoutMS bounds timeout_ms by the largest whole-millisecond
+	// time.Duration (about 292 years), so the budget never wraps negative.
+	MaxTimeoutMS = math.MaxInt64 / 1_000_000
 )
 
 // ErrInvalidRequest marks a submission refused by validate; the HTTP layer
@@ -127,6 +131,9 @@ func (r SolveRequest) validate() error {
 	}
 	if r.MaxIter > MaxIterLimit {
 		return fmt.Errorf("%w: maxiter=%d above MaxIterLimit=%d", ErrInvalidRequest, r.MaxIter, MaxIterLimit)
+	}
+	if int64(r.TimeoutMS) > MaxTimeoutMS {
+		return fmt.Errorf("%w: timeout_ms=%d above MaxTimeoutMS=%d", ErrInvalidRequest, r.TimeoutMS, MaxTimeoutMS)
 	}
 	return nil
 }
@@ -218,10 +225,8 @@ type Job struct {
 	xHash      string         // XHash of the iterate, computed once at finish
 	err        error
 	counters   trace.Counters
-	obsSum     obs.Summary   // merged trace summary across the job's ranks
-	batchWidth int           // coalesced solve width (1 = solo)
-	tune       *tuneDecision // set when the tuner resolved an auto job
-	driftRatio float64       // max true/recurrence ratio from the drift probe
+	obsSum     obs.Summary // merged trace summary across the job's ranks
+	batchWidth int         // coalesced solve width (1 = solo)
 
 	// Distributed-trace state. tctx is assigned once in Submit before the
 	// job is enqueued and immutable after, so it is readable without mu.
@@ -230,9 +235,6 @@ type Job struct {
 	runStart   time.Time        // worker picked the job up (queue-wait span end)
 	coalesceAt time.Time        // head job's coalesce-window wait start (zero if none)
 	coalesceNS int64            // head job's coalesce-window wait duration
-	anchorNS   int64            // wall Unix ns the solve tracers' clock 0 maps to
-	rankSums   []obs.Summary    // per-rank summaries (flight recorder + skew)
-	skew       *obs.SkewReport  // multi-rank skew analysis, nil for solo solves
 
 	ctx       context.Context
 	cancel    context.CancelFunc
@@ -301,25 +303,13 @@ func (j *Job) TraceSummary() obs.Summary {
 // Cancel asks a queued or running job to stop; it ends in JobCanceled.
 func (j *Job) Cancel() { j.cancel() }
 
-// tuneDecision returns the tuner's decision for an auto job, nil otherwise.
-func (j *Job) tuneDecision() *tuneDecision {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.tune
-}
-
 // emit records ev in the ring and fans it out to subscribers without
 // blocking: a subscriber that falls behind loses progress events, never the
 // terminal result (Subscribe replays the ring, and the result is always
 // retained as the final ring entry).
 func (j *Job) emit(ev Event) {
-	ev.TraceID = j.TraceID()
 	j.mu.Lock()
-	if len(j.events) >= maxRetainedEvents {
-		copy(j.events, j.events[1:])
-		j.events = j.events[:len(j.events)-1]
-	}
-	j.events = append(j.events, ev)
+	ev = j.retainLocked(ev)
 	for ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -327,6 +317,18 @@ func (j *Job) emit(ev Event) {
 		}
 	}
 	j.mu.Unlock()
+}
+
+// retainLocked stamps ev with the job's trace ID and appends it to the
+// bounded event ring, evicting the oldest entry when full. Caller holds mu.
+func (j *Job) retainLocked(ev Event) Event {
+	ev.TraceID = j.TraceID()
+	if len(j.events) >= maxRetainedEvents {
+		copy(j.events, j.events[1:])
+		j.events = j.events[:len(j.events)-1]
+	}
+	j.events = append(j.events, ev)
+	return ev
 }
 
 // Subscribe returns a channel that first replays the retained events and
@@ -363,14 +365,9 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 // finish moves the job to its terminal state, emits the result event and
 // closes every subscriber.
 func (j *Job) finish(state JobState, ev Event) {
-	ev.TraceID = j.TraceID()
 	j.mu.Lock()
 	j.state = state
-	if len(j.events) >= maxRetainedEvents {
-		copy(j.events, j.events[1:])
-		j.events = j.events[:len(j.events)-1]
-	}
-	j.events = append(j.events, ev)
+	ev = j.retainLocked(ev)
 	subs := j.subs
 	j.subs = nil
 	j.mu.Unlock()
@@ -723,11 +720,7 @@ func (m *Manager) worker() {
 				m.cfg.testHookBeforeRun(j)
 			}
 		}
-		if len(batch) == 1 {
-			m.run(batch[0])
-		} else {
-			m.runBatch(batch)
-		}
+		m.run(batch)
 		<-m.running
 		for range batch {
 			m.inflight.Done()

@@ -34,6 +34,9 @@ func TestSolveRequestLimits(t *testing.T) {
 		{"maxiter at the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: MaxIterLimit}, ""},
 		{"maxiter past the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: MaxIterLimit + 1}, "MaxIterLimit"},
 		{"negative maxiter takes the default", SolveRequest{ProblemSpec: spec("poisson7", 8), MaxIter: -1}, ""},
+		{"timeout_ms at the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: MaxTimeoutMS}, ""},
+		{"timeout_ms past the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: MaxTimeoutMS + 1}, "MaxTimeoutMS"},
+		{"timeout_ms wrapping a Duration", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: 10_000_000_000_000}, "MaxTimeoutMS"},
 	} {
 		err := c.req.withDefaults().validate()
 		switch {
@@ -50,6 +53,7 @@ func TestSolveRequestLimits(t *testing.T) {
 		{ProblemSpec: spec("poisson7", 8), Method: "pipe-pscg", S: 64},
 		{ProblemSpec: spec("poisson7", 8), Method: "pcg", Ranks: 1000},
 		{ProblemSpec: spec("poisson7", 8), Method: "pcg", MaxIter: 1 << 40},
+		{ProblemSpec: spec("poisson7", 8), Method: "pcg", TimeoutMS: 10_000_000_000_000},
 	} {
 		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
 			resp := postJSON(t, ts.URL+path, req)
@@ -67,7 +71,7 @@ func TestSolveRequestLimits(t *testing.T) {
 
 // FuzzSolveRequest decodes a body the way submit does, applies the defaults
 // and validates: no input panics, and an accepted request is within the
-// limits, maxiter included. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
+// limits, maxiter and timeout_ms included. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
 // explores beyond it.
 func FuzzSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -84,8 +88,9 @@ func FuzzSolveRequest(f *testing.F) {
 			t.Fatalf("%s: accepted %s n=%d (max %d)", body, req.Problem, req.normalized().N, m)
 		}
 		if req.S < 1 || req.S > MaxS || req.Ranks < 1 || req.Ranks > MaxRanks ||
-			req.MaxIter < 1 || req.MaxIter > MaxIterLimit {
-			t.Fatalf("%s: accepted s=%d ranks=%d maxiter=%d", body, req.S, req.Ranks, req.MaxIter)
+			req.MaxIter < 1 || req.MaxIter > MaxIterLimit || req.TimeoutMS > MaxTimeoutMS {
+			t.Fatalf("%s: accepted s=%d ranks=%d maxiter=%d timeout_ms=%d",
+				body, req.S, req.Ranks, req.MaxIter, req.TimeoutMS)
 		}
 	})
 }

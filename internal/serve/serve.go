@@ -36,7 +36,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net"
 	"net/http"
@@ -308,13 +307,4 @@ func (s *Server) dumpFlight(reason string) {
 func (s *Server) flushFinalMetrics() {
 	snap := s.Metrics.Snapshot(s.Jobs, s.Registry)
 	s.cfg.Log.Info("serve: final metrics", "metrics", snap)
-}
-
-// fmtDuration renders a Retry-After value in whole seconds, at least 1.
-func retryAfterSeconds(d time.Duration) string {
-	sec := int(d / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return fmt.Sprintf("%d", sec)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -211,21 +212,8 @@ func TestSkewDetectorFlagsInjectedStraggler(t *testing.T) {
 		t.Fatalf("job state %s (err %v)", st, jerr)
 	}
 
-	if j.skew == nil {
-		t.Fatal("multi-rank solve produced no skew report")
-	}
-	rep := *j.skew
-	if rep.StragglerRank != 2 {
-		t.Fatalf("straggler rank %d (max score %.3f), want the injected rank 2; report: %+v",
-			rep.StragglerRank, rep.MaxScore, rep.Ranks)
-	}
-	for _, rs := range rep.Ranks {
-		if rs.Rank != 2 && rs.Score >= rep.MaxScore {
-			t.Errorf("rank %d score %.3f does not trail the straggler's %.3f", rs.Rank, rs.Score, rep.MaxScore)
-		}
-	}
-
-	// The metrics plane reflects the detection.
+	// The metrics plane carries the solve's skew report: rank 2 is the
+	// straggler and every other rank's score trails its score.
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +226,28 @@ func TestSkewDetectorFlagsInjectedStraggler(t *testing.T) {
 		"solverd_rank_skew_solves_total 1",
 	} {
 		if !strings.Contains(body, want) {
-			t.Errorf("metrics missing %q", want)
+			t.Fatalf("metrics missing %q", want)
+		}
+	}
+	scores := map[int]float64{}
+	for _, line := range strings.Split(body, "\n") {
+		sample, ok := strings.CutPrefix(line, `solverd_rank_skew{rank="`)
+		if !ok {
+			continue
+		}
+		var rank int
+		var score float64
+		if _, err := fmt.Sscanf(strings.Replace(sample, `"}`, "", 1), "%d %g", &rank, &score); err != nil {
+			t.Fatalf("unparsable skew sample %q: %v", line, err)
+		}
+		scores[rank] = score
+	}
+	if len(scores) != 4 {
+		t.Fatalf("solverd_rank_skew has %d ranks, want 4:\n%s", len(scores), body)
+	}
+	for r, sc := range scores {
+		if r != 2 && sc >= scores[2] {
+			t.Errorf("rank %d score %.3f does not trail the straggler's %.3f", r, sc, scores[2])
 		}
 	}
 
@@ -258,6 +267,21 @@ func TestSkewDetectorFlagsInjectedStraggler(t *testing.T) {
 	}
 	if !found {
 		t.Error("no rank_skew flight event recorded")
+	}
+	// The job's own flight record names the straggler on its solve span.
+	solveSpans := 0
+	for _, jr := range dump.Jobs {
+		for _, sp := range jr.Spans {
+			if jr.Job == j.ID && sp.Name == "solve" {
+				solveSpans++
+				if sp.Attrs["skew_rank"] != "2" {
+					t.Errorf("solve span skew_rank %q, want 2", sp.Attrs["skew_rank"])
+				}
+			}
+		}
+	}
+	if solveSpans != 1 {
+		t.Errorf("job flight record has %d solve spans, want 1", solveSpans)
 	}
 }
 

@@ -62,7 +62,8 @@ type TunerRecord struct {
 }
 
 // tuneDecision carries one auto job's resolved configuration from Resolve
-// (in Manager.run, before the solver is looked up) to Record (in finishJob).
+// (in Manager.run, before the solver is looked up) to Record (in finishJob),
+// riding the job's outcome.
 type tuneDecision struct {
 	fp           string
 	Method       string
