@@ -150,8 +150,9 @@ bench-check:
 # and a scattered Builder): a slide back to a global sort shows as ~10×. The
 # CSR kernels run MulVec and the k=8 MulMat on the 125-point 20³ and 32³
 # operators at the cost model's 12 B per entry; Box125 runs the same products
-# through the assembled matrix and the matrix-free box kernel side by side at
-# 12³, 20³ and 32³. SweepKernels (blockLC3, the 3-column LC, the weighted
+# through the assembled matrix, the matrix-free box kernel and its Go loops
+# side by side at 12³, 20³ and 32³ (and the 27-point operator at 20³), on the
+# pool and on one worker. SweepKernels (blockLC3, the 3-column LC, the weighted
 # three-Y dot) and Line7 run the four-wide kernels and the Go loops side by
 # side on a 512-row tile and on 4 096 rows.
 # cmd/perfreport produces the committed BENCH_pr6.json.

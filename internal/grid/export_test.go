@@ -2,8 +2,8 @@ package grid
 
 import "repro/internal/vec"
 
-// SetAVX2 turns the four-wide line kernels on or off for the external tests
-// and returns the undo.
+// SetAVX2 turns the four-wide line and box kernels on or off for the
+// external tests and returns the undo.
 func SetAVX2(on bool) (restore func()) {
 	old := useAVX2
 	useAVX2 = on && vec.AVX2()

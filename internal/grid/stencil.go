@@ -29,7 +29,8 @@ import (
 // lines through the line kernels line7/line5, and the line ends and
 // boundary lines through term lists built once per (z, y) window (starShape)
 // — the boundary lines' x-interior runs through the T-term line kernel
-// lineT. The box stencils take stencil_box.go.
+// lineT. The box stencils take stencil_box.go, and on amd64 its four-wide
+// kernels box_amd64.s.
 type StencilOp struct {
 	g      Grid
 	n      int
@@ -381,10 +382,11 @@ func line7(y, x []float64, a, b, yoff, nx, nxy int, diag, scale float64, inv []f
 	}
 }
 
-// useAVX2 selects the four-wide line kernels (line_amd64.s) for each run's
-// prefix whose length is a multiple of 4; the Go loops run the rest. It is
-// vec's CPU probe, fixed at start-up; tests clear it to run the Go loops
-// alone as the bit reference.
+// useAVX2 selects the four-wide kernels: the line kernels (line_amd64.s)
+// for each run's prefix whose length is a multiple of 4, the Go loops
+// running the rest, and the box kernels (box_amd64.s). It is vec's CPU
+// probe, fixed at start-up; tests clear it to run the Go loops alone as the
+// bit reference.
 var useAVX2 = vec.AVX2()
 
 // rowScale is the four-wide kernels' row-scale operand: &inv[lo] checked

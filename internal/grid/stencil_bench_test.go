@@ -143,12 +143,21 @@ func BenchmarkBasisVector(b *testing.B) {
 
 // BenchmarkBox125 times the paper's 125-point operator through the
 // assembled CSR and the matrix-free box kernel, single-RHS (MulVec) and as
-// a k=8 block (MulMat), at 12³, 20³ and 32³. Bytes are the CSR's per
-// right-hand side — 12 per stored entry plus 16 per row — on both sides, so
-// MB/s reads as the CSR-equivalent rate and the two rows compare directly.
+// a k=8 block (MulMat), at 12³, 20³ and 32³, plus the 27-point operator at
+// 20³; each on the default pool and on one worker (w=1), where the kernel
+// shows apart from the pool. The stencil side runs the four-wide kernels
+// when the CPU has AVX2, and stencil-go the Go loops they replace. Bytes
+// are the CSR's per right-hand side — 12 per stored entry plus 16 per row —
+// on every side, so MB/s reads as the CSR-equivalent rate and the rows
+// compare directly.
 func BenchmarkBox125(b *testing.B) {
-	for _, n := range []int{12, 20, 32} {
-		g := NewCube(n, Box125)
+	defer par.SetWorkers(par.Default().Workers())
+	workers := []int{par.Default().Workers()}
+	if workers[0] > 1 {
+		workers = append(workers, 1)
+	}
+	grids := []Grid{NewCube(12, Box125), NewCube(20, Box125), NewCube(32, Box125), NewCube(20, Box27)}
+	for _, g := range grids {
 		a := g.Laplacian()
 		op, ok := g.MatrixFree()
 		if !ok {
@@ -164,19 +173,29 @@ func BenchmarkBox125(b *testing.B) {
 			}
 			for _, side := range []struct {
 				name string
+				avx  bool
 				vec  func(y, x []float64)
 				mat  func(ys, xs [][]float64)
-			}{{"csr", a.MulVec, a.MulMat}, {"stencil", op.MulVec, op.MulMat}} {
-				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, side.name), func(b *testing.B) {
-					b.SetBytes(int64(k) * perRHS)
-					for i := 0; i < b.N; i++ {
-						if k == 1 {
-							side.vec(ys[0], xs[0])
-						} else {
-							side.mat(ys, xs)
+			}{{"csr", useAVX2, a.MulVec, a.MulMat}, {"stencil", useAVX2, op.MulVec, op.MulMat},
+				{"stencil-go", false, op.MulVec, op.MulMat}} {
+				if side.name == "stencil-go" && !useAVX2 {
+					continue
+				}
+				for _, w := range workers {
+					b.Run(fmt.Sprintf("%v/n=%d/k=%d/w=%d/%s", g.Stencil, g.Nx, k, w, side.name), func(b *testing.B) {
+						defer func(v bool) { useAVX2 = v }(useAVX2)
+						useAVX2 = side.avx
+						par.SetWorkers(w)
+						b.SetBytes(int64(k) * perRHS)
+						for i := 0; i < b.N; i++ {
+							if k == 1 {
+								side.vec(ys[0], xs[0])
+							} else {
+								side.mat(ys, xs)
+							}
 						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // SolveRequest is a job submission. Zero fields take solver defaults: method
@@ -110,8 +111,9 @@ var ErrInvalidRequest = errors.New("serve: invalid request")
 // gridDims is the dimension of each grid problem's n×…×n grid.
 var gridDims = map[string]int{"poisson125": 3, "poisson7": 3, "poisson5": 2}
 
-// validate checks a request, after withDefaults, against the request limits
-// and names the limit it breaks.
+// validate checks a request, after withDefaults, against the request limits,
+// naming the limit it breaks, and refuses a method or preconditioner name
+// the solver does not know ("auto" and "ladder" included in the known).
 func (r SolveRequest) validate() error {
 	if d := gridDims[r.Problem]; d > 0 {
 		n, rows := r.normalized().N, 1
@@ -134,6 +136,14 @@ func (r SolveRequest) validate() error {
 	}
 	if int64(r.TimeoutMS) > MaxTimeoutMS {
 		return fmt.Errorf("%w: timeout_ms=%d above MaxTimeoutMS=%d", ErrInvalidRequest, r.TimeoutMS, MaxTimeoutMS)
+	}
+	if r.Method != MethodAuto {
+		if _, err := krylov.MethodByName(r.Method); err != nil {
+			return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
+		}
+	}
+	if err := workload.CheckPC(r.PC); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
 	return nil
 }

@@ -7,6 +7,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/krylov"
+	"repro/internal/workload"
 )
 
 // TestSolveRequestLimits: a request past a limit is refused with 400 naming
@@ -37,6 +40,12 @@ func TestSolveRequestLimits(t *testing.T) {
 		{"timeout_ms at the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: MaxTimeoutMS}, ""},
 		{"timeout_ms past the limit", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: MaxTimeoutMS + 1}, "MaxTimeoutMS"},
 		{"timeout_ms wrapping a Duration", SolveRequest{ProblemSpec: spec("poisson7", 8), TimeoutMS: 10_000_000_000_000}, "MaxTimeoutMS"},
+		{"method auto", SolveRequest{ProblemSpec: spec("poisson7", 8), Method: MethodAuto}, ""},
+		{"method ladder", SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "ladder"}, ""},
+		{"unknown method", SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "nosuch"}, "unknown method"},
+		{"pc none", SolveRequest{ProblemSpec: spec("poisson7", 8), PC: "none"}, ""},
+		{"pc gamg", SolveRequest{ProblemSpec: spec("poisson7", 8), PC: "gamg"}, ""},
+		{"unknown pc", SolveRequest{ProblemSpec: spec("poisson7", 8), PC: "nosuch"}, "unknown preconditioner"},
 	} {
 		err := c.req.withDefaults().validate()
 		switch {
@@ -48,30 +57,42 @@ func TestSolveRequestLimits(t *testing.T) {
 	}
 
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	for _, req := range []SolveRequest{
-		{ProblemSpec: spec("poisson125", 1000), Method: "pcg"},
-		{ProblemSpec: spec("poisson7", 8), Method: "pipe-pscg", S: 64},
-		{ProblemSpec: spec("poisson7", 8), Method: "pcg", Ranks: 1000},
-		{ProblemSpec: spec("poisson7", 8), Method: "pcg", MaxIter: 1 << 40},
-		{ProblemSpec: spec("poisson7", 8), Method: "pcg", TimeoutMS: 10_000_000_000_000},
+	for _, c := range []struct {
+		req  SolveRequest
+		name string // what the 400 body names
+	}{
+		{SolveRequest{ProblemSpec: spec("poisson125", 1000), Method: "pcg"}, "MaxGridRows"},
+		{SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "pipe-pscg", S: 64}, "MaxS"},
+		{SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "pcg", Ranks: 1000}, "MaxRanks"},
+		{SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "pcg", MaxIter: 1 << 40}, "MaxIterLimit"},
+		{SolveRequest{ProblemSpec: spec("poisson7", 8), Method: "pcg", TimeoutMS: 10_000_000_000_000}, "MaxTimeoutMS"},
+		{SolveRequest{ProblemSpec: spec("poisson125", 48), Method: "nosuch"}, `unknown method \"nosuch\"`},
+		{SolveRequest{ProblemSpec: spec("poisson125", 48), PC: "nosuch"}, `unknown preconditioner \"nosuch\"`},
 	} {
 		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
-			resp := postJSON(t, ts.URL+path, req)
+			resp := postJSON(t, ts.URL+path, c.req)
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "Max") {
-				t.Errorf("%s %+v: status %d %s, want 400 naming the limit", path, req, resp.StatusCode, body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), c.name) {
+				t.Errorf("%s %+v: status %d %s, want 400 naming %s", path, c.req, resp.StatusCode, body, c.name)
 			}
 		}
 	}
 	if n := s.Registry.Len(); n != 0 {
 		t.Fatalf("refused requests built %d registry entries", n)
 	}
+	mr := mustGet(t, ts.URL+"/metrics")
+	metrics, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if !strings.Contains(string(metrics), "\nsolverd_registry_misses_total 0\n") {
+		t.Fatalf("refused requests reached the registry:\n%s", metrics)
+	}
 }
 
 // FuzzSolveRequest decodes a body the way submit does, applies the defaults
 // and validates: no input panics, and an accepted request is within the
-// limits, maxiter and timeout_ms included. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
+// limits, maxiter and timeout_ms included, and names a method the registry
+// resolves (or "auto") and a preconditioner workload.PC builds. `go test` runs the committed corpus (testdata/fuzz); `make fuzz`
 // explores beyond it.
 func FuzzSolveRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -91,6 +112,12 @@ func FuzzSolveRequest(f *testing.F) {
 			req.MaxIter < 1 || req.MaxIter > MaxIterLimit || req.TimeoutMS > MaxTimeoutMS {
 			t.Fatalf("%s: accepted s=%d ranks=%d maxiter=%d timeout_ms=%d",
 				body, req.S, req.Ranks, req.MaxIter, req.TimeoutMS)
+		}
+		if _, err := krylov.MethodByName(req.Method); err != nil && req.Method != MethodAuto {
+			t.Fatalf("%s: accepted method %q", body, req.Method)
+		}
+		if _, err := workload.PC(req.PC, workload.Poisson7(2)); err != nil {
+			t.Fatalf("%s: accepted pc %q: %v", body, req.PC, err)
 		}
 	})
 }

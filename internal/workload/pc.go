@@ -41,28 +41,50 @@ func RankPC(name string) (comm.PCFactory, error) {
 // names: none, jacobi, sor, bjacobi, chebyshev, icc, mg (structured problems
 // only), gamg.
 func PC(name string, pr Problem) (engine.Preconditioner, error) {
-	a := pr.A
+	build := pcBuilder(name)
+	if build == nil {
+		return nil, unknownPC(name)
+	}
+	return build(pr)
+}
+
+// CheckPC reports an error for a name PC does not know, building nothing:
+// the check a service makes before it accepts a request.
+func CheckPC(name string) error {
+	if pcBuilder(name) == nil {
+		return unknownPC(name)
+	}
+	return nil
+}
+
+func unknownPC(name string) error { return fmt.Errorf("workload: unknown preconditioner %q", name) }
+
+// pcBuilder is PC's name table: the builder of the named preconditioner, or
+// nil for an unknown name.
+func pcBuilder(name string) func(Problem) (engine.Preconditioner, error) {
 	if f, _ := RankPC(name); f != nil {
-		return f(a, 0, a.Rows), nil
+		return func(pr Problem) (engine.Preconditioner, error) { return f(pr.A, 0, pr.A.Rows), nil }
 	}
 	switch name {
 	case "none", "":
-		return nil, nil
+		return func(Problem) (engine.Preconditioner, error) { return nil, nil }
 	case "bjacobi":
-		return precond.NewBlockJacobi(a, 16), nil
+		return func(pr Problem) (engine.Preconditioner, error) { return precond.NewBlockJacobi(pr.A, 16), nil }
 	case "chebyshev":
-		return precond.NewChebyshev(a, 4, 30), nil
+		return func(pr Problem) (engine.Preconditioner, error) { return precond.NewChebyshev(pr.A, 4, 30), nil }
 	case "icc":
-		return precond.NewICC(a, 8)
+		return func(pr Problem) (engine.Preconditioner, error) { return precond.NewICC(pr.A, 8) }
 	case "mg":
-		if pr.Grid == nil {
-			return nil, fmt.Errorf("workload: %s is unstructured; mg needs a grid", pr.Name)
+		return func(pr Problem) (engine.Preconditioner, error) {
+			if pr.Grid == nil {
+				return nil, fmt.Errorf("workload: %s is unstructured; mg needs a grid", pr.Name)
+			}
+			return precond.NewGMG(*pr.Grid, pr.A, 600)
 		}
-		return precond.NewGMG(*pr.Grid, a, 600)
 	case "gamg":
-		return precond.NewAMG(a, precond.AMGOptions{})
+		return func(pr Problem) (engine.Preconditioner, error) { return precond.NewAMG(pr.A, precond.AMGOptions{}) }
 	}
-	return nil, fmt.Errorf("workload: unknown preconditioner %q", name)
+	return nil
 }
 
 // EffectivePC is the preconditioner name a solve really runs with: a method
